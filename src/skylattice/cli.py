@@ -24,15 +24,14 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import (
-    LAYOUT_HEADER,
-    MEASUREMENT_HEADER,
     SpatioTemporalField,
     detrend,
     grid_layout,
@@ -40,6 +39,7 @@ from .core import (
     read_layout_csv,
     read_measurements_csv,
     time_average,
+    timestamp_strings,
     write_layout_csv,
     write_measurements_csv,
 )
@@ -57,14 +57,14 @@ from .fcsar import (
     FcsarSpec,
     fit_fcsar,
     fit_separable,
+    nan_padded,
     separability_diagnostic,
     write_separability_csv,
 )
-from .simulation import Expar2Config, FieldSimConfig, simulate_expar2, simulate_field
+from .simulation import FieldSimConfig, simulate_field
 from .spatial import build_neighbor_graph, sar_residuals_field
 
-FIT_MODELS = ("fcar", "sar", "separable-st", "separable-ts", "fcsar")
-SIM_MODES = ("advective", "separable", "expar2")
+SIM_MODES = ("advective", "separable")
 REGIMES = ("clear", "partly_cloudy", "overcast")
 
 
@@ -166,24 +166,28 @@ def _io_opts() -> list[Opt]:
     ]
 
 
-def _prep_opts(default_window: float = 600.0) -> list[Opt]:
+DETREND_OPT = Opt(
+    "detrend",
+    False,
+    _parse_bool,
+    "treat the input as raw and remove the diurnal trend first",
+    is_flag=True,
+)
+TREND_BANDWIDTH_OPT = Opt(
+    "trend_bandwidth",
+    0.0,
+    _parse_float,
+    "detrending kernel bandwidth in seconds; 0 picks the default",
+)
+
+
+def _prep_opts() -> list[Opt]:
     return [
-        Opt(
-            "detrend",
-            False,
-            _parse_bool,
-            "treat the input as raw and remove the diurnal trend first",
-            is_flag=True,
-        ),
-        Opt(
-            "trend_bandwidth",
-            0.0,
-            _parse_float,
-            "detrending kernel bandwidth in seconds; 0 picks the default",
-        ),
+        DETREND_OPT,
+        TREND_BANDWIDTH_OPT,
         Opt(
             "window",
-            default_window,
+            600.0,
             _parse_float,
             "averaging window in seconds before fitting; 0 keeps the "
             "native cadence",
@@ -229,13 +233,13 @@ def _sim_opts() -> list[Opt]:
     ]
 
 
-COMMANDS: dict[str, tuple[str, list[Opt]]] = {}
+# command name -> (help text, options, function)
+COMMANDS: dict[str, tuple[str, list[Opt], Callable[[dict], None]]] = {}
 
 
 def _register(name: str, help_text: str, opts: list[Opt]):
     def wrap(func):
-        COMMANDS[name] = (help_text, opts)
-        func._command = name
+        COMMANDS[name] = (help_text, opts, func)
         return func
 
     return wrap
@@ -305,7 +309,8 @@ def _validate_model(cfg: dict) -> None:
 
 
 def _validate_prep(cfg: dict) -> None:
-    _check(cfg["window"] >= 0, "--window must be >= 0")
+    if "window" in cfg:
+        _check(cfg["window"] >= 0, "--window must be >= 0")
     _check(cfg["trend_bandwidth"] >= 0, "--trend-bandwidth must be >= 0")
 
 
@@ -334,17 +339,19 @@ def _start_run(cfg: dict, command: str) -> Path:
     return out_dir
 
 
-def _load_field(cfg: dict, *, window: bool = True) -> SpatioTemporalField:
+def _read_field(cfg: dict, kind: str) -> SpatioTemporalField:
     _check(bool(cfg["measurements"]), "--measurements is required")
     _check(bool(cfg["layout"]), "--layout is required")
     layout = read_layout_csv(cfg["layout"])
-    records = read_measurements_csv(cfg["measurements"])
-    kind = "raw" if cfg.get("detrend") else "detrended"
-    field = ingest_field(records, layout, kind=kind)
-    if cfg.get("detrend"):
-        bw = cfg.get("trend_bandwidth") or None
-        field, _ = detrend(field, bandwidth=bw)
-    if window and cfg.get("window"):
+    return ingest_field(read_measurements_csv(cfg["measurements"]), layout, kind=kind)
+
+
+def _load_field(cfg: dict) -> SpatioTemporalField:
+    """Read the input, detrend it under --detrend, average it under --window."""
+    field = _read_field(cfg, "raw" if cfg["detrend"] else "detrended")
+    if cfg["detrend"]:
+        field, _ = detrend(field, bandwidth=cfg["trend_bandwidth"] or None)
+    if cfg.get("window"):
         field = time_average(field, cfg["window"])
     return field
 
@@ -366,27 +373,93 @@ def _write_long_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _fitted_rows(field, fitted: np.ndarray, support: int):
-    ints = np.all(field.timestamps == np.round(field.timestamps))
+def _field_rows(field: SpatioTemporalField, support: int, *columns: np.ndarray):
+    """Rows (t, sensor, *values) of S x T matrices from time index ``support`` on."""
+    stamps = timestamp_strings(field.timestamps)
     for j in range(support, field.n_times):
-        t = field.timestamps[j]
-        tstr = str(int(t)) if ints else repr(float(t))
         for i, sid in enumerate(field.layout.ids):
-            yield (
-                tstr,
-                sid,
-                repr(float(field.values[i, j])),
-                repr(float(fitted[i, j])),
-            )
+            yield (stamps[j], sid, *(repr(float(c[i, j])) for c in columns))
 
 
-def _residual_rows(field, residuals: np.ndarray, support: int):
-    ints = np.all(field.timestamps == np.round(field.timestamps))
-    for j in range(support, field.n_times):
-        t = field.timestamps[j]
-        tstr = str(int(t)) if ints else repr(float(t))
-        for i, sid in enumerate(field.layout.ids):
-            yield (tstr, sid, repr(float(residuals[i, j])))
+# --------------------------------------------------------------- models
+
+
+class ModelFit(NamedTuple):
+    """What ``fit`` reports of one model.
+
+    ``fitted`` and ``residuals`` are S x T, NaN before ``support``;
+    ``extra`` holds the model's own fit.json entries.
+    """
+
+    fitted: np.ndarray
+    residuals: np.ndarray
+    support: int
+    n_params: float
+    extra: dict
+
+
+def _fit_fcar_each(field: SpatioTemporalField, cfg: dict) -> ModelFit:
+    spec, options = _temporal_spec(cfg), _fcar_options(cfg)
+    fits = [fit_fcar(x, spec, options) for x in field.values]
+    return ModelFit(
+        nan_padded(np.stack([f.fitted for f in fits]), field.n_times),
+        nan_padded(np.stack([f.residuals for f in fits]), field.n_times),
+        max(f.t_start for f in fits),
+        float(sum(effective_params(f) for f in fits)),
+        {},
+    )
+
+
+def _fit_sar(field: SpatioTemporalField, cfg: dict) -> ModelFit:
+    graph = build_neighbor_graph(field.layout, cfg["knn"])
+    result = sar_residuals_field(field, graph)
+    residuals = result.field.values
+    return ModelFit(
+        field.values - residuals,
+        residuals,
+        0,
+        2.0 * result.trace.rho.size,
+        {"mean_rho": float(result.trace.rho.mean())},
+    )
+
+
+def _fit_separable_order(order: str, field: SpatioTemporalField, cfg: dict) -> ModelFit:
+    graph = build_neighbor_graph(field.layout, cfg["knn"])
+    fit = fit_separable(field, order, graph, _temporal_spec(cfg), _fcar_options(cfg))
+    n_params = 2.0 * fit.sar_trace.rho.size + float(
+        sum(effective_params(f) for f in fit.fcar_fits)
+    )
+    return ModelFit(
+        fit.fitted_values,
+        fit.residuals,
+        fit.support_start,
+        n_params,
+        {"first_stage_rmse": fit.first_stage_rmse},
+    )
+
+
+def _fit_coupled(field: SpatioTemporalField, cfg: dict) -> ModelFit:
+    graph = build_neighbor_graph(field.layout, cfg["knn"])
+    spec = FcsarSpec.uniform(graph, cfg["b"], _temporal_spec(cfg))
+    fit = fit_fcsar(field, spec, _fcar_options(cfg))
+    return ModelFit(
+        fit.fitted_values,
+        fit.residuals,
+        fit.support_start,
+        fit.total_params,
+        {"deficient_sensors": list(fit.deficient_sensors)},
+    )
+
+
+# model name -> fit; ``fit --model`` accepts exactly these keys
+MODELS: dict[str, Callable[[SpatioTemporalField, dict], ModelFit]] = {
+    "fcar": _fit_fcar_each,
+    "sar": _fit_sar,
+    "separable-st": partial(_fit_separable_order, "space_then_time"),
+    "separable-ts": partial(_fit_separable_order, "time_then_space"),
+    "fcsar": _fit_coupled,
+}
+FIT_MODELS = tuple(MODELS)
 
 
 # --------------------------------------------------------------- commands
@@ -396,29 +469,6 @@ def _residual_rows(field, residuals: np.ndarray, support: int):
 def cmd_simulate(cfg: dict) -> None:
     _check(cfg["T"] >= 2, "--T must be >= 2")
     _check(cfg["dt"] > 0, "--dt must be > 0")
-    if cfg["mode"] == "expar2":
-        # A single series; the lattice types require >= 3 sensors, so this
-        # export is written directly in the same CSV formats.
-        series = simulate_expar2(Expar2Config(n_times=cfg["T"], seed=cfg["seed"]))
-        out_dir = _start_run(cfg, "simulate")
-        _write_long_csv(
-            out_dir / "measurements.csv",
-            MEASUREMENT_HEADER,
-            (
-                (str(int(j * cfg["dt"])) if float(cfg["dt"]).is_integer() else repr(j * cfg["dt"]), "s00", repr(float(v)))
-                for j, v in enumerate(series)
-            ),
-        )
-        _write_long_csv(
-            out_dir / "layout.csv", LAYOUT_HEADER, [("s00", repr(0.0), repr(0.0))]
-        )
-        _say(
-            cfg,
-            1,
-            f"simulated 1 sensor x {series.size} steps (expar2): "
-            f"mean={series.mean():.4g} sd={series.std():.4g}",
-        )
-        return
     _check(cfg["nx"] >= 1 and cfg["ny"] >= 1, "--nx and --ny must be >= 1")
     _check(cfg["spacing"] > 0, "--spacing must be > 0")
     _check(cfg["corr_length"] > 0, "--corr-length must be > 0")
@@ -451,23 +501,11 @@ def cmd_simulate(cfg: dict) -> None:
 @_register(
     "detrend",
     "remove the diurnal trend from raw measurements",
-    _common_opts()
-    + _io_opts()
-    + [
-        Opt(
-            "trend_bandwidth",
-            0.0,
-            _parse_float,
-            "kernel bandwidth in seconds; 0 picks the default",
-        )
-    ],
+    _common_opts() + _io_opts() + [TREND_BANDWIDTH_OPT],
 )
 def cmd_detrend(cfg: dict) -> None:
-    _check(cfg["trend_bandwidth"] >= 0, "--trend-bandwidth must be >= 0")
-    _check(bool(cfg["measurements"]), "--measurements is required")
-    _check(bool(cfg["layout"]), "--layout is required")
-    layout = read_layout_csv(cfg["layout"])
-    field = ingest_field(read_measurements_csv(cfg["measurements"]), layout, kind="raw")
+    _validate_prep(cfg)
+    field = _read_field(cfg, "raw")
     detrended, trend = detrend(field, bandwidth=cfg["trend_bandwidth"] or None)
     out_dir = _start_run(cfg, "detrend")
     write_measurements_csv(detrended, out_dir / "detrended.csv")
@@ -496,74 +534,35 @@ def cmd_fit(cfg: dict) -> None:
     _validate_prep(cfg)
     _validate_model(cfg)
     field = _load_field(cfg)
-    spec = _temporal_spec(cfg)
-    options = _fcar_options(cfg)
     model = cfg["model"]
-    extra: dict = {}
-
-    if model == "fcar":
-        fits = [
-            fit_fcar(field.values[i], spec, options)
-            for i in range(field.n_sensors)
-        ]
-        support = max(f.t_start for f in fits)
-        fitted = np.full_like(field.values, np.nan)
-        residuals = np.full_like(field.values, np.nan)
-        for i, f in enumerate(fits):
-            fitted[i, f.t_start :] = f.fitted
-            residuals[i, f.t_start :] = f.residuals
-        n_params = float(sum(effective_params(f) for f in fits))
-    elif model == "sar":
-        graph = build_neighbor_graph(field.layout, cfg["knn"])
-        result = sar_residuals_field(field, graph)
-        residuals = result.field.values
-        fitted = field.values - residuals
-        support = 0
-        n_params = 2.0 * result.trace.rho.size
-        extra["mean_rho"] = float(result.trace.rho.mean())
-    elif model in ("separable-st", "separable-ts"):
-        graph = build_neighbor_graph(field.layout, cfg["knn"])
-        order = "space_then_time" if model.endswith("st") else "time_then_space"
-        fit = fit_separable(field, order, graph, spec, options)
-        fitted, residuals = fit.fitted_values, fit.residuals
-        support = fit.support_start
-        n_params = 2.0 * fit.sar_trace.rho.size + float(
-            sum(effective_params(f) for f in fit.fcar_fits)
-        )
-        extra["first_stage_rmse"] = fit.first_stage_rmse
-    else:
-        graph = build_neighbor_graph(field.layout, cfg["knn"])
-        fspec = FcsarSpec.uniform(graph, cfg["b"], spec)
-        fit = fit_fcsar(field, fspec, options)
-        fitted, residuals = fit.fitted_values, fit.residuals
-        support = fit.support_start
-        n_params = fit.total_params
-        extra["deficient_sensors"] = list(fit.deficient_sensors)
+    fit = MODELS[model](field, cfg)
+    support = fit.support
 
     obs = field.values[:, support:]
-    value_rmse = rmse(obs, fitted[:, support:])
-    adj = adjusted_r2(obs, fitted[:, support:], n_params) if n_params < obs.size else None
+    fitted = fit.fitted[:, support:]
+    value_rmse = rmse(obs, fitted)
+    adj = adjusted_r2(obs, fitted, fit.n_params) if fit.n_params < obs.size else None
 
     out_dir = _start_run(cfg, "fit")
     _write_long_csv(
         out_dir / "fitted.csv",
         ["t", "sensor", "observed", "fitted"],
-        _fitted_rows(field, fitted, support),
+        _field_rows(field, support, field.values, fit.fitted),
     )
     _write_long_csv(
         out_dir / "residuals.csv",
         ["t", "sensor", "residual"],
-        _residual_rows(field, residuals, support),
+        _field_rows(field, support, fit.residuals),
     )
     summary = {
         "model": model,
         "rmse": value_rmse,
         "adj_r2": adj,
-        "n_params": n_params,
+        "n_params": fit.n_params,
         "support_start": support,
         "n_sensors": field.n_sensors,
         "n_times": field.n_times,
-        **extra,
+        **fit.extra,
     }
     (out_dir / "fit.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
@@ -666,19 +665,8 @@ def cmd_diagnose(cfg: dict) -> None:
     _common_opts()
     + _io_opts()
     + [
-        Opt(
-            "detrend",
-            False,
-            _parse_bool,
-            "treat the input as raw and remove the diurnal trend first",
-            is_flag=True,
-        ),
-        Opt(
-            "trend_bandwidth",
-            0.0,
-            _parse_float,
-            "detrending kernel bandwidth in seconds; 0 picks the default",
-        ),
+        DETREND_OPT,
+        TREND_BANDWIDTH_OPT,
         Opt(
             "windows",
             (600.0, 300.0, 60.0, 30.0),
@@ -692,8 +680,8 @@ def cmd_report(cfg: dict) -> None:
     _validate_model(cfg)
     _check(len(cfg["windows"]) > 0, "--windows needs at least one value")
     _check(all(w > 0 for w in cfg["windows"]), "--windows values must be > 0")
-    _check(cfg["trend_bandwidth"] >= 0, "--trend-bandwidth must be >= 0")
-    field = _load_field(cfg, window=False)
+    _validate_prep(cfg)
+    field = _load_field(cfg)
     spec = _temporal_spec(cfg)
     options = _fcar_options(cfg)
     out_dir = _start_run(cfg, "report")
@@ -719,16 +707,6 @@ def cmd_report(cfg: dict) -> None:
 # --------------------------------------------------------------- driver
 
 
-_COMMAND_FUNCS = {
-    "simulate": cmd_simulate,
-    "detrend": cmd_detrend,
-    "fit": cmd_fit,
-    "crossval": cmd_crossval,
-    "diagnose": cmd_diagnose,
-    "report": cmd_report,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skylattice",
@@ -736,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (help_text, opts) in COMMANDS.items():
+    for name, (help_text, opts, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument(
             "--config",
@@ -753,9 +731,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args, COMMANDS[args.command][1])
+        _, opts, func = COMMANDS[args.command]
+        cfg = _resolve(args, opts)
         _validate_common(cfg)
-        _COMMAND_FUNCS[args.command](cfg)
+        func(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 FIELD_KINDS = ("raw", "detrended", "residual")
+KERNELS = ("epanechnikov", "gaussian")
 
 MEASUREMENT_HEADER = ["timestamp", "sensor_id", "value"]
 LAYOUT_HEADER = ["sensor_id", "x_m", "y_m"]
@@ -299,18 +300,27 @@ def ingest_field(
     return SpatioTemporalField(layout, np.array(times), values, kind, mask)
 
 
+def timestamp_strings(timestamps: np.ndarray) -> list[str]:
+    """CSV text of a time axis.
+
+    Every stamp is written as a plain integer when all of them are whole
+    numbers, otherwise each as a round-tripping ``repr`` float.
+    """
+    if np.all(timestamps == np.round(timestamps)):
+        return [str(int(t)) for t in timestamps]
+    return [repr(float(t)) for t in timestamps]
+
+
 def write_measurements_csv(field: SpatioTemporalField, path) -> None:
     """Write a field as long-form ``timestamp,sensor_id,value`` rows.
 
     Masked cells are written as NA so that reading the file back reproduces
     the field exactly, mask included.
     """
-    ints = np.all(field.timestamps == np.round(field.timestamps))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MEASUREMENT_HEADER)
-        for j, t in enumerate(field.timestamps):
-            tstr = str(int(t)) if ints else repr(float(t))
+        for j, tstr in enumerate(timestamp_strings(field.timestamps)):
             for i, sid in enumerate(field.layout.ids):
                 if field.mask is not None and field.mask[i, j]:
                     writer.writerow([tstr, sid, "NA"])
@@ -384,13 +394,13 @@ def time_average(field: SpatioTemporalField, window_seconds: float) -> SpatioTem
     return SpatioTemporalField(field.layout, out_ts, out_vals, field.kind, out_mask)
 
 
-def _kernel_profile(offsets: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
-    z = offsets / bandwidth
-    if kernel == "epanechnikov":
+def kernel_values(z: np.ndarray, kind: str) -> np.ndarray:
+    """Kernel density K(z) at standardized offsets z, for a name in KERNELS."""
+    if kind == "epanechnikov":
         return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
-    if kernel == "gaussian":
-        return np.exp(-0.5 * z * z)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    if kind == "gaussian":
+        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    raise ValueError(f"unknown kernel {kind!r}")
 
 
 def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -451,7 +461,7 @@ def detrend(
         raise ValueError("bandwidth too small for the native spacing")
     half = min(half, field.n_times - 1)
     offsets = np.arange(-half, half + 1) * dt
-    k = _kernel_profile(offsets, bandwidth, kernel)
+    k = kernel_values(offsets / bandwidth, kernel)
 
     n_mom = 2 * degree + 1
     s_mom = [

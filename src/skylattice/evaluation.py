@@ -40,7 +40,6 @@ __all__ = [
     "adjusted_r2",
     "crossval",
     "rmpe_ratio",
-    "write_order_rmse_csv",
     "write_window_rmse_csv",
     "write_rmpe_ratio_csv",
 ]
@@ -398,15 +397,6 @@ def _write_rows(path, header: list, rows: Iterable[tuple]) -> None:
                     for v in row
                 ]
             )
-
-
-def write_order_rmse_csv(rows: Iterable[tuple], path) -> None:
-    """Model-comparison RMSEs, one labeled field per row.
-
-    Row layout: (label, st, ts, b1, b2) with the two separable fit
-    orders and the coupled model at lag depths 1 and 2.
-    """
-    _write_rows(path, ["label", "st", "ts", "b1", "b2"], rows)
 
 
 def write_window_rmse_csv(rows: Iterable[tuple], path) -> None:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import svd
 
-_KERNELS = ("epanechnikov", "gaussian")
+from .core import KERNELS, kernel_values
 
 # relative singular-value cutoff for the spline pre-estimate, and the factor
 # by which it is raised while the solution stays numerically unidentified
@@ -42,14 +42,6 @@ _SPLINE_COND_MAX = 1e-4
 # grid/observation points backed by fewer in-bandwidth samples than this are
 # flagged unreliable and fall back to the spline pre-estimate on evaluation
 DEFAULT_MIN_LOCAL_OBS = 5
-
-
-def _kernel_values(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "epanechnikov":
-        return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
-    if kind == "gaussian":
-        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    raise ValueError(f"unknown kernel {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -424,7 +416,7 @@ def _local_linear(
     for lo in range(0, n_eval, 256):
         sl = slice(lo, min(lo + 256, n_eval))
         diff = u_obs[None, :] - u_eval[sl, None]
-        k = _kernel_values(diff / h, kernel) / h
+        k = kernel_values(diff / h, kernel) / h
         in_bw = np.abs(diff) <= h
         n_raw = np.count_nonzero(in_bw, axis=1)
         n_info = (in_bw * info_wt[None, :]).sum(axis=1)
@@ -477,7 +469,7 @@ def _local_transfer(
     for lo in range(0, n_eval, 256):
         sl = slice(lo, min(lo + 256, n_eval))
         diff = u_obs[None, :] - u_eval[sl, None]
-        k = _kernel_values(diff / h, kernel) / h
+        k = kernel_values(diff / h, kernel) / h
         num = (k * c1[None, :] * other[None, :]).sum(axis=1)
         den = (k * c1[None, :] ** 2).sum(axis=1)
         good = den > 0.0
@@ -537,7 +529,7 @@ def sbk_estimate(
 
     # noise variance from the component's own kernel-stage residuals,
     # degrees of freedom corrected by the smoother trace
-    k0 = _kernel_values(np.zeros(1), kernel)[0] / h
+    k0 = kernel_values(np.zeros(1), kernel)[0] / h
     trace = float(np.nansum(k0 * c1**2 * obs_a11inv))
     fitted = obs_est * c1
     resid = pseudo - fitted
@@ -575,8 +567,8 @@ class FcarOptions:
     strict_rank: bool = False
 
     def __post_init__(self):
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"kernel must be one of {_KERNELS}")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
         if self.bandwidth is not None and self.bandwidth <= 0:

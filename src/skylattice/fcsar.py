@@ -37,6 +37,9 @@ __all__ = [
 
 SEPARABLE_ORDERS = ("space_then_time", "time_then_space")
 
+# backfit cycles of the coupled fit: spatial stage, then temporal stage
+_BACKFIT_CYCLES = 2
+
 
 def _check_same_layout(a: SensorLayout, b: SensorLayout, what: str) -> None:
     if a.ids != b.ids or not np.array_equal(a.xy, b.xy):
@@ -209,17 +212,44 @@ def _fit_neighbor_coefficients(
     return beta, tuple(deficient)
 
 
-def _spatial_component(
-    z: np.ndarray, graph: NeighborGraph, beta: np.ndarray, b: int
+def _transfer_sum(
+    z: np.ndarray, neighbors: Sequence[int], coef: np.ndarray, b: int
 ) -> np.ndarray:
-    """S x T matrix of the neighbor-transfer component; zero before index b."""
-    S, T = z.shape
-    comp = np.zeros((S, T))
-    for s in range(S):
-        for slot, nb in enumerate(graph.neighbors[s]):
-            for w in range(1, b + 1):
-                comp[s, b:] += beta[s, slot, w - 1] * z[nb, b - w : T - w]
-    return comp
+    """Neighbor-transfer values at times b..T-1 for one coefficient block.
+
+    Accumulates ``coef[slot, w-1] * z[neighbor, t-w]`` neighbor-slot major,
+    lag minor; fits and predictions share this order, so they agree bit
+    for bit.
+    """
+    T = z.shape[1]
+    acc = np.zeros(T - b)
+    for slot, nb in enumerate(neighbors):
+        for w in range(1, b + 1):
+            acc += coef[slot, w - 1] * z[nb, b - w : T - w]
+    return acc
+
+
+def _temporal_stage(
+    z: np.ndarray,
+    spatial: np.ndarray,
+    spec: FcsarSpec,
+    options: Optional[FcarOptions],
+    t0: int,
+) -> tuple[FcarFit, ...]:
+    """Per-sensor functional fits of the series net of the spatial component."""
+    return tuple(
+        fit_fcar(
+            z[s], spec.sensor_specs[s], options, response=z[s] - spatial[s], t_start=t0
+        )
+        for s in range(z.shape[0])
+    )
+
+
+def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
+    """S x n_times matrix holding ``block`` in its last columns, NaN before."""
+    out = np.full((block.shape[0], n_times), np.nan)
+    out[:, n_times - block.shape[1] :] = block
+    return out
 
 
 def fit_fcsar(
@@ -250,8 +280,8 @@ def fit_fcsar(
         Passed to every temporal-stage fit.  ``options.strict_rank`` also
         makes a collinear neighbor design an error instead of a flag.
     freeze_beta_at_zero : bool
-        Skip the spatial stage entirely (all transfer coefficients 0); the
-        temporal stages then see the raw series and reproduce independent
+        Run zero backfit cycles: all transfer coefficients stay 0 and the
+        single temporal stage sees the raw series, reproducing independent
         per-sensor fits exactly.
 
     Returns
@@ -274,55 +304,30 @@ def fit_fcsar(
         )
     strict = bool(options.strict_rank) if options is not None else False
 
-    if freeze_beta_at_zero:
-        beta = np.zeros((S, spec.graph.k, b))
-        deficient: tuple[str, ...] = ()
-        fcar_fits = tuple(
-            fit_fcar(z[s], spec.sensor_specs[s], options, t_start=t0)
-            for s in range(S)
-        )
-        spatial = np.zeros((S, T))
-    else:
+    # each cycle fits the transfer coefficients to the series net of the
+    # temporal fit (zero at first), then the temporal stage to the series
+    # net of the spatial component (zero before index b).  The neighbor
+    # design never changes, so every cycle flags the same sensors.  Zero
+    # cycles leave one temporal stage on the raw series.
+    n_cycles = 0 if freeze_beta_at_zero else _BACKFIT_CYCLES
+    beta = np.zeros((S, spec.graph.k, b))
+    deficient: tuple[str, ...] = ()
+    spatial = np.zeros((S, T))
+    temporal = np.zeros((S, n_rows))
+    for cycle in range(n_cycles):
         beta, deficient = _fit_neighbor_coefficients(
-            z, spec.graph, b, t0, z[:, t0:], strict
-        )
-        spatial = _spatial_component(z, spec.graph, beta, b)
-        fcar_fits = tuple(
-            fit_fcar(
-                z[s],
-                spec.sensor_specs[s],
-                options,
-                response=z[s] - spatial[s],
-                t_start=t0,
-            )
-            for s in range(S)
-        )
-        # refinement: transfer coefficients on the series net of the
-        # temporal fit, then one more temporal pass.  The neighbor design
-        # is unchanged, so the rank flags carry over.
-        temporal = np.zeros((S, n_rows))
-        for s in range(S):
-            temporal[s] = fcar_fits[s].fitted
-        beta, _ = _fit_neighbor_coefficients(
             z, spec.graph, b, t0, z[:, t0:] - temporal, strict
         )
-        spatial = _spatial_component(z, spec.graph, beta, b)
-        fcar_fits = tuple(
-            fit_fcar(
-                z[s],
-                spec.sensor_specs[s],
-                options,
-                response=z[s] - spatial[s],
-                t_start=t0,
-            )
-            for s in range(S)
-        )
+        for s in range(S):
+            spatial[s, b:] = _transfer_sum(z, spec.graph.neighbors[s], beta[s], b)
+        if cycle + 1 < n_cycles:
+            fits = _temporal_stage(z, spatial, spec, options, t0)
+            temporal = np.stack([f.fitted for f in fits])
+    fcar_fits = _temporal_stage(z, spatial, spec, options, t0)
 
-    fitted = np.full((S, T), np.nan)
-    residuals = np.full((S, T), np.nan)
-    for s in range(S):
-        fitted[s, t0:] = spatial[s, t0:] + fcar_fits[s].fitted
-        residuals[s, t0:] = fcar_fits[s].residuals
+    temporal = np.stack([f.fitted for f in fcar_fits])
+    fitted = nan_padded(spatial[:, t0:] + temporal, T)
+    residuals = nan_padded(np.stack([f.residuals for f in fcar_fits]), T)
     return FcsarFit(
         spec=spec,
         beta=beta,
@@ -386,10 +391,8 @@ def fit_separable(
         trace = sar.trace
         first_rmse = float(np.sqrt(np.mean(stage1**2)))
 
-    fitted = np.full((S, T), np.nan)
-    residuals = np.full((S, T), np.nan)
-    residuals[:, t0:] = final
-    fitted[:, t0:] = z[:, t0:] - final
+    fitted = nan_padded(z[:, t0:] - final, T)
+    residuals = nan_padded(final, T)
     return SeparableFit(
         order=order,
         sar_trace=trace,
@@ -452,13 +455,8 @@ def predict_missing_sensor(
     beta_bar = fit.beta.mean(axis=0) if tied else fit.beta[donor]
 
     b = fit.spec.n_neighbor_lags
-    z = field_train.values
-    T = z.shape[1]
-    pred = np.full(T, np.nan)
-    pred[b:] = 0.0
-    for slot, nb in enumerate(nn):
-        for w in range(1, b + 1):
-            pred[b:] += beta_bar[slot, w - 1] * z[nb, b - w : T - w]
+    pred = np.full(field_train.n_times, np.nan)
+    pred[b:] = _transfer_sum(field_train.values, nn, beta_bar, b)
     return pred
 
 

@@ -12,7 +12,6 @@ steal area from.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -272,22 +271,6 @@ def sar_residuals_field(
         timestamps=field.timestamps, rho=rho, sigma2=sigma2, loglik=loglik
     )
     return SarFieldResult(field=out, trace=trace)
-
-
-def write_sar_trace_csv(trace: SarTrace, path) -> None:
-    """Serialize a per-time SAR trace as ``t,rho,sigma2,loglik`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "rho", "sigma2", "loglik"])
-        for i in range(trace.timestamps.size):
-            writer.writerow(
-                [
-                    f"{trace.timestamps[i]:.6f}",
-                    f"{trace.rho[i]:.10g}",
-                    f"{trace.sigma2[i]:.10g}",
-                    f"{trace.loglik[i]:.10g}",
-                ]
-            )
 
 
 @dataclass(frozen=True)

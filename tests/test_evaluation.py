@@ -17,7 +17,6 @@ from skylattice.evaluation import (
     rmpe_ratio,
     rmpe_rooted,
     rmse,
-    write_order_rmse_csv,
     write_rmpe_ratio_csv,
     write_window_rmse_csv,
 )
@@ -437,12 +436,6 @@ def test_report_validates_values():
 
 def test_csv_writers_roundtrip(tmp_path):
     import csv as csvmod
-
-    order = tmp_path / "order.csv"
-    write_order_rmse_csv([("day1", 1.5, 2.5, 1.25, 1.0)], order)
-    rows = list(csvmod.reader(order.open()))
-    assert rows[0] == ["label", "st", "ts", "b1", "b2"]
-    assert rows[1] == ["day1", "1.5", "2.5", "1.25", "1"]
 
     window = tmp_path / "window.csv"
     write_window_rmse_csv([("day1", 600, 0.16, 0.999)], window)
