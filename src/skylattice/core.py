@@ -20,6 +20,8 @@ from scipy.signal import fftconvolve
 
 FIELD_KINDS = ("raw", "detrended", "residual")
 KERNELS = ("epanechnikov", "gaussian")
+# support radius of each kernel: K(z) is exactly 0 wherever |z| > radius
+KERNEL_SUPPORT = {"epanechnikov": 1.0, "gaussian": math.inf}
 
 MEASUREMENT_HEADER = ["timestamp", "sensor_id", "value"]
 LAYOUT_HEADER = ["sensor_id", "x_m", "y_m"]

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import svd
 
-from .core import KERNELS, kernel_values
+from .core import KERNEL_SUPPORT, KERNELS, kernel_values
 
 # relative singular-value cutoff for the spline pre-estimate, and the factor
 # by which it is raised while the solution stays numerically unidentified
@@ -379,6 +379,38 @@ class SbkCurve:
             object.__setattr__(self, name, arr)
 
 
+def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float, kernel: str):
+    """Blocks of evaluation points with the observations their kernel weights.
+
+    Yields ``(sl, idx, diff, k)`` for consecutive blocks ``sl`` of at most 256
+    evaluation points.  ``idx`` is a (rows x W) matrix of indices into
+    ``u_obs``: each row holds W distinct observations that are consecutive in
+    u order and include every observation within the kernel's support of that
+    row's evaluation point, W being the widest such window in the block.
+    ``diff = u_obs[idx] - u_eval[sl, None]`` and ``k = K_h(diff)``; entries a
+    row holds beyond its evaluation point's support carry k == 0 and
+    |diff| > h.  A kernel of unbounded support windows every observation.
+    """
+    order = np.argsort(u_obs, kind="stable")
+    u_sorted = u_obs[order]
+    n = u_sorted.size
+    reach = KERNEL_SUPPORT[kernel] * h
+    # widen the search so rounding in the |diff| <= h and |diff/h| <= 1 tests
+    # can never accept an observation the window left out
+    pad = 1e-9 * (h + np.abs(u_eval))
+    lo = np.searchsorted(u_sorted, u_eval - reach - pad, side="left")
+    hi = np.searchsorted(u_sorted, u_eval + reach + pad, side="right")
+    for first in range(0, u_eval.size, 256):
+        sl = slice(first, min(first + 256, u_eval.size))
+        width = int((hi[sl] - lo[sl]).max())
+        # shift windows that would run past the end back inside, so every
+        # index in a row stays distinct
+        start = np.minimum(lo[sl], n - width)
+        idx = order[start[:, None] + np.arange(width)]
+        diff = u_obs[idx] - u_eval[sl, None]
+        yield sl, idx, diff, kernel_values(diff / h, kernel) / h
+
+
 def _local_linear(
     u_obs: np.ndarray,
     c1: np.ndarray,
@@ -405,6 +437,13 @@ def _local_linear(
     says so.  ``raw_reliable`` keeps the plain in-bandwidth count; the
     product estimate*c1 stays well behaved there even where the coefficient
     alone does not, which is what in-sample fitted values need.
+
+    The kernel sums run over :func:`_kernel_windows`: for each evaluation
+    point, a window of observations that is a superset of the kernel's
+    support (every observation for the Gaussian kernel).  Observations
+    outside the window have zero kernel weight and lie outside the
+    bandwidth, so they add nothing to any sum or count, and the results
+    equal the sums over all observations up to summation order.
     """
     n_eval = u_eval.size
     est = np.full(n_eval, np.nan)
@@ -413,20 +452,18 @@ def _local_linear(
     reliable = np.zeros(n_eval, dtype=bool)
     raw_reliable = np.zeros(n_eval, dtype=bool)
     info_wt = c1**2 / max(float(np.mean(c1**2)), 1e-300)
-    for lo in range(0, n_eval, 256):
-        sl = slice(lo, min(lo + 256, n_eval))
-        diff = u_obs[None, :] - u_eval[sl, None]
-        k = kernel_values(diff / h, kernel) / h
+    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h, kernel):
         in_bw = np.abs(diff) <= h
         n_raw = np.count_nonzero(in_bw, axis=1)
-        n_info = (in_bw * info_wt[None, :]).sum(axis=1)
-        c2 = c1[None, :] * diff
-        kc1 = k * c1[None, :] ** 2
+        n_info = (in_bw * info_wt[idx]).sum(axis=1)
+        c1w, ww = c1[idx], w[idx]
+        c2 = c1w * diff
+        kc1 = k * c1w**2
         a00 = kc1.sum(axis=1)
-        a01 = (k * c1[None, :] * c2).sum(axis=1)
+        a01 = (k * c1w * c2).sum(axis=1)
         a11 = (k * c2 * c2).sum(axis=1)
-        b0 = (k * c1[None, :] * w[None, :]).sum(axis=1)
-        b1 = (k * c2 * w[None, :]).sum(axis=1)
+        b0 = (k * c1w * ww).sum(axis=1)
+        b1 = (k * c2 * ww).sum(axis=1)
         det = a00 * a11 - a01 * a01
         scale = np.abs(a00 * a11) + a01 * a01
         ok = det > 1e-12 * np.maximum(scale, 1e-300)
@@ -434,8 +471,8 @@ def _local_linear(
         est[sl][good] = (a11[good] * b0[good] - a01[good] * b1[good]) / det[good]
         # sandwich: first diagonal entry of A^-1 B A^-1
         k2 = k * k
-        s00 = (k2 * c1[None, :] ** 2).sum(axis=1)
-        s01 = (k2 * c1[None, :] * c2).sum(axis=1)
+        s00 = (k2 * c1w**2).sum(axis=1)
+        s01 = (k2 * c1w * c2).sum(axis=1)
         s11 = (k2 * c2 * c2).sum(axis=1)
         num = (
             a11[good] ** 2 * s00[good]
@@ -464,14 +501,11 @@ def _local_transfer(
     local level estimate shifts by roughly e(u) times this ratio.  Used to
     propagate pre-estimate sampling variance into the bands.
     """
-    n_eval = u_eval.size
-    mult = np.full(n_eval, np.nan)
-    for lo in range(0, n_eval, 256):
-        sl = slice(lo, min(lo + 256, n_eval))
-        diff = u_obs[None, :] - u_eval[sl, None]
-        k = kernel_values(diff / h, kernel) / h
-        num = (k * c1[None, :] * other[None, :]).sum(axis=1)
-        den = (k * c1[None, :] ** 2).sum(axis=1)
+    mult = np.full(u_eval.size, np.nan)
+    for sl, idx, _, k in _kernel_windows(u_obs, u_eval, h, kernel):
+        c1w = c1[idx]
+        num = (k * c1w * other[idx]).sum(axis=1)
+        den = (k * c1w**2).sum(axis=1)
         good = den > 0.0
         mult[sl] = np.divide(num, den, out=np.full(den.shape, np.nan), where=good)
     return mult
@@ -722,6 +756,10 @@ def fit_fcar(
     u_grid = np.linspace(u_raw.min(), u_raw.max(), opts.grid_size)
     grid_B = basis_eval(basis, umap.to_unit(u_grid))
 
+    # b(u)' G b(u): each component's spline pre-estimate variance on the
+    # grid, per unit noise variance
+    quads = [((grid_B @ g) * grid_B).sum(axis=1) for g in prefit.gram_invs]
+
     curves = []
     for j in spec.components:
         pseudo = pseudo_responses(
@@ -738,10 +776,9 @@ def fit_fcar(
             mult = _local_transfer(
                 u_raw, c1, _regressor(x, t, o), u_grid, h, opts.kernel
             )
-            quad = np.einsum("ij,jk,ik->i", grid_B, prefit.gram_invs[oc], grid_B)
             vprop += (
                 prefit.sigma2s[oc]
-                * quad
+                * quads[oc]
                 * np.where(np.isfinite(mult), mult, 0.0) ** 2
             )
         curves.append(

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skylattice import fcar
+from skylattice.core import KERNEL_SUPPORT, KERNELS, kernel_values
 from skylattice.fcar import (
     FcarOptions,
     FcarSpec,
@@ -24,7 +26,15 @@ from skylattice.fcar import (
     select_fcar_order,
     spline_preestimate,
 )
-from skylattice.simulation import Expar2Config, expar2_true_curves, simulate_expar2
+from skylattice.fcsar import FcsarSpec, fit_fcsar
+from skylattice.simulation import (
+    Expar2Config,
+    FieldSimConfig,
+    expar2_true_curves,
+    simulate_expar2,
+    simulate_field,
+)
+from skylattice import build_neighbor_graph, grid_layout
 
 
 def ar1_series(T, phi=0.5, seed=0, burn=100, scale=1.0):
@@ -674,3 +684,286 @@ class TestNormalEquationsProperty:
         coeffs = spline_preestimate(x, FcarSpec(p=1, d=1), SplineBasis(1))
         lam, *_ = np.linalg.lstsq(D, x[t], rcond=None)
         npt.assert_allclose(coeffs[:, 0], lam, atol=1e-8)
+
+
+# Dense kernel sums over every observation, kept verbatim as the oracle for
+# the windowed sums in skylattice.fcar.
+
+
+def dense_local_linear(u_obs, c1, w, u_eval, h, kernel, min_local_obs):
+    n_eval = u_eval.size
+    est = np.full(n_eval, np.nan)
+    varu = np.full(n_eval, np.nan)
+    a11inv = np.full(n_eval, np.nan)
+    reliable = np.zeros(n_eval, dtype=bool)
+    raw_reliable = np.zeros(n_eval, dtype=bool)
+    info_wt = c1**2 / max(float(np.mean(c1**2)), 1e-300)
+    for lo in range(0, n_eval, 256):
+        sl = slice(lo, min(lo + 256, n_eval))
+        diff = u_obs[None, :] - u_eval[sl, None]
+        k = kernel_values(diff / h, kernel) / h
+        in_bw = np.abs(diff) <= h
+        n_raw = np.count_nonzero(in_bw, axis=1)
+        n_info = (in_bw * info_wt[None, :]).sum(axis=1)
+        c2 = c1[None, :] * diff
+        kc1 = k * c1[None, :] ** 2
+        a00 = kc1.sum(axis=1)
+        a01 = (k * c1[None, :] * c2).sum(axis=1)
+        a11 = (k * c2 * c2).sum(axis=1)
+        b0 = (k * c1[None, :] * w[None, :]).sum(axis=1)
+        b1 = (k * c2 * w[None, :]).sum(axis=1)
+        det = a00 * a11 - a01 * a01
+        scale = np.abs(a00 * a11) + a01 * a01
+        ok = det > 1e-12 * np.maximum(scale, 1e-300)
+        good = np.where(ok)[0]
+        est[sl][good] = (a11[good] * b0[good] - a01[good] * b1[good]) / det[good]
+        # sandwich: first diagonal entry of A^-1 B A^-1
+        k2 = k * k
+        s00 = (k2 * c1[None, :] ** 2).sum(axis=1)
+        s01 = (k2 * c1[None, :] * c2).sum(axis=1)
+        s11 = (k2 * c2 * c2).sum(axis=1)
+        num = (
+            a11[good] ** 2 * s00[good]
+            - 2.0 * a11[good] * a01[good] * s01[good]
+            + a01[good] ** 2 * s11[good]
+        )
+        varu[sl][good] = num / det[good] ** 2
+        a11inv[sl][good] = a11[good] / det[good]
+        reliable[sl] = ok & (n_raw >= min_local_obs) & (n_info >= min_local_obs)
+        raw_reliable[sl] = ok & (n_raw >= min_local_obs)
+    return est, varu, reliable, raw_reliable, a11inv
+
+
+def dense_local_transfer(u_obs, c1, other, u_eval, h, kernel):
+    n_eval = u_eval.size
+    mult = np.full(n_eval, np.nan)
+    for lo in range(0, n_eval, 256):
+        sl = slice(lo, min(lo + 256, n_eval))
+        diff = u_obs[None, :] - u_eval[sl, None]
+        k = kernel_values(diff / h, kernel) / h
+        num = (k * c1[None, :] * other[None, :]).sum(axis=1)
+        den = (k * c1[None, :] ** 2).sum(axis=1)
+        good = den > 0.0
+        mult[sl] = np.divide(num, den, out=np.full(den.shape, np.nan), where=good)
+    return mult
+
+
+WINDOW_CASES = ["random70", "random478", "ties", "dyadic", "outside", "ulp"]
+
+
+def ulp_edge_sample(rng, h):
+    """Two centers near 0 and points an ulp beyond center + h and center - h
+    that the |diff| <= h test still accepts, plus points well inside.
+
+    Rounding in u - center only shows when |center| < h, where the
+    difference is not exact."""
+    centers, edges = [], []
+    for direction in (np.inf, -np.inf):
+        e, v = 0.0, np.inf
+        while abs(v - e) > h:
+            e = rng.uniform(-0.2 * h, 0.2 * h)
+            v = np.nextafter(e + np.copysign(h, direction), direction)
+        centers.append(e)
+        edges.append(v)
+    return np.array(centers), np.concatenate([edges, rng.uniform(-h, h, 6)])
+
+
+def window_case(name, design):
+    """Observations, design column, response, evaluation points, bandwidth."""
+    rng = np.random.default_rng(WINDOW_CASES.index(name))
+    h = 0.3
+    if name == "random70":
+        u, h = rng.standard_normal(70), 0.45
+    elif name == "random478":
+        u = rng.standard_normal(478)
+    elif name == "ties":
+        u, h = np.round(4.0 * rng.standard_normal(200)) / 4.0, 0.5
+    elif name == "dyadic":
+        u, h = rng.integers(-8, 9, 120) / 8.0, 0.25
+    elif name == "outside":
+        u = rng.uniform(-1.0, 1.0, 90)
+    else:
+        centers, u = ulp_edge_sample(rng, h)
+    grid = np.linspace(u.min() - 2 * h, u.max() + 2 * h, 101)
+    if name in ("ties", "dyadic"):
+        # exact binary fractions: observations sit exactly at eval +- h
+        grid = np.round(grid * 8.0) / 8.0
+    elif name == "outside":
+        grid = np.array([-5.0, -2.0, -1.31, 1.31, 2.0, 5.0])
+    elif name == "ulp":
+        # no wider grid window in the block to cover a missing edge point
+        grid = centers
+    c1 = {"lag": u, "other": rng.standard_normal(u.size), "intercept": np.ones(u.size)}[
+        design
+    ]
+    w = 0.5 * c1 + 0.3 * c1 * u**2 + 0.2 * rng.standard_normal(u.size)
+    return u, c1, w, np.concatenate([grid, u]), h
+
+
+class TestKernelWindows:
+    """The windowed kernel sums against the dense sums over all observations."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernel_is_zero_beyond_its_support(self, kernel):
+        z = np.linspace(-20.0, 20.0, 4001)
+        beyond = np.abs(z) > KERNEL_SUPPORT[kernel]
+        assert np.all(kernel_values(z[beyond], kernel) == 0.0)
+
+    @pytest.mark.parametrize("name", WINDOW_CASES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_windows_hold_every_weighted_observation(self, kernel, name):
+        u, _, _, u_eval, h = window_case(name, "other")
+        seen = np.zeros(u_eval.size, dtype=int)
+        for sl, idx, diff, k in fcar._kernel_windows(u, u_eval, h, kernel):
+            npt.assert_array_equal(diff, u[idx] - u_eval[sl, None])
+            for row, e in zip(idx, u_eval[sl]):
+                assert np.unique(row).size == row.size
+                dense_diff = u - e
+                weighted = kernel_values(dense_diff / h, kernel) != 0
+                needed = (np.abs(dense_diff) <= h) | weighted
+                assert set(np.flatnonzero(needed)) <= set(row.tolist())
+            seen[sl] += 1
+        assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("design", ["lag", "other", "intercept"])
+    @pytest.mark.parametrize("name", WINDOW_CASES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_local_linear_matches_dense(self, kernel, name, design):
+        u, c1, w, u_eval, h = window_case(name, design)
+        got = fcar._local_linear(u, c1, w, u_eval, h, kernel, 5)
+        want = dense_local_linear(u, c1, w, u_eval, h, kernel, 5)
+        est, varu, reliable, raw_reliable, a11inv = got
+        npt.assert_array_equal(reliable, want[2])
+        npt.assert_array_equal(raw_reliable, want[3])
+        # Gaussian weights far from every observation leave a local system
+        # so ill-conditioned that summation order alone moves its solution
+        # (the dense sums disagree with themselves under a row permutation
+        # there); compare values where one bandwidth holds enough points
+        cmp = np.ones(u_eval.size, bool) if kernel == "epanechnikov" else raw_reliable
+        assert cmp.any()
+        for mine, ref in zip((est, varu, a11inv), (want[0], want[1], want[4])):
+            npt.assert_array_equal(np.isnan(mine), np.isnan(ref))
+            npt.assert_allclose(mine[cmp], ref[cmp], rtol=1e-10, atol=0, equal_nan=True)
+        if name == "outside" and kernel == "epanechnikov":
+            assert np.isnan(est[:6]).all() and not raw_reliable[:6].any()
+
+    @pytest.mark.parametrize("name", WINDOW_CASES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_local_transfer_matches_dense(self, kernel, name):
+        u, c1, other, u_eval, h = window_case(name, "other")
+        got = fcar._local_transfer(u, c1, other, u_eval, h, kernel)
+        want = dense_local_transfer(u, c1, other, u_eval, h, kernel)
+        npt.assert_allclose(got, want, rtol=1e-10, atol=0, equal_nan=True)
+
+
+def assert_fits_agree(got, want):
+    """Windowed and dense fits agree to 1e-10 x max(1, |dense|), flags exactly."""
+
+    def close(a, b):
+        npt.assert_allclose(a, b, rtol=1e-10, atol=1e-10, equal_nan=True)
+
+    assert len(got.curves) == len(want.curves)
+    for mine, ref in zip(got.curves, want.curves):
+        for name in ("u", "estimate", "lower", "upper", "obs_estimate"):
+            close(getattr(mine, name), getattr(ref, name))
+        close(mine.sigma2, ref.sigma2)
+        close(mine.smoother_trace, ref.smoother_trace)
+        npt.assert_array_equal(mine.reliable, ref.reliable)
+        npt.assert_array_equal(mine.obs_reliable, ref.obs_reliable)
+    close(got.fitted, want.fitted)
+    close(got.residuals, want.residuals)
+
+
+@pytest.fixture
+def dense_kernel_stage(monkeypatch):
+    """Run fits with the dense kernel sums in place of the windowed ones."""
+
+    def use_dense():
+        monkeypatch.setattr(fcar, "_local_linear", dense_local_linear)
+        monkeypatch.setattr(fcar, "_local_transfer", dense_local_transfer)
+
+    return use_dense
+
+
+class TestWindowedFitOracle:
+    def test_fit_fcar_matches_dense_fit(self, dense_kernel_stage):
+        x = simulate_expar2(Expar2Config(n_times=500, seed=0))
+        spec = FcarSpec.delay_absorbed(2, 1)
+        windowed = fit_fcar(x, spec)
+        dense_kernel_stage()
+        assert_fits_agree(windowed, fit_fcar(x, spec))
+
+    def test_fit_fcsar_matches_dense_fit(self, dense_kernel_stage):
+        layout = grid_layout(4, 4, spacing=90.0)
+        field = simulate_field(
+            FieldSimConfig(layout, 144, regime="partly_cloudy", mode="advective")
+        )
+        spec = FcsarSpec.uniform(
+            build_neighbor_graph(layout, 2), 2, FcarSpec.delay_absorbed(2, 1)
+        )
+        windowed = fit_fcsar(field, spec)
+        dense_kernel_stage()
+        dense = fit_fcsar(field, spec)
+        npt.assert_allclose(windowed.beta, dense.beta, rtol=1e-10, atol=1e-10)
+        for mine, ref in zip(windowed.fcar_fits, dense.fcar_fits):
+            assert_fits_agree(mine, ref)
+        npt.assert_allclose(
+            windowed.fitted_values, dense.fitted_values, rtol=1e-10, atol=1e-10
+        )
+        npt.assert_allclose(windowed.residuals, dense.residuals, rtol=1e-10, atol=1e-10)
+
+    def test_band_variance_matches_dense_propagation(self):
+        # rebuild each band from the dense sums and the explicit quadratic
+        # form b(u)' G b(u) of the spline pre-estimate variance
+        x = simulate_expar2(Expar2Config(n_times=500, seed=0))
+        spec = FcarSpec.delay_absorbed(2, 1)
+        fit = fit_fcar(x, spec)
+        t, u_raw, umap = fcar._fit_rows(x, spec)
+        prefit = fcar._spline_lstsq(x, spec, fit.basis, None, None, False)
+        grid = fit.curves[0].u
+        grid_B = basis_eval(fit.basis, umap.to_unit(grid))
+        h = fit.bandwidth
+        for j, curve in zip(spec.components, fit.curves):
+            c1 = fcar._regressor(x, t, j)
+            pseudo = pseudo_responses(x, spec, prefit.coeffs, j)
+            varu = dense_local_linear(u_raw, c1, pseudo, grid, h, fit.kernel, 5)[1]
+            vprop = np.zeros(grid.size)
+            for oc, o in enumerate(spec.components):
+                if o == j:
+                    continue
+                mult = dense_local_transfer(
+                    u_raw, c1, fcar._regressor(x, t, o), grid, h, fit.kernel
+                )
+                quad = np.einsum("ij,jk,ik->i", grid_B, prefit.gram_invs[oc], grid_B)
+                mult = np.where(np.isfinite(mult), mult, 0.0)
+                vprop += prefit.sigma2s[oc] * quad * mult**2
+            half = 1.959963984540054 * np.sqrt(curve.sigma2 * varu + vprop)
+            npt.assert_allclose(
+                curve.upper - curve.estimate, half, rtol=1e-9, equal_nan=True
+            )
+
+
+class TestLocalLinearPermutation:
+    @given(
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=10_000),
+        kernel=st.sampled_from(KERNELS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_observation_order_does_not_matter(self, data, seed, kernel):
+        # distinct u values, so the rows sort the same whatever their input
+        # order; tied values keep their input order, which moves their sums
+        # by rounding (the dense comparison covers ties)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 150))
+        u = rng.standard_normal(n)
+        c1 = rng.standard_normal(n)
+        w = 0.5 * c1 + 0.2 * rng.standard_normal(n)
+        u_eval = np.concatenate([np.linspace(u.min() - 0.5, u.max() + 0.5, 31), u])
+        perm = np.array(data.draw(st.permutations(range(n))))
+        base = fcar._local_linear(u, c1, w, u_eval, 0.4, kernel, 5)
+        moved = fcar._local_linear(u[perm], c1[perm], w[perm], u_eval, 0.4, kernel, 5)
+        npt.assert_array_equal(moved[2], base[2])
+        npt.assert_array_equal(moved[3], base[3])
+        for i in (0, 1, 4):
+            npt.assert_allclose(moved[i], base[i], rtol=1e-12, atol=0, equal_nan=True)
