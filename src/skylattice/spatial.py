@@ -4,7 +4,11 @@ Two spatial tools share this module.  The first is a simultaneous
 autoregressive (SAR) model on the sensor lattice, y = rho * W y + delta,
 with a k-nearest-neighbor weight matrix; rho is fit by maximizing the
 Gaussian profile log-likelihood, whose determinant term comes from the
-eigenvalues of W (computed once per graph).  The second is Sibson
+eigenvalues of W (computed once per graph).  That term depends on rho
+alone, so a field's per-time fits share one scan grid and its
+determinant sums, and their golden-section searches advance in lockstep
+over all time columns; every column still gets the arithmetic of a fit on
+that column alone.  The second is Sibson
 natural-neighbor interpolation: a query point's prediction is the
 area-weighted average of the sensors whose Voronoi cells the query would
 steal area from.
@@ -27,6 +31,18 @@ _WEIGHT_SCHEMES = ("row", "binary")
 # scan points used to bracket the maximum before the search
 _RHO_TOL = 1e-6
 _RHO_SCAN = 201
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# why a column cannot be fit, indexed by the code of its first failed
+# check (0: fitted)
+_FIT_ERRORS = (
+    "",
+    "y must be finite",
+    "profile likelihood is not finite: y is identically zero",
+    "admissible rho interval collapsed",
+    "profile likelihood is not finite on the admissible interval",
+    # what math.log raises for a positive value that underflows to 0
+    "math domain error",
+)
 
 
 @dataclass(frozen=True)
@@ -128,22 +144,141 @@ class SarFit:
         object.__setattr__(self, "residuals", r)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+class _ColumnError(ValueError):
+    """A column of a lockstep SAR fit could not be fit; ``column`` is its index."""
+
+    def __init__(self, column: int, message: str):
+        super().__init__(message)
+        self.column = column
+
+
+# math.log applied element by element: numpy's vectorised log can differ
+# from libm's in the last bit, and the RSS and variance terms must round as
+# in the plain one-column loop that tests/test_spatial.py keeps as oracle
+_math_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _logdet(rho: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    """sum_i log|1 - rho*lambda_i| for each rho, summed along a contiguous row."""
+    return np.sum(np.log(np.abs(1.0 - rho[:, None] * eig)), axis=1)
+
+
+def _profile(logdet, rho, qa, qb, qc, S: int) -> np.ndarray:
+    """Profile log-likelihood per column.
+
+    -inf where RSS is not positive and finite; NaN where RSS/S underflows
+    to 0 and has no logarithm, which fails the column.
+    """
+    rss = qa - 2.0 * rho * qb + rho * rho * qc
+    x = rss / S
+    ok = (rss > 0.0) & np.isfinite(rss)
+    log_rss = _math_log(np.where(ok & (x > 0.0), x, 1.0)).astype(float)
+    val = np.where(ok, logdet - 0.5 * S * log_rss, -np.inf)
+    val[ok & (x == 0.0)] = np.nan
+    return val
+
+
+def _sar_fit_columns(Y: np.ndarray, graph: NeighborGraph):
+    """Profile-ML SAR fit of every column of the S x T matrix ``Y`` at once.
+
+    Returns ``(rho, sigma2, loglik, residuals, rho_interval)`` with (T,)
+    arrays, the S x T residual matrix and the margin-trimmed interval.
+    Each column gets exactly the floating-point operations of a fit on
+    that column alone, so no column influences another: its own
+    ``W @ y`` and dot products before the search, its own residual and
+    RSS after it.  In between, the 201-point scan shares the grid and its
+    log-determinant sums across columns, and the golden-section search
+    advances every column one point per iteration until its own bracket
+    is below the tolerance.  Raises ``_ColumnError`` naming the first
+    column that cannot be fit.
+    """
+    S, T = Y.shape
+    W, eig = graph.W, graph.eigenvalues
+    lo, hi = graph.rho_interval
+    margin = 1e-9 * (hi - lo)
+    lo, hi = lo + margin, hi - margin
+
+    finite = np.isfinite(Y).all(axis=0)
+    WY = np.empty((T, S))
+    qa, qb, qc = np.zeros(T), np.zeros(T), np.zeros(T)
+    for j in np.flatnonzero(finite):
+        y = Y[:, j]
+        wy = W @ y
+        WY[j] = wy
+        qa[j], qb[j], qc[j] = y @ y, y @ wy, wy @ wy
+    # first failing check per column, in the order a one-column fit runs them
+    err = np.where(finite, np.where(qa == 0.0, 2, 0), 1)
+    if not hi > lo:
+        # every column fails, so the first one is named
+        raise _ColumnError(0, _FIT_ERRORS[err[0] or 3])
+
+    # scan: keep each column's first maximum, as np.argmax over the grid
+    # would; columns failed above have qa = qb = qc = 0 and stay at -inf
+    grid = np.linspace(lo, hi, _RHO_SCAN)
+    grid_logdet = _logdet(grid, eig)
+    i_best = np.zeros(T, dtype=np.intp)
+    best_val = np.full(T, -np.inf)
+    no_log = np.zeros(T, dtype=bool)
+    for i in range(_RHO_SCAN):
+        val = _profile(grid_logdet[i], grid[i], qa, qb, qc, S)
+        no_log |= np.isnan(val)
+        better = val > best_val
+        i_best[better] = i
+        best_val[better] = val[better]
+    best_rho = grid[i_best]
+
+    def visit(idx, x):
+        """Evaluate columns ``idx`` at ``x``; a strictly better value becomes their best."""
+        val = _profile(_logdet(x, eig), x, qa[idx], qb[idx], qc[idx], S)
+        no_log[idx] |= np.isnan(val)
+        better = val > best_val[idx]
+        best_rho[idx[better]] = x[better]
+        best_val[idx[better]] = val[better]
+        return val
+
+    # golden-section search on [grid[i-1], grid[i+1]], clipped at the ends
+    a = grid[np.maximum(i_best - 1, 0)]
+    b = grid[np.minimum(i_best + 1, _RHO_SCAN - 1)]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    idx = np.arange(T)
+    fc = visit(idx, c)
+    fd = visit(idx, d)
+    while True:
+        idx = idx[(b[idx] - a[idx]) > _RHO_TOL]
+        if not idx.size:
+            break
+        ai, bi, ci, di = a[idx], b[idx], c[idx], d[idx]
+        fci, fdi = fc[idx], fd[idx]
+        left = fci >= fdi
+        na = np.where(left, ai, ci)
+        nb = np.where(left, di, bi)
+        x = np.where(left, nb - _INVPHI * (nb - na), na + _INVPHI * (nb - na))
+        a[idx], b[idx] = na, nb
+        c[idx] = np.where(left, x, di)
+        d[idx] = np.where(left, ci, x)
+        fx = visit(idx, x)
+        fc[idx] = np.where(left, fx, fdi)
+        fd[idx] = np.where(left, fci, fx)
+    visit(np.arange(T), 0.5 * (a + b))
+
+    err[(err == 0) & no_log] = 5
+    err[(err == 0) & ~np.isfinite(best_val)] = 4
+    resid = np.zeros((S, T))
+    sigma2 = np.zeros(T)
+    for j in np.flatnonzero(err == 0):
+        r = Y[:, j] - best_rho[j] * WY[j]
+        resid[:, j] = r
+        sigma2[j] = float(r @ r) / S
+    err[(err == 0) & (sigma2 == 0.0)] = 5
+    failed = np.flatnonzero(err)
+    if failed.size:
+        j = int(failed[0])
+        raise _ColumnError(j, _FIT_ERRORS[err[j]])
+
+    log_var = _math_log(2.0 * math.pi * sigma2).astype(float)
+    loglik = _logdet(best_rho, eig) - 0.5 * S * (log_var + 1.0)
+    return best_rho, sigma2, loglik, resid, (lo, hi)
 
 
 def sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
@@ -151,65 +286,32 @@ def sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
 
     The profile log-likelihood ln|det(I - rho*W)| - (S/2) ln(RSS(rho)/S)
     with RSS(rho) = ||y - rho*W y||^2 is quadratic in rho apart from the
-    determinant term, so each evaluation costs only the eigenvalue sum.
-    A 201-point scan of the admissible interval brackets the maximum and
-    golden-section search refines it to 1e-6; the reported rho is the best
-    value ever evaluated, so it is never worse than the scan.
+    determinant term, which depends on rho alone and is a sum over the
+    eigenvalues of W.  A 201-point scan of the admissible interval
+    brackets the maximum (the first grid maximum, as ``np.argmax`` picks
+    it; a maximum at either end gets the half-width bracket to its
+    neighbor) and golden-section search refines it to 1e-6.  The reported
+    rho is the best value ever evaluated, a later point replacing it only
+    when strictly better, so it is never worse than the scan; two points
+    whose values tie to rounding keep the earlier one, so an input change
+    of one ulp can still move rho by the distance between them.
+
+    This is the one-column case of the lockstep fit behind
+    ``sar_residuals_field``: ``sar_fit_ml(field.values[:, j], graph)``
+    returns exactly the numbers of that call's column j.
     """
     y = np.asarray(y, dtype=float)
     S = graph.n_sensors
     if y.shape != (S,):
         raise ValueError(f"y must have shape ({S},) to match the graph")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    wy = graph.W @ y
-    qa = float(y @ y)
-    qb = float(y @ wy)
-    qc = float(wy @ wy)
-    if qa == 0.0:
-        raise ValueError("profile likelihood is not finite: y is identically zero")
-    eig = graph.eigenvalues
-    lo, hi = graph.rho_interval
-    margin = 1e-9 * (hi - lo)
-    lo, hi = lo + margin, hi - margin
-    if not hi > lo:
-        raise ValueError("admissible rho interval collapsed")
-
-    best = {"rho": 0.0, "val": -np.inf}
-
-    def profile(rho: float) -> float:
-        rss = qa - 2.0 * rho * qb + rho * rho * qc
-        if rss <= 0.0 or not np.isfinite(rss):
-            return -np.inf
-        val = float(np.sum(np.log(np.abs(1.0 - rho * eig)))) - 0.5 * S * math.log(
-            rss / S
-        )
-        if val > best["val"]:
-            best["rho"], best["val"] = rho, val
-        return val
-
-    grid = np.linspace(lo, hi, _RHO_SCAN)
-    vals = [profile(r) for r in grid]
-    i_best = int(np.argmax(vals))
-    a = grid[max(i_best - 1, 0)]
-    b = grid[min(i_best + 1, _RHO_SCAN - 1)]
-    profile(_golden_max(profile, a, b, _RHO_TOL))
-    rho_hat = best["rho"]
-    if not np.isfinite(best["val"]):
-        raise ValueError("profile likelihood is not finite on the admissible interval")
-
-    resid = y - rho_hat * wy
-    rss = float(resid @ resid)
-    sigma2 = rss / S
-    logdet = float(np.sum(np.log(np.abs(1.0 - rho_hat * eig))))
-    loglik = logdet - 0.5 * S * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    rho, sigma2, loglik, resid, interval = _sar_fit_columns(y[:, None], graph)
     return SarFit(
-        rho=float(rho_hat),
+        rho=float(rho[0]),
         W=graph.W,
-        sigma2=sigma2,
-        residuals=resid,
-        loglik=loglik,
-        rho_interval=(lo, hi),
+        sigma2=float(sigma2[0]),
+        residuals=resid[:, 0],
+        loglik=float(loglik[0]),
+        rho_interval=interval,
     )
 
 
@@ -242,30 +344,29 @@ def sar_residuals_field(
 ) -> SarFieldResult:
     """Fit the SAR model independently at every time column.
 
+    All columns are fit in one pass: the 201-point scan evaluates the
+    log-determinant sums once per grid point for every column, and the
+    golden-section searches advance together, each column stopping when
+    its own bracket is below the tolerance.  Each column's numbers are
+    bit-identical to ``sar_fit_ml`` on that column, tie rule included (see
+    ``sar_fit_ml``), and no column influences another.
+
     Returns the residual field (kind "residual") together with the
-    per-time trace of rho, sigma2, and log-likelihood.  A column that
-    cannot be fit aborts the whole call, naming its time index.
+    per-time trace of rho, sigma2, and log-likelihood.  Any column that
+    cannot be fit aborts the whole call; the error names the first such
+    time index.
     """
     field.require_complete("per-time SAR fitting")
     if field.layout.ids != graph.layout.ids:
         raise ValueError("field and neighbor graph use different layouts")
-    T = field.n_times
-    resid = np.empty_like(field.values)
-    rho = np.empty(T)
-    sigma2 = np.empty(T)
-    loglik = np.empty(T)
-    for j in range(T):
-        try:
-            fit = sar_fit_ml(field.values[:, j], graph)
-        except ValueError as exc:
-            raise ValueError(
-                f"SAR fit failed at time index {j} "
-                f"(t={field.timestamps[j]:.0f}): {exc}"
-            ) from exc
-        resid[:, j] = fit.residuals
-        rho[j] = fit.rho
-        sigma2[j] = fit.sigma2
-        loglik[j] = fit.loglik
+    try:
+        rho, sigma2, loglik, resid, _ = _sar_fit_columns(field.values, graph)
+    except _ColumnError as exc:
+        j = exc.column
+        raise ValueError(
+            f"SAR fit failed at time index {j} "
+            f"(t={field.timestamps[j]:.0f}): {exc}"
+        ) from exc
     out = field.replace_values(resid, kind="residual")
     trace = SarTrace(
         timestamps=field.timestamps, rho=rho, sigma2=sigma2, loglik=loglik

@@ -120,7 +120,6 @@ def test_known_transfer_recovery_single_field():
     assert fit.deficient_sensors == ()
 
 
-@pytest.mark.slow
 def test_known_transfer_recovery_mean_over_100_replicates():
     layout = small_layout()
     graph = build_neighbor_graph(layout, k=2)
@@ -435,7 +434,6 @@ def test_predict_nan_head_matches_lag_depth():
     assert np.all(np.isfinite(pred[2:]))
 
 
-@pytest.mark.slow
 def test_predict_beats_interpolation_on_cloudy_field():
     field = advective_field(T=144, spacing=90.0, corr_length=60.0, seed=0)
     layout = field.layout
