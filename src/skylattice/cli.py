@@ -14,7 +14,9 @@ reproduced from its output directory alone.  Commands are deterministic
 given (config, seed): reruns produce byte-identical files.
 
 Exit codes: 0 on success, 1 on runtime failure (unreadable input,
-fitting error, unwritable output), 2 on usage errors.
+fitting error, unwritable output), 2 on usage errors.  A runtime
+failure prints one ``error:`` line; ``--verbosity 2`` prints its
+traceback first.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -149,13 +152,11 @@ def _common_opts() -> list[Opt]:
         Opt("label", "field", str, "row label used in report CSVs"),
         Opt("seed", 0, _parse_int, "random seed for anything stochastic"),
         Opt(
-            "threads",
+            "verbosity",
             1,
             _parse_int,
-            "worker cap for parallel sections; the current fitters run "
-            "sequentially, so this is recorded and validated but idle",
+            "0 silent, 1 summary lines, 2 chatty with error tracebacks",
         ),
-        Opt("verbosity", 1, _parse_int, "0 silent, 1 summary lines, 2 chatty"),
     ]
 
 
@@ -294,7 +295,6 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _validate_common(cfg: dict) -> None:
-    _check(cfg["threads"] >= 1, "--threads must be >= 1")
     _check(cfg["verbosity"] >= 0, "--verbosity must be >= 0")
 
 
@@ -730,6 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg: dict = {}
     try:
         _, opts, func = COMMANDS[args.command]
         cfg = _resolve(args, opts)
@@ -739,6 +740,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        if cfg.get("verbosity", 1) >= 2:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -34,7 +34,7 @@ _FFT_THRESHOLD = 5_000_000
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
-    out = np.array(x, dtype=dtype)
+    out = np.array(x, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 

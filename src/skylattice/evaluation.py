@@ -8,10 +8,17 @@ data units; every ratio and report in this package uses the unrooted
 form consistently, so the choice cancels wherever two models are
 compared under the same convention.
 
-Cross-validation refits the requested model from scratch on each
-training subset.  Nothing estimated on the full layout leaks into a
-prediction: the neighbor graph, the transfer coefficients, and the
-per-sensor temporal fits are all rebuilt without the held-out sensors.
+Cross-validation predicts each held-out sensor from a model fitted
+without it: the neighbor graph is rebuilt on every training subset, and
+nothing estimated with a held-out sensor's data leaks into its
+prediction.  The lattice model's transfer coefficients are shared within
+one ``crossval`` call.  A sensor's backfit reads only its own series, its
+ordered neighbors' series, the support start t0 and the fixed spec and
+options, so one training subset's coefficients for (sensor, ordered
+neighbors, t0) equal any other's, bit for bit.  Each distinct backfit
+therefore runs once per call and the results equal a from-scratch refit
+of every subset.  Prediction reads only the coefficients, so the final
+temporal stage of a full fit is never run.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ import numpy as np
 
 from .core import SpatioTemporalField
 from .fcar import FcarOptions
-from .fcsar import FcsarSpec, fit_fcsar, predict_missing_sensor
+from .fcsar import FcsarSpec, _backfit_sensor, _fit_checks, _predict_with_beta
+# not called here: perfbench/selftest.py checks the tracer patches this binding
+from .fcsar import fit_fcsar  # noqa: F401
 from .spatial import build_neighbor_graph, natural_neighbor_predict
 
 __all__ = [
@@ -240,35 +249,51 @@ class MetricsReport:
             raise ValueError(f"adjusted_r2 {self.adjusted_r2} exceeds 1")
 
 
+# (full-layout sensor index, ordered full-layout neighbor indices, t0)
+BackfitKey = tuple[int, tuple[int, ...], int]
+
+
 def _fcsar_holdout_predictions(
     field: SpatioTemporalField,
     omega: tuple[int, ...],
     spec: FcsarSpec,
     options: Optional[FcarOptions],
+    backfits: dict[BackfitKey, np.ndarray],
 ) -> np.ndarray:
-    """Refit on the remaining sensors and predict each held-out one."""
+    """Fit on the remaining sensors and predict each held-out one.
+
+    Runs every check ``fit_fcsar`` runs on the training field, then takes
+    each training sensor's coefficients from ``backfits``, backfitting
+    only the keys it does not hold yet.  ``backfits`` must belong to one
+    ``field``, ``spec`` and ``options``: its keys do not name them.
+    """
     layout = field.layout
     held = set(omega)
-    train_ids = tuple(
-        sid for i, sid in enumerate(layout.ids) if i not in held
-    )
-    train_field = field.subset(train_ids)
+    train_rows = [i for i in range(layout.n_sensors) if i not in held]
+    train_field = field.subset([layout.ids[i] for i in train_rows])
     graph = build_neighbor_graph(
         train_field.layout, spec.graph.k, scheme=spec.graph.scheme
     )
-    sensor_specs = tuple(
-        spec.sensor_specs[layout.index_of(sid)] for sid in train_ids
-    )
+    b = spec.n_neighbor_lags
     sub_spec = FcsarSpec(
         graph=graph,
-        n_neighbor_lags=spec.n_neighbor_lags,
-        sensor_specs=sensor_specs,
+        n_neighbor_lags=b,
+        sensor_specs=tuple(spec.sensor_specs[i] for i in train_rows),
     )
-    fit = fit_fcsar(train_field, sub_spec, options)
+    t0, strict = _fit_checks(train_field, sub_spec, options)
+    beta = np.empty((len(train_rows), graph.k, b))
+    for j, i in enumerate(train_rows):
+        neighbors = graph.neighbors[j]
+        key = (i, tuple(train_rows[n] for n in neighbors), t0)
+        if key not in backfits:
+            backfits[key], _, _ = _backfit_sensor(
+                train_field.values, j, neighbors, sub_spec.sensor_specs[j], b,
+                t0, options, strict, train_field.layout.ids[j],
+            )
+        beta[j] = backfits[key]
     preds = np.empty((len(omega), field.n_times))
     for row, i in enumerate(omega):
-        xy = (float(layout.xy[i, 0]), float(layout.xy[i, 1]))
-        preds[row] = predict_missing_sensor(fit, train_field, layout.ids[i], xy)
+        preds[row] = _predict_with_beta(beta, train_field, layout.xy[i])
     return preds
 
 
@@ -300,8 +325,13 @@ def crossval(
 ) -> MetricsReport:
     """Leave-k-sensors-out cross-validation over the subsets in plan.
 
-    For each subset the model is refit on the remaining sensors and each
-    held-out sensor is predicted one at a time from the refit.
+    For each subset the model is fitted on the remaining sensors and each
+    held-out sensor is predicted one at a time from that fit.  For fcsar
+    the call shares backfitted transfer coefficients across its subsets
+    in one dict keyed by (sensor, ordered neighbors, t0) in full-layout
+    indices.  The field, spec and options are fixed within the call, so a
+    key pins the backfit's data and the values equal a from-scratch refit
+    of every subset, bit for bit.  The dict lives for this call only.
 
     Parameters
     ----------
@@ -310,9 +340,10 @@ def crossval(
     plan : CrossvalPlan
         Index subsets to hold out; validated against the field's layout.
     model : {"fcsar", "natural_neighbor"}
-        fcsar refits the lattice autoregression (``spec`` required, used
-        as the template for neighbor count, lag depth, and per-sensor
-        temporal specs; the graph is rebuilt per training subset).
+        fcsar fits the lattice autoregression's transfer coefficients
+        (``spec`` required, used as the template for neighbor count, lag
+        depth, and per-sensor temporal specs; the graph is rebuilt per
+        training subset).
         natural_neighbor interpolates from the training layout.
     eval_start : int, optional
         First time index scored.  Defaults to the neighbor-lag depth for
@@ -351,10 +382,13 @@ def crossval(
 
     values = []
     obs = field.values[:, start:]
+    backfits: dict[BackfitKey, np.ndarray] = {}
     for omega in plan.combinations:
         try:
             if model == "fcsar":
-                preds = _fcsar_holdout_predictions(field, omega, spec, options)
+                preds = _fcsar_holdout_predictions(
+                    field, omega, spec, options, backfits
+                )
             else:
                 preds = _interp_holdout_predictions(field, omega)
         except Exception as exc:

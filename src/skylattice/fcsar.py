@@ -182,36 +182,6 @@ def _neighbor_design(
     return np.column_stack(cols)
 
 
-def _fit_neighbor_coefficients(
-    z: np.ndarray,
-    graph: NeighborGraph,
-    b: int,
-    t0: int,
-    response: np.ndarray,
-    strict: bool,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Per-sensor least squares of ``response`` rows on lagged neighbor values.
-
-    Rank-deficient designs (duplicated sensors, constant fields) take the
-    minimum-norm solution and are flagged; under ``strict`` they raise.
-    """
-    S = z.shape[0]
-    beta = np.empty((S, graph.k, b))
-    deficient = []
-    for s in range(S):
-        design = _neighbor_design(z, graph.neighbors[s], b, t0)
-        coef, _, rank, _ = np.linalg.lstsq(design, response[s], rcond=None)
-        if rank < design.shape[1]:
-            sensor = graph.layout.ids[s]
-            if strict:
-                raise ValueError(
-                    f"collinear neighbor regressors for sensor {sensor!r}"
-                )
-            deficient.append(sensor)
-        beta[s] = coef.reshape(graph.k, b)
-    return beta, tuple(deficient)
-
-
 def _transfer_sum(
     z: np.ndarray, neighbors: Sequence[int], coef: np.ndarray, b: int
 ) -> np.ndarray:
@@ -227,6 +197,50 @@ def _transfer_sum(
         for w in range(1, b + 1):
             acc += coef[slot, w - 1] * z[nb, b - w : T - w]
     return acc
+
+
+def _backfit_sensor(
+    z: np.ndarray,
+    s: int,
+    neighbors: Sequence[int],
+    sensor_spec: FcarSpec,
+    b: int,
+    t0: int,
+    options: Optional[FcarOptions],
+    strict: bool,
+    sensor_id: str,
+) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Two-cycle backfit of one sensor's neighbor-transfer coefficients.
+
+    Each cycle fits the coefficients by least squares of the series net of
+    the temporal fit (zero at first) on the lagged neighbor values; every
+    cycle but the last then refits the temporal stage on the series net of
+    the spatial component (zero before index b).  Only rows ``s`` and
+    ``neighbors`` of ``z`` are read, so the result is a function of the
+    sensor, its ordered neighbors, ``t0``, ``b``, its spec and the options.
+
+    Returns the (k, b) coefficient block, whether the neighbor design has
+    full rank, and the length-T spatial row.  A rank-deficient design
+    (duplicated sensors, constant fields) takes the minimum-norm solution;
+    under ``strict`` it raises.  The design never changes between cycles,
+    so neither does its rank.
+    """
+    T = z.shape[1]
+    design = _neighbor_design(z, neighbors, b, t0)
+    temporal = np.zeros(T - t0)
+    spatial = np.zeros(T)
+    for cycle in range(_BACKFIT_CYCLES):
+        coef, _, rank, _ = np.linalg.lstsq(design, z[s, t0:] - temporal, rcond=None)
+        full_rank = bool(rank == design.shape[1])
+        if strict and not full_rank:
+            raise ValueError(f"collinear neighbor regressors for sensor {sensor_id!r}")
+        beta = coef.reshape(len(neighbors), b)
+        spatial[b:] = _transfer_sum(z, neighbors, beta, b)
+        if cycle + 1 < _BACKFIT_CYCLES:
+            temporal = fit_fcar(
+                z[s], sensor_spec, options, response=z[s] - spatial, t_start=t0
+            ).fitted
+    return beta, full_rank, spatial
 
 
 def _temporal_stage(
@@ -252,6 +266,25 @@ def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
     return out
 
 
+def _fit_checks(
+    field: SpatioTemporalField, spec: FcsarSpec, options: Optional[FcarOptions]
+) -> tuple[int, bool]:
+    """Check a field and spec for ``fit_fcsar``; return (t0, strict rank)."""
+    field.require_complete("fit_fcsar")
+    _check_detrended(field, "fit_fcsar")
+    _check_same_layout(field.layout, spec.graph.layout, "fit_fcsar")
+    T = field.n_times
+    t0 = spec.support_start
+    n_rows = T - t0
+    n_coef = spec.graph.k * spec.n_neighbor_lags
+    if n_rows < n_coef + 2:
+        raise ValueError(
+            f"series too short: {T} time points leave {n_rows} usable rows "
+            f"for {n_coef} neighbor coefficients per sensor"
+        )
+    return t0, bool(options.strict_rank) if options is not None else False
+
+
 def fit_fcsar(
     field: SpatioTemporalField,
     spec: FcsarSpec,
@@ -259,16 +292,17 @@ def fit_fcsar(
     *,
     freeze_beta_at_zero: bool = False,
 ) -> FcsarFit:
-    """Fit the lattice model by a fixed two-cycle backfit.
+    """Fit the lattice model by a fixed two-cycle backfit per sensor.
 
-    Cycle one estimates each sensor's neighbor-transfer coefficients by
-    ordinary least squares of the sensor's series on its lagged neighbor
-    values, then fits the functional-coefficient stage with the
-    spatially-adjusted series as response (regressors and the functional
-    variable still come from the sensor's own series).  Cycle two
-    re-estimates the transfer coefficients on the series minus the
-    temporal-stage fit, then re-runs the temporal stage once.  The
-    schedule is fixed for determinism.
+    Each sensor is backfit on its own (``_backfit_sensor``).  Cycle one
+    estimates the sensor's neighbor-transfer coefficients by ordinary
+    least squares of its series on its lagged neighbor values, then fits
+    the functional-coefficient stage with the spatially-adjusted series as
+    response (regressors and the functional variable still come from the
+    sensor's own series).  Cycle two re-estimates the transfer
+    coefficients on the series minus that temporal fit.  A final temporal
+    stage on the series net of the spatial component gives the fitted
+    values.  The schedule is fixed for determinism.
 
     Parameters
     ----------
@@ -288,41 +322,21 @@ def fit_fcsar(
     -------
     FcsarFit
     """
-    field.require_complete("fit_fcsar")
-    _check_detrended(field, "fit_fcsar")
-    _check_same_layout(field.layout, spec.graph.layout, "fit_fcsar")
+    t0, strict = _fit_checks(field, spec, options)
     z = field.values
     S, T = z.shape
-    t0 = spec.support_start
     b = spec.n_neighbor_lags
-    n_rows = T - t0
-    n_coef = spec.graph.k * b
-    if n_rows < n_coef + 2:
-        raise ValueError(
-            f"series too short: {T} time points leave {n_rows} usable rows "
-            f"for {n_coef} neighbor coefficients per sensor"
-        )
-    strict = bool(options.strict_rank) if options is not None else False
-
-    # each cycle fits the transfer coefficients to the series net of the
-    # temporal fit (zero at first), then the temporal stage to the series
-    # net of the spatial component (zero before index b).  The neighbor
-    # design never changes, so every cycle flags the same sensors.  Zero
-    # cycles leave one temporal stage on the raw series.
-    n_cycles = 0 if freeze_beta_at_zero else _BACKFIT_CYCLES
     beta = np.zeros((S, spec.graph.k, b))
-    deficient: tuple[str, ...] = ()
     spatial = np.zeros((S, T))
-    temporal = np.zeros((S, n_rows))
-    for cycle in range(n_cycles):
-        beta, deficient = _fit_neighbor_coefficients(
-            z, spec.graph, b, t0, z[:, t0:] - temporal, strict
-        )
-        for s in range(S):
-            spatial[s, b:] = _transfer_sum(z, spec.graph.neighbors[s], beta[s], b)
-        if cycle + 1 < n_cycles:
-            fits = _temporal_stage(z, spatial, spec, options, t0)
-            temporal = np.stack([f.fitted for f in fits])
+    deficient = []
+    if not freeze_beta_at_zero:
+        for s, sensor in enumerate(spec.graph.layout.ids):
+            beta[s], full_rank, spatial[s] = _backfit_sensor(
+                z, s, spec.graph.neighbors[s], spec.sensor_specs[s], b, t0,
+                options, strict, sensor,
+            )
+            if not full_rank:
+                deficient.append(sensor)
     fcar_fits = _temporal_stage(z, spatial, spec, options, t0)
 
     temporal = np.stack([f.fitted for f in fcar_fits])
@@ -335,7 +349,7 @@ def fit_fcsar(
         fitted_values=fitted,
         residuals=residuals,
         support_start=t0,
-        deficient_sensors=deficient,
+        deficient_sensors=tuple(deficient),
     )
 
 
@@ -438,9 +452,16 @@ def predict_missing_sensor(
     """
     field_train.require_complete("predict_missing_sensor")
     _check_same_layout(field_train.layout, fit.spec.graph.layout, "predict_missing_sensor")
-    layout = field_train.layout
-    if target_id in layout.ids:
+    if target_id in field_train.layout.ids:
         raise ValueError(f"target sensor {target_id!r} is part of the training layout")
+    return _predict_with_beta(fit.beta, field_train, target_xy)
+
+
+def _predict_with_beta(
+    beta: np.ndarray, field_train: SpatioTemporalField, target_xy: Sequence[float]
+) -> np.ndarray:
+    """``predict_missing_sensor`` from a (S, k, b) coefficient array."""
+    layout = field_train.layout
     xy = np.asarray(target_xy, dtype=float).reshape(2)
     d = np.hypot(layout.xy[:, 0] - xy[0], layout.xy[:, 1] - xy[1])
     scale = max(float(d.max()), 1.0)
@@ -448,13 +469,12 @@ def predict_missing_sensor(
         raise ValueError("target coincides with a training sensor")
 
     order = sorted(range(layout.n_sensors), key=lambda i: (d[i], layout.ids[i]))
-    k = fit.spec.graph.k
+    _, k, b = beta.shape
     nn = order[:k]
     donor = order[0]
     tied = len(order) > 1 and abs(d[order[1]] - d[donor]) <= 1e-9 * scale
-    beta_bar = fit.beta.mean(axis=0) if tied else fit.beta[donor]
+    beta_bar = beta.mean(axis=0) if tied else beta[donor]
 
-    b = fit.spec.n_neighbor_lags
     pred = np.full(field_train.n_times, np.nan)
     pred[b:] = _transfer_sum(field_train.values, nn, beta_bar, b)
     return pred

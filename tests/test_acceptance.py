@@ -227,7 +227,7 @@ def test_06_heldout_prediction_beats_interpolation():
     finish(
         "06 held-out prediction",
         t0,
-        600,
+        60,
         f"cloudy ratio<1 on {n_better}/10 (median {np.median(cloudy):.3f}), "
         f"clear ratios {[round(r, 3) for r in clear]}",
     )

@@ -296,7 +296,6 @@ def test_run_json_echoes_resolved_config(tmp_path, sim_dir):
     run = json.loads((out / "run.json").read_text())
     assert run["config"]["model"] == "fcsar"
     assert run["config"]["b"] == 2
-    assert run["config"]["threads"] == 1
     assert run["config"]["window"] == 0.0
 
 
@@ -331,6 +330,23 @@ def test_unreadable_input_is_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_verbosity_two_prints_the_traceback(tmp_path, capsys):
+    args = (
+        "fit",
+        "--measurements", tmp_path / "nope.csv",
+        "--layout", tmp_path / "nope2.csv",
+        "--out", tmp_path / "x",
+        "--window", 0,
+    )
+    assert run_cli(*args, "--verbosity", 1) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert run_cli(*args, "--verbosity", 2) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().splitlines()[-1].startswith("error: ")
+
+
 def test_unwritable_out_is_runtime_error(tmp_path, sim_dir):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
@@ -338,8 +354,14 @@ def test_unwritable_out_is_runtime_error(tmp_path, sim_dir):
     assert code == 1
 
 
-def test_bad_threads_is_usage_error(tmp_path, capsys):
-    assert run_cli("simulate", "--out", tmp_path / "x", "--threads", 0) == 2
+def test_threads_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--out", tmp_path / "x", "--threads", 2)
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "y") == 2
+    assert "threads" in capsys.readouterr().err
 
 
 def test_verbosity_zero_is_silent(tmp_path, capsys):

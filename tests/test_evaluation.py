@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skylattice.core import SpatioTemporalField, grid_layout
+from skylattice import evaluation
+from skylattice.core import SensorLayout, SpatioTemporalField, grid_layout
 from skylattice.evaluation import (
     CrossvalPlan,
     MetricsReport,
@@ -21,7 +22,7 @@ from skylattice.evaluation import (
     write_window_rmse_csv,
 )
 from skylattice.fcar import FcarOptions, FcarSpec
-from skylattice.fcsar import FcsarSpec
+from skylattice.fcsar import FcsarSpec, fit_fcsar, predict_missing_sensor
 from skylattice.simulation import FieldSimConfig, simulate_field
 from skylattice.spatial import build_neighbor_graph
 
@@ -380,6 +381,179 @@ def test_crossval_names_the_failing_subset():
     plan = CrossvalPlan(k=1, combinations=((7,),))
     with pytest.raises(RuntimeError, match="held out"):
         crossval(short, plan, "fcsar", spec, LIGHT)
+
+
+# ------------------------------------------- refit-everything oracle
+# The per-subset refit that fcsar cross-validation ran before it shared
+# backfits within a call, kept verbatim as the reference.
+
+
+def _fcsar_holdout_predictions(
+    field: SpatioTemporalField,
+    omega,
+    spec: FcsarSpec,
+    options,
+) -> np.ndarray:
+    """Refit on the remaining sensors and predict each held-out one."""
+    layout = field.layout
+    held = set(omega)
+    train_ids = tuple(
+        sid for i, sid in enumerate(layout.ids) if i not in held
+    )
+    train_field = field.subset(train_ids)
+    graph = build_neighbor_graph(
+        train_field.layout, spec.graph.k, scheme=spec.graph.scheme
+    )
+    sensor_specs = tuple(
+        spec.sensor_specs[layout.index_of(sid)] for sid in train_ids
+    )
+    sub_spec = FcsarSpec(
+        graph=graph,
+        n_neighbor_lags=spec.n_neighbor_lags,
+        sensor_specs=sensor_specs,
+    )
+    fit = fit_fcsar(train_field, sub_spec, options)
+    preds = np.empty((len(omega), field.n_times))
+    for row, i in enumerate(omega):
+        xy = (float(layout.xy[i, 0]), float(layout.xy[i, 1]))
+        preds[row] = predict_missing_sensor(fit, train_field, layout.ids[i], xy)
+    return preds
+
+
+def oracle_crossval(monkeypatch, field, plan, spec, options, **kwargs):
+    """``crossval`` with every subset refit from scratch."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            evaluation,
+            "_fcsar_holdout_predictions",
+            lambda f, omega, s, opts, backfits: _fcsar_holdout_predictions(
+                f, omega, s, opts
+            ),
+        )
+        return crossval(field, plan, "fcsar", spec, options, **kwargs)
+
+
+def assert_matches_oracle(monkeypatch, field, plan, spec, options=LIGHT, **kwargs):
+    shared = crossval(field, plan, "fcsar", spec, options, **kwargs)
+    oracle = oracle_crossval(monkeypatch, field, plan, spec, options, **kwargs)
+    assert shared.rmpe_values == oracle.rmpe_values
+    assert shared.mean_rmpe == oracle.mean_rmpe
+
+
+def jittered_field(seed, n_times=60):
+    grid = grid_layout(4, 4, 90.0)
+    rng = np.random.default_rng(seed)
+    layout = SensorLayout(grid.ids, grid.xy + rng.uniform(-20.0, 20.0, grid.xy.shape))
+    cfg = FieldSimConfig(
+        layout=layout, n_times=n_times, mode="advective", corr_length=60.0, seed=seed
+    )
+    return simulate_field(cfg)
+
+
+def mixed_lag_template(field, b=1):
+    # sensor 6 needs b + 1 own lags: t0 depends on whether it is held out
+    graph = build_neighbor_graph(field.layout, 2)
+    specs = [FcarSpec.delay_absorbed(1, 1)] * field.n_sensors
+    specs[6] = FcarSpec.delay_absorbed(b + 1, 1)
+    return FcsarSpec(graph, b, tuple(specs))
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_shared_backfits_match_refit_oracle_on_regular_grid(monkeypatch, b):
+    # every held-out grid sensor has tied nearest training sensors, so the
+    # prediction uses the mean of all training coefficient blocks
+    field = advective_field(seed=3, n_times=60)
+    plan = CrossvalPlan.all_subsets(16, 1)
+    assert_matches_oracle(monkeypatch, field, plan, fcsar_template(field, b))
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_shared_backfits_match_refit_oracle_on_jittered_layout(monkeypatch, b):
+    # no ties: the prediction borrows a single donor's coefficients
+    field = jittered_field(seed=4)
+    plan = CrossvalPlan.all_subsets(16, 1)
+    assert_matches_oracle(monkeypatch, field, plan, fcsar_template(field, b))
+
+
+def test_shared_backfits_match_refit_oracle_for_pairs(monkeypatch):
+    field = jittered_field(seed=5)
+    plan = CrossvalPlan(
+        k=2, combinations=((0, 1), (0, 5), (5, 6), (6, 10), (9, 10), (14, 15))
+    )
+    assert_matches_oracle(monkeypatch, field, plan, fcsar_template(field, 2))
+
+
+def test_shared_backfits_match_refit_oracle_on_sampled_plan(monkeypatch):
+    field = advective_field(seed=6, n_times=60)
+    plan = CrossvalPlan.all_subsets(16, 3, cap=8, seed=2)
+    assert plan.sampled
+    assert_matches_oracle(
+        monkeypatch, field, plan, fcsar_template(field), eval_start=2
+    )
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_shared_backfits_key_on_support_start(monkeypatch, b):
+    # on the regular grid every prediction averages all training blocks,
+    # so a block backfit at the other t0 would show in every value
+    field = advective_field(seed=7, n_times=60)
+    spec = mixed_lag_template(field, b)
+    assert spec.support_start == b + 1
+    plan = CrossvalPlan.all_subsets(16, 1)
+    assert_matches_oracle(monkeypatch, field, plan, spec, eval_start=b + 1)
+
+
+def test_shared_backfits_do_not_outlive_the_call(monkeypatch):
+    # two fields on one layout, back to back: same keys, different data
+    first = advective_field(seed=8, n_times=60)
+    second = advective_field(seed=9, n_times=60)
+    plan = CrossvalPlan.all_subsets(16, 1)
+    spec = fcsar_template(first)
+    a = crossval(first, plan, "fcsar", spec, LIGHT)
+    b = crossval(second, plan, "fcsar", spec, LIGHT)
+    assert a.rmpe_values != b.rmpe_values
+    assert a.rmpe_values == oracle_crossval(
+        monkeypatch, first, plan, spec, LIGHT
+    ).rmpe_values
+    assert b.rmpe_values == oracle_crossval(
+        monkeypatch, second, plan, spec, LIGHT
+    ).rmpe_values
+
+
+def failure_message(run):
+    with pytest.raises(RuntimeError, match="refit failed with sensors") as exc:
+        run()
+    return str(exc.value)
+
+
+def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
+    plan = CrossvalPlan(k=1, combinations=((3,), (7,)))
+    raw = simulate_field(
+        FieldSimConfig(grid_layout(4, 4, 90.0), 60, diurnal_amplitude=50.0, seed=0)
+    )
+    assert raw.kind == "raw"
+    base = advective_field(seed=2, n_times=30)
+    short = SpatioTemporalField(
+        base.layout, base.timestamps[:3], base.values[:, :3], "detrended"
+    )
+    x = np.cumsum(np.random.default_rng(3).standard_normal(60)) * 0.1
+    collinear = as_field(base.layout, np.tile(x - x.mean(), (16, 1)))
+    strict = FcarOptions(n_knots=8, strict_rank=True)
+    cases = [
+        (raw, LIGHT, "detrend"),
+        (short, LIGHT, "too short"),
+        (collinear, strict, "collinear neighbor regressors"),
+    ]
+    for field, options, reason in cases:
+        spec = fcsar_template(field)
+        shared = failure_message(
+            lambda: crossval(field, plan, "fcsar", spec, options)
+        )
+        oracle = failure_message(
+            lambda: oracle_crossval(monkeypatch, field, plan, spec, options)
+        )
+        assert shared == oracle
+        assert "('s03',) held out" in shared and reason in shared
 
 
 # ---------------------------------------------------------------- ratio

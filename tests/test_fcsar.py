@@ -13,9 +13,16 @@ from skylattice import (
 )
 from skylattice.fcar import FcarOptions, FcarSpec, effective_params, fit_fcar
 from skylattice.fcsar import (
+    _BACKFIT_CYCLES,
     FcsarFit,
     FcsarSpec,
+    _check_detrended,
+    _check_same_layout,
+    _neighbor_design,
+    _temporal_stage,
+    _transfer_sum,
     fit_fcsar,
+    nan_padded,
     fit_separable,
     predict_missing_sensor,
     separability_diagnostic,
@@ -249,6 +256,143 @@ def test_raw_field_rejected():
         fit_fcsar(field, FcsarSpec.uniform(graph, 1, AR1_SPEC), LIGHT)
     with pytest.raises(ValueError, match="detrend"):
         fit_separable(field, "space_then_time", graph, AR1_SPEC, LIGHT)
+
+
+# --------------------------------------------- cycle-major backfit oracle
+# The whole-field, cycle-major backfit that ``fit_fcsar`` ran before its
+# loop became one backfit per sensor, kept verbatim as the reference.
+
+
+def _fit_neighbor_coefficients(
+    z: np.ndarray,
+    graph,
+    b: int,
+    t0: int,
+    response: np.ndarray,
+    strict: bool,
+):
+    """Per-sensor least squares of ``response`` rows on lagged neighbor values.
+
+    Rank-deficient designs (duplicated sensors, constant fields) take the
+    minimum-norm solution and are flagged; under ``strict`` they raise.
+    """
+    S = z.shape[0]
+    beta = np.empty((S, graph.k, b))
+    deficient = []
+    for s in range(S):
+        design = _neighbor_design(z, graph.neighbors[s], b, t0)
+        coef, _, rank, _ = np.linalg.lstsq(design, response[s], rcond=None)
+        if rank < design.shape[1]:
+            sensor = graph.layout.ids[s]
+            if strict:
+                raise ValueError(
+                    f"collinear neighbor regressors for sensor {sensor!r}"
+                )
+            deficient.append(sensor)
+        beta[s] = coef.reshape(graph.k, b)
+    return beta, tuple(deficient)
+
+
+def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
+    field.require_complete("fit_fcsar")
+    _check_detrended(field, "fit_fcsar")
+    _check_same_layout(field.layout, spec.graph.layout, "fit_fcsar")
+    z = field.values
+    S, T = z.shape
+    t0 = spec.support_start
+    b = spec.n_neighbor_lags
+    n_rows = T - t0
+    n_coef = spec.graph.k * b
+    if n_rows < n_coef + 2:
+        raise ValueError(
+            f"series too short: {T} time points leave {n_rows} usable rows "
+            f"for {n_coef} neighbor coefficients per sensor"
+        )
+    strict = bool(options.strict_rank) if options is not None else False
+
+    n_cycles = 0 if freeze_beta_at_zero else _BACKFIT_CYCLES
+    beta = np.zeros((S, spec.graph.k, b))
+    deficient = ()
+    spatial = np.zeros((S, T))
+    temporal = np.zeros((S, n_rows))
+    for cycle in range(n_cycles):
+        beta, deficient = _fit_neighbor_coefficients(
+            z, spec.graph, b, t0, z[:, t0:] - temporal, strict
+        )
+        for s in range(S):
+            spatial[s, b:] = _transfer_sum(z, spec.graph.neighbors[s], beta[s], b)
+        if cycle + 1 < n_cycles:
+            fits = _temporal_stage(z, spatial, spec, options, t0)
+            temporal = np.stack([f.fitted for f in fits])
+    fcar_fits = _temporal_stage(z, spatial, spec, options, t0)
+
+    temporal = np.stack([f.fitted for f in fcar_fits])
+    fitted = nan_padded(spatial[:, t0:] + temporal, T)
+    residuals = nan_padded(np.stack([f.residuals for f in fcar_fits]), T)
+    return FcsarFit(
+        spec=spec,
+        beta=beta,
+        fcar_fits=fcar_fits,
+        fitted_values=fitted,
+        residuals=residuals,
+        support_start=t0,
+        deficient_sensors=deficient,
+    )
+
+
+def assert_same_fit(new, old):
+    assert np.array_equal(new.beta, old.beta)
+    assert np.array_equal(new.fitted_values, old.fitted_values, equal_nan=True)
+    assert np.array_equal(new.residuals, old.residuals, equal_nan=True)
+    assert new.support_start == old.support_start
+    assert new.deficient_sensors == old.deficient_sensors
+    assert len(new.fcar_fits) == len(old.fcar_fits)
+    for a, b in zip(new.fcar_fits, old.fcar_fits):
+        assert np.array_equal(a.fitted, b.fitted)
+        assert np.array_equal(a.residuals, b.residuals)
+
+
+def mixed_lag_spec(graph, b):
+    # sensor 6 needs two own lags, so the support starts later
+    specs = [AR1_SPEC] * graph.layout.n_sensors
+    specs[6] = AR2_SPEC
+    return FcsarSpec(graph, b, tuple(specs))
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("freeze", [False, True])
+def test_per_sensor_backfit_matches_cycle_major_oracle(b, freeze):
+    layout = small_layout()
+    graph = build_neighbor_graph(layout, k=2)
+    lattice = as_field(layout, simulate_lattice(layout, graph, 150, seed=11))
+    cloudy = advective_field(T=120, seed=5)
+    for field in (lattice, cloudy):
+        g = build_neighbor_graph(field.layout, k=2)
+        for spec in (FcsarSpec.uniform(g, b, AR1_SPEC), mixed_lag_spec(g, b)):
+            assert_same_fit(
+                fit_fcsar(field, spec, LIGHT, freeze_beta_at_zero=freeze),
+                oracle_fit_fcsar(field, spec, LIGHT, freeze_beta_at_zero=freeze),
+            )
+
+
+def test_per_sensor_backfit_matches_oracle_on_deficient_designs():
+    layout = small_layout()
+    graph = build_neighbor_graph(layout, k=2)
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((16, 120))
+    # sensors 0, 1 and 5 see one series at both neighbor slots
+    z[0] = z[1] = z[4] = z[2]
+    spec = FcsarSpec.uniform(graph, 1, AR1_SPEC)
+    new = fit_fcsar(as_field(layout, z), spec, LIGHT)
+    assert new.deficient_sensors == ("s00", "s01", "s05")
+    assert_same_fit(new, oracle_fit_fcsar(as_field(layout, z), spec, LIGHT))
+    strict = FcarOptions(n_knots=8, strict_rank=True)
+    messages = []
+    for fit in (fit_fcsar, oracle_fit_fcsar):
+        with pytest.raises(ValueError, match="collinear") as exc:
+            fit(as_field(layout, z), spec, strict)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "collinear neighbor regressors for sensor 's00'"
 
 
 def test_fit_is_deterministic():

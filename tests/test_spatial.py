@@ -479,10 +479,7 @@ class TestSarTimePermutation:
         vals = mixed_columns(g, np.random.default_rng(seed), T=len(perm))
         perm = np.array(perm)
         base = sar_residuals_field(make_field(g.layout, vals), g)
-        # same C order as the original: BLAS sums a strided column in
-        # another order than a contiguous one
-        moved_vals = np.ascontiguousarray(vals[:, perm])
-        moved = sar_residuals_field(make_field(g.layout, moved_vals), g)
+        moved = sar_residuals_field(make_field(g.layout, vals[:, perm]), g)
         for name in ("rho", "sigma2", "loglik"):
             assert np.array_equal(
                 getattr(moved.trace, name), getattr(base.trace, name)[perm]
@@ -521,6 +518,21 @@ class TestSarResidualsField:
         for j, c in enumerate(levels):
             expect = (1.0 - res.trace.rho[j]) * c
             npt.assert_allclose(res.field.values[:, j], expect, atol=1e-9)
+
+    def test_memory_order_of_the_input_does_not_matter(self):
+        """A field stores its values C-ordered, so BLAS sums each column in
+        the same order whatever order the caller's array had."""
+        g = build_neighbor_graph(grid_layout(3, 4, 1.0), 2)
+        vals = mixed_columns(g, np.random.default_rng(12), T=48)
+        fortran = np.asfortranarray(vals)
+        assert not fortran.flags.c_contiguous
+        moved = make_field(g.layout, fortran)
+        assert moved.values.flags.c_contiguous
+        base = sar_residuals_field(make_field(g.layout, vals), g)
+        other = sar_residuals_field(moved, g)
+        for name in ("rho", "sigma2", "loglik"):
+            assert np.array_equal(getattr(other.trace, name), getattr(base.trace, name))
+        assert np.array_equal(other.field.values, base.field.values)
 
     def test_desk_scale_runtime(self):
         lay = grid_layout(4, 4, 1.0)
