@@ -22,12 +22,12 @@ traceback first.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import traceback
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .core import (
     SpatioTemporalField,
+    _write_csv_rows,
     detrend,
     grid_layout,
     ingest_field,
@@ -366,19 +367,16 @@ def _fcar_options(cfg: dict) -> FcarOptions:
     )
 
 
-def _write_long_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _field_rows(field: SpatioTemporalField, support: int, *columns: np.ndarray):
     """Rows (t, sensor, *values) of S x T matrices from time index ``support`` on."""
     stamps = timestamp_strings(field.timestamps)
+    # one tolist() per matrix and rows built by zip and map: per-cell numpy
+    # indexing would cost more than writing the rows
+    cols = [c.T.tolist() for c in columns]
     for j in range(support, field.n_times):
-        for i, sid in enumerate(field.layout.ids):
-            yield (stamps[j], sid, *(repr(float(c[i, j])) for c in columns))
+        yield from zip(
+            repeat(stamps[j]), field.layout.ids, *(map(repr, c[j]) for c in cols)
+        )
 
 
 # --------------------------------------------------------------- models
@@ -544,12 +542,12 @@ def cmd_fit(cfg: dict) -> None:
     adj = adjusted_r2(obs, fitted, fit.n_params) if fit.n_params < obs.size else None
 
     out_dir = _start_run(cfg, "fit")
-    _write_long_csv(
+    _write_csv_rows(
         out_dir / "fitted.csv",
         ["t", "sensor", "observed", "fitted"],
         _field_rows(field, support, field.values, fit.fitted),
     )
-    _write_long_csv(
+    _write_csv_rows(
         out_dir / "residuals.csv",
         ["t", "sensor", "residual"],
         _field_rows(field, support, fit.residuals),
@@ -682,18 +680,15 @@ def cmd_report(cfg: dict) -> None:
     _check(all(w > 0 for w in cfg["windows"]), "--windows values must be > 0")
     _validate_prep(cfg)
     field = _load_field(cfg)
-    spec = _temporal_spec(cfg)
-    options = _fcar_options(cfg)
     out_dir = _start_run(cfg, "report")
     rows = []
     for window in cfg["windows"]:
         averaged = time_average(field, window)
-        graph = build_neighbor_graph(averaged.layout, cfg["knn"])
-        fit = fit_fcsar(averaged, FcsarSpec.uniform(graph, cfg["b"], spec), options)
-        obs = averaged.values[:, fit.support_start :]
-        fitted = fit.fitted_values[:, fit.support_start :]
+        fit = MODELS["fcsar"](averaged, cfg)
+        obs = averaged.values[:, fit.support :]
+        fitted = fit.fitted[:, fit.support :]
         window_rmse = rmse(obs, fitted)
-        adj = adjusted_r2(obs, fitted, fit.total_params)
+        adj = adjusted_r2(obs, fitted, fit.n_params)
         rows.append((cfg["label"], window, window_rmse, adj))
         _say(
             cfg,

@@ -19,9 +19,6 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 FIELD_KINDS = ("raw", "detrended", "residual")
-KERNELS = ("epanechnikov", "gaussian")
-# support radius of each kernel: K(z) is exactly 0 wherever |z| > radius
-KERNEL_SUPPORT = {"epanechnikov": 1.0, "gaussian": math.inf}
 
 MEASUREMENT_HEADER = ["timestamp", "sensor_id", "value"]
 LAYOUT_HEADER = ["sensor_id", "x_m", "y_m"]
@@ -177,9 +174,6 @@ class SpatioTemporalField:
         if self.mask is not None:
             raise ValueError(f"{what} requires a complete field (mask present)")
 
-    def sensor_series(self, sensor_id: str) -> np.ndarray:
-        return self.values[self.layout.index_of(sensor_id)]
-
     def replace_values(self, values: np.ndarray, kind: Optional[str] = None) -> "SpatioTemporalField":
         return SpatioTemporalField(
             self.layout, self.timestamps, values, kind or self.kind, self.mask
@@ -200,8 +194,6 @@ class TrendModel:
     timestamps: np.ndarray  # (T,)
     trend: np.ndarray  # (S, T)
     bandwidth: float
-    degree: int
-    kernel: str
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", _frozen_array(self.timestamps))
@@ -353,6 +345,15 @@ def write_layout_csv(layout: SensorLayout, path) -> None:
             writer.writerow([sid, repr(float(x)), repr(float(y))])
 
 
+def _write_csv_rows(path, header: list, rows: Iterable[tuple]) -> None:
+    """Write a header and rows; floats as ``.10g``, everything else as given."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
+
+
 # ---------------------------------------------------------------------------
 # preprocessing
 
@@ -396,13 +397,9 @@ def time_average(field: SpatioTemporalField, window_seconds: float) -> SpatioTem
     return SpatioTemporalField(field.layout, out_ts, out_vals, field.kind, out_mask)
 
 
-def kernel_values(z: np.ndarray, kind: str) -> np.ndarray:
-    """Kernel density K(z) at standardized offsets z, for a name in KERNELS."""
-    if kind == "epanechnikov":
-        return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
-    if kind == "gaussian":
-        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    raise ValueError(f"unknown kernel {kind!r}")
+def kernel_values(z: np.ndarray) -> np.ndarray:
+    """Epanechnikov kernel K(z) at standardized offsets z; 0 wherever |z| > 1."""
+    return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
 
 
 def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -413,17 +410,14 @@ def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def detrend(
-    field: SpatioTemporalField,
-    bandwidth: Optional[float] = None,
-    degree: int = 1,
-    kernel: str = "epanechnikov",
+    field: SpatioTemporalField, bandwidth: Optional[float] = None
 ) -> tuple[SpatioTemporalField, TrendModel]:
-    """Remove a per-sensor smooth diurnal trend by local polynomial regression.
+    """Remove a per-sensor smooth diurnal trend by local-linear regression.
 
-    Each sensor's series is regressed on time with a degree-``degree``
-    polynomial fit locally around every sample, kernel-weighted with the
-    given bandwidth (seconds).  The fitted curve is the trend; the returned
-    field holds the residuals and has kind "detrended".
+    Each sensor's series is regressed on time with a straight line fit
+    locally around every sample, weighted by the Epanechnikov kernel with
+    the given bandwidth (seconds).  The fitted curve is the trend; the
+    returned field holds the residuals and has kind "detrended".
 
     Parameters
     ----------
@@ -431,10 +425,6 @@ def detrend(
         Complete, uniformly sampled, kind "raw".
     bandwidth : float, optional
         Kernel bandwidth in seconds.  Default: record span / 8.
-    degree : int
-        Local polynomial degree, 1 or 2.
-    kernel : str
-        "epanechnikov" (default) or "gaussian".
 
     Returns
     -------
@@ -450,59 +440,33 @@ def detrend(
         bandwidth = span / 8.0
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
 
     # uniform spacing makes the local designs translation invariant, so the
     # weighted moments reduce to correlations with fixed windows
-    if kernel == "epanechnikov":
-        half = int(math.floor(bandwidth / dt))
-    else:
-        half = int(math.ceil(4.0 * bandwidth / dt))
+    half = int(math.floor(bandwidth / dt))
     if half < 1:
         raise ValueError("bandwidth too small for the native spacing")
     half = min(half, field.n_times - 1)
     offsets = np.arange(-half, half + 1) * dt
-    k = kernel_values(offsets / bandwidth, kernel)
+    k = kernel_values(offsets / bandwidth)
 
-    n_mom = 2 * degree + 1
-    s_mom = [
-        _correlate_same(np.ones(field.n_times), k * offsets**r) for r in range(n_mom)
-    ]
+    s_mom = [_correlate_same(np.ones(field.n_times), k * offsets**r) for r in range(3)]
     trend = np.empty_like(field.values)
     for i in range(field.n_sensors):
         y = field.values[i]
-        t_mom = [_correlate_same(y, k * offsets**r) for r in range(degree + 1)]
-        if degree == 1:
-            det = s_mom[0] * s_mom[2] - s_mom[1] ** 2
-            scale = np.abs(s_mom[0] * s_mom[2]) + np.abs(s_mom[1] ** 2)
-            bad = det <= 1e-12 * np.maximum(scale, 1e-300)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                raise ValueError(
-                    f"singular local fit for sensor {field.layout.ids[i]!r} "
-                    f"at time index {j}; increase the bandwidth"
-                )
-            trend[i] = (s_mom[2] * t_mom[0] - s_mom[1] * t_mom[1]) / det
-        else:
-            A = np.empty((field.n_times, 3, 3))
-            for a in range(3):
-                for b in range(3):
-                    A[:, a, b] = s_mom[a + b]
-            dets = np.linalg.det(A)
-            scale = np.abs(A).max(axis=(1, 2)) ** 3
-            bad = np.abs(dets) <= 1e-9 * np.maximum(scale, 1e-300)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                raise ValueError(
-                    f"singular local fit for sensor {field.layout.ids[i]!r} "
-                    f"at time index {j}; increase the bandwidth"
-                )
-            rhs = np.stack(t_mom, axis=1)
-            trend[i] = np.linalg.solve(A, rhs[:, :, None])[:, 0, 0]
+        t_mom = [_correlate_same(y, k * offsets**r) for r in range(2)]
+        det = s_mom[0] * s_mom[2] - s_mom[1] ** 2
+        scale = np.abs(s_mom[0] * s_mom[2]) + np.abs(s_mom[1] ** 2)
+        bad = det <= 1e-12 * np.maximum(scale, 1e-300)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise ValueError(
+                f"singular local fit for sensor {field.layout.ids[i]!r} "
+                f"at time index {j}; increase the bandwidth"
+            )
+        trend[i] = (s_mom[2] * t_mom[0] - s_mom[1] * t_mom[1]) / det
 
     detrended = SpatioTemporalField(
         field.layout, field.timestamps, field.values - trend, "detrended", None
     )
-    model = TrendModel(field.timestamps, trend, float(bandwidth), degree, kernel)
-    return detrended, model
+    return detrended, TrendModel(field.timestamps, trend, float(bandwidth))

@@ -23,7 +23,6 @@ temporal stage of a full fit is never run.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import SpatioTemporalField
+from .core import SpatioTemporalField, _write_csv_rows
 from .fcar import FcarOptions
 from .fcsar import FcsarSpec, _backfit_sensor, _fit_checks, _predict_with_beta
 # not called here: perfbench/selftest.py checks the tracer patches this binding
@@ -220,18 +219,13 @@ class CrossvalPlan:
 class MetricsReport:
     """Cross-validation outcome for one model on one plan.
 
-    ``rmpe_values`` line up with ``plan.combinations``.  The optional
-    fields carry whole-fit metrics or a model comparison when the caller
-    computes them; None means not applicable to this run.
+    ``rmpe_values`` line up with ``plan.combinations``.
     """
 
     model: str
     plan: CrossvalPlan
     rmpe_values: tuple[float, ...]
     mean_rmpe: float
-    rmse: Optional[float] = None
-    adjusted_r2: Optional[float] = None
-    rmpe_ratio: Optional[float] = None
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.rmpe_values)
@@ -241,12 +235,8 @@ class MetricsReport:
                 f"{len(self.plan.combinations)} plan subsets"
             )
         object.__setattr__(self, "rmpe_values", values)
-        finite = list(values) + [self.mean_rmpe]
-        finite += [v for v in (self.rmse, self.adjusted_r2, self.rmpe_ratio) if v is not None]
-        if not np.all(np.isfinite(finite)):
+        if not np.all(np.isfinite(list(values) + [self.mean_rmpe])):
             raise ValueError("metrics must be finite")
-        if self.adjusted_r2 is not None and self.adjusted_r2 > 1.0:
-            raise ValueError(f"adjusted_r2 {self.adjusted_r2} exceeds 1")
 
 
 # (full-layout sensor index, ordered full-layout neighbor indices, t0)
@@ -271,9 +261,7 @@ def _fcsar_holdout_predictions(
     held = set(omega)
     train_rows = [i for i in range(layout.n_sensors) if i not in held]
     train_field = field.subset([layout.ids[i] for i in train_rows])
-    graph = build_neighbor_graph(
-        train_field.layout, spec.graph.k, scheme=spec.graph.scheme
-    )
+    graph = build_neighbor_graph(train_field.layout, spec.graph.k)
     b = spec.n_neighbor_lags
     sub_spec = FcsarSpec(
         graph=graph,
@@ -420,24 +408,11 @@ def rmpe_ratio(report_model: MetricsReport, report_interp: MetricsReport) -> flo
     return report_model.mean_rmpe / report_interp.mean_rmpe
 
 
-def _write_rows(path, header: list, rows: Iterable[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{v:.10g}" if isinstance(v, float) else v
-                    for v in row
-                ]
-            )
-
-
 def write_window_rmse_csv(rows: Iterable[tuple], path) -> None:
     """Averaging-window sweep, rows (label, window, rmse, adj_r2)."""
-    _write_rows(path, ["label", "window", "rmse", "adj_r2"], rows)
+    _write_csv_rows(path, ["label", "window", "rmse", "adj_r2"], rows)
 
 
 def write_rmpe_ratio_csv(rows: Iterable[tuple], path) -> None:
     """Model-versus-baseline ratios, rows (label, k, ratio)."""
-    _write_rows(path, ["label", "k", "ratio"], rows)
+    _write_csv_rows(path, ["label", "k", "ratio"], rows)

@@ -9,7 +9,10 @@ Estimation is a single backfitting pass in three steps: an under-smoothed
 linear B-spline least-squares pre-estimate of each coefficient curve fitted
 marginally (one component at a time), pseudo-responses that strip all but
 one estimated component from X_t, and a local-linear kernel refinement of
-each curve against its pseudo-responses.  The refined curves carry
+each curve against its pseudo-responses.  The kernel is Epanechnikov, and
+each curve is refined on a ``GRID_SIZE``-point grid spanning the observed
+u; points with fewer than ``MIN_LOCAL_OBS`` observations within one
+bandwidth fall back to the spline pre-estimate.  The refined curves carry
 approximate 95% pointwise bands combining the local-linear sandwich
 variance with the sampling variance the pre-estimates carry into the
 pseudo-responses.
@@ -31,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import svd
 
-from .core import KERNEL_SUPPORT, KERNELS, kernel_values
+from .core import kernel_values
 
 # relative singular-value cutoff for the spline pre-estimate, and the factor
 # by which it is raised while the solution stays numerically unidentified
@@ -41,7 +44,9 @@ _SPLINE_COND_MAX = 1e-4
 
 # grid/observation points backed by fewer in-bandwidth samples than this are
 # flagged unreliable and fall back to the spline pre-estimate on evaluation
-DEFAULT_MIN_LOCAL_OBS = 5
+MIN_LOCAL_OBS = 5
+# points on each coefficient curve's refinement grid
+GRID_SIZE = 101
 
 
 @dataclass(frozen=True)
@@ -379,7 +384,7 @@ class SbkCurve:
             object.__setattr__(self, name, arr)
 
 
-def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float, kernel: str):
+def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float):
     """Blocks of evaluation points with the observations their kernel weights.
 
     Yields ``(sl, idx, diff, k)`` for consecutive blocks ``sl`` of at most 256
@@ -389,17 +394,17 @@ def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float, kernel: str
     row's evaluation point, W being the widest such window in the block.
     ``diff = u_obs[idx] - u_eval[sl, None]`` and ``k = K_h(diff)``; entries a
     row holds beyond its evaluation point's support carry k == 0 and
-    |diff| > h.  A kernel of unbounded support windows every observation.
+    |diff| > h.
     """
     order = np.argsort(u_obs, kind="stable")
     u_sorted = u_obs[order]
     n = u_sorted.size
-    reach = KERNEL_SUPPORT[kernel] * h
-    # widen the search so rounding in the |diff| <= h and |diff/h| <= 1 tests
-    # can never accept an observation the window left out
+    # the kernel vanishes beyond |diff| = h; widen the search so rounding in
+    # the |diff| <= h and |diff/h| <= 1 tests can never accept an
+    # observation the window left out
     pad = 1e-9 * (h + np.abs(u_eval))
-    lo = np.searchsorted(u_sorted, u_eval - reach - pad, side="left")
-    hi = np.searchsorted(u_sorted, u_eval + reach + pad, side="right")
+    lo = np.searchsorted(u_sorted, u_eval - h - pad, side="left")
+    hi = np.searchsorted(u_sorted, u_eval + h + pad, side="right")
     for first in range(0, u_eval.size, 256):
         sl = slice(first, min(first + 256, u_eval.size))
         width = int((hi[sl] - lo[sl]).max())
@@ -408,7 +413,7 @@ def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float, kernel: str
         start = np.minimum(lo[sl], n - width)
         idx = order[start[:, None] + np.arange(width)]
         diff = u_obs[idx] - u_eval[sl, None]
-        yield sl, idx, diff, kernel_values(diff / h, kernel) / h
+        yield sl, idx, diff, kernel_values(diff / h) / h
 
 
 def _local_linear(
@@ -417,8 +422,6 @@ def _local_linear(
     w: np.ndarray,
     u_eval: np.ndarray,
     h: float,
-    kernel: str,
-    min_local_obs: int,
 ):
     """Weighted local-linear solve of w ~ c1 at each evaluation point.
 
@@ -440,8 +443,7 @@ def _local_linear(
 
     The kernel sums run over :func:`_kernel_windows`: for each evaluation
     point, a window of observations that is a superset of the kernel's
-    support (every observation for the Gaussian kernel).  Observations
-    outside the window have zero kernel weight and lie outside the
+    support.  Observations outside the window have zero kernel weight and lie outside the
     bandwidth, so they add nothing to any sum or count, and the results
     equal the sums over all observations up to summation order.
     """
@@ -452,7 +454,7 @@ def _local_linear(
     reliable = np.zeros(n_eval, dtype=bool)
     raw_reliable = np.zeros(n_eval, dtype=bool)
     info_wt = c1**2 / max(float(np.mean(c1**2)), 1e-300)
-    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h, kernel):
+    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
         in_bw = np.abs(diff) <= h
         n_raw = np.count_nonzero(in_bw, axis=1)
         n_info = (in_bw * info_wt[idx]).sum(axis=1)
@@ -481,8 +483,8 @@ def _local_linear(
         )
         varu[sl][good] = num / det[good] ** 2
         a11inv[sl][good] = a11[good] / det[good]
-        reliable[sl] = ok & (n_raw >= min_local_obs) & (n_info >= min_local_obs)
-        raw_reliable[sl] = ok & (n_raw >= min_local_obs)
+        reliable[sl] = ok & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
+        raw_reliable[sl] = ok & (n_raw >= MIN_LOCAL_OBS)
     return est, varu, reliable, raw_reliable, a11inv
 
 
@@ -492,7 +494,6 @@ def _local_transfer(
     other: np.ndarray,
     u_eval: np.ndarray,
     h: float,
-    kernel: str,
 ) -> np.ndarray:
     """Local multiplier mapping an error riding on ``other`` into the level.
 
@@ -502,7 +503,7 @@ def _local_transfer(
     propagate pre-estimate sampling variance into the bands.
     """
     mult = np.full(u_eval.size, np.nan)
-    for sl, idx, _, k in _kernel_windows(u_obs, u_eval, h, kernel):
+    for sl, idx, _, k in _kernel_windows(u_obs, u_eval, h):
         c1w = c1[idx]
         num = (k * c1w * other[idx]).sum(axis=1)
         den = (k * c1w**2).sum(axis=1)
@@ -519,9 +520,6 @@ def sbk_estimate(
     u_grid: np.ndarray,
     h: float,
     *,
-    kernel: str = "epanechnikov",
-    min_local_obs: int = DEFAULT_MIN_LOCAL_OBS,
-    response_rows: Optional[np.ndarray] = None,
     t_start: Optional[int] = None,
     extra_band_variance: Optional[np.ndarray] = None,
 ) -> SbkCurve:
@@ -534,7 +532,7 @@ def sbk_estimate(
     95% bands use the local-linear sandwich variance with a residual-based
     noise variance; ``extra_band_variance`` (grid-aligned, data scale) adds
     the variance the pre-estimates carry into the pseudo-responses.  Grid
-    points backed by fewer than ``min_local_obs`` observations within one
+    points backed by fewer than ``MIN_LOCAL_OBS`` observations within one
     bandwidth are flagged unreliable.
 
     ``u_grid`` is on the data scale of u.
@@ -554,16 +552,12 @@ def sbk_estimate(
     c1 = _regressor(x, t, target_j)
     u_grid = np.asarray(u_grid, dtype=float)
 
-    est, varu, reliable, _, _ = _local_linear(
-        u_raw, c1, pseudo, u_grid, h, kernel, min_local_obs
-    )
-    obs_est, _, _, obs_rel, obs_a11inv = _local_linear(
-        u_raw, c1, pseudo, u_raw, h, kernel, min_local_obs
-    )
+    est, varu, reliable, _, _ = _local_linear(u_raw, c1, pseudo, u_grid, h)
+    obs_est, _, _, obs_rel, obs_a11inv = _local_linear(u_raw, c1, pseudo, u_raw, h)
 
     # noise variance from the component's own kernel-stage residuals,
     # degrees of freedom corrected by the smoother trace
-    k0 = kernel_values(np.zeros(1), kernel)[0] / h
+    k0 = kernel_values(np.zeros(1))[0] / h
     trace = float(np.nansum(k0 * c1**2 * obs_a11inv))
     fitted = obs_est * c1
     resid = pseudo - fitted
@@ -591,20 +585,18 @@ def sbk_estimate(
 
 @dataclass(frozen=True)
 class FcarOptions:
-    """Tuning knobs for :func:`fit_fcar`; defaults follow the module rules."""
+    """Tuning knobs for :func:`fit_fcar`; defaults follow the module rules.
+
+    ``None`` picks :func:`default_knot_count` knots and the
+    :func:`rule_of_thumb_bandwidth`; ``strict_rank`` makes a rank-deficient
+    spline design raise instead of taking minimum-norm coefficients.
+    """
 
     n_knots: Optional[int] = None
     bandwidth: Optional[float] = None
-    kernel: str = "epanechnikov"
-    grid_size: int = 101
-    min_local_obs: int = DEFAULT_MIN_LOCAL_OBS
     strict_rank: bool = False
 
     def __post_init__(self):
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
@@ -633,7 +625,6 @@ class FcarFit:
     spline_coeffs: np.ndarray
     curves: tuple[SbkCurve, ...]
     bandwidth: float
-    kernel: str
     t_start: int
     fitted: np.ndarray
     residuals: np.ndarray
@@ -699,7 +690,6 @@ class FcarFit:
             "u_transform": {"lo": self.u_transform.lo, "hi": self.u_transform.hi},
             "spline_coeffs": self.spline_coeffs.tolist(),
             "bandwidth": self.bandwidth,
-            "kernel": self.kernel,
             "effective_params": effective_params(self),
             "curves": [
                 {
@@ -753,7 +743,7 @@ def fit_fcar(
     prefit = _spline_lstsq(x, spec, basis, response, t_start, opts.strict_rank)
     coeffs = prefit.coeffs
     h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u_raw, T)
-    u_grid = np.linspace(u_raw.min(), u_raw.max(), opts.grid_size)
+    u_grid = np.linspace(u_raw.min(), u_raw.max(), GRID_SIZE)
     grid_B = basis_eval(basis, umap.to_unit(u_grid))
 
     # b(u)' G b(u): each component's spline pre-estimate variance on the
@@ -773,9 +763,7 @@ def fit_fcar(
         for oc, o in enumerate(spec.components):
             if o == j:
                 continue
-            mult = _local_transfer(
-                u_raw, c1, _regressor(x, t, o), u_grid, h, opts.kernel
-            )
+            mult = _local_transfer(u_raw, c1, _regressor(x, t, o), u_grid, h)
             vprop += (
                 prefit.sigma2s[oc]
                 * quads[oc]
@@ -789,8 +777,6 @@ def fit_fcar(
                 j,
                 u_grid,
                 h,
-                kernel=opts.kernel,
-                min_local_obs=opts.min_local_obs,
                 t_start=t_start,
                 extra_band_variance=vprop,
             )
@@ -821,7 +807,6 @@ def fit_fcar(
         spline_coeffs=coeffs,
         curves=tuple(curves),
         bandwidth=float(h),
-        kernel=opts.kernel,
         t_start=int(t[0]),
         fitted=fitted,
         residuals=residuals,

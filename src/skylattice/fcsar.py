@@ -13,13 +13,12 @@ all four models' in-sample RMSE on a common support.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import SensorLayout, SpatioTemporalField
+from .core import SensorLayout, SpatioTemporalField, _write_csv_rows
 from .fcar import FcarFit, FcarOptions, FcarSpec, effective_params, fit_fcar
 from .spatial import NeighborGraph, SarTrace, sar_residuals_field
 
@@ -544,18 +543,11 @@ def write_separability_csv(
     reports: Sequence[SeparabilityReport], path
 ) -> None:
     """Serialize diagnostic reports, one row per field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    r.label,
-                    f"{r.st_rmse:.10g}",
-                    f"{r.ts_rmse:.10g}",
-                    f"{r.fcsar_b1_rmse:.10g}",
-                    f"{r.fcsar_b2_rmse:.10g}",
-                ]
-            )
+    _write_csv_rows(
+        path,
+        ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"],
+        (
+            (r.label, r.st_rmse, r.ts_rmse, r.fcsar_b1_rmse, r.fcsar_b2_rmse)
+            for r in reports
+        ),
+    )

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, Voronoi
 
 from .core import SensorLayout, SpatioTemporalField
-
-_WEIGHT_SCHEMES = ("row", "binary")
 
 # golden-section tolerance on rho, and the number of admissible-interval
 # scan points used to bracket the maximum before the search
@@ -51,16 +48,15 @@ class NeighborGraph:
 
     ``neighbors[i]`` lists the k nearest sensors of sensor i, nearest
     first, distance ties broken by sensor id so construction is
-    deterministic.  ``W`` is row-standardized (each neighbor gets 1/k) or
-    binary 0/1 depending on ``scheme``.  The eigenvalues of W are computed
-    at construction and reused by every SAR fit on this graph.
+    deterministic.  ``W`` is the spatial weight matrix; the eigenvalues of
+    W are computed at construction and reused by every SAR fit on this
+    graph.
     """
 
     layout: SensorLayout
     k: int
     neighbors: tuple[tuple[int, ...], ...]
     W: np.ndarray
-    scheme: str = "row"
     eigenvalues: np.ndarray = dc_field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -94,22 +90,18 @@ class NeighborGraph:
         return lo, hi
 
 
-def build_neighbor_graph(
-    layout: SensorLayout, k: int, *, scheme: str = "row"
-) -> NeighborGraph:
+def build_neighbor_graph(layout: SensorLayout, k: int) -> NeighborGraph:
     """k nearest neighbors per sensor by Euclidean distance.
 
     Ties at equal distance are broken by sensor id, so the graph is a pure
-    function of the layout.  ``scheme="row"`` gives each neighbor weight
-    1/k (rows of W sum to 1); ``scheme="binary"`` gives weight 1.
+    function of the layout.  ``W`` is row-standardized: each neighbor gets
+    weight 1/k, so every row of W sums to 1.
     """
     S = layout.n_sensors
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= S:
         raise ValueError(f"k={k} needs at least k+1={k + 1} sensors, have {S}")
-    if scheme not in _WEIGHT_SCHEMES:
-        raise ValueError(f"scheme must be one of {_WEIGHT_SCHEMES}")
     xy = layout.xy
     neighbors = []
     W = np.zeros((S, S))
@@ -121,10 +113,8 @@ def build_neighbor_graph(
         )
         chosen = tuple(order[:k])
         neighbors.append(chosen)
-        W[i, list(chosen)] = 1.0 / k if scheme == "row" else 1.0
-    return NeighborGraph(
-        layout=layout, k=k, neighbors=tuple(neighbors), W=W, scheme=scheme
-    )
+        W[i, list(chosen)] = 1.0 / k
+    return NeighborGraph(layout=layout, k=k, neighbors=tuple(neighbors), W=W)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skylattice import (
+    SensorLayout,
     SpatioTemporalField,
     build_neighbor_graph,
     grid_layout,
@@ -393,6 +394,67 @@ def test_per_sensor_backfit_matches_oracle_on_deficient_designs():
             fit(as_field(layout, z), spec, strict)
         messages.append(str(exc.value))
     assert messages[0] == messages[1] == "collinear neighbor regressors for sensor 's00'"
+
+
+# ---------------------------------------------------------------- invariances
+
+
+def layout_field(kind, seed=8):
+    """Advective field on the 4x4 grid, or on that grid jittered by up to 20 m.
+
+    ``grid-duplicated`` copies one series into sensors s00, s01 and s04, so
+    s00, s01 and s05 see it at both neighbor slots and lose rank.
+    """
+    layout = small_layout(90.0)
+    if kind == "jittered":
+        jitter = np.random.default_rng(seed).uniform(-20.0, 20.0, layout.xy.shape)
+        layout = SensorLayout(layout.ids, layout.xy + jitter)
+    field = simulate_field(
+        FieldSimConfig(layout, 120, regime="partly_cloudy", mode="advective", seed=seed)
+    )
+    if kind == "grid-duplicated":
+        z = field.values.copy()
+        z[0] = z[1] = z[4] = z[2]
+        field = field.replace_values(z)
+    return field
+
+
+def fit_on(field, b):
+    graph = build_neighbor_graph(field.layout, k=2)
+    return fit_fcsar(field, FcsarSpec.uniform(graph, b, AR1_SPEC), LIGHT)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("kind", ["grid", "jittered", "grid-duplicated"])
+def test_reordering_the_sensors_reorders_the_fit(kind, b):
+    field = layout_field(kind)
+    base = fit_on(field, b)
+    if kind == "grid-duplicated":
+        assert base.deficient_sensors == ("s00", "s01", "s05")
+    S = field.n_sensors
+    for perm in (np.arange(S)[::-1], np.random.default_rng(3).permutation(S)):
+        layout = SensorLayout(
+            tuple(field.layout.ids[i] for i in perm), field.layout.xy[perm]
+        )
+        values = field.values[perm]
+        moved = fit_on(SpatioTemporalField(layout, field.timestamps, values, "detrended"), b)
+        assert np.array_equal(moved.beta, base.beta[perm])
+        assert np.array_equal(moved.fitted_values, base.fitted_values[perm], equal_nan=True)
+        assert np.array_equal(moved.residuals, base.residuals[perm], equal_nan=True)
+        assert moved.support_start == base.support_start
+        # reported in layout order, which the permutation changes
+        assert sorted(moved.deficient_sensors) == sorted(base.deficient_sensors)
+        for i, fit in zip(perm, moved.fcar_fits):
+            assert np.array_equal(fit.residuals, base.fcar_fits[i].residuals)
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("kind", ["grid", "jittered"])
+def test_scaling_the_coordinates_leaves_the_fit_unchanged(kind, b):
+    field = layout_field(kind)
+    layout = SensorLayout(field.layout.ids, 4.0 * field.layout.xy)
+    scaled = SpatioTemporalField(layout, field.timestamps, field.values, "detrended")
+    assert_same_fit(fit_on(scaled, b), fit_on(field, b))
 
 
 def test_fit_is_deterministic():

@@ -238,11 +238,6 @@ class TestBuildNeighborGraph:
         npt.assert_allclose(np.diag(g.W), 0.0, atol=0)
         assert np.all(g.W >= 0)
 
-    def test_binary_scheme(self):
-        g = build_neighbor_graph(grid_layout(4, 4, 1.0), 2, scheme="binary")
-        assert set(np.unique(g.W)) == {0.0, 1.0}
-        npt.assert_allclose(g.W.sum(axis=1), 2.0, atol=0)
-
     def test_admissible_interval_brackets_zero(self):
         g = build_neighbor_graph(grid_layout(4, 4, 1.0), 2)
         lo, hi = g.rho_interval
@@ -255,10 +250,6 @@ class TestBuildNeighborGraph:
             build_neighbor_graph(lay, 0)
         with pytest.raises(ValueError, match="k"):
             build_neighbor_graph(lay, 4)
-
-    def test_unknown_scheme_raises(self):
-        with pytest.raises(ValueError, match="scheme"):
-            build_neighbor_graph(square_layout(), 2, scheme="inverse")
 
 
 class TestSarFitMl:
@@ -365,7 +356,10 @@ class TestLockstepMatchesScalarOracle:
         assert_matches_scalar_oracle(mixed_columns(g, rng), g)
 
     def test_binary_weights(self):
-        g = build_neighbor_graph(grid_layout(4, 4, 1.0), 3, scheme="binary")
+        # 0/1 weights: every row sums to k, so W is not row-stochastic
+        row = build_neighbor_graph(grid_layout(4, 4, 1.0), 3)
+        g = NeighborGraph(row.layout, row.k, row.neighbors, (row.W > 0).astype(float))
+        npt.assert_array_equal(g.W.sum(axis=1), 3.0)
         assert_matches_scalar_oracle(mixed_columns(g, np.random.default_rng(7)), g)
 
     def test_fixtures_cover_complex_eigenvalues(self):
