@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skylattice
 from skylattice.cli import FIT_MODELS, main
 from skylattice.core import ingest_field, read_layout_csv, read_measurements_csv
 from skylattice.fcar import FcarOptions, FcarSpec, effective_params, fit_fcar
@@ -450,10 +453,14 @@ def test_report_command(tmp_path, capsys):
 
 
 def test_module_entry_point_reports_version():
+    # the child imports the package this suite imported, installed or not
+    src = str(Path(skylattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "skylattice", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -793,16 +793,23 @@ def window_case(name, design):
     return u, c1, w, np.concatenate([grid, u]), h
 
 
+# The kernel the windowed sums use, named in the test ids, with the
+# half-width of its support in units of the bandwidth.
+KERNEL_SUPPORT = {"epanechnikov": 1.0}
+
+
 class TestKernelWindows:
     """The windowed kernel sums against the dense sums over all observations."""
 
-    def test_kernel_is_zero_beyond_its_support(self):
+    @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
+    def test_kernel_is_zero_beyond_its_support(self, kernel):
         z = np.linspace(-20.0, 20.0, 4001)
-        beyond = np.abs(z) > 1.0
+        beyond = np.abs(z) > KERNEL_SUPPORT[kernel]
         assert np.all(kernel_values(z[beyond]) == 0.0)
 
     @pytest.mark.parametrize("name", WINDOW_CASES)
-    def test_windows_hold_every_weighted_observation(self, name):
+    @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
+    def test_windows_hold_every_weighted_observation(self, kernel, name):
         u, _, _, u_eval, h = window_case(name, "other")
         seen = np.zeros(u_eval.size, dtype=int)
         widest = 0
@@ -822,7 +829,8 @@ class TestKernelWindows:
 
     @pytest.mark.parametrize("design", ["lag", "other", "intercept"])
     @pytest.mark.parametrize("name", WINDOW_CASES)
-    def test_local_linear_matches_dense(self, name, design):
+    @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
+    def test_local_linear_matches_dense(self, kernel, name, design):
         u, c1, w, u_eval, h = window_case(name, design)
         got = fcar._local_linear(u, c1, w, u_eval, h)
         want = dense_local_linear(u, c1, w, u_eval, h)
@@ -836,7 +844,8 @@ class TestKernelWindows:
             assert np.isnan(est[:6]).all() and not raw_reliable[:6].any()
 
     @pytest.mark.parametrize("name", WINDOW_CASES)
-    def test_local_transfer_matches_dense(self, name):
+    @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
+    def test_local_transfer_matches_dense(self, kernel, name):
         u, c1, other, u_eval, h = window_case(name, "other")
         got = fcar._local_transfer(u, c1, other, u_eval, h)
         want = dense_local_transfer(u, c1, other, u_eval, h)
