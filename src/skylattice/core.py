@@ -199,16 +199,6 @@ class TrendModel:
         object.__setattr__(self, "timestamps", _frozen_array(self.timestamps))
         object.__setattr__(self, "trend", _frozen_array(self.trend))
 
-    def restore(self, detrended: SpatioTemporalField) -> SpatioTemporalField:
-        """Add the trend back onto a detrended field, returning a raw field."""
-        if detrended.kind != "detrended":
-            raise ValueError("restore expects a detrended field")
-        if detrended.values.shape != self.trend.shape or not np.array_equal(
-            detrended.timestamps, self.timestamps
-        ):
-            raise ValueError("field does not match the axes this trend was fit on")
-        return detrended.replace_values(detrended.values + self.trend, kind="raw")
-
 
 # ---------------------------------------------------------------------------
 # ingestion and serialization
@@ -429,7 +419,8 @@ def detrend(
     Returns
     -------
     (detrended, trend_model)
-        ``trend_model.restore(detrended)`` reproduces the input.
+        ``detrended.values + trend_model.trend`` gives back the input values
+        up to rounding.
     """
     if field.kind != "raw":
         raise ValueError("detrend expects a raw field")

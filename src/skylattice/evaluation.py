@@ -2,11 +2,9 @@
 
 Metrics are deliberately literal: ``rmpe`` scales the summed squared
 prediction errors by 1/(T*k) without taking an outer square root, so
-despite the conventional name it lives on the squared scale.  The rooted
-companion ``rmpe_rooted`` is provided for readers who want an error in
-data units; every ratio and report in this package uses the unrooted
-form consistently, so the choice cancels wherever two models are
-compared under the same convention.
+despite the conventional name it lives on the squared scale.  Every ratio
+and report in this package uses this unrooted form, so the choice cancels
+wherever two models are compared under the same convention.
 
 Cross-validation predicts each held-out sensor from a model fitted
 without it: the neighbor graph is rebuilt on every training subset, and
@@ -44,7 +42,6 @@ __all__ = [
     "MetricsReport",
     "rmse",
     "rmpe",
-    "rmpe_rooted",
     "adjusted_r2",
     "crossval",
     "rmpe_ratio",
@@ -101,7 +98,7 @@ def rmpe(observed, predicted, omega: Sequence[int]) -> float:
 
     Computes sum_{s in omega} sum_t (predicted - observed)^2 / (T*k)
     with k = len(omega).  Note the absence of an outer square root: the
-    value is on the squared scale.  ``rmpe_rooted`` takes the root.
+    value is on the squared scale.
 
     Parameters
     ----------
@@ -119,11 +116,6 @@ def rmpe(observed, predicted, omega: Sequence[int]) -> float:
     rows = _as_index_rows(omega, obs.shape[0])
     err = pred[rows] - obs[rows]
     return float(np.sum(err * err) / err.size)
-
-
-def rmpe_rooted(observed, predicted, omega: Sequence[int]) -> float:
-    """Square root of ``rmpe``: prediction error in data units."""
-    return math.sqrt(rmpe(observed, predicted, omega))
 
 
 def adjusted_r2(observed, fitted, nu_fit: float) -> float:

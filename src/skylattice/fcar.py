@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import svd
 
-from .core import kernel_values
+from .core import _frozen_array, kernel_values
 
 # relative singular-value cutoff for the spline pre-estimate, and the factor
 # by which it is raised while the solution stays numerically unidentified
@@ -107,14 +107,6 @@ class FcarSpec:
     def max_lag(self) -> int:
         return max(max(self.lags, default=0), self.d)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.d,
-            "include_intercept_function": self.include_intercept_function,
-            "lags": list(self.lags),
-        }
-
 
 @dataclass(frozen=True)
 class SplineBasis:
@@ -174,9 +166,6 @@ class UTransform:
 
     def to_unit(self, u):
         return (np.asarray(u, dtype=float) - self.lo) / (self.hi - self.lo)
-
-    def from_unit(self, v):
-        return self.lo + np.asarray(v, dtype=float) * (self.hi - self.lo)
 
 
 def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int] = None):
@@ -375,13 +364,11 @@ class SbkCurve:
 
     def __post_init__(self):
         for name in ("u", "estimate", "lower", "upper", "obs_estimate"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         for name in ("reliable", "obs_reliable"):
-            arr = np.asarray(getattr(self, name), dtype=bool)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(
+                self, name, _frozen_array(getattr(self, name), dtype=bool)
+            )
 
 
 def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float):
@@ -632,13 +619,7 @@ class FcarFit:
 
     def __post_init__(self):
         for name in ("spline_coeffs", "fitted", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_obs(self) -> int:
-        return self.residuals.size
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def residual_variance(self) -> float:
@@ -669,47 +650,6 @@ class FcarFit:
         curve = self._curve_for(j)
         vals = self._grid_values(curve)
         return np.interp(np.asarray(u, dtype=float), curve.u, vals)
-
-    @property
-    def reliable_u_range(self) -> tuple[float, float]:
-        """Data-scale range of u where every component's refinement holds."""
-        ok = np.ones(self.curves[0].u.size, dtype=bool)
-        for curve in self.curves:
-            ok &= curve.reliable
-        if not ok.any():
-            u = self.curves[0].u
-            return float(u[0]), float(u[-1])
-        u = self.curves[0].u[ok]
-        return float(u[0]), float(u[-1])
-
-    def to_dict(self) -> dict:
-        res = self.residuals
-        return {
-            "spec": self.spec.to_dict(),
-            "knots": self.basis.knots.tolist(),
-            "u_transform": {"lo": self.u_transform.lo, "hi": self.u_transform.hi},
-            "spline_coeffs": self.spline_coeffs.tolist(),
-            "bandwidth": self.bandwidth,
-            "effective_params": effective_params(self),
-            "curves": [
-                {
-                    "target_j": c.target_j,
-                    "u": c.u.tolist(),
-                    "estimate": c.estimate.tolist(),
-                    "lower": c.lower.tolist(),
-                    "upper": c.upper.tolist(),
-                    "reliable": c.reliable.astype(int).tolist(),
-                }
-                for c in self.curves
-            ],
-            "residuals": {
-                "n": int(res.size),
-                "variance": float(np.mean(res**2)),
-                "sd": float(np.std(res)),
-                "min": float(res.min()),
-                "max": float(res.max()),
-            },
-        }
 
 
 def fit_fcar(
@@ -817,60 +757,3 @@ def fit_fcar(
 def effective_params(fit: FcarFit) -> float:
     """Sum over coefficient curves of the local-linear smoother trace."""
     return float(sum(curve.smoother_trace for curve in fit.curves))
-
-
-def forecast_fcar(fit: FcarFit, history: Sequence[float], steps: int) -> np.ndarray:
-    """Iterated plug-in forecasts from the last observed values.
-
-    One-step: X^_{t+1} = m^_0(u) + sum_j m^_j(u) X_{t+1-j} with u taken from
-    the delay lag and clamped into the refinement grid's reliable range;
-    multi-step feeds predictions back in as history.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    buf = list(np.asarray(history, dtype=float))
-    need = fit.spec.max_lag
-    if len(buf) < need:
-        raise ValueError(f"history must hold at least {need} values")
-    lo, hi = fit.reliable_u_range
-    out = []
-    for _ in range(steps):
-        u = min(max(buf[-fit.spec.d], lo), hi)
-        val = 0.0
-        for j in fit.spec.components:
-            coef = float(fit.coefficient(j, u))
-            val += coef if j == 0 else coef * buf[-j]
-        out.append(val)
-        buf.append(val)
-    return np.array(out)
-
-
-def select_fcar_order(
-    x: np.ndarray,
-    p_max: int = 4,
-    include_intercept_function: bool = False,
-    options: Optional[FcarOptions] = None,
-) -> FcarSpec:
-    """Pick (p, d) by an AIC-style score over p in 1..p_max, d in 1..p.
-
-    Score = n ln(residual variance) + 2 * effective_params, all candidates
-    fitted on the same trailing rows so scores are comparable.
-    """
-    x = np.asarray(x, dtype=float)
-    best, best_score = None, math.inf
-    for p in range(1, p_max + 1):
-        for d in range(1, p + 1):
-            spec = FcarSpec(p=p, d=d, include_intercept_function=include_intercept_function)
-            try:
-                fit = fit_fcar(x, spec, options, t_start=p_max)
-            except ValueError:
-                continue
-            n = fit.n_obs
-            score = n * math.log(max(fit.residual_variance, 1e-300)) + 2.0 * (
-                effective_params(fit)
-            )
-            if score < best_score:
-                best, best_score = spec, score
-    if best is None:
-        raise ValueError("no candidate order could be fitted")
-    return best

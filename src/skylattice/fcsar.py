@@ -14,13 +14,19 @@ all four models' in-sample RMSE on a common support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import SensorLayout, SpatioTemporalField, _write_csv_rows
+from .core import SpatioTemporalField, _frozen_array, _write_csv_rows
 from .fcar import FcarFit, FcarOptions, FcarSpec, effective_params, fit_fcar
-from .spatial import NeighborGraph, SarTrace, sar_residuals_field
+from .spatial import (
+    NeighborGraph,
+    SarTrace,
+    _check_same_layout,
+    _nearest_first,
+    sar_residuals_field,
+)
 
 __all__ = [
     "FcsarSpec",
@@ -38,11 +44,6 @@ SEPARABLE_ORDERS = ("space_then_time", "time_then_space")
 
 # backfit cycles of the coupled fit: spatial stage, then temporal stage
 _BACKFIT_CYCLES = 2
-
-
-def _check_same_layout(a: SensorLayout, b: SensorLayout, what: str) -> None:
-    if a.ids != b.ids or not np.array_equal(a.xy, b.xy):
-        raise ValueError(f"{what}: field layout does not match the graph layout")
 
 
 def _check_detrended(field: SpatioTemporalField, what: str) -> None:
@@ -121,9 +122,7 @@ class FcsarFit:
         if beta.shape != shape:
             raise ValueError(f"beta must have shape {shape}, got {beta.shape}")
         for name in ("beta", "fitted_values", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def total_params(self) -> float:
@@ -155,13 +154,10 @@ class SeparableFit:
     residuals: np.ndarray
     support_start: int
     first_stage_rmse: float
-    combined_rmse: float
 
     def __post_init__(self):
         for name in ("fitted_values", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     def rmse(self, from_t: Optional[int] = None) -> float:
         start = self.support_start if from_t is None else max(from_t, self.support_start)
@@ -356,7 +352,7 @@ def fit_separable(
     field: SpatioTemporalField,
     order: str,
     sar_graph: NeighborGraph,
-    fcar_spec: Union[FcarSpec, Sequence[FcarSpec]],
+    fcar_spec: FcarSpec,
     options: Optional[FcarOptions] = None,
 ) -> SeparableFit:
     """Fit one factored pipeline.
@@ -374,26 +370,20 @@ def fit_separable(
     _check_same_layout(field.layout, sar_graph.layout, "fit_separable")
     z = field.values
     S, T = z.shape
-    if isinstance(fcar_spec, FcarSpec):
-        specs = (fcar_spec,) * S
-    else:
-        specs = tuple(fcar_spec)
-        if len(specs) != S:
-            raise ValueError("need one temporal spec per sensor")
-    t0 = max(s.max_lag for s in specs)
+    t0 = fcar_spec.max_lag
 
     if order == "space_then_time":
         sar = sar_residuals_field(field, sar_graph)
         stage1 = sar.field.values
         fcar_fits = tuple(
-            fit_fcar(stage1[s], specs[s], options, t_start=t0) for s in range(S)
+            fit_fcar(stage1[s], fcar_spec, options, t_start=t0) for s in range(S)
         )
         final = np.stack([f.residuals for f in fcar_fits])
         trace = sar.trace
         first_rmse = _matrix_rmse(stage1, t0)
     else:
         fcar_fits = tuple(
-            fit_fcar(z[s], specs[s], options, t_start=t0) for s in range(S)
+            fit_fcar(z[s], fcar_spec, options, t_start=t0) for s in range(S)
         )
         stage1 = np.stack([f.residuals for f in fcar_fits])
         resid_field = SpatioTemporalField(
@@ -414,7 +404,6 @@ def fit_separable(
         residuals=residuals,
         support_start=t0,
         first_stage_rmse=first_rmse,
-        combined_rmse=float(np.sqrt(np.mean(final**2))),
     )
 
 
@@ -462,12 +451,11 @@ def _predict_with_beta(
     """``predict_missing_sensor`` from a (S, k, b) coefficient array."""
     layout = field_train.layout
     xy = np.asarray(target_xy, dtype=float).reshape(2)
-    d = np.hypot(layout.xy[:, 0] - xy[0], layout.xy[:, 1] - xy[1])
+    d, order = _nearest_first(layout, xy)
     scale = max(float(d.max()), 1.0)
     if float(d.min()) <= 1e-9 * scale:
         raise ValueError("target coincides with a training sensor")
 
-    order = sorted(range(layout.n_sensors), key=lambda i: (d[i], layout.ids[i]))
     _, k, b = beta.shape
     nn = order[:k]
     donor = order[0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, Voronoi
 
-from .core import SensorLayout, SpatioTemporalField
+from .core import SensorLayout, SpatioTemporalField, _frozen_array
 
 # golden-section tolerance on rho, and the number of admissible-interval
 # scan points used to bracket the maximum before the search
@@ -60,15 +60,13 @@ class NeighborGraph:
     eigenvalues: np.ndarray = dc_field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        W.flags.writeable = False
+        W = _frozen_array(self.W)
         object.__setattr__(self, "W", W)
         eig = self.eigenvalues
         if eig is None:
             eig = np.linalg.eigvals(W)
-        eig = np.asarray(eig)
-        eig.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", eig)
+        # eigenvalues of a non-symmetric W may be complex: keep their dtype
+        object.__setattr__(self, "eigenvalues", _frozen_array(eig, dtype=None))
 
     @property
     def n_sensors(self) -> int:
@@ -90,6 +88,23 @@ class NeighborGraph:
         return lo, hi
 
 
+def _nearest_first(layout: SensorLayout, point) -> tuple[np.ndarray, list[int]]:
+    """Distances from ``point`` to every sensor, and sensor indices nearest first.
+
+    Ties at equal distance are broken by sensor id, so the order is a pure
+    function of the layout and the point.
+    """
+    dist = np.hypot(layout.xy[:, 0] - point[0], layout.xy[:, 1] - point[1])
+    order = sorted(range(layout.n_sensors), key=lambda i: (dist[i], layout.ids[i]))
+    return dist, order
+
+
+def _check_same_layout(a: SensorLayout, b: SensorLayout, what: str) -> None:
+    """Raise unless two layouts hold the same sensor ids at the same coordinates."""
+    if a.ids != b.ids or not np.array_equal(a.xy, b.xy):
+        raise ValueError(f"{what}: field layout does not match the graph layout")
+
+
 def build_neighbor_graph(layout: SensorLayout, k: int) -> NeighborGraph:
     """k nearest neighbors per sensor by Euclidean distance.
 
@@ -102,16 +117,11 @@ def build_neighbor_graph(layout: SensorLayout, k: int) -> NeighborGraph:
         raise ValueError("k must be >= 1")
     if k >= S:
         raise ValueError(f"k={k} needs at least k+1={k + 1} sensors, have {S}")
-    xy = layout.xy
     neighbors = []
     W = np.zeros((S, S))
     for i in range(S):
-        dist = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])
-        order = sorted(
-            (j for j in range(S) if j != i),
-            key=lambda j: (dist[j], layout.ids[j]),
-        )
-        chosen = tuple(order[:k])
+        _, order = _nearest_first(layout, layout.xy[i])
+        chosen = tuple(j for j in order if j != i)[:k]
         neighbors.append(chosen)
         W[i, list(chosen)] = 1.0 / k
     return NeighborGraph(layout=layout, k=k, neighbors=tuple(neighbors), W=W)
@@ -129,9 +139,7 @@ class SarFit:
     rho_interval: tuple[float, float]
 
     def __post_init__(self):
-        r = np.asarray(self.residuals, dtype=float)
-        r.flags.writeable = False
-        object.__setattr__(self, "residuals", r)
+        object.__setattr__(self, "residuals", _frozen_array(self.residuals))
 
 
 class _ColumnError(ValueError):
@@ -316,9 +324,7 @@ class SarTrace:
 
     def __post_init__(self):
         for name in ("timestamps", "rho", "sigma2", "loglik"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -347,8 +353,7 @@ def sar_residuals_field(
     time index.
     """
     field.require_complete("per-time SAR fitting")
-    if field.layout.ids != graph.layout.ids:
-        raise ValueError("field and neighbor graph use different layouts")
+    _check_same_layout(field.layout, graph.layout, "sar_residuals_field")
     try:
         rho, sigma2, loglik, resid, _ = _sar_fit_columns(field.values, graph)
     except _ColumnError as exc:
@@ -408,11 +413,6 @@ def _strictly_inside_hull(xy: np.ndarray, q: np.ndarray, scale: float) -> bool:
     return bool(np.all(vals < -1e-9 * scale))
 
 
-def _nearest_sensor(layout: SensorLayout, q: np.ndarray) -> int:
-    dist = np.hypot(layout.xy[:, 0] - q[0], layout.xy[:, 1] - q[1])
-    return min(range(layout.n_sensors), key=lambda i: (dist[i], layout.ids[i]))
-
-
 def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> VoronoiWeights:
     """Sibson natural-neighbor weights of a query point.
 
@@ -442,7 +442,7 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
     if not inside:
         return VoronoiWeights(
             query=(q[0], q[1]),
-            pairs=((_nearest_sensor(layout, q), 1.0),),
+            pairs=((_nearest_first(layout, q)[1][0], 1.0),),
             hull_fallback=True,
         )
 
@@ -475,9 +475,7 @@ class NaturalNeighborPrediction:
     weights: VoronoiWeights
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 def natural_neighbor_predict(

@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -464,3 +466,18 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_exports_and_tracer_targets_resolve():
+    # perfbench/tracing.py wraps library functions by name; deleting one of
+    # them must fail here, not only when the benchmark runs
+    for module in (skylattice, skylattice.evaluation, skylattice.fcsar):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, fn_name, _ in tracing.TARGETS:
+        module = importlib.import_module(f"skylattice.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"

@@ -18,6 +18,16 @@ from skylattice.core import (
     write_layout_csv,
     write_measurements_csv,
 )
+from skylattice.fcar import FcarFit, FcarSpec, SbkCurve, SplineBasis, UTransform
+from skylattice.fcsar import FcsarFit, FcsarSpec, SeparableFit
+from skylattice.spatial import (
+    NaturalNeighborPrediction,
+    NeighborGraph,
+    SarFit,
+    SarTrace,
+    VoronoiWeights,
+    build_neighbor_graph,
+)
 
 
 def small_layout(n=3):
@@ -314,9 +324,8 @@ class TestDetrend:
         vals = rng.normal(loc=300.0, scale=25.0, size=(4, 500))
         f = make_field(vals, layout=small_layout(4))
         g, trend = detrend(f, bandwidth=60.0)
-        back = trend.restore(g)
-        npt.assert_allclose(back.values, vals, rtol=1e-9)
-        assert back.kind == "raw"
+        npt.assert_allclose(g.values + trend.trend, vals, rtol=1e-9)
+        assert g.kind == "detrended"
 
     def test_default_bandwidth_is_span_eighth(self):
         f = make_field(np.random.default_rng(0).normal(size=(3, 400)))
@@ -348,3 +357,71 @@ class TestDetrend:
         f = make_field(np.random.default_rng(1).normal(size=(3, 50)))
         with pytest.raises(ValueError, match="sensor 's0' at time index 0"):
             detrend(f, bandwidth=1.0)
+
+
+def _container_with_inputs(name):
+    """One container built from fresh writable arrays, and those arrays by field."""
+    rng = np.random.default_rng(0)
+
+    def vec(n=5):
+        return rng.standard_normal(n)
+
+    graph = build_neighbor_graph(grid_layout(2, 2, 1.0), 1)
+    spec = FcarSpec(p=1, d=1)
+    if name == "SbkCurve":
+        arrays = {
+            "u": vec(), "estimate": vec(), "lower": vec(), "upper": vec(),
+            "obs_estimate": vec(), "reliable": vec() > 0, "obs_reliable": vec() > 0,
+        }
+        obj = SbkCurve(target_j=1, sigma2=1.0, smoother_trace=0.0, **arrays)
+    elif name == "FcarFit":
+        arrays = {"spline_coeffs": rng.standard_normal((3, 1)), "fitted": vec(),
+                  "residuals": vec()}
+        obj = FcarFit(spec=spec, basis=SplineBasis(1), u_transform=UTransform(0.0, 1.0),
+                      curves=(), bandwidth=1.0, t_start=1, **arrays)
+    elif name == "FcsarFit":
+        arrays = {"beta": rng.standard_normal((4, 1, 1)),
+                  "fitted_values": rng.standard_normal((4, 5)),
+                  "residuals": rng.standard_normal((4, 5))}
+        obj = FcsarFit(spec=FcsarSpec.uniform(graph, 1, spec), fcar_fits=(),
+                       support_start=1, **arrays)
+    elif name == "SeparableFit":
+        arrays = {"fitted_values": rng.standard_normal((4, 5)),
+                  "residuals": rng.standard_normal((4, 5))}
+        trace = SarTrace(timestamps=vec(), rho=vec(), sigma2=vec(), loglik=vec())
+        obj = SeparableFit(order="space_then_time", sar_trace=trace, fcar_fits=(),
+                           support_start=1, first_stage_rmse=1.0, **arrays)
+    elif name == "SarFit":
+        arrays = {"residuals": vec(4)}
+        obj = SarFit(rho=0.1, W=graph.W, sigma2=1.0, loglik=0.0,
+                     rho_interval=(-1.0, 1.0), **arrays)
+    elif name == "SarTrace":
+        arrays = {"timestamps": vec(), "rho": vec(), "sigma2": vec(), "loglik": vec()}
+        obj = SarTrace(**arrays)
+    elif name == "NaturalNeighborPrediction":
+        arrays = {"values": vec()}
+        obj = NaturalNeighborPrediction(
+            weights=VoronoiWeights(query=(0.5, 0.5), pairs=((0, 1.0),)), **arrays
+        )
+    else:
+        # eigenvalues passed in as complex, as a non-symmetric W can have
+        arrays = {"W": np.array(graph.W), "eigenvalues": vec(4) + 1j * vec(4)}
+        obj = NeighborGraph(layout=graph.layout, k=1, neighbors=graph.neighbors,
+                            **arrays)
+    return obj, arrays
+
+
+class TestFrozenContainers:
+    @pytest.mark.parametrize(
+        "name",
+        ["SbkCurve", "FcarFit", "FcsarFit", "SeparableFit", "SarFit", "SarTrace",
+         "NaturalNeighborPrediction", "NeighborGraph"],
+    )
+    def test_stored_arrays_frozen_and_inputs_left_writable(self, name):
+        obj, arrays = _container_with_inputs(name)
+        for field_name, given_arr in arrays.items():
+            stored = getattr(obj, field_name)
+            assert given_arr.flags.writeable, field_name
+            assert not stored.flags.writeable, field_name
+            assert stored.dtype == given_arr.dtype, field_name
+            npt.assert_array_equal(stored, given_arr)

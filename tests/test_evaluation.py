@@ -16,7 +16,6 @@ from skylattice.evaluation import (
     crossval,
     rmpe,
     rmpe_ratio,
-    rmpe_rooted,
     rmse,
     write_rmpe_ratio_csv,
     write_window_rmse_csv,
@@ -152,7 +151,6 @@ def test_rmpe_is_on_the_squared_scale():
     obs = np.zeros((2, 5))
     pred = np.full((2, 5), 2.0)
     assert rmpe(obs, pred, (0,)) == 4.0
-    assert rmpe_rooted(obs, pred, (0,)) == 2.0
 
 
 def test_rmpe_pair_averages_singletons():

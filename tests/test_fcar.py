@@ -1,7 +1,5 @@
 """Tests for the spline-backfitted kernel estimator of coefficient curves."""
 
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,11 +17,9 @@ from skylattice.fcar import (
     default_knot_count,
     effective_params,
     fit_fcar,
-    forecast_fcar,
     pseudo_responses,
     rule_of_thumb_bandwidth,
     sbk_estimate,
-    select_fcar_order,
     spline_preestimate,
 )
 from skylattice.fcsar import FcsarSpec, fit_fcsar
@@ -113,13 +109,6 @@ class TestFcarSpec:
         with pytest.raises(ValueError):
             FcarSpec(**kwargs)
 
-    def test_to_dict_round_trips_through_json(self):
-        spec = FcarSpec.delay_absorbed(2, 1)
-        d = json.loads(json.dumps(spec.to_dict()))
-        assert d["p"] == 2 and d["d"] == 1
-        assert d["include_intercept_function"] is True
-        assert d["lags"] == [2]
-
 
 class TestSplineBasis:
     def test_small_basis_value(self):
@@ -188,17 +177,6 @@ class TestUTransform:
         m = UTransform(-2.0, 3.0)
         assert m.to_unit(-2.0) == 0.0
         assert m.to_unit(3.0) == 1.0
-
-    @given(
-        lo=st.floats(min_value=-50, max_value=49),
-        width=st.floats(min_value=1e-3, max_value=100),
-        frac=st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_round_trip_property(self, lo, width, frac):
-        m = UTransform(lo, lo + width)
-        u = lo + frac * width
-        assert abs(float(m.from_unit(m.to_unit(u))) - u) < 1e-12 * max(1.0, abs(u))
 
     def test_degenerate_range_raises(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -523,14 +501,6 @@ class TestFitFcar:
         hi = max(fit.coefficient(2, curve.u[40]), fit.coefficient(2, curve.u[41]))
         assert lo - 1e-12 <= float(val) <= hi + 1e-12
 
-    def test_to_dict_is_json_ready(self):
-        x = simulate_expar2(Expar2Config(n_times=300, seed=12))
-        fit = fit_fcar(x, FcarSpec.delay_absorbed(2, 1))
-        blob = json.loads(json.dumps(fit.to_dict()))
-        assert blob["spec"]["lags"] == [2]
-        assert len(blob["curves"]) == 2
-        assert blob["residuals"]["n"] == fit.n_obs
-
     def test_rank_flag_clean_when_all_intervals_populated(self):
         # the default knot count leaves empty intervals in the tails of a
         # concentrated series, which the flag reports; a coarse basis with
@@ -586,75 +556,6 @@ class TestEffectiveParams:
             for h in (0.25, 0.5, 1.0)
         ]
         assert vals[0] > vals[1] > vals[2]
-
-
-class TestForecast:
-    def test_one_step_matches_plug_in_formula(self):
-        x = simulate_expar2(Expar2Config(n_times=400, seed=14))
-        fit = fit_fcar(x, FcarSpec.delay_absorbed(2, 1))
-        pred = forecast_fcar(fit, x, 1)
-        lo, hi = fit.reliable_u_range
-        u = min(max(x[-1], lo), hi)
-        manual = float(fit.coefficient(0, u)) + float(fit.coefficient(2, u)) * x[-2]
-        assert pred.shape == (1,)
-        assert pred[0] == pytest.approx(manual, abs=1e-8)
-
-    def test_multi_step_chains_predictions(self):
-        x = simulate_expar2(Expar2Config(n_times=400, seed=14))
-        fit = fit_fcar(x, FcarSpec.delay_absorbed(2, 1))
-        pred = forecast_fcar(fit, x, 3)
-        buf = list(x)
-        for step in range(3):
-            one = forecast_fcar(fit, buf, 1)[0]
-            assert pred[step] == pytest.approx(one, abs=1e-12)
-            buf.append(one)
-
-    def test_near_oracle_one_step_accuracy(self):
-        ratios = []
-        for seed in range(9):
-            cfg = Expar2Config(n_times=2300, seed=100 + seed)
-            x = simulate_expar2(cfg)
-            f0, f2 = expar2_true_curves(cfg)
-            fit = fit_fcar(x[:2000], FcarSpec.delay_absorbed(2, 1))
-            errs_fit, errs_true = [], []
-            for t in range(2000, 2290):
-                pred = forecast_fcar(fit, x[:t], 1)[0]
-                u = np.array([x[t - 1]])
-                oracle = f0(u)[0] + f2(u)[0] * x[t - 2]
-                errs_fit.append((x[t] - pred) ** 2)
-                errs_true.append((x[t] - oracle) ** 2)
-            ratios.append(float(np.mean(errs_fit) / np.mean(errs_true)))
-        assert float(np.median(ratios)) < 1.5
-
-    def test_functional_variable_clamps_to_reliable_range(self):
-        x = simulate_expar2(Expar2Config(n_times=400, seed=14))
-        fit = fit_fcar(x, FcarSpec.delay_absorbed(2, 1))
-        hist = np.concatenate([x, [50.0]])
-        pred = forecast_fcar(fit, hist, 1)
-        lo, hi = fit.reliable_u_range
-        manual = float(fit.coefficient(0, hi)) + float(fit.coefficient(2, hi)) * hist[-2]
-        assert pred[0] == pytest.approx(manual, abs=1e-8)
-
-    def test_bad_inputs_raise(self):
-        x = simulate_expar2(Expar2Config(n_times=300, seed=1))
-        fit = fit_fcar(x, FcarSpec.delay_absorbed(2, 1))
-        with pytest.raises(ValueError, match="steps"):
-            forecast_fcar(fit, x, 0)
-        with pytest.raises(ValueError, match="history"):
-            forecast_fcar(fit, x[:1], 1)
-
-
-class TestOrderSelection:
-    def test_deterministic(self):
-        x = simulate_expar2(Expar2Config(n_times=300, seed=4))
-        a = select_fcar_order(x, p_max=2)
-        b = select_fcar_order(x, p_max=2)
-        assert a == b
-
-    def test_returns_valid_order(self):
-        x = ar1_series(300, seed=2)
-        spec = select_fcar_order(x, p_max=3)
-        assert 1 <= spec.d <= spec.p <= 3
 
 
 class TestNormalEquationsProperty:

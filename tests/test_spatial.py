@@ -625,6 +625,15 @@ class TestSarResidualsField:
         with pytest.raises(ValueError, match="layout"):
             sar_residuals_field(field, g)
 
+    def test_same_ids_at_other_coordinates_raise(self):
+        # a graph on the same ids but reversed coordinates has another W
+        lay = grid_layout(4, 4, 1.0)
+        g = build_neighbor_graph(lay, 2)
+        flipped = SensorLayout(lay.ids, lay.xy[::-1])
+        field = make_field(flipped, np.random.default_rng(0).standard_normal((16, 4)))
+        with pytest.raises(ValueError, match="layout"):
+            sar_residuals_field(field, g)
+
     def test_masked_field_raises(self):
         lay = grid_layout(4, 4, 1.0)
         g = build_neighbor_graph(lay, 2)
