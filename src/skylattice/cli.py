@@ -65,11 +65,8 @@ from .fcsar import (
     separability_diagnostic,
     write_separability_csv,
 )
-from .simulation import FieldSimConfig, simulate_field
+from .simulation import REGIMES, SIM_MODES, FieldSimConfig, simulate_field
 from .spatial import build_neighbor_graph, sar_residuals_field
-
-SIM_MODES = ("advective", "separable")
-REGIMES = ("clear", "partly_cloudy", "overcast")
 
 
 class UsageError(Exception):
@@ -397,6 +394,7 @@ class ModelFit(NamedTuple):
 
 
 def _fit_fcar_each(field: SpatioTemporalField, cfg: dict) -> ModelFit:
+    field.require_complete("per-sensor fcar fitting")
     spec, options = _temporal_spec(cfg), _fcar_options(cfg)
     fits = [fit_fcar(x, spec, options) for x in field.values]
     return ModelFit(

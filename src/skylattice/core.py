@@ -171,8 +171,13 @@ class SpatioTemporalField:
         return float(d[0])
 
     def require_complete(self, what: str = "this operation") -> None:
+        """Raise unless no cell is masked; the error names the earliest gap."""
         if self.mask is not None:
-            raise ValueError(f"{what} requires a complete field (mask present)")
+            j, i = np.argwhere(self.mask.T)[0]
+            raise ValueError(
+                f"{what} requires a complete field: sensor {self.layout.ids[i]!r} "
+                f"is missing at time index {j} (t={self.timestamps[j]:.0f})"
+            )
 
     def replace_values(self, values: np.ndarray, kind: Optional[str] = None) -> "SpatioTemporalField":
         return SpatioTemporalField(
@@ -219,29 +224,35 @@ def _parse_timestamp(tok: str) -> float:
     return dt.timestamp()
 
 
-def read_measurements_csv(path) -> list[tuple[float, str, Optional[float]]]:
-    """Read ``timestamp,sensor_id,value`` rows; empty/NA values become None."""
-    records = []
+def _read_csv_rows(path, header: list[str], parse) -> list:
+    """``parse(row)`` for each non-empty row under ``header``; errors name path:line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != MEASUREMENT_HEADER:
-            raise ValueError(
-                f"expected header {','.join(MEASUREMENT_HEADER)!r} in {path}"
-            )
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ValueError(f"expected header {','.join(header)!r} in {path}")
+        parsed = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            ts = _parse_timestamp(row[0])
-            sid = row[1].strip()
-            vtok = row[2].strip()
-            if vtok.lower() in _MISSING_TOKENS:
-                records.append((ts, sid, None))
-            else:
-                records.append((ts, sid, float(vtok)))
-    return records
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return parsed
+
+
+def _parse_measurement(row: list[str]) -> tuple[float, str, Optional[float]]:
+    ts = _parse_timestamp(row[0])
+    vtok = row[2].strip()
+    return ts, row[1].strip(), None if vtok.lower() in _MISSING_TOKENS else float(vtok)
+
+
+def read_measurements_csv(path) -> list[tuple[float, str, Optional[float]]]:
+    """Read ``timestamp,sensor_id,value`` rows; empty/NA values become None."""
+    return _read_csv_rows(path, MEASUREMENT_HEADER, _parse_measurement)
 
 
 def ingest_field(
@@ -313,18 +324,10 @@ def write_measurements_csv(field: SpatioTemporalField, path) -> None:
 
 
 def read_layout_csv(path) -> SensorLayout:
-    ids, pts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != LAYOUT_HEADER:
-            raise ValueError(f"expected header {','.join(LAYOUT_HEADER)!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0].strip())
-            pts.append((float(row[1]), float(row[2])))
-    return SensorLayout(tuple(ids), np.array(pts))
+    rows = _read_csv_rows(
+        path, LAYOUT_HEADER, lambda row: (row[0].strip(), float(row[1]), float(row[2]))
+    )
+    return SensorLayout(tuple(r[0] for r in rows), np.array([r[1:] for r in rows]))
 
 
 def write_layout_csv(layout: SensorLayout, path) -> None:

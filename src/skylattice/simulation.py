@@ -35,6 +35,9 @@ REGIME_PARAMS = {
     "partly_cloudy": {"sd": 30.0, "ar": 0.97, "noise_frac": 0.08, "edge": 2.5, "env": 0.9},
     "overcast": {"sd": 18.0, "ar": 0.93, "noise_frac": 0.20, "edge": 0.8, "env": 0.4},
 }
+#: the sky regimes and field types, in the order ``simulate`` lists them
+REGIMES = tuple(REGIME_PARAMS)
+SIM_MODES = ("advective", "separable")
 
 _N_FOURIER_MODES = 192
 
@@ -158,8 +161,8 @@ class FieldSimConfig:
     def __post_init__(self):
         if self.regime not in REGIME_PARAMS:
             raise ValueError(f"regime must be one of {sorted(REGIME_PARAMS)}")
-        if self.mode not in ("separable", "advective"):
-            raise ValueError("mode must be 'separable' or 'advective'")
+        if self.mode not in SIM_MODES:
+            raise ValueError(f"mode must be one of {list(SIM_MODES)}")
         if self.n_times < 2:
             raise ValueError("n_times must be >= 2")
         if self.dt_seconds <= 0:

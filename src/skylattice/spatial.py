@@ -4,14 +4,12 @@ Two spatial tools share this module.  The first is a simultaneous
 autoregressive (SAR) model on the sensor lattice, y = rho * W y + delta,
 with a k-nearest-neighbor weight matrix; rho is fit by maximizing the
 Gaussian profile log-likelihood, whose determinant term comes from the
-eigenvalues of W (computed once per graph).  That term depends on rho
-alone, so a field's per-time fits share one scan grid and its
-determinant sums, and their golden-section searches advance in lockstep
-over all time columns; every column still gets the arithmetic of a fit on
-that column alone.  The second is Sibson
-natural-neighbor interpolation: a query point's prediction is the
-area-weighted average of the sensors whose Voronoi cells the query would
-steal area from.
+eigenvalues of W (computed once per graph), as the root of its analytic
+score.  A field's per-time fits share one scan grid and run together
+over all time columns, each column fit on its own numbers only.  The
+second is Sibson natural-neighbor interpolation: a query point's
+prediction is the area-weighted average of the sensors whose Voronoi
+cells the query would steal area from.
 """
 
 from __future__ import annotations
@@ -24,11 +22,10 @@ from scipy.spatial import ConvexHull, QhullError, Voronoi
 
 from .core import SensorLayout, SpatioTemporalField, _frozen_array
 
-# golden-section tolerance on rho, and the number of admissible-interval
-# scan points used to bracket the maximum before the search
-_RHO_TOL = 1e-6
+# admissible-interval scan points that bracket the maximum, and the
+# bisection steps that narrow the bracket to the spacing of doubles
 _RHO_SCAN = 201
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_RHO_STEPS = 60
 # why a column cannot be fit, indexed by the code of its first failed
 # check (0: fitted)
 _FIT_ERRORS = (
@@ -37,8 +34,7 @@ _FIT_ERRORS = (
     "profile likelihood is not finite: y is identically zero",
     "admissible rho interval collapsed",
     "profile likelihood is not finite on the admissible interval",
-    # what math.log raises for a positive value that underflows to 0
-    "math domain error",
+    "residual variance underflows to zero: y is too small to fit",
 )
 
 
@@ -150,153 +146,100 @@ class _ColumnError(ValueError):
         self.column = column
 
 
-# math.log applied element by element: numpy's vectorised log can differ
-# from libm's in the last bit, and the RSS and variance terms must round as
-# in the plain one-column loop that tests/test_spatial.py keeps as oracle
-_math_log = np.frompyfunc(math.log, 1, 1)
-
-
 def _logdet(rho: np.ndarray, eig: np.ndarray) -> np.ndarray:
     """sum_i log|1 - rho*lambda_i| for each rho, summed along a contiguous row."""
     return np.sum(np.log(np.abs(1.0 - rho[:, None] * eig)), axis=1)
 
 
-def _profile(logdet, rho, qa, qb, qc, S: int) -> np.ndarray:
-    """Profile log-likelihood per column.
-
-    -inf where RSS is not positive and finite; NaN where RSS/S underflows
-    to 0 and has no logarithm, which fails the column.
-    """
-    rss = qa - 2.0 * rho * qb + rho * rho * qc
-    x = rss / S
-    ok = (rss > 0.0) & np.isfinite(rss)
-    log_rss = _math_log(np.where(ok & (x > 0.0), x, 1.0)).astype(float)
-    val = np.where(ok, logdet - 0.5 * S * log_rss, -np.inf)
-    val[ok & (x == 0.0)] = np.nan
-    return val
+def _score(rho, eig, rho_star, qc, rss, S: int) -> np.ndarray:
+    """Derivative in rho of the profile log-likelihood, per column."""
+    dlogdet = np.sum((eig / (1.0 - rho[:, None] * eig)).real, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return S * qc * (rho_star - rho) / rss - dlogdet
 
 
 def _sar_fit_columns(Y: np.ndarray, graph: NeighborGraph):
     """Profile-ML SAR fit of every column of the S x T matrix ``Y`` at once.
 
-    Returns ``(rho, sigma2, loglik, residuals, rho_interval)`` with (T,)
-    arrays, the S x T residual matrix and the margin-trimmed interval.
-    Each column gets exactly the floating-point operations of a fit on
-    that column alone, so no column influences another: its own
-    ``W @ y`` and dot products before the search, its own residual and
-    RSS after it.  In between, the 201-point scan shares the grid and its
-    log-determinant sums across columns, and the golden-section search
-    advances every column one point per iteration until its own bracket
-    is below the tolerance.  Raises ``_ColumnError`` naming the first
-    column that cannot be fit.
+    Returns ``(rho, sigma2, loglik, residuals, rho_interval)``; every step
+    is elementwise or per column, so a column gets the numbers of a
+    one-column call.  Raises ``_ColumnError`` naming the first column that
+    cannot be fit.
     """
     S, T = Y.shape
-    W, eig = graph.W, graph.eigenvalues
+    eig = graph.eigenvalues
     lo, hi = graph.rho_interval
     margin = 1e-9 * (hi - lo)
     lo, hi = lo + margin, hi - margin
 
     finite = np.isfinite(Y).all(axis=0)
-    WY = np.empty((T, S))
-    qa, qb, qc = np.zeros(T), np.zeros(T), np.zeros(T)
-    for j in np.flatnonzero(finite):
-        y = Y[:, j]
-        wy = W @ y
-        WY[j] = wy
-        qa[j], qb[j], qc[j] = y @ y, y @ wy, wy @ wy
+    Y = np.where(finite, Y, 0.0)
+    # sums in sensor order (the builtin sum adds the rows of a matrix):
+    # BLAS would pick its order by the number of columns
+    WY = sum(graph.W[:, i, None] * Y[i] for i in range(S))
+    qa, qb, qc = sum(Y * Y), sum(Y * WY), sum(WY * WY)
     # first failing check per column, in the order a one-column fit runs them
     err = np.where(finite, np.where(qa == 0.0, 2, 0), 1)
     if not hi > lo:
         # every column fails, so the first one is named
         raise _ColumnError(0, _FIT_ERRORS[err[0] or 3])
 
-    # scan: keep each column's first maximum, as np.argmax over the grid
-    # would; columns failed above have qa = qb = qc = 0 and stay at -inf
+    # RSS(rho) = RSS(rho*) + qc (rho - rho*)^2 about its minimum at
+    # rho* = qb/qc: qa - 2 rho qb + rho^2 qc would cancel every digit of a
+    # column near an eigenvector of W, such as a constant one
+    rho_star = np.divide(qb, qc, out=np.zeros(T), where=qc > 0.0)
+    rss_min = sum((Y - rho_star * WY) ** 2)
+
+    def rss(rho):
+        return rss_min + qc * (rho - rho_star) ** 2
+
+    def rising(rho):
+        return _score(rho, eig, rho_star, qc, rss(rho), S) > 0.0
+
+    # the first grid maximum brackets the root of the score
     grid = np.linspace(lo, hi, _RHO_SCAN)
-    grid_logdet = _logdet(grid, eig)
-    i_best = np.zeros(T, dtype=np.intp)
-    best_val = np.full(T, -np.inf)
-    no_log = np.zeros(T, dtype=bool)
-    for i in range(_RHO_SCAN):
-        val = _profile(grid_logdet[i], grid[i], qa, qb, qc, S)
-        no_log |= np.isnan(val)
-        better = val > best_val
-        i_best[better] = i
-        best_val[better] = val[better]
-    best_rho = grid[i_best]
-
-    def visit(idx, x):
-        """Evaluate columns ``idx`` at ``x``; a strictly better value becomes their best."""
-        val = _profile(_logdet(x, eig), x, qa[idx], qb[idx], qc[idx], S)
-        no_log[idx] |= np.isnan(val)
-        better = val > best_val[idx]
-        best_rho[idx[better]] = x[better]
-        best_val[idx[better]] = val[better]
-        return val
-
-    # golden-section search on [grid[i-1], grid[i+1]], clipped at the ends
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = _logdet(grid, eig)[:, None] - 0.5 * S * np.log(rss(grid[:, None]))
+    vals[~np.isfinite(vals)] = -np.inf
+    i_best = np.argmax(vals, axis=0)
+    err[(err == 0) & ~np.isfinite(vals.max(axis=0))] = 4
     a = grid[np.maximum(i_best - 1, 0)]
     b = grid[np.minimum(i_best + 1, _RHO_SCAN - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    idx = np.arange(T)
-    fc = visit(idx, c)
-    fd = visit(idx, d)
-    while True:
-        idx = idx[(b[idx] - a[idx]) > _RHO_TOL]
-        if not idx.size:
-            break
-        ai, bi, ci, di = a[idx], b[idx], c[idx], d[idx]
-        fci, fdi = fc[idx], fd[idx]
-        left = fci >= fdi
-        na = np.where(left, ai, ci)
-        nb = np.where(left, di, bi)
-        x = np.where(left, nb - _INVPHI * (nb - na), na + _INVPHI * (nb - na))
-        a[idx], b[idx] = na, nb
-        c[idx] = np.where(left, x, di)
-        d[idx] = np.where(left, ci, x)
-        fx = visit(idx, x)
-        fc[idx] = np.where(left, fx, fdi)
-        fd[idx] = np.where(left, fci, fx)
-    visit(np.arange(T), 0.5 * (a + b))
+    # a maximum at an end of the interval, where the score points out of
+    # it, has no sign change: that end is the estimate
+    b[(i_best == 0) & ~rising(np.full(T, lo))] = lo
+    a[(i_best == _RHO_SCAN - 1) & rising(np.full(T, hi))] = hi
+    for _ in range(_RHO_STEPS):
+        mid = 0.5 * (a + b)
+        up = rising(mid)
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    rho = 0.5 * (a + b)
 
-    err[(err == 0) & no_log] = 5
-    err[(err == 0) & ~np.isfinite(best_val)] = 4
-    resid = np.zeros((S, T))
-    sigma2 = np.zeros(T)
-    for j in np.flatnonzero(err == 0):
-        r = Y[:, j] - best_rho[j] * WY[j]
-        resid[:, j] = r
-        sigma2[j] = float(r @ r) / S
+    resid = Y - rho * WY
+    sigma2 = sum(resid * resid) / S
     err[(err == 0) & (sigma2 == 0.0)] = 5
     failed = np.flatnonzero(err)
     if failed.size:
         j = int(failed[0])
         raise _ColumnError(j, _FIT_ERRORS[err[j]])
 
-    log_var = _math_log(2.0 * math.pi * sigma2).astype(float)
-    loglik = _logdet(best_rho, eig) - 0.5 * S * (log_var + 1.0)
-    return best_rho, sigma2, loglik, resid, (lo, hi)
+    loglik = _logdet(rho, eig) - 0.5 * S * (np.log(2.0 * math.pi * sigma2) + 1.0)
+    return rho, sigma2, loglik, resid, (lo, hi)
 
 
 def sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
     """Fit rho by profile maximum likelihood on one slice.
 
-    The profile log-likelihood ln|det(I - rho*W)| - (S/2) ln(RSS(rho)/S)
-    with RSS(rho) = ||y - rho*W y||^2 is quadratic in rho apart from the
-    determinant term, which depends on rho alone and is a sum over the
-    eigenvalues of W.  A 201-point scan of the admissible interval
-    brackets the maximum (the first grid maximum, as ``np.argmax`` picks
-    it; a maximum at either end gets the half-width bracket to its
-    neighbor) and golden-section search refines it to 1e-6.  The reported
-    rho is the best value ever evaluated, a later point replacing it only
-    when strictly better, so it is never worse than the scan; two points
-    whose values tie to rounding keep the earlier one, so an input change
-    of one ulp can still move rho by the distance between them.
-
-    This is the one-column case of the lockstep fit behind
-    ``sar_residuals_field``: ``sar_fit_ml(field.values[:, j], graph)``
-    returns exactly the numbers of that call's column j.
+    The profile log-likelihood ln|det(I - rho*W)| - (S/2) ln(RSS(rho)/S),
+    RSS(rho) = ||y - rho*W y||^2, has the score S qc (rho* - rho) / RSS(rho)
+    - sum_i Re[lambda_i / (1 - rho*lambda_i)] over the eigenvalues of W,
+    with qc = ||W y||^2 and rho* = y'W y / qc.  The first maximum of a
+    201-point scan of the admissible interval (trimmed by 1e-9 of its
+    length at each end) brackets the score's root between its grid
+    neighbors, and bisection narrows the bracket to the spacing of doubles.
+    A maximum at an end, where the score points outward (or is 0, as for
+    W = 0, at the lower end), has no root: that end is rho.
+    ``sar_residuals_field`` returns the same numbers for this column.
     """
     y = np.asarray(y, dtype=float)
     S = graph.n_sensors
@@ -338,16 +281,10 @@ class SarFieldResult:
 def sar_residuals_field(
     field: SpatioTemporalField, graph: NeighborGraph
 ) -> SarFieldResult:
-    """Fit the SAR model independently at every time column.
+    """Fit the SAR model independently at every time column, as ``sar_fit_ml``.
 
-    All columns are fit in one pass: the 201-point scan evaluates the
-    log-determinant sums once per grid point for every column, and the
-    golden-section searches advance together, each column stopping when
-    its own bracket is below the tolerance.  Each column's numbers are
-    bit-identical to ``sar_fit_ml`` on that column, tie rule included (see
-    ``sar_fit_ml``), and no column influences another.
-
-    Returns the residual field (kind "residual") together with the
+    All columns are fit in one pass that shares the scan's log-determinant
+    sums.  Returns the residual field (kind "residual") together with the
     per-time trace of rho, sigma2, and log-likelihood.  Any column that
     cannot be fit aborts the whole call; the error names the first such
     time index.
@@ -359,13 +296,10 @@ def sar_residuals_field(
     except _ColumnError as exc:
         j = exc.column
         raise ValueError(
-            f"SAR fit failed at time index {j} "
-            f"(t={field.timestamps[j]:.0f}): {exc}"
+            f"SAR fit failed at time index {j} (t={field.timestamps[j]:.0f}): {exc}"
         ) from exc
     out = field.replace_values(resid, kind="residual")
-    trace = SarTrace(
-        timestamps=field.timestamps, rho=rho, sigma2=sigma2, loglik=loglik
-    )
+    trace = SarTrace(timestamps=field.timestamps, rho=rho, sigma2=sigma2, loglik=loglik)
     return SarFieldResult(field=out, trace=trace)
 
 

@@ -335,6 +335,54 @@ def test_unreadable_input_is_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
+def _edited_copy(sim, tmp_path, name, line, edit):
+    """Copy the simulated field to tmp_path with one line of ``name`` edited."""
+    out = tmp_path / "edited"
+    out.mkdir()
+    for f in ("layout.csv", "measurements.csv"):
+        lines = (sim / f).read_text().splitlines(keepends=True)
+        if f == name:
+            lines[line - 1] = edit(lines[line - 1])
+        (out / f).write_text("".join(lines))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, line, edit, message",
+    [
+        ("layout.csv", 4, lambda row: "s02,180.0\n", "expected 3 columns, got 2"),
+        ("layout.csv", 3, lambda row: "s01,abc,0.0\n", "could not convert string to float: 'abc'"),
+        ("measurements.csv", 6, lambda row: row.rsplit(",", 1)[0] + ",12x\n",
+         "could not convert string to float: '12x'"),
+        ("measurements.csv", 9, lambda row: "noon," + row.split(",", 1)[1],
+         "cannot parse timestamp 'noon'"),
+    ],
+    ids=["layout-short-row", "layout-coordinate", "measurement-value", "measurement-timestamp"],
+)
+def test_bad_csv_cell_names_file_and_line(tmp_path, sim_dir, capsys, name, line, edit, message):
+    edited = _edited_copy(sim_dir, tmp_path, name, line, edit)
+    assert run_cli(*fit_args(edited, tmp_path / "x", "--model", "sar")) == 1
+    err = capsys.readouterr().err
+    assert f"{edited / name}:{line}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("fit", "--model", m) for m in FIT_MODELS] + [("crossval",), ("diagnose",)],
+    ids=[f"fit-{m}" for m in FIT_MODELS] + ["crossval", "diagnose"],
+)
+def test_gap_error_names_sensor_and_time_index(tmp_path, sim_dir, capsys, command):
+    # line 2 + 16 * 7 + 5 holds sensor s05 at time index 7
+    edited = _edited_copy(
+        sim_dir, tmp_path, "measurements.csv", 2 + 16 * 7 + 5,
+        lambda row: row.rsplit(",", 1)[0] + ",NA\n",
+    )
+    t = float((sim_dir / "measurements.csv").read_text().splitlines()[1 + 16 * 7 + 5].split(",")[0])
+    assert run_cli(*command, *fit_args(edited, tmp_path / "x")[1:]) == 1
+    err = capsys.readouterr().err
+    assert f"requires a complete field: sensor 's05' is missing at time index 7 (t={t:.0f})" in err
+
+
 def test_verbosity_two_prints_the_traceback(tmp_path, capsys):
     args = (
         "fit",

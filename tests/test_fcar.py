@@ -22,7 +22,7 @@ from skylattice.fcar import (
     sbk_estimate,
     spline_preestimate,
 )
-from skylattice.fcsar import FcsarSpec, fit_fcsar
+from skylattice.fcsar import FcsarSpec, fit_fcsar, fit_separable
 from skylattice.simulation import (
     Expar2Config,
     FieldSimConfig,
@@ -808,6 +808,19 @@ class TestWindowedFitOracle:
             windowed.fitted_values, dense.fitted_values, rtol=1e-10, atol=1e-10
         )
         npt.assert_allclose(windowed.residuals, dense.residuals, rtol=1e-10, atol=1e-10)
+
+    def test_separable_ts_matches_dense_fit(self, dense_kernel_stage):
+        """The time-first pipeline on ``simulate --seed 3 --T 120``: its SAR
+        stage amplifies no rounding difference of the kernel sums."""
+        layout = grid_layout(4, 4, spacing=90.0)
+        field = simulate_field(FieldSimConfig(layout, 120, seed=3))
+        graph = build_neighbor_graph(layout, 2)
+        spec = FcarSpec.delay_absorbed(2, 1)
+        windowed = fit_separable(field, "time_then_space", graph, spec)
+        dense_kernel_stage()
+        dense = fit_separable(field, "time_then_space", graph, spec)
+        npt.assert_allclose(windowed.sar_trace.rho, dense.sar_trace.rho, rtol=0, atol=1e-10)
+        npt.assert_allclose(windowed.residuals, dense.residuals, rtol=1e-10, atol=1e-10, equal_nan=True)
 
     def test_band_variance_matches_dense_propagation(self):
         # rebuild each band from the dense sums and the explicit quadratic

@@ -6,20 +6,30 @@ import time
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skylattice.core import SensorLayout, SpatioTemporalField, detrend, grid_layout
+from skylattice.cli import main as cli_main
+from skylattice.core import (
+    SensorLayout,
+    SpatioTemporalField,
+    detrend,
+    grid_layout,
+    ingest_field,
+    read_layout_csv,
+    read_measurements_csv,
+)
+from skylattice.fcar import FcarOptions, FcarSpec
+from skylattice.fcsar import fit_separable
 from skylattice.simulation import FieldSimConfig, simulate_field
 from skylattice.spatial import (
     _RHO_SCAN,
-    _RHO_TOL,
+    _RHO_STEPS,
     NeighborGraph,
     SarFit,
     _ColumnError,
-    _logdet,
-    _profile,
     _sar_fit_columns,
+    _score,
     build_neighbor_graph,
     natural_neighbor_predict,
     sar_fit_ml,
@@ -51,6 +61,11 @@ def profile_loglik_oracle(rho, y, W):
     return logdet - 0.5 * S * np.log(rss / S)
 
 
+UNDERFLOW = "residual variance underflows to zero: y is too small to fit"
+# tolerance of the golden-section search that fit rho before the score root
+GOLDEN_TOL = 1e-6
+
+
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -69,27 +84,21 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def scalar_sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
-    """The one-column scan and golden-section search, kept as the oracle."""
-    y = np.asarray(y, dtype=float)
-    S = graph.n_sensors
-    if y.shape != (S,):
-        raise ValueError(f"y must have shape ({S},) to match the graph")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    wy = graph.W @ y
-    qa = float(y @ y)
-    qb = float(y @ wy)
-    qc = float(wy @ wy)
-    if qa == 0.0:
-        raise ValueError("profile likelihood is not finite: y is identically zero")
-    eig = graph.eigenvalues
+def _trimmed_interval(graph):
     lo, hi = graph.rho_interval
     margin = 1e-9 * (hi - lo)
-    lo, hi = lo + margin, hi - margin
-    if not hi > lo:
-        raise ValueError("admissible rho interval collapsed")
+    return lo + margin, hi - margin
 
+
+def golden_sar_rho(y: np.ndarray, graph: NeighborGraph) -> tuple[float, float]:
+    """The scan and golden-section search that fit rho before the score root.
+
+    Returns the best rho ever evaluated and its profile value; kept as a
+    second reference, good to its own 1e-6 tolerance.
+    """
+    wy = graph.W @ y
+    qa, qb, qc = float(y @ y), float(y @ wy), float(wy @ wy)
+    S, eig = y.size, graph.eigenvalues
     best = {"rho": 0.0, "val": -np.inf}
 
     def profile(rho: float) -> float:
@@ -103,25 +112,81 @@ def scalar_sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
             best["rho"], best["val"] = rho, val
         return val
 
+    grid = np.linspace(*_trimmed_interval(graph), _RHO_SCAN)
+    i_best = int(np.argmax([profile(r) for r in grid]))
+    a = grid[max(i_best - 1, 0)]
+    b = grid[min(i_best + 1, _RHO_SCAN - 1)]
+    profile(_golden_max(profile, a, b, GOLDEN_TOL))
+    return best["rho"], best["val"]
+
+
+def scalar_sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
+    """The score root on one column in plain scalar arithmetic, kept as the oracle.
+
+    Bracket the first maximum of a 201-point scan, then bisect on the sign
+    of the analytic score; a maximum at an interval end whose score points
+    outward is that end.  Sums run in sensor order.
+    """
+    y = np.asarray(y, dtype=float)
+    S = graph.n_sensors
+    if y.shape != (S,):
+        raise ValueError(f"y must have shape ({S},) to match the graph")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    W, eig = graph.W, graph.eigenvalues
+    wy = sum(W[:, i] * y[i] for i in range(S))
+    qa, qb, qc = sum(y * y), sum(y * wy), sum(wy * wy)
+    if qa == 0.0:
+        raise ValueError("profile likelihood is not finite: y is identically zero")
+    lo, hi = _trimmed_interval(graph)
+    if not hi > lo:
+        raise ValueError("admissible rho interval collapsed")
+
+    rho_star = qb / qc if qc > 0.0 else 0.0
+    rss_min = sum((y - rho_star * wy) ** 2)
+
+    def rss(rho):
+        return rss_min + qc * (rho - rho_star) ** 2
+
+    def profile(rho):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = float(np.sum(np.log(np.abs(1.0 - rho * eig)))) - 0.5 * S * np.log(rss(rho))
+        return val if math.isfinite(val) else -math.inf
+
+    def rising(rho):
+        dlogdet = np.sum((eig / (1.0 - rho * eig)).real)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return S * qc * (rho_star - rho) / rss(rho) - dlogdet > 0.0
+
     grid = np.linspace(lo, hi, _RHO_SCAN)
     vals = [profile(r) for r in grid]
     i_best = int(np.argmax(vals))
+    if not np.isfinite(vals[i_best]):
+        raise ValueError("profile likelihood is not finite on the admissible interval")
     a = grid[max(i_best - 1, 0)]
     b = grid[min(i_best + 1, _RHO_SCAN - 1)]
-    profile(_golden_max(profile, a, b, _RHO_TOL))
-    rho_hat = best["rho"]
-    if not np.isfinite(best["val"]):
-        raise ValueError("profile likelihood is not finite on the admissible interval")
+    if i_best == 0 and not rising(lo):
+        b = lo
+    if i_best == _RHO_SCAN - 1 and rising(hi):
+        a = hi
+    for _ in range(_RHO_STEPS):
+        mid = 0.5 * (a + b)
+        if rising(mid):
+            a = mid
+        else:
+            b = mid
+    rho_hat = 0.5 * (a + b)
 
     resid = y - rho_hat * wy
-    rss = float(resid @ resid)
-    sigma2 = rss / S
+    sigma2 = sum(resid * resid) / S
+    if sigma2 == 0.0:
+        raise ValueError(UNDERFLOW)
     logdet = float(np.sum(np.log(np.abs(1.0 - rho_hat * eig))))
     loglik = logdet - 0.5 * S * (math.log(2.0 * math.pi * sigma2) + 1.0)
     return SarFit(
         rho=float(rho_hat),
-        W=graph.W,
-        sigma2=sigma2,
+        W=W,
+        sigma2=float(sigma2),
         residuals=resid,
         loglik=loglik,
         rho_interval=(lo, hi),
@@ -181,25 +246,37 @@ def mixed_columns(graph, rng, T=24):
     return np.column_stack(cols)
 
 
+def assert_rel_close(got, expect, rel=1e-12):
+    """Agreement within ``rel`` of the largest magnitude in ``expect``."""
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert np.max(np.abs(got - expect)) <= rel * np.max(np.abs(expect))
+
+
 def assert_matches_scalar_oracle(values, graph):
-    """The field fit equals the scalar oracle and the one-column fit, bit for bit."""
+    """The field fit agrees with the scalar oracle and the one-column fit to 1e-12,
+    and with the golden-section reference to its 1e-6 tolerance."""
     field = make_field(graph.layout, values)
     res = sar_residuals_field(field, graph)
     T = field.n_times
-    oracle = [scalar_sar_fit_ml(field.values[:, j], graph) for j in range(T)]
-    assert np.array_equal(res.trace.rho, [f.rho for f in oracle])
-    assert np.array_equal(res.trace.sigma2, [f.sigma2 for f in oracle])
-    assert np.array_equal(res.trace.loglik, [f.loglik for f in oracle])
-    assert np.array_equal(
-        res.field.values, np.column_stack([f.residuals for f in oracle])
-    )
     for j in range(T):
-        fit = sar_fit_ml(field.values[:, j], graph)
-        assert fit.rho_interval == oracle[j].rho_interval
-        assert fit.rho == res.trace.rho[j]
-        assert fit.sigma2 == res.trace.sigma2[j]
-        assert fit.loglik == res.trace.loglik[j]
-        assert np.array_equal(fit.residuals, res.field.values[:, j])
+        y = field.values[:, j]
+        oracle = scalar_sar_fit_ml(y, graph)
+        rho = res.trace.rho[j]
+        assert abs(rho - oracle.rho) <= 1e-12
+        assert_rel_close(res.trace.sigma2[j], oracle.sigma2)
+        assert_rel_close(res.trace.loglik[j], oracle.loglik)
+        assert_rel_close(res.field.values[:, j], oracle.residuals)
+        fit = sar_fit_ml(y, graph)
+        assert fit.rho_interval == oracle.rho_interval
+        assert abs(fit.rho - rho) <= 1e-12
+        assert_rel_close(fit.sigma2, res.trace.sigma2[j])
+        assert_rel_close(fit.loglik, res.trace.loglik[j])
+        assert_rel_close(fit.residuals, res.field.values[:, j])
+        golden_rho, _ = golden_sar_rho(y, graph)
+        assert abs(rho - golden_rho) <= GOLDEN_TOL
+        assert profile_loglik_oracle(rho, y, graph.W) >= profile_loglik_oracle(
+            golden_rho, y, graph.W
+        ) - 1e-12
     return res
 
 
@@ -346,7 +423,7 @@ class TestSarFitMl:
 
 
 class TestLockstepMatchesScalarOracle:
-    """The lockstep field fit reproduces the one-column scalar fit exactly."""
+    """The field fit, all columns together, reproduces the scalar score-root fit."""
 
     @pytest.mark.parametrize("side", [3, 4, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -384,7 +461,7 @@ class TestLockstepMatchesScalarOracle:
         assert_matches_scalar_oracle(vals, g)
 
     def test_variance_near_one_over_two_pi(self):
-        """2*pi*sigma2 within 1% of 1, where numpy's log and libm's disagree most."""
+        """2*pi*sigma2 within 1% of 1, where the log-likelihood's log is near 0."""
         g = build_neighbor_graph(grid_layout(3, 3, 1.0), 2)
         vals = np.random.default_rng(21).standard_normal((9, 150))
         sigma2 = sar_residuals_field(make_field(g.layout, vals), g).trace.sigma2
@@ -393,51 +470,33 @@ class TestLockstepMatchesScalarOracle:
         npt.assert_allclose(2.0 * np.pi * res.trace.sigma2, 1.0, atol=0.011)
 
     def test_flat_profile_keeps_the_first_point(self):
-        """With W = 0 every evaluated point ties and the first scan point stays best."""
+        """With W = 0 the profile is flat, the score is 0 and the lower end is returned."""
         flat = zero_weight_graph(grid_layout(3, 3, 1.0))
         vals = np.random.default_rng(6).standard_normal((9, 4))
         res = assert_matches_scalar_oracle(vals, flat)
         lo, _ = sar_fit_ml(vals[:, 0], flat).rho_interval
         assert np.all(res.trace.rho == lo)
 
-    def test_loglik_rounds_with_libm_log(self):
-        """Columns whose log-likelihood would round otherwise under numpy's log.
-
-        With W = 0 the residual is the column itself, so a column holding v
-        and zeros has sigma2 = v*v/16 exactly.
-        """
-        flat = zero_weight_graph(grid_layout(4, 4, 1.0))
-        v = np.linspace(2.0, 4.0, 200_001)
-        x = 2.0 * math.pi * (v * v / 16)
-        libm = np.frompyfunc(math.log, 1, 1)(x).astype(float)
-        picked = v[np.log(x) + 1.0 != libm + 1.0][:40]
-        assert picked.size == 40
-        vals = np.zeros((16, picked.size))
-        vals[0] = picked
-        assert_matches_scalar_oracle(vals, flat)
-
-    def test_profile_matches_scalar_expression(self):
-        """Element by element, with RSS/S near 1 and some RSS not positive."""
-        S = 9
-        eig = build_neighbor_graph(grid_layout(3, 3, 1.0), 2).eigenvalues
-        rng = np.random.default_rng(13)
-        n = 4000
-        rho = rng.uniform(-0.9, 0.9, n)
-        qb = rng.standard_normal(n)
-        qc = rng.uniform(0.1, 2.0, n)
-        qa = S * rng.uniform(0.99, 1.01, n) + 2.0 * rho * qb - rho * rho * qc
-        qa[::50], qb[::50], qc[::50] = -1.0, 0.0, 0.0
-        expect = []
-        for r, a, b, c in zip(rho, qa, qb, qc):
-            rss = a - 2.0 * r * b + r * r * c
-            if rss <= 0.0 or not np.isfinite(rss):
-                expect.append(-np.inf)
-                continue
-            logdet = float(np.sum(np.log(np.abs(1.0 - r * eig))))
-            expect.append(logdet - 0.5 * S * math.log(rss / S))
-        got = _profile(_logdet(rho, eig), rho, qa, qb, qc, S)
-        assert np.array_equal(got, expect)
-        assert np.count_nonzero(np.isinf(got)) == n // 50
+    def test_score_is_the_profile_derivative(self):
+        """The analytic score against central differences of the slogdet profile."""
+        for side, k in [(3, 1), (4, 2), (5, 3)]:
+            g = build_neighbor_graph(grid_layout(side, side, 1.0), k)
+            S = g.n_sensors
+            lo, hi = g.rho_interval
+            rng = np.random.default_rng(side + k)
+            y = rng.standard_normal(S)
+            wy = g.W @ y
+            rho_star, qc = float(y @ wy) / float(wy @ wy), float(wy @ wy)
+            rho = lo + (hi - lo) * np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+            rss = [float((y - r * wy) @ (y - r * wy)) for r in rho]
+            h = 1e-6 * (hi - lo)
+            numeric = [
+                (profile_loglik_oracle(r + h, y, g.W) - profile_loglik_oracle(r - h, y, g.W))
+                / (2.0 * h)
+                for r in rho
+            ]
+            score = _score(rho, g.eigenvalues, rho_star, qc, np.array(rss), S)
+            npt.assert_allclose(score, numeric, rtol=1e-6, atol=1e-6)
 
     def test_single_column(self):
         g = build_neighbor_graph(grid_layout(3, 3, 1.0), 2)
@@ -459,6 +518,103 @@ class TestLockstepMatchesScalarOracle:
         field, _ = detrend(raw)
         g = build_neighbor_graph(field.layout, k)
         assert_matches_scalar_oracle(field.values, g)
+
+
+class TestSarEdgeMaximum:
+    def test_constant_columns_return_the_upper_end(self):
+        """Under row-standardized W the profile of a constant column rises to 1/lambda_max."""
+        for side, k in [(3, 1), (4, 2), (4, 3), (5, 4)]:
+            g = build_neighbor_graph(grid_layout(side, side, 1.0), k)
+            vals = np.outer(np.ones(side * side), [1.0, -3.7, 12.3, 1e-3, 123456.7])
+            res = assert_matches_scalar_oracle(vals, g)
+            _, hi = sar_fit_ml(vals[:, 0], g).rho_interval
+            assert np.all(res.trace.rho == hi)
+
+    def test_maximum_beyond_either_end(self):
+        """A nilpotent W has only zero eigenvalues, so rho is admissible on
+        (-10, 10) and the RSS minimum qb/qc may lie outside it."""
+        lay = grid_layout(3, 3, 1.0)
+        W = np.eye(9, k=1)
+        g = NeighborGraph(lay, 1, build_neighbor_graph(lay, 1).neighbors, W, np.zeros(9))
+        lo, hi = _trimmed_interval(g)
+        y = np.zeros((9, 3))
+        y[:2, 0] = [1.0, 0.05]  # RSS minimum at rho = 20
+        y[:2, 1] = [1.0, -0.05]  # at rho = -20
+        y[:, 2] = np.random.default_rng(3).standard_normal(9)
+        res = assert_matches_scalar_oracle(y, g)
+        assert res.trace.rho[0] == hi
+        assert res.trace.rho[1] == lo
+        assert lo < res.trace.rho[2] < hi
+        wy = W @ y[:, 2]
+        assert res.trace.rho[2] == pytest.approx(float(y[:, 2] @ wy) / float(wy @ wy), abs=1e-12)
+
+
+class TestSarPerturbation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        coupling=st.floats(-0.6, 0.8),
+        k=st.sampled_from([1, 2, 3]),
+    )
+    def test_relative_perturbation_moves_rho_by_rounding(self, seed, coupling, k):
+        """A 1e-15 relative change of an interior-maximum column moves rho by <= 1e-12."""
+        g = build_neighbor_graph(grid_layout(4, 4, 1.0), k)
+        rng = np.random.default_rng(seed)
+        y = np.linalg.solve(np.eye(16) - coupling * g.W, rng.standard_normal(16))
+        base = sar_fit_ml(y, g)
+        lo, hi = base.rho_interval
+        assume(lo + 0.01 * (hi - lo) < base.rho < hi - 0.01 * (hi - lo))
+        moved = sar_fit_ml(y * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, 16)), g)
+        assert abs(moved.rho - base.rho) <= 1e-12
+
+    def test_separable_ts_first_stage_under_ulp_changes(self, tmp_path):
+        """The time-first separable pipeline's SAR stage on ``simulate --seed 3
+        --T 120``: changes of up to 8 ulps per value move no rho beyond 1e-12."""
+        assert cli_main(["simulate", "--seed", "3", "--T", "120", "--verbosity", "0",
+                         "--out", str(tmp_path)]) == 0
+        layout = read_layout_csv(tmp_path / "layout.csv")
+        field = ingest_field(
+            read_measurements_csv(tmp_path / "measurements.csv"), layout, kind="detrended"
+        )
+        g = build_neighbor_graph(layout, 2)
+        fit = fit_separable(field, "time_then_space", g, FcarSpec.delay_absorbed(2, 1), FcarOptions())
+        stage1 = np.stack([f.residuals for f in fit.fcar_fits])
+        base = sar_residuals_field(make_field(layout, stage1), g)
+        npt.assert_array_equal(base.trace.rho, fit.sar_trace.rho)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            ulps = rng.integers(-8, 9, stage1.shape)
+            moved = stage1 + ulps * np.spacing(stage1)
+            res = sar_residuals_field(make_field(layout, moved), g)
+            assert np.max(np.abs(res.trace.rho - base.trace.rho)) <= 1e-12
+
+
+class TestSarSensorPermutation:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("perm_seed", [0, 1, 2])
+    def test_reordering_sensors_reorders_the_fit(self, k, perm_seed):
+        """Layout and graph built from the permuted sensors give the same rho
+        and the permuted residuals, to rounding."""
+        raw = simulate_field(
+            FieldSimConfig(
+                layout=grid_layout(4, 4, 90.0),
+                n_times=360,
+                dt_seconds=30.0,
+                diurnal_amplitude=600.0,
+                seed=perm_seed,
+            )
+        )
+        field, _ = detrend(raw)
+        perm = np.random.default_rng(perm_seed).permutation(16)
+        lay = field.layout
+        moved_lay = SensorLayout(tuple(lay.ids[i] for i in perm), lay.xy[perm])
+        base = sar_residuals_field(field, build_neighbor_graph(lay, k))
+        moved = sar_residuals_field(
+            make_field(moved_lay, field.values[perm]), build_neighbor_graph(moved_lay, k)
+        )
+        assert np.max(np.abs(moved.trace.rho - base.trace.rho)) <= 1e-12
+        expect = base.field.values[perm]
+        assert np.max(np.abs(moved.field.values - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestSarTimePermutation:
@@ -535,7 +691,7 @@ class TestSarResidualsField:
         field = make_field(lay, vals)
         t0 = time.monotonic()
         sar_residuals_field(field, g)
-        assert time.monotonic() - t0 < 2.0
+        assert time.monotonic() - t0 < 0.5
 
     def test_failing_column_names_time_index(self):
         lay = grid_layout(4, 4, 1.0)
@@ -561,16 +717,16 @@ class TestSarResidualsField:
             sar_residuals_field(make_field(lay, vals), g)
 
     def test_underflowing_column_is_named(self):
-        """Values near 1e-162 make RSS/S underflow to 0, where math.log has no value."""
+        """Values near 1e-162 make the residual variance underflow to 0."""
         lay = grid_layout(4, 4, 1.0)
         g = build_neighbor_graph(lay, 2)
         vals = np.random.default_rng(0).standard_normal((16, 4))
         vals[:, 2] *= 1e-162
-        with pytest.raises(ValueError, match="^math domain error$"):
+        with pytest.raises(ValueError, match=f"^{UNDERFLOW}$"):
             scalar_sar_fit_ml(vals[:, 2], g)
         with pytest.raises(
             ValueError,
-            match=r"^SAR fit failed at time index 2 \(t=1120\): math domain error$",
+            match=rf"^SAR fit failed at time index 2 \(t=1120\): {UNDERFLOW}$",
         ):
             sar_residuals_field(make_field(lay, vals), g)
         vals[:, 1] = 0.0
@@ -578,7 +734,7 @@ class TestSarResidualsField:
             sar_residuals_field(make_field(lay, vals), g)
 
     def test_tiny_columns_fail_like_the_scalar_fit(self):
-        """Across the scales where RSS underflows, in the scan or only after it."""
+        """Across the scales where the residual variance underflows."""
         lay = grid_layout(4, 4, 1.0)
         g = build_neighbor_graph(lay, 2)
         lam, vec = np.linalg.eig(g.W)
@@ -599,13 +755,15 @@ class TestSarResidualsField:
             assert res.trace.rho[0] == expect.rho
             assert res.trace.loglik[0] == expect.loglik
             assert np.array_equal(res.field.values[:, 0], expect.residuals)
-        assert {"fitted", "math domain error"} <= outcomes
+        assert {"fitted", UNDERFLOW} <= outcomes
 
     @pytest.mark.parametrize(
         "bad, first, message",
         [
             ({2: np.nan, 4: 0.0}, 2, "y must be finite"),
             ({1: 0.0, 3: np.inf}, 1, "profile likelihood is not finite: y is identically zero"),
+            # RSS overflows, so no scan point has a finite profile
+            ({3: 1e160}, 3, "profile likelihood is not finite on the admissible interval"),
         ],
     )
     def test_first_failing_column_of_a_matrix(self, bad, first, message):
@@ -613,7 +771,7 @@ class TestSarResidualsField:
         vals = np.random.default_rng(2).standard_normal((16, 6))
         for j, v in bad.items():
             vals[:, j] = v
-        with pytest.raises(_ColumnError) as info:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(_ColumnError) as info:
             _sar_fit_columns(vals, g)
         assert info.value.column == first
         assert str(info.value) == message
