@@ -468,7 +468,7 @@ def cmd_simulate(cfg: dict) -> None:
     _check(cfg["nx"] >= 1 and cfg["ny"] >= 1, "--nx and --ny must be >= 1")
     _check(cfg["spacing"] > 0, "--spacing must be > 0")
     _check(cfg["corr_length"] > 0, "--corr-length must be > 0")
-    layout = grid_layout(cfg["nx"], cfg["ny"], cfg["spacing"])
+    layout = grid_layout(cfg["ny"], cfg["nx"], cfg["spacing"])
     sim = FieldSimConfig(
         layout=layout,
         n_times=cfg["T"],

@@ -17,6 +17,11 @@ approximate 95% pointwise bands combining the local-linear sandwich
 variance with the sampling variance the pre-estimates carry into the
 pseudo-responses.
 
+Each fit builds its regression rows once (``_fit_rows``): the row times,
+u_t, the response and one design column per component (X_{t-j}, or ones
+for m_0).  The spline stage, the pseudo-responses and the kernel stage all
+read those rows, so a rule about which rows a fit uses lives in one place.
+
 When the intercept curve m_0 is present and lag d is kept among the
 regressors, m_0(u) and m_d(u)*u are only weakly separated (both are
 functions of u alone); :meth:`FcarSpec.delay_absorbed` builds the rewritten
@@ -149,8 +154,7 @@ def basis_eval(basis: SplineBasis, u) -> np.ndarray:
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ValueError("u must lie in [0, 1]")
     dist = np.abs(u_arr[..., None] - basis.knots)
-    vals = np.maximum(0.0, 1.0 - dist / basis.H)
-    return vals
+    return np.maximum(0.0, 1.0 - dist / basis.H)
 
 
 @dataclass(frozen=True)
@@ -168,36 +172,56 @@ class UTransform:
         return (np.asarray(u, dtype=float) - self.lo) / (self.hi - self.lo)
 
 
-def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int] = None):
-    """Row indices t used for fitting, their u values, and the u map."""
+@dataclass(frozen=True)
+class _FitRows:
+    """The regression rows of one fit: ``t`` the row times, ``u`` the
+    functional variable X_{t-d} (data scale) and ``umap`` its map to [0, 1],
+    ``y`` the response and ``cols`` one design column per ``spec.components``
+    entry (X_{t-j}, or ones for the intercept curve).
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    umap: UTransform
+    y: np.ndarray
+    cols: tuple[np.ndarray, ...]
+
+
+def _fit_rows(
+    x: np.ndarray, spec: FcarSpec, t_start: Optional[int], response: Optional[np.ndarray]
+) -> _FitRows:
+    """Rows t_start .. T-1 (none before ``spec.max_lag``), built once per fit.
+
+    ``response`` replaces X_t as the left-hand side; u and the design
+    columns always come from ``x``.  Every stage of a fit reads these rows.
+    """
     T = x.size
     start = spec.max_lag if t_start is None else max(t_start, spec.max_lag)
     if T - start < 2:
         raise ValueError("series too short for this specification")
     t = np.arange(start, T)
-    u_raw = x[t - spec.d]
-    lo, hi = float(u_raw.min()), float(u_raw.max())
+    u = x[t - spec.d]
+    lo, hi = float(u.min()), float(u.max())
     if not hi > lo:
         raise ValueError("functional variable is constant; cannot rescale to [0,1]")
-    return t, u_raw, UTransform(lo, hi)
-
-
-def _regressor(x: np.ndarray, t: np.ndarray, j: int) -> np.ndarray:
-    # design column attached to component j: X_{t-j}, or 1 for the intercept
-    return np.ones(t.size) if j == 0 else x[t - j]
+    y = x[t] if response is None else np.asarray(response, dtype=float)[t]
+    cols = tuple(np.ones(t.size) if j == 0 else x[t - j] for j in spec.components)
+    return _FitRows(t, u, UTransform(lo, hi), y, cols)
 
 
 @dataclass(frozen=True)
 class _SplinePrefit:
     """Marginal spline pre-fits: coefficients plus variance bookkeeping.
 
-    ``coeffs`` is (N+2) x n_components.  ``sigma2s``/``gram_invs`` hold, per
-    component, the marginal fit's residual variance and truncated inverse
-    Gram matrix; together they give the pre-estimate's pointwise sampling
-    variance, which the kernel stage folds into its bands.
+    ``coeffs`` is (N+2) x n_components; per component, ``parts`` holds the
+    term m~_j(u_t) X_{t-j} at each fit row and ``sigma2s``/``gram_invs`` the
+    marginal fit's residual variance and truncated inverse Gram matrix, which
+    give the pre-estimate's pointwise sampling variance that the kernel
+    stage folds into its bands.
     """
 
     coeffs: np.ndarray
+    parts: tuple[np.ndarray, ...]
     sigma2s: tuple[float, ...]
     gram_invs: tuple[np.ndarray, ...]
     deficient: bool
@@ -230,44 +254,37 @@ def _block_solve(D: np.ndarray, y: np.ndarray, cap: float):
 
 
 def _spline_lstsq(
-    x: np.ndarray,
-    spec: FcarSpec,
-    basis: SplineBasis,
-    response: Optional[np.ndarray],
-    t_start: Optional[int],
-    strict: bool,
+    rows: _FitRows, spec: FcarSpec, basis: SplineBasis, strict: bool
 ) -> _SplinePrefit:
-    t, u_raw, umap = _fit_rows(x, spec, t_start)
     n_funcs = basis.n_funcs
-    if t.size <= n_funcs + spec.max_lag:
+    if rows.t.size <= n_funcs + spec.max_lag:
         raise ValueError(
-            f"series too short: {t.size} usable rows for {n_funcs} "
+            f"series too short: {rows.t.size} usable rows for {n_funcs} "
             "coefficients per component"
         )
-    B = basis_eval(basis, umap.to_unit(u_raw))
-    y = x[t] if response is None else np.asarray(response, dtype=float)[t]
+    B = basis_eval(basis, rows.umap.to_unit(rows.u))
+    y = rows.y
     y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
 
-    cols, sigma2s, gram_invs, bad = [], [], [], []
-    deficient = False
-    for j in spec.components:
-        reg = _regressor(x, t, j)
+    coefs, sigma2s, gram_invs, bad = [], [], [], []
+    for j, reg in zip(spec.components, rows.cols):
         r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
         D = B * reg[:, None]
         coef, sigma2, gram_inv, rank = _block_solve(D, y, 1e3 * y_scale / r_scale)
         if rank < n_funcs:
-            deficient = True
             bad.append(j)
-        cols.append(coef)
+        coefs.append(coef)
         sigma2s.append(sigma2)
         gram_invs.append(gram_inv)
-    if deficient and strict:
+    if bad and strict:
         raise ValueError(f"rank-deficient spline design; deficient component blocks: {bad}")
+    coeffs = np.column_stack(coefs)
     return _SplinePrefit(
-        coeffs=np.column_stack(cols),
+        coeffs=coeffs,
+        parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(rows.cols)),
         sigma2s=tuple(sigma2s),
         gram_invs=tuple(gram_invs),
-        deficient=deficient,
+        deficient=bool(bad),
     )
 
 
@@ -298,43 +315,23 @@ def spline_preestimate(
     lattice model, whose temporal stage regresses spatial residuals on
     lagged values of the original series).
     """
-    x = np.asarray(x, dtype=float)
-    return _spline_lstsq(x, spec, basis, response, t_start, strict).coeffs
-
-
-def _spline_curve(coeffs: np.ndarray, comp_index: int, u_unit: np.ndarray) -> np.ndarray:
-    basis = SplineBasis(coeffs.shape[0] - 2)
-    return basis_eval(basis, np.clip(u_unit, 0.0, 1.0)) @ coeffs[:, comp_index]
+    rows = _fit_rows(np.asarray(x, dtype=float), spec, t_start, response)
+    return _spline_lstsq(rows, spec, basis, strict).coeffs
 
 
 def pseudo_responses(
-    x: np.ndarray,
-    spec: FcarSpec,
-    spline_coeffs: np.ndarray,
-    target_j: int,
-    *,
-    response: Optional[np.ndarray] = None,
-    t_start: Optional[int] = None,
+    y: np.ndarray, parts: tuple[np.ndarray, ...], c: int
 ) -> np.ndarray:
-    """Response with every estimated component except ``target_j`` removed.
+    """Response with every pre-estimated component except the c-th removed.
 
-    W_{t,j'} = X_t - sum_{j != j'} m~_j(u_t) X_{t-j}, one value per fit row.
-    The basis size is recovered from the coefficient matrix shape.
+    W_{t,j'} = X_t - sum_{j != j'} m~_j(u_t) X_{t-j}, one value per fit row:
+    ``y`` is the response at the rows and ``parts`` the pre-estimated terms
+    m~_j(u_t) X_{t-j} in ``spec.components`` order, subtracted in that order.
     """
-    x = np.asarray(x, dtype=float)
-    comps = spec.components
-    if target_j not in comps:
-        raise ValueError(
-            f"target_j={target_j} is not a fitted component; expected one of {comps}"
-        )
-    basis = SplineBasis(spline_coeffs.shape[0] - 2)
-    t, u_raw, umap = _fit_rows(x, spec, t_start)
-    u_unit = umap.to_unit(u_raw)
-    w = (x[t] if response is None else np.asarray(response, dtype=float)[t]).copy()
-    for c, j in enumerate(comps):
-        if j == target_j:
-            continue
-        w -= _spline_curve(spline_coeffs, c, u_unit) * _regressor(x, t, j)
+    w = y.copy()
+    for oc, part in enumerate(parts):
+        if oc != c:
+            w -= part
     return w
 
 
@@ -500,47 +497,34 @@ def _local_transfer(
 
 
 def sbk_estimate(
-    x: np.ndarray,
+    u: np.ndarray,
+    c1: np.ndarray,
     pseudo: np.ndarray,
-    spec: FcarSpec,
     target_j: int,
     u_grid: np.ndarray,
     h: float,
     *,
-    t_start: Optional[int] = None,
     extra_band_variance: Optional[np.ndarray] = None,
 ) -> SbkCurve:
     """Kernel refinement of one coefficient curve from its pseudo-responses.
 
-    At each grid point u the pseudo-responses are regressed on the
-    component's own design column (X_{t-j'} for a lag term, the constant 1
-    for the intercept curve) and its interaction with (u_t - u), weighted by
-    K_h(u_t - u); the estimate is the local level coefficient.  Approximate
-    95% bands use the local-linear sandwich variance with a residual-based
-    noise variance; ``extra_band_variance`` (grid-aligned, data scale) adds
-    the variance the pre-estimates carry into the pseudo-responses.  Grid
-    points backed by fewer than ``MIN_LOCAL_OBS`` observations within one
-    bandwidth are flagged unreliable.
+    ``u``, ``c1`` and ``pseudo`` hold, per fit row, the functional variable,
+    component ``target_j``'s design column (X_{t-j'} for a lag term, the
+    constant 1 for the intercept curve) and its pseudo-responses.  At each
+    grid point u0 the pseudo-responses are regressed on c1 and its
+    interaction with (u_t - u0), weighted by K_h(u_t - u0); the estimate is
+    the local level coefficient.  Approximate 95% bands use the
+    local-linear sandwich variance with a residual-based noise variance;
+    ``extra_band_variance`` (grid-aligned, data scale) adds the variance
+    the pre-estimates carry into the pseudo-responses.  Grid points backed
+    by fewer than ``MIN_LOCAL_OBS`` observations within one bandwidth are
+    flagged unreliable.
 
-    ``u_grid`` is on the data scale of u.
+    ``u_grid`` and the bandwidth ``h`` are on the data scale of u.
     """
-    x = np.asarray(x, dtype=float)
-    pseudo = np.asarray(pseudo, dtype=float)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    comps = spec.components
-    if target_j not in comps:
-        raise ValueError(
-            f"target_j={target_j} is not a fitted component; expected one of {comps}"
-        )
-    t, u_raw, _ = _fit_rows(x, spec, t_start)
-    if pseudo.size != t.size:
-        raise ValueError("pseudo-response length does not match the fit rows")
-    c1 = _regressor(x, t, target_j)
     u_grid = np.asarray(u_grid, dtype=float)
-
-    est, varu, reliable, _, _ = _local_linear(u_raw, c1, pseudo, u_grid, h)
-    obs_est, _, _, obs_rel, obs_a11inv = _local_linear(u_raw, c1, pseudo, u_raw, h)
+    est, varu, reliable, _, _ = _local_linear(u, c1, pseudo, u_grid, h)
+    obs_est, _, _, obs_rel, obs_a11inv = _local_linear(u, c1, pseudo, u, h)
 
     # noise variance from the component's own kernel-stage residuals,
     # degrees of freedom corrected by the smoother trace
@@ -634,9 +618,8 @@ class FcarFit:
     def _grid_values(self, curve: SbkCurve) -> np.ndarray:
         # kernel estimate where trustworthy, spline pre-estimate elsewhere
         comp = self.spec.components.index(curve.target_j)
-        spline_vals = _spline_curve(
-            self.spline_coeffs, comp, self.u_transform.to_unit(curve.u)
-        )
+        unit = np.clip(self.u_transform.to_unit(curve.u), 0.0, 1.0)
+        spline_vals = basis_eval(self.basis, unit) @ self.spline_coeffs[:, comp]
         use = curve.reliable & np.isfinite(curve.estimate)
         return np.where(use, curve.estimate, spline_vals)
 
@@ -679,47 +662,32 @@ def fit_fcar(
     T = x.size
     n_knots = opts.n_knots if opts.n_knots is not None else default_knot_count(T)
     basis = SplineBasis(n_knots)
-    t, u_raw, umap = _fit_rows(x, spec, t_start)
-    prefit = _spline_lstsq(x, spec, basis, response, t_start, opts.strict_rank)
-    coeffs = prefit.coeffs
-    h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u_raw, T)
-    u_grid = np.linspace(u_raw.min(), u_raw.max(), GRID_SIZE)
-    grid_B = basis_eval(basis, umap.to_unit(u_grid))
+    rows = _fit_rows(x, spec, t_start, response)
+    prefit = _spline_lstsq(rows, spec, basis, opts.strict_rank)
+    u = rows.u
+    h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
+    u_grid = np.linspace(u.min(), u.max(), GRID_SIZE)
+    grid_B = basis_eval(basis, rows.umap.to_unit(u_grid))
 
     # b(u)' G b(u): each component's spline pre-estimate variance on the
     # grid, per unit noise variance
     quads = [((grid_B @ g) * grid_B).sum(axis=1) for g in prefit.gram_invs]
 
     curves = []
-    for j in spec.components:
-        pseudo = pseudo_responses(
-            x, spec, coeffs, j, response=response, t_start=t_start
-        )
+    for c, (j, c1) in enumerate(zip(spec.components, rows.cols)):
+        pseudo = pseudo_responses(rows.y, prefit.parts, c)
         # pre-estimate noise rides into the pseudo-responses on the other
         # components' design columns; fold its propagated variance into the
         # bands so they stay honest about both estimation stages
-        c1 = _regressor(x, t, j)
         vprop = np.zeros(u_grid.size)
-        for oc, o in enumerate(spec.components):
-            if o == j:
+        for oc, other in enumerate(rows.cols):
+            if oc == c:
                 continue
-            mult = _local_transfer(u_raw, c1, _regressor(x, t, o), u_grid, h)
-            vprop += (
-                prefit.sigma2s[oc]
-                * quads[oc]
-                * np.where(np.isfinite(mult), mult, 0.0) ** 2
-            )
+            mult = _local_transfer(u, c1, other, u_grid, h)
+            mult = np.where(np.isfinite(mult), mult, 0.0)
+            vprop += prefit.sigma2s[oc] * quads[oc] * mult**2
         curves.append(
-            sbk_estimate(
-                x,
-                pseudo,
-                spec,
-                j,
-                u_grid,
-                h,
-                t_start=t_start,
-                extra_band_variance=vprop,
-            )
+            sbk_estimate(u, c1, pseudo, j, u_grid, h, extra_band_variance=vprop)
         )
 
     # in-sample fitted values from the kernel estimates at the observed u.
@@ -727,27 +695,24 @@ def fit_fcar(
     # first marginal pre-fit's prediction: each marginal fit predicts the
     # whole response on its own, so summing per-component spline fallbacks
     # would count the response more than once.
-    kernel_sum = np.zeros(t.size)
-    row_ok = np.ones(t.size, dtype=bool)
-    for j, curve in zip(spec.components, curves):
+    kernel_sum = np.zeros(rows.t.size)
+    row_ok = np.ones(rows.t.size, dtype=bool)
+    for c1, curve in zip(rows.cols, curves):
         kernel_sum += np.where(
             np.isfinite(curve.obs_estimate), curve.obs_estimate, 0.0
-        ) * _regressor(x, t, j)
+        ) * c1
         row_ok &= curve.obs_reliable & np.isfinite(curve.obs_estimate)
-    first = spec.components[0]
-    pilot = _spline_curve(coeffs, 0, umap.to_unit(u_raw)) * _regressor(x, t, first)
-    fitted = np.where(row_ok, kernel_sum, pilot)
-    y = x[t] if response is None else np.asarray(response, dtype=float)[t]
-    residuals = y - fitted
+    fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
+    residuals = rows.y - fitted
 
     return FcarFit(
         spec=spec,
         basis=basis,
-        u_transform=umap,
-        spline_coeffs=coeffs,
+        u_transform=rows.umap,
+        spline_coeffs=prefit.coeffs,
         curves=tuple(curves),
         bandwidth=float(h),
-        t_start=int(t[0]),
+        t_start=int(rows.t[0]),
         fitted=fitted,
         residuals=residuals,
         rank_deficient=prefit.deficient,

@@ -35,6 +35,7 @@ _FIT_ERRORS = (
     "admissible rho interval collapsed",
     "profile likelihood is not finite on the admissible interval",
     "residual variance underflows to zero: y is too small to fit",
+    "y is too large to fit: its sum of squares overflows",
 )
 
 
@@ -174,12 +175,21 @@ def _sar_fit_columns(Y: np.ndarray, graph: NeighborGraph):
 
     finite = np.isfinite(Y).all(axis=0)
     Y = np.where(finite, Y, 0.0)
-    # sums in sensor order (the builtin sum adds the rows of a matrix):
-    # BLAS would pick its order by the number of columns
-    WY = sum(graph.W[:, i, None] * Y[i] for i in range(S))
-    qa, qb, qc = sum(Y * Y), sum(Y * WY), sum(WY * WY)
+    r = max(abs(lo), abs(hi), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sums in sensor order (the builtin sum adds the rows of a matrix):
+        # BLAS would pick its order by the number of columns
+        WY = sum(graph.W[:, i, None] * Y[i] for i in range(S))
+        qa, qb, qc = sum(Y * Y), sum(Y * WY), sum(WY * WY)
+        # 8 S (qa + r^2 qc) bounds every sum formed below, S * RSS(rho)
+        # on the interval included
+        huge = ~np.isfinite(8.0 * S * (qa + r * r * qc))
+    # a column whose bound overflows runs on as zeros, so it raises no
+    # warning, and fails with its own code
+    Y, WY = np.where(huge, 0.0, Y), np.where(huge, 0.0, WY)
+    qa, qb, qc = (np.where(huge, 0.0, q) for q in (qa, qb, qc))
     # first failing check per column, in the order a one-column fit runs them
-    err = np.where(finite, np.where(qa == 0.0, 2, 0), 1)
+    err = np.where(finite, np.where(huge, 6, np.where(qa == 0.0, 2, 0)), 1)
     if not hi > lo:
         # every column fails, so the first one is named
         raise _ColumnError(0, _FIT_ERRORS[err[0] or 3])

@@ -90,6 +90,16 @@ def test_simulate_seed_changes_measurements(tmp_path):
     assert (a / "measurements.csv").read_bytes() != (b / "measurements.csv").read_bytes()
 
 
+def test_simulate_grid_columns_and_rows(tmp_path):
+    # --nx counts grid columns (distinct x), --ny grid rows (distinct y)
+    out = tmp_path / "wide"
+    assert run_cli("simulate", "--out", out, "--T", 20, "--nx", 5, "--ny", 3) == 0
+    layout = read_layout_csv(out / "layout.csv")
+    assert layout.n_sensors == 15
+    assert np.unique(layout.xy[:, 0]).size == 5
+    assert np.unique(layout.xy[:, 1]).size == 3
+
+
 def test_simulate_raw_field_with_diurnal_trend(tmp_path):
     out = tmp_path / "raw"
     assert run_cli(
@@ -529,3 +539,21 @@ def test_exports_and_tracer_targets_resolve():
     for mod_name, fn_name, _ in tracing.TARGETS:
         module = importlib.import_module(f"skylattice.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_fixture_digests_do_not_depend_on_the_out_dir(tmp_path):
+    # the listing compares the outputs of two checkouts, so it must not
+    # change with the directory the commands write into
+    tool = Path(__file__).resolve().parents[1] / "tools" / "fixture_digests.py"
+    listings = []
+    for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        proc = subprocess.run(
+            [sys.executable, str(tool), str(out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        listings.append(proc.stdout)
+    assert listings[0] == listings[1]
+    paths = [line.split("  ", 1)[1] for line in listings[0].splitlines()]
+    assert len(paths) == 39
+    assert paths == sorted(paths)
+    assert "fit-sar-raw/run.json" in paths

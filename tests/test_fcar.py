@@ -272,70 +272,121 @@ class TestSplinePreestimate:
             assert float(np.max(np.abs(corr))) < 1e-6
 
 
+def spline_rows(x, spec, basis):
+    """The fit rows of ``x`` and their marginal spline pre-fit."""
+    rows = fcar._fit_rows(x, spec, None, None)
+    return rows, fcar._spline_lstsq(rows, spec, basis, False)
+
+
+class TestFitRows:
+    def test_rows_hold_the_regression(self):
+        x = ar2_series(60, seed=3)
+        resp = np.cos(x)
+        spec = FcarSpec(p=3, d=2, include_intercept_function=True, lags=(1, 3))
+        rows = fcar._fit_rows(x, spec, 5, resp)
+        t = np.arange(5, 60)
+        npt.assert_array_equal(rows.t, t)
+        npt.assert_array_equal(rows.u, x[t - 2])
+        assert rows.umap == UTransform(x[t - 2].min(), x[t - 2].max())
+        npt.assert_array_equal(rows.y, resp[t])
+        assert len(rows.cols) == 3
+        for col, want in zip(rows.cols, (np.ones(t.size), x[t - 1], x[t - 3])):
+            npt.assert_array_equal(col, want)
+        # rows never start before the largest lag
+        npt.assert_array_equal(fcar._fit_rows(x, spec, 1, None).t, np.arange(3, 60))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FcarSpec.delay_absorbed(2, 1), FcarSpec(p=2, d=1)],
+        ids=["delay-absorbed", "plain"],
+    )
+    def test_one_row_build_per_fit(self, monkeypatch, spec):
+        calls = {"_fit_rows": 0, "fit_fcar": 0}
+
+        def counting(name):
+            original = getattr(fcar, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(fcar, "_fit_rows", counting("_fit_rows"))
+        x = simulate_expar2(Expar2Config(n_times=200, seed=1))
+        fit_fcar(x, spec)
+        fit_fcar(x, spec, response=np.sin(x), t_start=4)
+        assert calls["_fit_rows"] == 2
+        # every fit of a lattice model builds its rows once as well
+        monkeypatch.setattr(fcar, "fit_fcar", counting("fit_fcar"))
+        monkeypatch.setattr("skylattice.fcsar.fit_fcar", fcar.fit_fcar)
+        layout = grid_layout(3, 3, spacing=90.0)
+        field = simulate_field(FieldSimConfig(layout, 80, seed=2))
+        graph = build_neighbor_graph(layout, 2)
+        fit_fcsar(field, FcsarSpec.uniform(graph, 1, spec), FcarOptions(n_knots=4))
+        assert calls["fit_fcar"] > 9
+        assert calls["_fit_rows"] == 2 + calls["fit_fcar"]
+
+
 class TestPseudoResponses:
     def test_strips_the_other_component(self):
         x = simulate_expar2(Expar2Config(n_times=200, seed=2))
         spec = FcarSpec.delay_absorbed(2, 1)
         basis = SplineBasis(8)
-        coeffs = spline_preestimate(x, spec, basis)
-        w = pseudo_responses(x, spec, coeffs, 2)
+        rows, prefit = spline_rows(x, spec, basis)
+        w = pseudo_responses(rows.y, prefit.parts, 1)
         t = np.arange(2, x.size)
         u = x[t - 1]
         unit = (u - u.min()) / (u.max() - u.min())
-        intercept = basis_eval(basis, unit) @ coeffs[:, 0]
+        intercept = basis_eval(basis, unit) @ spline_preestimate(x, spec, basis)[:, 0]
         npt.assert_allclose(w, x[t] - intercept, atol=1e-12)
 
     def test_zero_coefficients_leave_series_untouched(self):
         x = ar1_series(80, seed=4)
-        spec = FcarSpec(p=2, d=1)
-        coeffs = np.zeros((6, 2))
-        for j in spec.components:
-            w = pseudo_responses(x, spec, coeffs, j)
-            npt.assert_allclose(w, x[2:], atol=0)
+        y = x[2:].copy()
+        parts = (np.zeros(y.size), np.zeros(y.size))
+        for c in range(2):
+            w = pseudo_responses(y, parts, c)
+            npt.assert_array_equal(w, x[2:])
+            w += 1.0
+            npt.assert_array_equal(y, x[2:])
 
     def test_stripped_parts_sum_to_full_prediction(self):
         x = ar2_series(50, seed=8)
         spec = FcarSpec(p=2, d=1)
         basis = SplineBasis(3)
-        coeffs = spline_preestimate(x, spec, basis)
+        rows, prefit = spline_rows(x, spec, basis)
         t = np.arange(2, x.size)
         u = x[t - 1]
         unit = (u - u.min()) / (u.max() - u.min())
         B = basis_eval(basis, unit)
         full = np.zeros(t.size)
         for c, j in enumerate(spec.components):
-            full += (B @ coeffs[:, c]) * x[t - j]
-        w1 = pseudo_responses(x, spec, coeffs, 1)
-        w2 = pseudo_responses(x, spec, coeffs, 2)
+            full += (B @ prefit.coeffs[:, c]) * x[t - j]
+        w1 = pseudo_responses(rows.y, prefit.parts, 0)
+        w2 = pseudo_responses(rows.y, prefit.parts, 1)
         npt.assert_allclose(2.0 * x[t] - w1 - w2, full, atol=1e-10)
-
-    def test_unknown_target_raises(self):
-        x = ar1_series(60, seed=0)
-        with pytest.raises(ValueError, match="not a fitted component"):
-            pseudo_responses(x, FcarSpec(p=2, d=1), np.zeros((6, 2)), 3)
 
 
 class TestSbkEstimate:
     def test_constant_coefficient_recovered_exactly(self):
         x = ar1_series(200, seed=6)
-        spec = FcarSpec(p=1, d=1)
         pseudo = 0.7 * x[:-1]
         u = x[:-1]
         grid = np.linspace(u.min(), u.max(), 21)
-        curve = sbk_estimate(x, pseudo, spec, 1, grid, h=0.5 * float(np.std(u)))
+        curve = sbk_estimate(u, u, pseudo, 1, grid, h=0.5 * float(np.std(u)))
         good = curve.reliable
         assert good.any()
         npt.assert_allclose(curve.estimate[good], 0.7, atol=1e-6)
 
     def test_matches_hand_rolled_weighted_least_squares(self):
         x = ar1_series(40, seed=13)
-        spec = FcarSpec(p=1, d=1)
         t = np.arange(1, 40)
         u = x[t - 1]
         pseudo = x[t]
         u0 = float(np.median(u))
         h = 0.8 * float(np.std(u))
-        curve = sbk_estimate(x, pseudo, spec, 1, np.array([u0]), h)
+        curve = sbk_estimate(u, u, pseudo, 1, np.array([u0]), h)
         diff = u - u0
         k = np.where(np.abs(diff / h) <= 1, 0.75 * (1 - (diff / h) ** 2), 0.0) / h
         D = np.column_stack([u, u * diff])
@@ -356,36 +407,24 @@ class TestSbkEstimate:
         u = x[:-1]
         far = u.max() + 5.0
         grid = np.array([float(np.quantile(u, 0.9)), far])
-        curve = sbk_estimate(x, x[1:], FcarSpec(p=1, d=1), 1, grid, h=0.3)
+        curve = sbk_estimate(u, u, x[1:], 1, grid, h=0.3)
         assert curve.reliable[0]
         assert not curve.reliable[1]
         assert np.isnan(curve.estimate[1])
 
     def test_extra_band_variance_widens_bands(self):
         x = ar1_series(150, seed=15)
-        spec = FcarSpec(p=1, d=1)
         u = x[:-1]
         grid = np.linspace(np.quantile(u, 0.2), np.quantile(u, 0.8), 11)
         h = float(np.std(u)) * 0.6
-        plain = sbk_estimate(x, x[1:], spec, 1, grid, h)
+        plain = sbk_estimate(u, u, x[1:], 1, grid, h)
         wide = sbk_estimate(
-            x, x[1:], spec, 1, grid, h, extra_band_variance=np.full(grid.size, 0.5)
+            u, u, x[1:], 1, grid, h, extra_band_variance=np.full(grid.size, 0.5)
         )
         both = plain.reliable & wide.reliable
         assert np.all(
             (wide.upper - wide.lower)[both] > (plain.upper - plain.lower)[both]
         )
-
-    def test_bad_inputs_raise(self):
-        x = ar1_series(60, seed=2)
-        spec = FcarSpec(p=1, d=1)
-        grid = np.linspace(-1, 1, 5)
-        with pytest.raises(ValueError, match="bandwidth"):
-            sbk_estimate(x, x[1:], spec, 1, grid, h=0.0)
-        with pytest.raises(ValueError, match="not a fitted component"):
-            sbk_estimate(x, x[1:], spec, 2, grid, h=0.5)
-        with pytest.raises(ValueError, match="length"):
-            sbk_estimate(x, x[1:40], spec, 1, grid, h=0.5)
 
 
 class TestFitFcar:
@@ -520,6 +559,11 @@ class TestFitFcar:
         with pytest.raises(ValueError, match="constant"):
             fit_fcar(np.ones(100), spec)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5])
+    def test_nonpositive_bandwidth_raises(self, h):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            FcarOptions(bandwidth=h)
+
 
 class TestEffectiveParams:
     def test_infinite_bandwidth_limit_is_two_per_curve(self):
@@ -531,13 +575,12 @@ class TestEffectiveParams:
 
     def test_matches_dense_smoother_trace(self):
         x = ar1_series(60, seed=23)
-        spec = FcarSpec(p=1, d=1)
         t = np.arange(1, 60)
         u = x[t - 1]
         c1 = u
         pseudo = x[t]
         h = float(np.std(u))
-        curve = sbk_estimate(x, pseudo, spec, 1, np.array([0.0]), h)
+        curve = sbk_estimate(u, c1, pseudo, 1, np.array([0.0]), h)
         trace = 0.0
         for i in range(t.size):
             diff = u - u[i]
@@ -828,22 +871,24 @@ class TestWindowedFitOracle:
         x = simulate_expar2(Expar2Config(n_times=500, seed=0))
         spec = FcarSpec.delay_absorbed(2, 1)
         fit = fit_fcar(x, spec)
-        t, u_raw, umap = fcar._fit_rows(x, spec)
-        prefit = fcar._spline_lstsq(x, spec, fit.basis, None, None, False)
+        _, prefit = spline_rows(x, spec, fit.basis)
+        t = np.arange(2, x.size)
+        u = x[t - 1]
+        unit = (u - u.min()) / (u.max() - u.min())
+        cols = [np.ones(t.size), x[t - 2]]
+        parts = [(basis_eval(fit.basis, unit) @ prefit.coeffs[:, c]) * cols[c] for c in (0, 1)]
         grid = fit.curves[0].u
-        grid_B = basis_eval(fit.basis, umap.to_unit(grid))
+        grid_B = basis_eval(fit.basis, fit.u_transform.to_unit(grid))
         h = fit.bandwidth
-        for j, curve in zip(spec.components, fit.curves):
-            c1 = fcar._regressor(x, t, j)
-            pseudo = pseudo_responses(x, spec, prefit.coeffs, j)
-            varu = dense_local_linear(u_raw, c1, pseudo, grid, h)[1]
+        for c, curve in enumerate(fit.curves):
+            c1 = cols[c]
+            pseudo = x[t] - parts[1 - c]
+            varu = dense_local_linear(u, c1, pseudo, grid, h)[1]
             vprop = np.zeros(grid.size)
-            for oc, o in enumerate(spec.components):
-                if o == j:
+            for oc in (0, 1):
+                if oc == c:
                     continue
-                mult = dense_local_transfer(
-                    u_raw, c1, fcar._regressor(x, t, o), grid, h
-                )
+                mult = dense_local_transfer(u, c1, cols[oc], grid, h)
                 quad = np.einsum("ij,jk,ik->i", grid_B, prefit.gram_invs[oc], grid_B)
                 mult = np.where(np.isfinite(mult), mult, 0.0)
                 vprop += prefit.sigma2s[oc] * quad * mult**2
@@ -876,3 +921,34 @@ class TestLocalLinearPermutation:
         npt.assert_array_equal(moved[3], base[3])
         for i in (0, 1, 4):
             npt.assert_allclose(moved[i], base[i], rtol=1e-12, atol=0, equal_nan=True)
+
+
+class TestValueScaling:
+    """Scaling the series by c scales u, the intercept curve and the fitted
+    values by c and leaves a lag curve unchanged.  A power of two scales
+    every intermediate exactly; c = 3 rounds."""
+
+    @pytest.mark.parametrize("c", [4.0, 0.25])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_power_of_two_scales_exactly(self, c, seed):
+        x = simulate_expar2(Expar2Config(n_times=500, seed=seed))
+        spec = FcarSpec.delay_absorbed(2, 1)
+        base, scaled = fit_fcar(x, spec), fit_fcar(c * x, spec)
+        assert np.array_equal(scaled.fitted, c * base.fitted)
+        assert np.array_equal(scaled.residuals, c * base.residuals)
+        for mine, ref in zip(scaled.curves, base.curves):
+            assert np.array_equal(mine.u, c * ref.u)
+            assert np.array_equal(mine.reliable, ref.reliable)
+            assert np.array_equal(mine.obs_reliable, ref.obs_reliable)
+        (mine0, mine2), (ref0, ref2) = scaled.curves, base.curves
+        for name in ("estimate", "lower", "upper"):
+            assert np.array_equal(getattr(mine0, name), c * getattr(ref0, name), equal_nan=True)
+            assert np.array_equal(getattr(mine2, name), getattr(ref2, name), equal_nan=True)
+
+    def test_other_factor_scales_to_rounding(self):
+        x = simulate_expar2(Expar2Config(n_times=500, seed=0))
+        spec = FcarSpec.delay_absorbed(2, 1)
+        base, scaled = fit_fcar(x, spec), fit_fcar(3.0 * x, spec)
+        # relative to the largest fitted value: single values near 0 cancel
+        want = 3.0 * base.fitted
+        npt.assert_allclose(scaled.fitted, want, rtol=0, atol=1e-12 * np.abs(want).max())

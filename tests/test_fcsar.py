@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from skylattice import (
@@ -12,7 +13,9 @@ from skylattice import (
     grid_layout,
     natural_neighbor_predict,
 )
+from skylattice.evaluation import CrossvalPlan, crossval
 from skylattice.fcar import FcarOptions, FcarSpec, effective_params, fit_fcar
+from skylattice.spatial import sar_residuals_field, voronoi_weights
 from skylattice.fcsar import (
     _BACKFIT_CYCLES,
     FcsarFit,
@@ -455,6 +458,58 @@ def test_scaling_the_coordinates_leaves_the_fit_unchanged(kind, b):
     layout = SensorLayout(field.layout.ids, 4.0 * field.layout.xy)
     scaled = SpatioTemporalField(layout, field.timestamps, field.values, "detrended")
     assert_same_fit(fit_on(scaled, b), fit_on(field, b))
+
+
+@pytest.mark.parametrize("c", [4.0, 0.25])
+def test_scaling_the_values_scales_the_fit(c):
+    # a power of two scales every intermediate exactly: beta and SAR rho
+    # are ratios of sums of the values, the fitted values scale with them
+    field = layout_field("grid")
+    scaled = field.replace_values(c * field.values)
+    base, moved = fit_on(field, 2), fit_on(scaled, 2)
+    assert np.array_equal(moved.beta, base.beta)
+    assert np.array_equal(moved.fitted_values, c * base.fitted_values, equal_nan=True)
+    assert np.array_equal(moved.residuals, c * base.residuals, equal_nan=True)
+    graph = build_neighbor_graph(field.layout, k=2)
+    rho = sar_residuals_field(field, graph).trace.rho
+    assert np.array_equal(sar_residuals_field(scaled, graph).trace.rho, rho)
+
+
+def shifted(field, offset):
+    layout = SensorLayout(field.layout.ids, field.layout.xy + np.asarray(offset))
+    return SpatioTemporalField(layout, field.timestamps, field.values, "detrended")
+
+
+@pytest.mark.parametrize("kind", ["grid", "jittered"])
+def test_translating_the_coordinates_leaves_the_fit_unchanged(kind):
+    """Shifting every sensor by (1000, -500) m keeps the neighbours, the
+    fits and SAR rho bit for bit, and the natural-neighbour weights and
+    their crossval RMPE to rounding.  The shifted grid keeps its distances
+    exact; an offset such as (12345.678, 0.1) rounds the grid's equal
+    distances apart and reorders their ties, so it is not used here."""
+    field = layout_field(kind)
+    moved = shifted(field, (1000.0, -500.0))
+    graph = build_neighbor_graph(field.layout, k=2)
+    moved_graph = build_neighbor_graph(moved.layout, k=2)
+    assert moved_graph.neighbors == graph.neighbors
+    assert np.array_equal(moved_graph.W, graph.W)
+    for b in (1, 2):
+        assert_same_fit(fit_on(moved, b), fit_on(field, b))
+    assert np.array_equal(
+        sar_residuals_field(moved, moved_graph).trace.rho,
+        sar_residuals_field(field, graph).trace.rho,
+    )
+    S = field.n_sensors
+    for i in range(S):
+        keep = [sid for j, sid in enumerate(field.layout.ids) if j != i]
+        base = voronoi_weights(field.layout.subset(keep), tuple(field.layout.xy[i]))
+        other = voronoi_weights(moved.layout.subset(keep), tuple(moved.layout.xy[i]))
+        assert other.hull_fallback == base.hull_fallback
+        npt.assert_allclose(other.as_vector(S - 1), base.as_vector(S - 1), rtol=0, atol=1e-9)
+    plan = CrossvalPlan.all_subsets(S, 1)
+    want = crossval(field, plan, "natural_neighbor", eval_start=2).rmpe_values
+    got = crossval(moved, plan, "natural_neighbor", eval_start=2).rmpe_values
+    npt.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 def test_fit_is_deterministic():

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -762,8 +763,7 @@ class TestSarResidualsField:
         [
             ({2: np.nan, 4: 0.0}, 2, "y must be finite"),
             ({1: 0.0, 3: np.inf}, 1, "profile likelihood is not finite: y is identically zero"),
-            # RSS overflows, so no scan point has a finite profile
-            ({3: 1e160}, 3, "profile likelihood is not finite on the admissible interval"),
+            ({3: 1e160, 5: 0.0}, 3, "y is too large to fit: its sum of squares overflows"),
         ],
     )
     def test_first_failing_column_of_a_matrix(self, bad, first, message):
@@ -771,10 +771,22 @@ class TestSarResidualsField:
         vals = np.random.default_rng(2).standard_normal((16, 6))
         for j, v in bad.items():
             vals[:, j] = v
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(_ColumnError) as info:
+        with warnings.catch_warnings(), pytest.raises(_ColumnError) as info:
+            warnings.simplefilter("error")
             _sar_fit_columns(vals, g)
         assert info.value.column == first
         assert str(info.value) == message
+
+    def test_overflowing_column_fails_without_warning(self):
+        g = build_neighbor_graph(grid_layout(4, 4, 1.0), 2)
+        y = np.random.default_rng(0).standard_normal(16)
+        base = sar_fit_ml(y, g).rho
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^y is too large to fit: its sum of squares overflows$"):
+                sar_fit_ml(1e160 * y, g)
+            # large columns whose sums stay finite still fit
+            assert sar_fit_ml(1e150 * y, g).rho == pytest.approx(base, rel=1e-12)
 
     def test_layout_mismatch_raises(self):
         g = build_neighbor_graph(grid_layout(4, 4, 1.0), 2)
