@@ -56,9 +56,10 @@ from .evaluation import (
     write_rmpe_ratio_csv,
     write_window_rmse_csv,
 )
-from .fcar import FcarOptions, FcarSpec, effective_params, fit_fcar
+from .fcar import FcarOptions, FcarSpec, effective_params
 from .fcsar import (
     FcsarSpec,
+    _fit_sensor,
     fit_fcsar,
     fit_separable,
     nan_padded,
@@ -292,6 +293,11 @@ def _check(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _check_distinct(values: tuple, flag: str) -> None:
+    for i, v in enumerate(values):
+        _check(v not in values[:i], f"{flag} repeats the value {v:g}")
+
+
 def _validate_common(cfg: dict) -> None:
     _check(cfg["verbosity"] >= 0, "--verbosity must be >= 0")
 
@@ -364,6 +370,16 @@ def _fcar_options(cfg: dict) -> FcarOptions:
     )
 
 
+def _adj_r2(obs: np.ndarray, fitted: np.ndarray, n_params: float):
+    """Adjusted R^2 and its summary-line text; (None, "") when the effective
+    parameter count reaches the number of scored cells, so ``fit.json``
+    gets null and ``window_rmse.csv`` an empty cell."""
+    if not n_params < obs.size:
+        return None, ""
+    adj = adjusted_r2(obs, fitted, n_params)
+    return adj, f" adj_r2={adj:.6g}"
+
+
 def _field_rows(field: SpatioTemporalField, support: int, *columns: np.ndarray):
     """Rows (t, sensor, *values) of S x T matrices from time index ``support`` on."""
     stamps = timestamp_strings(field.timestamps)
@@ -396,7 +412,10 @@ class ModelFit(NamedTuple):
 def _fit_fcar_each(field: SpatioTemporalField, cfg: dict) -> ModelFit:
     field.require_complete("per-sensor fcar fitting")
     spec, options = _temporal_spec(cfg), _fcar_options(cfg)
-    fits = [fit_fcar(x, spec, options) for x in field.values]
+    fits = [
+        _fit_sensor(sensor, x, spec, options)
+        for sensor, x in zip(field.layout.ids, field.values)
+    ]
     return ModelFit(
         nan_padded(np.stack([f.fitted for f in fits]), field.n_times),
         nan_padded(np.stack([f.residuals for f in fits]), field.n_times),
@@ -537,7 +556,7 @@ def cmd_fit(cfg: dict) -> None:
     obs = field.values[:, support:]
     fitted = fit.fitted[:, support:]
     value_rmse = rmse(obs, fitted)
-    adj = adjusted_r2(obs, fitted, fit.n_params) if fit.n_params < obs.size else None
+    adj, adj_text = _adj_r2(obs, fitted, fit.n_params)
 
     out_dir = _start_run(cfg, "fit")
     _write_csv_rows(
@@ -563,7 +582,6 @@ def cmd_fit(cfg: dict) -> None:
     (out_dir / "fit.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
-    adj_text = f" adj_r2={adj:.6g}" if adj is not None else ""
     _say(cfg, 1, f"{cfg['label']} model={model} rmse={value_rmse:.10g}{adj_text}")
 
 
@@ -584,6 +602,7 @@ def cmd_crossval(cfg: dict) -> None:
     _validate_model(cfg)
     _check(len(cfg["k"]) > 0, "--k needs at least one value")
     _check(all(k >= 1 for k in cfg["k"]), "--k values must be >= 1")
+    _check_distinct(cfg["k"], "--k")
     _check(cfg["cap"] >= 1, "--cap must be >= 1")
     field = _load_field(cfg)
     spec = FcsarSpec.uniform(
@@ -676,6 +695,7 @@ def cmd_report(cfg: dict) -> None:
     _validate_model(cfg)
     _check(len(cfg["windows"]) > 0, "--windows needs at least one value")
     _check(all(w > 0 for w in cfg["windows"]), "--windows values must be > 0")
+    _check_distinct(cfg["windows"], "--windows")
     _validate_prep(cfg)
     field = _load_field(cfg)
     out_dir = _start_run(cfg, "report")
@@ -686,14 +706,9 @@ def cmd_report(cfg: dict) -> None:
         obs = averaged.values[:, fit.support :]
         fitted = fit.fitted[:, fit.support :]
         window_rmse = rmse(obs, fitted)
-        adj = adjusted_r2(obs, fitted, fit.n_params)
+        adj, adj_text = _adj_r2(obs, fitted, fit.n_params)
         rows.append((cfg["label"], window, window_rmse, adj))
-        _say(
-            cfg,
-            1,
-            f"{cfg['label']} window={window:g}s rmse={window_rmse:.6g} "
-            f"adj_r2={adj:.6g}",
-        )
+        _say(cfg, 1, f"{cfg['label']} window={window:g}s rmse={window_rmse:.6g}{adj_text}")
     write_window_rmse_csv(rows, out_dir / "window_rmse.csv")
 
 

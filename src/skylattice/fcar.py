@@ -21,6 +21,10 @@ Each fit builds its regression rows once (``_fit_rows``): the row times,
 u_t, the response and one design column per component (X_{t-j}, or ones
 for m_0).  The spline stage, the pseudo-responses and the kernel stage all
 read those rows, so a rule about which rows a fit uses lives in one place.
+The kernel stage (``sbk_estimate``) refines every curve together: one
+kernel-window sweep over the grid and one over the observed u serve all
+components, and the grid sweep's cross sums also give the band
+propagation.
 
 When the intercept curve m_0 is present and lag d is kept among the
 regressors, m_0(u) and m_d(u)*u are only weakly separated (both are
@@ -402,18 +406,21 @@ def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float):
 
 def _local_linear(
     u_obs: np.ndarray,
-    c1: np.ndarray,
-    w: np.ndarray,
+    cols: tuple[np.ndarray, ...],
+    ws: tuple[np.ndarray, ...],
     u_eval: np.ndarray,
     h: float,
 ):
-    """Weighted local-linear solve of w ~ c1 at each evaluation point.
+    """Weighted local-linear solves of ws[c] ~ cols[c] for every component c.
 
-    Returns (estimate, unit_variance, reliable, raw_reliable, a11_inv):
-    unit_variance is the sandwich variance per unit noise variance and
-    a11_inv the (1,1) entry of the inverted local Gram matrix (needed for
-    the smoother diagonal).  Singular local systems yield NaN estimates and
-    both reliability flags False.
+    Returns (estimate, unit_variance, reliable, raw_reliable, a11_inv,
+    cross).  The first five are (n_components, n_eval), one row per
+    component: unit_variance is the sandwich variance per unit noise
+    variance and a11_inv the (1,1) entry of the inverted local Gram matrix
+    (needed for the smoother diagonal).  Singular local systems yield NaN
+    estimates and both reliability flags False.  ``cross[c, oc]`` is the
+    kernel sum of cols[c] * cols[oc] at each evaluation point; its diagonal
+    is the local Gram matrix's (0,0) entry.
 
     ``reliable`` counts effective observations: an in-bandwidth observation
     counts in proportion to c1^2 relative to the sample mean square, so
@@ -425,133 +432,129 @@ def _local_linear(
     product estimate*c1 stays well behaved there even where the coefficient
     alone does not, which is what in-sample fitted values need.
 
-    The kernel sums run over :func:`_kernel_windows`: for each evaluation
-    point, a window of observations that is a superset of the kernel's
-    support.  Observations outside the window have zero kernel weight and lie outside the
-    bandwidth, so they add nothing to any sum or count, and the results
-    equal the sums over all observations up to summation order.
+    One :func:`_kernel_windows` sweep serves every component: for each
+    evaluation point, a window of observations that is a superset of the
+    kernel's support.  Observations outside the window have zero kernel
+    weight and lie outside the bandwidth, so they add nothing to any sum or
+    count, and the results equal the sums over all observations up to
+    summation order.
     """
-    n_eval = u_eval.size
-    est = np.full(n_eval, np.nan)
-    varu = np.full(n_eval, np.nan)
-    a11inv = np.full(n_eval, np.nan)
-    reliable = np.zeros(n_eval, dtype=bool)
-    raw_reliable = np.zeros(n_eval, dtype=bool)
-    info_wt = c1**2 / max(float(np.mean(c1**2)), 1e-300)
+    m, n_eval = len(cols), u_eval.size
+    est, varu, a11inv = (np.full((m, n_eval), np.nan) for _ in range(3))
+    reliable = np.zeros((m, n_eval), dtype=bool)
+    raw_reliable = np.zeros((m, n_eval), dtype=bool)
+    cross = np.zeros((m, m, n_eval))
+    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
     for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
         in_bw = np.abs(diff) <= h
         n_raw = np.count_nonzero(in_bw, axis=1)
-        n_info = (in_bw * info_wt[idx]).sum(axis=1)
-        c1w, ww = c1[idx], w[idx]
-        c2 = c1w * diff
-        kc1 = k * c1w**2
-        a00 = kc1.sum(axis=1)
-        a01 = (k * c1w * c2).sum(axis=1)
-        a11 = (k * c2 * c2).sum(axis=1)
-        b0 = (k * c1w * ww).sum(axis=1)
-        b1 = (k * c2 * ww).sum(axis=1)
-        det = a00 * a11 - a01 * a01
-        scale = np.abs(a00 * a11) + a01 * a01
-        ok = det > 1e-12 * np.maximum(scale, 1e-300)
-        good = np.where(ok)[0]
-        est[sl][good] = (a11[good] * b0[good] - a01[good] * b1[good]) / det[good]
-        # sandwich: first diagonal entry of A^-1 B A^-1
         k2 = k * k
-        s00 = (k2 * c1w**2).sum(axis=1)
-        s01 = (k2 * c1w * c2).sum(axis=1)
-        s11 = (k2 * c2 * c2).sum(axis=1)
-        num = (
-            a11[good] ** 2 * s00[good]
-            - 2.0 * a11[good] * a01[good] * s01[good]
-            + a01[good] ** 2 * s11[good]
-        )
-        varu[sl][good] = num / det[good] ** 2
-        a11inv[sl][good] = a11[good] / det[good]
-        reliable[sl] = ok & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
-        raw_reliable[sl] = ok & (n_raw >= MIN_LOCAL_OBS)
-    return est, varu, reliable, raw_reliable, a11inv
-
-
-def _local_transfer(
-    u_obs: np.ndarray,
-    c1: np.ndarray,
-    other: np.ndarray,
-    u_eval: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """Local multiplier mapping an error riding on ``other`` into the level.
-
-    A pre-estimate error in another component enters the pseudo-response as
-    e(u_t) * other_t with e nearly constant inside a kernel window, so the
-    local level estimate shifts by roughly e(u) times this ratio.  Used to
-    propagate pre-estimate sampling variance into the bands.
-    """
-    mult = np.full(u_eval.size, np.nan)
-    for sl, idx, _, k in _kernel_windows(u_obs, u_eval, h):
-        c1w = c1[idx]
-        num = (k * c1w * other[idx]).sum(axis=1)
-        den = (k * c1w**2).sum(axis=1)
-        good = den > 0.0
-        mult[sl] = np.divide(num, den, out=np.full(den.shape, np.nan), where=good)
-    return mult
+        cws = [c1[idx] for c1 in cols]
+        for c, (c1w, w) in enumerate(zip(cws, ws)):
+            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
+            ww = w[idx]
+            c2 = c1w * diff
+            a00 = (k * c1w**2).sum(axis=1)
+            for oc, other in enumerate(cws):
+                cross[c, oc, sl] = a00 if oc == c else (k * c1w * other).sum(axis=1)
+            a01 = (k * c1w * c2).sum(axis=1)
+            a11 = (k * c2 * c2).sum(axis=1)
+            b0 = (k * c1w * ww).sum(axis=1)
+            b1 = (k * c2 * ww).sum(axis=1)
+            det = a00 * a11 - a01 * a01
+            scale = np.abs(a00 * a11) + a01 * a01
+            ok = det > 1e-12 * np.maximum(scale, 1e-300)
+            good = np.where(ok)[0]
+            est[c, sl][good] = (a11[good] * b0[good] - a01[good] * b1[good]) / det[good]
+            # sandwich: first diagonal entry of A^-1 B A^-1
+            s00 = (k2 * c1w**2).sum(axis=1)
+            s01 = (k2 * c1w * c2).sum(axis=1)
+            s11 = (k2 * c2 * c2).sum(axis=1)
+            num = (
+                a11[good] ** 2 * s00[good]
+                - 2.0 * a11[good] * a01[good] * s01[good]
+                + a01[good] ** 2 * s11[good]
+            )
+            varu[c, sl][good] = num / det[good] ** 2
+            a11inv[c, sl][good] = a11[good] / det[good]
+            reliable[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
+            raw_reliable[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS)
+    return est, varu, reliable, raw_reliable, a11inv, cross
 
 
 def sbk_estimate(
     u: np.ndarray,
-    c1: np.ndarray,
-    pseudo: np.ndarray,
-    target_j: int,
+    cols: tuple[np.ndarray, ...],
+    pseudos: tuple[np.ndarray, ...],
+    components: tuple[int, ...],
     u_grid: np.ndarray,
     h: float,
-    *,
-    extra_band_variance: Optional[np.ndarray] = None,
-) -> SbkCurve:
-    """Kernel refinement of one coefficient curve from its pseudo-responses.
+    prefit_variance: tuple[np.ndarray, ...],
+) -> tuple[SbkCurve, ...]:
+    """Kernel refinement of every coefficient curve from its pseudo-responses.
 
-    ``u``, ``c1`` and ``pseudo`` hold, per fit row, the functional variable,
-    component ``target_j``'s design column (X_{t-j'} for a lag term, the
-    constant 1 for the intercept curve) and its pseudo-responses.  At each
-    grid point u0 the pseudo-responses are regressed on c1 and its
-    interaction with (u_t - u0), weighted by K_h(u_t - u0); the estimate is
-    the local level coefficient.  Approximate 95% bands use the
-    local-linear sandwich variance with a residual-based noise variance;
-    ``extra_band_variance`` (grid-aligned, data scale) adds the variance
-    the pre-estimates carry into the pseudo-responses.  Grid points backed
-    by fewer than ``MIN_LOCAL_OBS`` observations within one bandwidth are
-    flagged unreliable.
+    ``u`` holds the functional variable per fit row; per component (in
+    ``components`` order), ``cols`` holds its design column (X_{t-j'} for a
+    lag term, the constant 1 for the intercept curve) and ``pseudos`` its
+    pseudo-responses.  At each grid point u0 a component's pseudo-responses
+    are regressed on its design column c1 and c1's interaction with
+    (u_t - u0), weighted by K_h(u_t - u0); the estimate is the local level
+    coefficient.  One kernel sweep over the grid and one over the observed
+    u serve all components.
+
+    Approximate 95% bands use the local-linear sandwich variance with a
+    residual-based noise variance, plus the variance the other components'
+    pre-estimates carry into the pseudo-responses: ``prefit_variance[oc]``
+    (grid-aligned, data scale) is component oc's pre-estimate variance,
+    and it enters component c's level scaled by the squared local
+    multiplier cross[c, oc] / cross[c, c].  Grid points backed by fewer
+    than ``MIN_LOCAL_OBS`` observations within one bandwidth are flagged
+    unreliable.
 
     ``u_grid`` and the bandwidth ``h`` are on the data scale of u.
     """
     u_grid = np.asarray(u_grid, dtype=float)
-    est, varu, reliable, _, _ = _local_linear(u, c1, pseudo, u_grid, h)
-    obs_est, _, _, obs_rel, obs_a11inv = _local_linear(u, c1, pseudo, u, h)
-
-    # noise variance from the component's own kernel-stage residuals,
-    # degrees of freedom corrected by the smoother trace
+    est, varu, reliable, _, _, cross = _local_linear(u, cols, pseudos, u_grid, h)
+    obs_est, _, _, obs_rel, obs_a11inv, _ = _local_linear(u, cols, pseudos, u, h)
     k0 = kernel_values(np.zeros(1))[0] / h
-    trace = float(np.nansum(k0 * c1**2 * obs_a11inv))
-    fitted = obs_est * c1
-    resid = pseudo - fitted
-    ok = np.isfinite(resid)
-    dof = max(float(np.count_nonzero(ok)) - trace, 1.0)
-    sigma2 = float(np.nansum(resid[ok] ** 2) / dof)
+    curves = []
+    for c, (j, c1, pseudo) in enumerate(zip(components, cols, pseudos)):
+        # noise variance from the component's own kernel-stage residuals,
+        # degrees of freedom corrected by the smoother trace
+        trace = float(np.nansum(k0 * c1**2 * obs_a11inv[c]))
+        resid = pseudo - obs_est[c] * c1
+        ok = np.isfinite(resid)
+        dof = max(float(np.count_nonzero(ok)) - trace, 1.0)
+        sigma2 = float(np.nansum(resid[ok] ** 2) / dof)
 
-    band_var = sigma2 * varu
-    if extra_band_variance is not None:
-        band_var = band_var + np.asarray(extra_band_variance, dtype=float)
-    half = 1.959963984540054 * np.sqrt(band_var)
-    return SbkCurve(
-        target_j=target_j,
-        u=u_grid,
-        estimate=est,
-        lower=est - half,
-        upper=est + half,
-        reliable=reliable,
-        sigma2=sigma2,
-        smoother_trace=trace,
-        obs_estimate=obs_est,
-        obs_reliable=obs_rel,
-    )
+        # a pre-estimate error e(u) in component oc rides into the
+        # pseudo-responses on its design column; with e nearly constant in
+        # a kernel window, the local level shifts by e(u) times the
+        # multiplier, so the bands stay honest about both stages
+        vprop = np.zeros(u_grid.size)
+        for oc, var in enumerate(prefit_variance):
+            if oc != c:
+                mult = np.divide(
+                    cross[c, oc], cross[c, c], out=np.full(u_grid.size, np.nan),
+                    where=cross[c, c] > 0.0,
+                )
+                vprop += var * np.where(np.isfinite(mult), mult, 0.0) ** 2
+        half = 1.959963984540054 * np.sqrt(sigma2 * varu[c] + vprop)
+        curves.append(
+            SbkCurve(
+                target_j=j,
+                u=u_grid,
+                estimate=est[c],
+                lower=est[c] - half,
+                upper=est[c] + half,
+                reliable=reliable[c],
+                sigma2=sigma2,
+                smoother_trace=trace,
+                obs_estimate=obs_est[c],
+                obs_reliable=obs_rel[c],
+            )
+        )
+    return tuple(curves)
 
 
 @dataclass(frozen=True)
@@ -668,27 +671,18 @@ def fit_fcar(
     h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
     u_grid = np.linspace(u.min(), u.max(), GRID_SIZE)
     grid_B = basis_eval(basis, rows.umap.to_unit(u_grid))
-
-    # b(u)' G b(u): each component's spline pre-estimate variance on the
-    # grid, per unit noise variance
-    quads = [((grid_B @ g) * grid_B).sum(axis=1) for g in prefit.gram_invs]
-
-    curves = []
-    for c, (j, c1) in enumerate(zip(spec.components, rows.cols)):
-        pseudo = pseudo_responses(rows.y, prefit.parts, c)
-        # pre-estimate noise rides into the pseudo-responses on the other
-        # components' design columns; fold its propagated variance into the
-        # bands so they stay honest about both estimation stages
-        vprop = np.zeros(u_grid.size)
-        for oc, other in enumerate(rows.cols):
-            if oc == c:
-                continue
-            mult = _local_transfer(u, c1, other, u_grid, h)
-            mult = np.where(np.isfinite(mult), mult, 0.0)
-            vprop += prefit.sigma2s[oc] * quads[oc] * mult**2
-        curves.append(
-            sbk_estimate(u, c1, pseudo, j, u_grid, h, extra_band_variance=vprop)
-        )
+    # each component's spline pre-estimate variance on the grid:
+    # sigma^2 b(u)' G b(u)
+    prefit_variance = tuple(
+        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
+        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
+    )
+    pseudos = tuple(
+        pseudo_responses(rows.y, prefit.parts, c) for c in range(len(rows.cols))
+    )
+    curves = sbk_estimate(
+        u, rows.cols, pseudos, spec.components, u_grid, h, prefit_variance
+    )
 
     # in-sample fitted values from the kernel estimates at the observed u.
     # Rows where any component's local solve is unreliable fall back to the
@@ -710,7 +704,7 @@ def fit_fcar(
         basis=basis,
         u_transform=rows.umap,
         spline_coeffs=prefit.coeffs,
-        curves=tuple(curves),
+        curves=curves,
         bandwidth=float(h),
         t_start=int(rows.t[0]),
         fitted=fitted,

@@ -194,6 +194,24 @@ def _transfer_sum(
     return acc
 
 
+def _fit_sensor(
+    sensor_id: str, x: np.ndarray, spec: FcarSpec, options: Optional[FcarOptions],
+    t_start: Optional[int] = None, response: Optional[np.ndarray] = None,
+) -> FcarFit:
+    """``fit_fcar`` of one sensor's series.
+
+    A failure names the sensor and the time indices of the rows the fit
+    used, so an error from a field points at the series that caused it.
+    """
+    try:
+        return fit_fcar(x, spec, options, response=response, t_start=t_start)
+    except ValueError as exc:
+        first = max(t_start or 0, spec.max_lag)
+        raise ValueError(
+            f"sensor {sensor_id!r}, time indices {first}..{x.size - 1}: {exc}"
+        ) from exc
+
+
 def _backfit_sensor(
     z: np.ndarray,
     s: int,
@@ -232,9 +250,8 @@ def _backfit_sensor(
         beta = coef.reshape(len(neighbors), b)
         spatial[b:] = _transfer_sum(z, neighbors, beta, b)
         if cycle + 1 < _BACKFIT_CYCLES:
-            temporal = fit_fcar(
-                z[s], sensor_spec, options, response=z[s] - spatial, t_start=t0
-            ).fitted
+            response = z[s] - spatial
+            temporal = _fit_sensor(sensor_id, z[s], sensor_spec, options, t0, response).fitted
     return beta, full_rank, spatial
 
 
@@ -247,10 +264,8 @@ def _temporal_stage(
 ) -> tuple[FcarFit, ...]:
     """Per-sensor functional fits of the series net of the spatial component."""
     return tuple(
-        fit_fcar(
-            z[s], spec.sensor_specs[s], options, response=z[s] - spatial[s], t_start=t0
-        )
-        for s in range(z.shape[0])
+        _fit_sensor(sensor, z[s], spec.sensor_specs[s], options, t0, z[s] - spatial[s])
+        for s, sensor in enumerate(spec.graph.layout.ids)
     )
 
 
@@ -369,21 +384,23 @@ def fit_separable(
     _check_detrended(field, "fit_separable")
     _check_same_layout(field.layout, sar_graph.layout, "fit_separable")
     z = field.values
-    S, T = z.shape
+    T = z.shape[1]
     t0 = fcar_spec.max_lag
 
     if order == "space_then_time":
         sar = sar_residuals_field(field, sar_graph)
         stage1 = sar.field.values
         fcar_fits = tuple(
-            fit_fcar(stage1[s], fcar_spec, options, t_start=t0) for s in range(S)
+            _fit_sensor(sensor, stage1[s], fcar_spec, options, t0)
+            for s, sensor in enumerate(field.layout.ids)
         )
         final = np.stack([f.residuals for f in fcar_fits])
         trace = sar.trace
         first_rmse = _matrix_rmse(stage1, t0)
     else:
         fcar_fits = tuple(
-            fit_fcar(z[s], fcar_spec, options, t_start=t0) for s in range(S)
+            _fit_sensor(sensor, z[s], fcar_spec, options, t0)
+            for s, sensor in enumerate(field.layout.ids)
         )
         stage1 = np.stack([f.residuals for f in fcar_fits])
         resid_field = SpatioTemporalField(

@@ -393,6 +393,50 @@ def test_gap_error_names_sensor_and_time_index(tmp_path, sim_dir, capsys, comman
     assert f"requires a complete field: sensor 's05' is missing at time index 7 (t={t:.0f})" in err
 
 
+@pytest.fixture(scope="module")
+def flat_sensor_dir(tmp_path_factory):
+    """``simulate --T 144 --seed 1`` with sensor s05 at 0.0 at every step."""
+    sim = tmp_path_factory.mktemp("flat") / "sim"
+    assert run_cli("simulate", "--out", sim, "--T", 144, "--seed", 1) == 0
+    lines = (sim / "measurements.csv").read_text().splitlines(keepends=True)
+    flat = [
+        row.rsplit(",", 1)[0] + ",0.0\n" if row.split(",")[1] == "s05" else row
+        for row in lines
+    ]
+    (sim / "measurements.csv").write_text("".join(flat))
+    return sim
+
+
+FLAT_FAILS = [("fit", "--model", m) for m in ("fcar", "fcsar", "separable-ts")]
+FLAT_FAILS += [("diagnose",), ("crossval",)]
+
+
+@pytest.mark.parametrize("command", FLAT_FAILS, ids=" ".join)
+def test_flat_sensor_error_names_the_sensor(tmp_path, flat_sensor_dir, capsys, command):
+    args = (
+        "--measurements", flat_sensor_dir / "measurements.csv",
+        "--layout", flat_sensor_dir / "layout.csv",
+        "--out", tmp_path / "x",
+        "--window", 60,
+    )
+    assert run_cli(*command, *args) == 1
+    err = capsys.readouterr().err
+    assert "'s05'" in err
+    assert "sensor 's05', time indices 2..71: functional variable is constant" in err
+
+
+@pytest.mark.parametrize("model", ["separable-st", "sar"])
+def test_flat_sensor_fits_where_no_fcar_sees_it(tmp_path, flat_sensor_dir, model):
+    # the spatial stage runs first, so no per-sensor fcar fit sees the flat series
+    args = (
+        "--measurements", flat_sensor_dir / "measurements.csv",
+        "--layout", flat_sensor_dir / "layout.csv",
+        "--out", tmp_path / "x",
+        "--window", 60,
+    )
+    assert run_cli("fit", "--model", model, *args) == 0
+
+
 def test_verbosity_two_prints_the_traceback(tmp_path, capsys):
     args = (
         "fit",
@@ -459,6 +503,13 @@ def test_crossval_command(tmp_path, sim_dir, capsys):
     assert "16 subsets" in capsys.readouterr().out
 
 
+def test_crossval_repeated_k_is_usage_error(tmp_path, sim_dir, capsys):
+    args = fit_args(sim_dir, tmp_path / "cv")[1:]
+    assert run_cli("crossval", *args, "--k", "1,2,1") == 2
+    assert "--k repeats the value 1" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
 # ------------------------------------------------------------- diagnose
 
 
@@ -509,6 +560,35 @@ def test_report_command(tmp_path, capsys):
         assert float(row[3]) <= 1
 
 
+def test_report_repeated_window_is_usage_error(tmp_path, sim_dir, capsys):
+    code = run_cli(
+        "report",
+        "--measurements", sim_dir / "measurements.csv",
+        "--layout", sim_dir / "layout.csv",
+        "--out", tmp_path / "rep",
+        "--windows", "60,60",
+    )
+    assert code == 2
+    assert "--windows repeats the value 60" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_and_fit_share_the_adj_r2_rule(tmp_path):
+    # at a 300 s window the fcsar fit's effective parameter count exceeds
+    # the 192 scored cells: both commands write no adj_r2 and still succeed
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out", sim, "--T", 144, "--seed", 1) == 0
+    inputs = ("--measurements", sim / "measurements.csv", "--layout", sim / "layout.csv")
+    assert run_cli("report", *inputs, "--windows", 300, "--out", tmp_path / "rep") == 0
+    assert run_cli("fit", *inputs, "--window", 300, "--out", tmp_path / "fit") == 0
+    rows = list(csv.reader((tmp_path / "rep" / "window_rmse.csv").open()))
+    assert rows[1][1] == "300" and rows[1][3] == ""
+    summary = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert summary["adj_r2"] is None
+    assert summary["n_params"] > 192
+    assert rows[1][2] == f"{summary['rmse']:.10g}"
+
+
 # ------------------------------------------------------------- entry points
 
 
@@ -539,6 +619,35 @@ def test_exports_and_tracer_targets_resolve():
     for mod_name, fn_name, _ in tracing.TARGETS:
         module = importlib.import_module(f"skylattice.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_src_lines_counts_only_code_lines():
+    path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps the line
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a docstring,
+    but a value"""
+
+    def f(self):
+        """Function docstring."""
+        "a later string statement is code"
+        return os.sep
+'''
+    # import, class, x = (2 lines), def, later string, return
+    assert tool.code_lines(source) == 7
+    assert tool.code_lines("") == 0
 
 
 def test_fixture_digests_do_not_depend_on_the_out_dir(tmp_path):

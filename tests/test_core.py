@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skylattice.core import (
+    _FFT_THRESHOLD,
     SensorLayout,
     SpatioTemporalField,
     detrend,
     grid_layout,
     ingest_field,
+    kernel_values,
     read_layout_csv,
     read_measurements_csv,
     time_average,
@@ -350,6 +352,32 @@ class TestDetrend:
         f = make_field(np.zeros((3, 50)))
         with pytest.raises(ValueError, match="bandwidth too small"):
             detrend(f, bandwidth=0.5)
+
+    @pytest.mark.parametrize(
+        "n_times, dt, fft", [(400, 30.0, False), (6000, 1.0, True)], ids=["direct", "fft"]
+    )
+    def test_matches_per_sample_weighted_least_squares(self, n_times, dt, fft):
+        # the plain fit: at each sample, Epanechnikov-weighted least squares
+        # of y on (1, t - t_j) over the record; the trend is the intercept
+        ts = np.arange(n_times) * dt
+        rng = np.random.default_rng(n_times)
+        day = 300.0 * np.sin(np.pi * ts / ts[-1]) ** 2
+        f = make_field(day[None, :] + rng.normal(scale=20.0, size=(3, n_times)), timestamps=ts)
+        _, trend = detrend(f)
+        h = trend.bandwidth
+        window = 2 * int(np.floor(h / dt)) + 1
+        assert (n_times * window > _FFT_THRESHOLD) == fft
+        y = f.values[0]
+        want = np.empty(n_times)
+        for j in range(n_times):
+            diff = ts - ts[j]
+            k = kernel_values(diff / h)
+            rows = k > 0
+            sw = np.sqrt(k[rows])
+            design = np.column_stack([np.ones(rows.sum()), diff[rows]]) * sw[:, None]
+            want[j] = np.linalg.lstsq(design, y[rows] * sw, rcond=None)[0][0]
+        got = trend.trend[0]
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_singular_local_fit_reports_sensor_and_index(self):
         # bandwidth == spacing: only the centre sample has weight, so the

@@ -327,6 +327,25 @@ class TestFitRows:
         assert calls["fit_fcar"] > 9
         assert calls["_fit_rows"] == 2 + calls["fit_fcar"]
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
+        # one sweep over the grid and one over the observed u serve every
+        # component, however many there are
+        calls = []
+        original = fcar._kernel_windows
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fcar, "_kernel_windows", counting)
+        x = simulate_expar2(Expar2Config(n_times=200, seed=1))
+        fit = fit_fcar(x, FcarSpec.delay_absorbed(p, 1))
+        assert len(fit.curves) == p
+        assert len(calls) == 2
+        assert calls[0][1].size == fcar.GRID_SIZE
+        assert calls[1][1] is calls[1][0]
+
 
 class TestPseudoResponses:
     def test_strips_the_other_component(self):
@@ -368,13 +387,19 @@ class TestPseudoResponses:
         npt.assert_allclose(2.0 * x[t] - w1 - w2, full, atol=1e-10)
 
 
+def sbk_one(u, c1, pseudo, grid, h):
+    """``sbk_estimate`` of a single component (lag 1) with design column c1."""
+    (curve,) = sbk_estimate(u, (c1,), (pseudo,), (1,), grid, h, (np.zeros(np.size(grid)),))
+    return curve
+
+
 class TestSbkEstimate:
     def test_constant_coefficient_recovered_exactly(self):
         x = ar1_series(200, seed=6)
         pseudo = 0.7 * x[:-1]
         u = x[:-1]
         grid = np.linspace(u.min(), u.max(), 21)
-        curve = sbk_estimate(u, u, pseudo, 1, grid, h=0.5 * float(np.std(u)))
+        curve = sbk_one(u, u, pseudo, grid, h=0.5 * float(np.std(u)))
         good = curve.reliable
         assert good.any()
         npt.assert_allclose(curve.estimate[good], 0.7, atol=1e-6)
@@ -386,7 +411,7 @@ class TestSbkEstimate:
         pseudo = x[t]
         u0 = float(np.median(u))
         h = 0.8 * float(np.std(u))
-        curve = sbk_estimate(u, u, pseudo, 1, np.array([u0]), h)
+        curve = sbk_one(u, u, pseudo, np.array([u0]), h)
         diff = u - u0
         k = np.where(np.abs(diff / h) <= 1, 0.75 * (1 - (diff / h) ** 2), 0.0) / h
         D = np.column_stack([u, u * diff])
@@ -407,24 +432,36 @@ class TestSbkEstimate:
         u = x[:-1]
         far = u.max() + 5.0
         grid = np.array([float(np.quantile(u, 0.9)), far])
-        curve = sbk_estimate(u, u, x[1:], 1, grid, h=0.3)
+        curve = sbk_one(u, u, x[1:], grid, h=0.3)
         assert curve.reliable[0]
         assert not curve.reliable[1]
         assert np.isnan(curve.estimate[1])
 
     def test_extra_band_variance_widens_bands(self):
+        # the other component's pre-estimate variance widens the lag curve's
+        # band wherever the local multiplier is nonzero, and its own
+        # variance never enters its band
         x = ar1_series(150, seed=15)
         u = x[:-1]
         grid = np.linspace(np.quantile(u, 0.2), np.quantile(u, 0.8), 11)
         h = float(np.std(u)) * 0.6
-        plain = sbk_estimate(u, u, x[1:], 1, grid, h)
-        wide = sbk_estimate(
-            u, u, x[1:], 1, grid, h, extra_band_variance=np.full(grid.size, 0.5)
-        )
-        both = plain.reliable & wide.reliable
+        cols, pseudos = (u, np.ones(u.size)), (x[1:], x[1:])
+        zero = np.zeros(grid.size)
+
+        def curves(variance):
+            return sbk_estimate(u, cols, pseudos, (1, 0), grid, h, variance)
+
+        plain = curves((zero, zero))
+        wide = curves((zero, zero + 0.5))
+        own = curves((zero + 0.5, zero))
+        both = plain[0].reliable & wide[0].reliable
+        assert both.any()
         assert np.all(
-            (wide.upper - wide.lower)[both] > (plain.upper - plain.lower)[both]
+            (wide[0].upper - wide[0].lower)[both] > (plain[0].upper - plain[0].lower)[both]
         )
+        for name in ("estimate", "lower", "upper"):
+            assert np.array_equal(getattr(wide[1], name), getattr(plain[1], name), equal_nan=True)
+            assert np.array_equal(getattr(own[0], name), getattr(plain[0], name), equal_nan=True)
 
 
 class TestFitFcar:
@@ -580,7 +617,7 @@ class TestEffectiveParams:
         c1 = u
         pseudo = x[t]
         h = float(np.std(u))
-        curve = sbk_estimate(u, c1, pseudo, 1, np.array([0.0]), h)
+        curve = sbk_one(u, c1, pseudo, np.array([0.0]), h)
         trace = 0.0
         for i in range(t.size):
             diff = u - u[i]
@@ -683,6 +720,20 @@ def dense_local_transfer(u_obs, c1, other, u_eval, h):
     return mult
 
 
+def dense_cross(u_obs, a, b, u_eval, h):
+    """Kernel sums of a * b over every observation."""
+    k = kernel_values((u_obs[None, :] - u_eval[:, None]) / h) / h
+    return (k * a[None, :] * b[None, :]).sum(axis=1)
+
+
+def dense_fused_local_linear(u_obs, cols, ws, u_eval, h):
+    """Per-component dense solves stacked the way ``fcar._local_linear`` returns them."""
+    per = [dense_local_linear(u_obs, c1, w, u_eval, h) for c1, w in zip(cols, ws)]
+    stacked = tuple(np.array([p[i] for p in per]) for i in range(5))
+    cross = np.array([[dense_cross(u_obs, a, b, u_eval, h) for b in cols] for a in cols])
+    return stacked + (cross,)
+
+
 WINDOW_CASES = ["random70", "random478", "ties", "dyadic", "outside", "ulp"]
 
 
@@ -737,6 +788,10 @@ def window_case(name, design):
     return u, c1, w, np.concatenate([grid, u]), h
 
 
+# component sets for the fused sweep: window_case draws the same u and
+# "other" column for every design of one case, so its designs combine
+COMPONENT_SETS = [("lag",), ("intercept", "other"), ("intercept", "lag", "other")]
+
 # The kernel the windowed sums use, named in the test ids, with the
 # half-width of its support in units of the bandwidth.
 KERNEL_SUPPORT = {"epanechnikov": 1.0}
@@ -776,9 +831,10 @@ class TestKernelWindows:
     @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
     def test_local_linear_matches_dense(self, kernel, name, design):
         u, c1, w, u_eval, h = window_case(name, design)
-        got = fcar._local_linear(u, c1, w, u_eval, h)
+        got = [a[0] for a in fcar._local_linear(u, (c1,), (w,), u_eval, h)]
         want = dense_local_linear(u, c1, w, u_eval, h)
-        est, varu, reliable, raw_reliable, a11inv = got
+        est, varu, reliable, raw_reliable, a11inv, cross = got
+        npt.assert_allclose(cross[0], dense_cross(u, c1, c1, u_eval, h), rtol=1e-10, atol=0)
         npt.assert_array_equal(reliable, want[2])
         npt.assert_array_equal(raw_reliable, want[3])
         for mine, ref in zip((est, varu, a11inv), (want[0], want[1], want[4])):
@@ -790,10 +846,31 @@ class TestKernelWindows:
     @pytest.mark.parametrize("name", WINDOW_CASES)
     @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
     def test_local_transfer_matches_dense(self, kernel, name):
+        # the band multiplier cross[c, oc] / cross[c, c] that sbk_estimate
+        # forms for a pre-estimate error riding on another design column
         u, c1, other, u_eval, h = window_case(name, "other")
-        got = fcar._local_transfer(u, c1, other, u_eval, h)
+        cross = fcar._local_linear(u, (c1, other), (other, c1), u_eval, h)[5]
+        got = np.divide(
+            cross[0, 1], cross[0, 0], out=np.full(u_eval.size, np.nan), where=cross[0, 0] > 0.0
+        )
         want = dense_local_transfer(u, c1, other, u_eval, h)
         npt.assert_allclose(got, want, rtol=1e-10, atol=0, equal_nan=True)
+
+    @pytest.mark.parametrize("designs", COMPONENT_SETS, ids="+".join)
+    @pytest.mark.parametrize("name", WINDOW_CASES)
+    def test_fused_sweep_matches_dense_per_component(self, name, designs):
+        cases = [window_case(name, design) for design in designs]
+        u, _, _, u_eval, h = cases[0]
+        cols = tuple(case[1] for case in cases)
+        ws = tuple(case[2] for case in cases)
+        got = fcar._local_linear(u, cols, ws, u_eval, h)
+        want = dense_fused_local_linear(u, cols, ws, u_eval, h)
+        npt.assert_array_equal(got[2], want[2])
+        npt.assert_array_equal(got[3], want[3])
+        for i in (0, 1, 4, 5):
+            assert got[i].shape == want[i].shape
+            npt.assert_array_equal(np.isnan(got[i]), np.isnan(want[i]))
+            npt.assert_allclose(got[i], want[i], rtol=1e-10, atol=0, equal_nan=True)
 
 
 def assert_fits_agree(got, want):
@@ -819,8 +896,7 @@ def dense_kernel_stage(monkeypatch):
     """Run fits with the dense kernel sums in place of the windowed ones."""
 
     def use_dense():
-        monkeypatch.setattr(fcar, "_local_linear", dense_local_linear)
-        monkeypatch.setattr(fcar, "_local_transfer", dense_local_transfer)
+        monkeypatch.setattr(fcar, "_local_linear", dense_fused_local_linear)
 
     return use_dense
 
@@ -915,11 +991,11 @@ class TestLocalLinearPermutation:
         w = 0.5 * c1 + 0.2 * rng.standard_normal(n)
         u_eval = np.concatenate([np.linspace(u.min() - 0.5, u.max() + 0.5, 31), u])
         perm = np.array(data.draw(st.permutations(range(n))))
-        base = fcar._local_linear(u, c1, w, u_eval, 0.4)
-        moved = fcar._local_linear(u[perm], c1[perm], w[perm], u_eval, 0.4)
+        base = fcar._local_linear(u, (c1,), (w,), u_eval, 0.4)
+        moved = fcar._local_linear(u[perm], (c1[perm],), (w[perm],), u_eval, 0.4)
         npt.assert_array_equal(moved[2], base[2])
         npt.assert_array_equal(moved[3], base[3])
-        for i in (0, 1, 4):
+        for i in (0, 1, 4, 5):
             npt.assert_allclose(moved[i], base[i], rtol=1e-12, atol=0, equal_nan=True)
 
 
