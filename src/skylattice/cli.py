@@ -47,24 +47,15 @@ from .core import (
     write_layout_csv,
     write_measurements_csv,
 )
-from .evaluation import (
-    CrossvalPlan,
-    adjusted_r2,
-    crossval,
-    rmpe_ratio,
-    rmse,
-    write_rmpe_ratio_csv,
-    write_window_rmse_csv,
-)
+from .evaluation import CrossvalPlan, adjusted_r2, crossval, rmpe_ratio, rmse
 from .fcar import FcarOptions, FcarSpec, effective_params
 from .fcsar import (
     FcsarSpec,
-    _fit_sensor,
+    _fit_sensors,
     fit_fcsar,
     fit_separable,
     nan_padded,
     separability_diagnostic,
-    write_separability_csv,
 )
 from .simulation import REGIMES, SIM_MODES, FieldSimConfig, simulate_field
 from .spatial import build_neighbor_graph, sar_residuals_field
@@ -411,15 +402,14 @@ class ModelFit(NamedTuple):
 
 def _fit_fcar_each(field: SpatioTemporalField, cfg: dict) -> ModelFit:
     field.require_complete("per-sensor fcar fitting")
-    spec, options = _temporal_spec(cfg), _fcar_options(cfg)
-    fits = [
-        _fit_sensor(sensor, x, spec, options)
-        for sensor, x in zip(field.layout.ids, field.values)
-    ]
+    spec = _temporal_spec(cfg)
+    fits = _fit_sensors(
+        field.layout.ids, field.values, spec, _fcar_options(cfg), spec.max_lag
+    )
     return ModelFit(
         nan_padded(np.stack([f.fitted for f in fits]), field.n_times),
         nan_padded(np.stack([f.residuals for f in fits]), field.n_times),
-        max(f.t_start for f in fits),
+        spec.max_lag,
         float(sum(effective_params(f) for f in fits)),
         {},
     )
@@ -609,7 +599,6 @@ def cmd_crossval(cfg: dict) -> None:
         build_neighbor_graph(field.layout, cfg["knn"]), cfg["b"], _temporal_spec(cfg)
     )
     options = _fcar_options(cfg)
-    out_dir = _start_run(cfg, "crossval")
     rows = []
     for k in cfg["k"]:
         plan = CrossvalPlan.all_subsets(
@@ -637,7 +626,8 @@ def cmd_crossval(cfg: dict) -> None:
             "  per-subset RMPE: "
             + ", ".join(f"{v:.6g}" for v in report_model.rmpe_values),
         )
-    write_rmpe_ratio_csv(rows, out_dir / "rmpe_ratio.csv")
+    out_dir = _start_run(cfg, "crossval")
+    _write_csv_rows(out_dir / "rmpe_ratio.csv", ["label", "k", "ratio"], rows)
 
 
 @_register(
@@ -664,7 +654,12 @@ def cmd_diagnose(cfg: dict) -> None:
         threshold=cfg["threshold"],
     )
     out_dir = _start_run(cfg, "diagnose")
-    write_separability_csv([report], out_dir / "separability.csv")
+    _write_csv_rows(
+        out_dir / "separability.csv",
+        ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"],
+        [(report.label, report.st_rmse, report.ts_rmse, report.fcsar_b1_rmse,
+          report.fcsar_b2_rmse)],
+    )
     _say(
         cfg,
         1,
@@ -698,7 +693,6 @@ def cmd_report(cfg: dict) -> None:
     _check_distinct(cfg["windows"], "--windows")
     _validate_prep(cfg)
     field = _load_field(cfg)
-    out_dir = _start_run(cfg, "report")
     rows = []
     for window in cfg["windows"]:
         averaged = time_average(field, window)
@@ -709,7 +703,8 @@ def cmd_report(cfg: dict) -> None:
         adj, adj_text = _adj_r2(obs, fitted, fit.n_params)
         rows.append((cfg["label"], window, window_rmse, adj))
         _say(cfg, 1, f"{cfg['label']} window={window:g}s rmse={window_rmse:.6g}{adj_text}")
-    write_window_rmse_csv(rows, out_dir / "window_rmse.csv")
+    out_dir = _start_run(cfg, "report")
+    _write_csv_rows(out_dir / "window_rmse.csv", ["label", "window", "rmse", "adj_r2"], rows)
 
 
 # --------------------------------------------------------------- driver

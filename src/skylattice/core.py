@@ -312,15 +312,20 @@ def write_measurements_csv(field: SpatioTemporalField, path) -> None:
     Masked cells are written as NA so that reading the file back reproduces
     the field exactly, mask included.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEASUREMENT_HEADER)
-        for j, tstr in enumerate(timestamp_strings(field.timestamps)):
-            for i, sid in enumerate(field.layout.ids):
-                if field.mask is not None and field.mask[i, j]:
-                    writer.writerow([tstr, sid, "NA"])
-                else:
-                    writer.writerow([tstr, sid, repr(float(field.values[i, j]))])
+    cells = [list(map(repr, column)) for column in field.values.T.tolist()]
+    if field.mask is not None:
+        for j, i in np.argwhere(field.mask.T):
+            cells[j][i] = "NA"
+    stamps = timestamp_strings(field.timestamps)
+    _write_csv_rows(
+        path,
+        MEASUREMENT_HEADER,
+        (
+            (tstr, sid, cell)
+            for tstr, column in zip(stamps, cells)
+            for sid, cell in zip(field.layout.ids, column)
+        ),
+    )
 
 
 def read_layout_csv(path) -> SensorLayout:
@@ -331,11 +336,11 @@ def read_layout_csv(path) -> SensorLayout:
 
 
 def write_layout_csv(layout: SensorLayout, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LAYOUT_HEADER)
-        for sid, (x, y) in zip(layout.ids, layout.xy):
-            writer.writerow([sid, repr(float(x)), repr(float(y))])
+    _write_csv_rows(
+        path,
+        LAYOUT_HEADER,
+        ((sid, repr(x), repr(y)) for sid, (x, y) in zip(layout.ids, layout.xy.tolist())),
+    )
 
 
 def _write_csv_rows(path, header: list, rows: Iterable[tuple]) -> None:

@@ -11,12 +11,13 @@ without it: the neighbor graph is rebuilt on every training subset, and
 nothing estimated with a held-out sensor's data leaks into its
 prediction.  The lattice model's transfer coefficients are shared within
 one ``crossval`` call.  A sensor's backfit reads only its own series, its
-ordered neighbors' series, the support start t0 and the fixed spec and
-options, so one training subset's coefficients for (sensor, ordered
-neighbors, t0) equal any other's, bit for bit.  Each distinct backfit
-therefore runs once per call and the results equal a from-scratch refit
-of every subset.  Prediction reads only the coefficients, so the final
-temporal stage of a full fit is never run.
+ordered neighbors' series and the fixed spec and options, and one
+temporal spec fixes the support start t0 for the call, so one training
+subset's coefficients for (sensor id, ordered neighbor ids) equal any
+other's, bit for bit.  Each distinct backfit therefore runs once per call
+and the results equal a from-scratch refit of every subset.  Prediction
+reads only the coefficients, so the final temporal stage of a full fit is
+never run.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import SpatioTemporalField, _write_csv_rows
+from .core import SpatioTemporalField
 from .fcar import FcarOptions
-from .fcsar import FcsarSpec, _backfit_sensor, _fit_checks, _predict_with_beta
+from .fcsar import FcsarSpec, _predict_with_beta, _transfer_stage
 # not called here: perfbench/selftest.py checks the tracer patches this binding
 from .fcsar import fit_fcsar  # noqa: F401
 from .spatial import build_neighbor_graph, natural_neighbor_predict
@@ -45,8 +46,6 @@ __all__ = [
     "adjusted_r2",
     "crossval",
     "rmpe_ratio",
-    "write_window_rmse_csv",
-    "write_rmpe_ratio_csv",
 ]
 
 # Above this many candidate subsets the plan samples instead of
@@ -231,46 +230,25 @@ class MetricsReport:
             raise ValueError("metrics must be finite")
 
 
-# (full-layout sensor index, ordered full-layout neighbor indices, t0)
-BackfitKey = tuple[int, tuple[int, ...], int]
-
-
 def _fcsar_holdout_predictions(
     field: SpatioTemporalField,
     omega: tuple[int, ...],
     spec: FcsarSpec,
     options: Optional[FcarOptions],
-    backfits: dict[BackfitKey, np.ndarray],
+    backfits: dict,
 ) -> np.ndarray:
     """Fit on the remaining sensors and predict each held-out one.
 
-    Runs every check ``fit_fcsar`` runs on the training field, then takes
-    each training sensor's coefficients from ``backfits``, backfitting
-    only the keys it does not hold yet.  ``backfits`` must belong to one
-    ``field``, ``spec`` and ``options``: its keys do not name them.
+    ``_transfer_stage`` runs every check ``fit_fcsar`` runs on the training
+    field and backfits only the sensors ``backfits`` does not hold yet.
+    ``backfits`` must belong to one ``field``, ``spec`` and ``options``:
+    its keys do not name them.
     """
     layout = field.layout
-    held = set(omega)
-    train_rows = [i for i in range(layout.n_sensors) if i not in held]
-    train_field = field.subset([layout.ids[i] for i in train_rows])
+    train_field = field.subset([sid for i, sid in enumerate(layout.ids) if i not in omega])
     graph = build_neighbor_graph(train_field.layout, spec.graph.k)
-    b = spec.n_neighbor_lags
-    sub_spec = FcsarSpec(
-        graph=graph,
-        n_neighbor_lags=b,
-        sensor_specs=tuple(spec.sensor_specs[i] for i in train_rows),
-    )
-    t0, strict = _fit_checks(train_field, sub_spec, options)
-    beta = np.empty((len(train_rows), graph.k, b))
-    for j, i in enumerate(train_rows):
-        neighbors = graph.neighbors[j]
-        key = (i, tuple(train_rows[n] for n in neighbors), t0)
-        if key not in backfits:
-            backfits[key], _, _ = _backfit_sensor(
-                train_field.values, j, neighbors, sub_spec.sensor_specs[j], b,
-                t0, options, strict, train_field.layout.ids[j],
-            )
-        beta[j] = backfits[key]
+    sub_spec = FcsarSpec(graph, spec.n_neighbor_lags, spec.temporal)
+    beta, _, _ = _transfer_stage(train_field, sub_spec, options, backfits)
     preds = np.empty((len(omega), field.n_times))
     for row, i in enumerate(omega):
         preds[row] = _predict_with_beta(beta, train_field, layout.xy[i])
@@ -308,10 +286,10 @@ def crossval(
     For each subset the model is fitted on the remaining sensors and each
     held-out sensor is predicted one at a time from that fit.  For fcsar
     the call shares backfitted transfer coefficients across its subsets
-    in one dict keyed by (sensor, ordered neighbors, t0) in full-layout
-    indices.  The field, spec and options are fixed within the call, so a
-    key pins the backfit's data and the values equal a from-scratch refit
-    of every subset, bit for bit.  The dict lives for this call only.
+    in one dict keyed by (sensor id, ordered neighbor ids).  The field,
+    spec and options are fixed within the call, so a key pins the
+    backfit's data and the values equal a from-scratch refit of every
+    subset, bit for bit.  The dict lives for this call only.
 
     Parameters
     ----------
@@ -322,8 +300,8 @@ def crossval(
     model : {"fcsar", "natural_neighbor"}
         fcsar fits the lattice autoregression's transfer coefficients
         (``spec`` required, used as the template for neighbor count, lag
-        depth, and per-sensor temporal specs; the graph is rebuilt per
-        training subset).
+        depth, and temporal spec; the graph is rebuilt per training
+        subset).
         natural_neighbor interpolates from the training layout.
     eval_start : int, optional
         First time index scored.  Defaults to the neighbor-lag depth for
@@ -362,7 +340,7 @@ def crossval(
 
     values = []
     obs = field.values[:, start:]
-    backfits: dict[BackfitKey, np.ndarray] = {}
+    backfits: dict = {}
     for omega in plan.combinations:
         try:
             if model == "fcsar":
@@ -398,13 +376,3 @@ def rmpe_ratio(report_model: MetricsReport, report_interp: MetricsReport) -> flo
     if report_interp.mean_rmpe == 0.0:
         raise ZeroDivisionError("baseline mean RMPE is zero")
     return report_model.mean_rmpe / report_interp.mean_rmpe
-
-
-def write_window_rmse_csv(rows: Iterable[tuple], path) -> None:
-    """Averaging-window sweep, rows (label, window, rmse, adj_r2)."""
-    _write_csv_rows(path, ["label", "window", "rmse", "adj_r2"], rows)
-
-
-def write_rmpe_ratio_csv(rows: Iterable[tuple], path) -> None:
-    """Model-versus-baseline ratios, rows (label, k, ratio)."""
-    _write_csv_rows(path, ["label", "k", "ratio"], rows)

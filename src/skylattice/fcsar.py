@@ -6,7 +6,11 @@ functional-coefficient autoregression estimated by the spline-backfitted
 kernel machinery in :mod:`.fcar`.  Estimation alternates the two pieces
 on a fixed two-cycle schedule: neighbor coefficients by per-sensor least
 squares, coefficient curves on the spatially-adjusted response, then one
-refinement of each.  The module also provides the two factored pipelines
+refinement of each.  Every sensor uses one temporal spec, so the support
+start is fixed for a call and a sensor's backfit depends only on its
+series and its ordered neighbors' series: cross-validation shares one
+backfit per (sensor id, ordered neighbor ids) across its training
+subsets.  The module also provides the two factored pipelines
 (spatial fit first or temporal fit first) and a diagnostic that compares
 all four models' in-sample RMSE on a common support.
 """
@@ -18,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import SpatioTemporalField, _frozen_array, _write_csv_rows
+from .core import SpatioTemporalField, _frozen_array
 from .fcar import FcarFit, FcarOptions, FcarSpec, effective_params, fit_fcar
 from .spatial import (
     NeighborGraph,
@@ -37,7 +41,6 @@ __all__ = [
     "fit_separable",
     "predict_missing_sensor",
     "separability_diagnostic",
-    "write_separability_csv",
 ]
 
 SEPARABLE_ORDERS = ("space_then_time", "time_then_space")
@@ -46,46 +49,42 @@ SEPARABLE_ORDERS = ("space_then_time", "time_then_space")
 _BACKFIT_CYCLES = 2
 
 
-def _check_detrended(field: SpatioTemporalField, what: str) -> None:
+def _check_input(field: SpatioTemporalField, graph: NeighborGraph, what: str) -> None:
+    """Checks every lattice fit runs: complete, detrended, on the graph's layout."""
+    field.require_complete(what)
     if field.kind == "raw":
         raise ValueError(f"{what} expects a detrended field; detrend the input first")
+    _check_same_layout(field.layout, graph.layout, what)
 
 
 @dataclass(frozen=True)
 class FcsarSpec:
-    """Model shape: neighbor graph, neighbor lag depth, per-sensor AR specs.
+    """Model shape: neighbor graph, neighbor lag depth, temporal AR spec.
 
     ``n_neighbor_lags`` is the number of time lags at which neighbor values
-    enter the spatial component (at least 1).  ``sensor_specs`` holds one
-    :class:`~.fcar.FcarSpec` per sensor, aligned with ``graph.layout.ids``.
+    enter the spatial component (at least 1).  ``temporal`` is the
+    :class:`~.fcar.FcarSpec` fitted at every sensor.
     """
 
     graph: NeighborGraph
     n_neighbor_lags: int
-    sensor_specs: tuple[FcarSpec, ...]
+    temporal: FcarSpec
 
     def __post_init__(self):
         if self.n_neighbor_lags < 1:
             raise ValueError("n_neighbor_lags must be >= 1")
-        if len(self.sensor_specs) != self.graph.layout.n_sensors:
-            raise ValueError(
-                f"need one temporal spec per sensor: got {len(self.sensor_specs)} "
-                f"for {self.graph.layout.n_sensors} sensors"
-            )
 
     @classmethod
     def uniform(
         cls, graph: NeighborGraph, n_neighbor_lags: int, fcar_spec: FcarSpec
     ) -> "FcsarSpec":
         """Same temporal spec at every sensor."""
-        return cls(graph, n_neighbor_lags, (fcar_spec,) * graph.layout.n_sensors)
+        return cls(graph, n_neighbor_lags, fcar_spec)
 
     @property
     def support_start(self) -> int:
         """First time index with all regressors defined (0-based)."""
-        return max(
-            self.n_neighbor_lags, max(s.max_lag for s in self.sensor_specs)
-        )
+        return max(self.n_neighbor_lags, self.temporal.max_lag)
 
 
 def _matrix_rmse(residuals: np.ndarray, start: int) -> float:
@@ -212,13 +211,27 @@ def _fit_sensor(
         ) from exc
 
 
+def _fit_sensors(
+    ids: Sequence[str], x: np.ndarray, spec: FcarSpec, options: Optional[FcarOptions],
+    t0: int, responses: Optional[np.ndarray] = None,
+) -> tuple[FcarFit, ...]:
+    """``_fit_sensor`` of each row of the S x T matrix ``x`` from ``t0`` on.
+
+    Row s of ``responses``, when given, is sensor s's response.
+    """
+    return tuple(
+        _fit_sensor(
+            sensor, x[s], spec, options, t0, None if responses is None else responses[s]
+        )
+        for s, sensor in enumerate(ids)
+    )
+
+
 def _backfit_sensor(
     z: np.ndarray,
     s: int,
     neighbors: Sequence[int],
-    sensor_spec: FcarSpec,
-    b: int,
-    t0: int,
+    spec: FcsarSpec,
     options: Optional[FcarOptions],
     strict: bool,
     sensor_id: str,
@@ -229,8 +242,8 @@ def _backfit_sensor(
     the temporal fit (zero at first) on the lagged neighbor values; every
     cycle but the last then refits the temporal stage on the series net of
     the spatial component (zero before index b).  Only rows ``s`` and
-    ``neighbors`` of ``z`` are read, so the result is a function of the
-    sensor, its ordered neighbors, ``t0``, ``b``, its spec and the options.
+    ``neighbors`` of ``z`` are read, so the result is a function of those
+    rows, the lag depth, the temporal spec and the options.
 
     Returns the (k, b) coefficient block, whether the neighbor design has
     full rank, and the length-T spatial row.  A rank-deficient design
@@ -239,6 +252,7 @@ def _backfit_sensor(
     so neither does its rank.
     """
     T = z.shape[1]
+    b, t0 = spec.n_neighbor_lags, spec.support_start
     design = _neighbor_design(z, neighbors, b, t0)
     temporal = np.zeros(T - t0)
     spatial = np.zeros(T)
@@ -251,22 +265,41 @@ def _backfit_sensor(
         spatial[b:] = _transfer_sum(z, neighbors, beta, b)
         if cycle + 1 < _BACKFIT_CYCLES:
             response = z[s] - spatial
-            temporal = _fit_sensor(sensor_id, z[s], sensor_spec, options, t0, response).fitted
+            temporal = _fit_sensor(sensor_id, z[s], spec.temporal, options, t0, response).fitted
     return beta, full_rank, spatial
 
 
-def _temporal_stage(
-    z: np.ndarray,
-    spatial: np.ndarray,
+def _transfer_stage(
+    field: SpatioTemporalField,
     spec: FcsarSpec,
     options: Optional[FcarOptions],
-    t0: int,
-) -> tuple[FcarFit, ...]:
-    """Per-sensor functional fits of the series net of the spatial component."""
-    return tuple(
-        _fit_sensor(sensor, z[s], spec.sensor_specs[s], options, t0, z[s] - spatial[s])
-        for s, sensor in enumerate(spec.graph.layout.ids)
-    )
+    backfits: dict,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Check the inputs, then backfit every sensor of ``field``.
+
+    Returns the (S, k, b) coefficients, the S x T spatial component and the
+    sensors with a rank-deficient neighbor design.  ``backfits`` maps
+    (sensor id, ordered neighbor ids) to a ``_backfit_sensor`` result; a
+    sensor whose key it holds is not backfit again, and the others are
+    added.  A backfit reads only its sensor's and neighbors' series, the
+    lag depth, the temporal spec and the options (t0 follows from the last
+    two), so one dict may serve any sensor subsets of one field under one
+    lag depth, temporal spec and options.
+    """
+    strict = _fit_checks(field, spec, options)
+    z = field.values
+    ids = field.layout.ids
+    beta = np.empty((len(ids), spec.graph.k, spec.n_neighbor_lags))
+    spatial = np.empty(z.shape)
+    deficient = []
+    for s, neighbors in enumerate(spec.graph.neighbors):
+        key = (ids[s], tuple(ids[n] for n in neighbors))
+        if key not in backfits:
+            backfits[key] = _backfit_sensor(z, s, neighbors, spec, options, strict, ids[s])
+        beta[s], full_rank, spatial[s] = backfits[key]
+        if not full_rank:
+            deficient.append(ids[s])
+    return beta, spatial, tuple(deficient)
 
 
 def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
@@ -278,21 +311,18 @@ def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
 
 def _fit_checks(
     field: SpatioTemporalField, spec: FcsarSpec, options: Optional[FcarOptions]
-) -> tuple[int, bool]:
-    """Check a field and spec for ``fit_fcsar``; return (t0, strict rank)."""
-    field.require_complete("fit_fcsar")
-    _check_detrended(field, "fit_fcsar")
-    _check_same_layout(field.layout, spec.graph.layout, "fit_fcsar")
+) -> bool:
+    """Check a field and spec for ``fit_fcsar``; return whether rank is strict."""
+    _check_input(field, spec.graph, "fit_fcsar")
     T = field.n_times
-    t0 = spec.support_start
-    n_rows = T - t0
+    n_rows = T - spec.support_start
     n_coef = spec.graph.k * spec.n_neighbor_lags
     if n_rows < n_coef + 2:
         raise ValueError(
             f"series too short: {T} time points leave {n_rows} usable rows "
             f"for {n_coef} neighbor coefficients per sensor"
         )
-    return t0, bool(options.strict_rank) if options is not None else False
+    return bool(options.strict_rank) if options is not None else False
 
 
 def fit_fcsar(
@@ -319,7 +349,7 @@ def fit_fcsar(
     field : SpatioTemporalField
         Complete (no mask) detrended field on the graph's layout.
     spec : FcsarSpec
-        Graph, neighbor lag depth, and per-sensor temporal specs.
+        Graph, neighbor lag depth, and the temporal spec of every sensor.
     options : FcarOptions, optional
         Passed to every temporal-stage fit.  ``options.strict_rank`` also
         makes a collinear neighbor design an error instead of a flag.
@@ -332,22 +362,18 @@ def fit_fcsar(
     -------
     FcsarFit
     """
-    t0, strict = _fit_checks(field, spec, options)
     z = field.values
     S, T = z.shape
-    b = spec.n_neighbor_lags
-    beta = np.zeros((S, spec.graph.k, b))
-    spatial = np.zeros((S, T))
-    deficient = []
-    if not freeze_beta_at_zero:
-        for s, sensor in enumerate(spec.graph.layout.ids):
-            beta[s], full_rank, spatial[s] = _backfit_sensor(
-                z, s, spec.graph.neighbors[s], spec.sensor_specs[s], b, t0,
-                options, strict, sensor,
-            )
-            if not full_rank:
-                deficient.append(sensor)
-    fcar_fits = _temporal_stage(z, spatial, spec, options, t0)
+    t0 = spec.support_start
+    if freeze_beta_at_zero:
+        _fit_checks(field, spec, options)
+        beta = np.zeros((S, spec.graph.k, spec.n_neighbor_lags))
+        spatial, deficient = np.zeros((S, T)), ()
+    else:
+        beta, spatial, deficient = _transfer_stage(field, spec, options, {})
+    fcar_fits = _fit_sensors(
+        field.layout.ids, z, spec.temporal, options, t0, z - spatial
+    )
 
     temporal = np.stack([f.fitted for f in fcar_fits])
     fitted = nan_padded(spatial[:, t0:] + temporal, T)
@@ -359,7 +385,7 @@ def fit_fcsar(
         fitted_values=fitted,
         residuals=residuals,
         support_start=t0,
-        deficient_sensors=tuple(deficient),
+        deficient_sensors=deficient,
     )
 
 
@@ -380,42 +406,33 @@ def fit_separable(
     """
     if order not in SEPARABLE_ORDERS:
         raise ValueError(f"order must be one of {SEPARABLE_ORDERS}")
-    field.require_complete("fit_separable")
-    _check_detrended(field, "fit_separable")
-    _check_same_layout(field.layout, sar_graph.layout, "fit_separable")
+    _check_input(field, sar_graph, "fit_separable")
     z = field.values
     T = z.shape[1]
     t0 = fcar_spec.max_lag
+    ids = field.layout.ids
 
     if order == "space_then_time":
         sar = sar_residuals_field(field, sar_graph)
         stage1 = sar.field.values
-        fcar_fits = tuple(
-            _fit_sensor(sensor, stage1[s], fcar_spec, options, t0)
-            for s, sensor in enumerate(field.layout.ids)
-        )
+        fcar_fits = _fit_sensors(ids, stage1, fcar_spec, options, t0)
         final = np.stack([f.residuals for f in fcar_fits])
-        trace = sar.trace
         first_rmse = _matrix_rmse(stage1, t0)
     else:
-        fcar_fits = tuple(
-            _fit_sensor(sensor, z[s], fcar_spec, options, t0)
-            for s, sensor in enumerate(field.layout.ids)
-        )
+        fcar_fits = _fit_sensors(ids, z, fcar_spec, options, t0)
         stage1 = np.stack([f.residuals for f in fcar_fits])
         resid_field = SpatioTemporalField(
             field.layout, field.timestamps[t0:], stage1, "residual"
         )
         sar = sar_residuals_field(resid_field, sar_graph)
         final = sar.field.values
-        trace = sar.trace
-        first_rmse = float(np.sqrt(np.mean(stage1**2)))
+        first_rmse = _matrix_rmse(stage1, 0)
 
     fitted = nan_padded(z[:, t0:] - final, T)
     residuals = nan_padded(final, T)
     return SeparableFit(
         order=order,
-        sar_trace=trace,
+        sar_trace=sar.trace,
         fcar_fits=fcar_fits,
         fitted_values=fitted,
         residuals=residuals,
@@ -541,18 +558,4 @@ def separability_diagnostic(
         fcsar_b2_rmse=f2.rmse(start),
         order_ratio=ratio,
         verdict=verdict,
-    )
-
-
-def write_separability_csv(
-    reports: Sequence[SeparabilityReport], path
-) -> None:
-    """Serialize diagnostic reports, one row per field."""
-    _write_csv_rows(
-        path,
-        ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"],
-        (
-            (r.label, r.st_rmse, r.ts_rmse, r.fcsar_b1_rmse, r.fcsar_b2_rmse)
-            for r in reports
-        ),
     )

@@ -224,10 +224,14 @@ def simulate_field(cfg: FieldSimConfig) -> SpatioTemporalField:
     """Generate a synthetic sensor field.
 
     Separable mode: Z[s, t] = sd * a_s * g_t + noise, with spatially
-    correlated amplitudes a and a shared stationary AR(1) factor g; the
-    space-time covariance factorizes by construction (ramp sharpening is
-    an advective shadow-edge effect and is not applied, keeping the
-    product form exact).  Advective mode: a stationary Gaussian random
+    correlated amplitudes a and a shared stationary AR(1) factor g with
+    coefficient phi (ramp sharpening is an advective shadow-edge effect and
+    is not applied).  The signal's covariance is a product of a spatial and
+    a temporal part, and so is the field's between distinct sensors.  At
+    spatial lag 0 it is not: the per-sensor noise is AR(1) with
+    coefficient 0.5, so each sensor's autocovariance adds a term that decays
+    as 0.5**u instead of phi**u, and the product form holds only when phi
+    is 0.5.  Advective mode: a stationary Gaussian random
     field (random Fourier modes with squared-exponential spectrum at the
     configured correlation length) is translated across the layout at
     ``velocity`` while each mode's coefficients follow an AR(1) in time;

@@ -408,21 +408,23 @@ def flat_sensor_dir(tmp_path_factory):
 
 
 FLAT_FAILS = [("fit", "--model", m) for m in ("fcar", "fcsar", "separable-ts")]
-FLAT_FAILS += [("diagnose",), ("crossval",)]
+FLAT_FAILS += [("diagnose",), ("crossval",), ("report",)]
 
 
 @pytest.mark.parametrize("command", FLAT_FAILS, ids=" ".join)
 def test_flat_sensor_error_names_the_sensor(tmp_path, flat_sensor_dir, capsys, command):
+    # a failed fit leaves no output directory behind, not even run.json
     args = (
         "--measurements", flat_sensor_dir / "measurements.csv",
         "--layout", flat_sensor_dir / "layout.csv",
         "--out", tmp_path / "x",
-        "--window", 60,
+        "--windows" if command == ("report",) else "--window", 60,
     )
     assert run_cli(*command, *args) == 1
     err = capsys.readouterr().err
     assert "'s05'" in err
     assert "sensor 's05', time indices 2..71: functional variable is constant" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("model", ["separable-st", "sar"])

@@ -1,5 +1,6 @@
 """Metric oracles and the leave-k-sensors-out cross-validation driver."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skylattice import evaluation
-from skylattice.core import SensorLayout, SpatioTemporalField, grid_layout
+from skylattice.cli import main as cli_main
+from skylattice.core import (
+    SensorLayout,
+    SpatioTemporalField,
+    grid_layout,
+    ingest_field,
+    read_layout_csv,
+    read_measurements_csv,
+    time_average,
+)
 from skylattice.evaluation import (
     CrossvalPlan,
     MetricsReport,
@@ -17,8 +27,6 @@ from skylattice.evaluation import (
     rmpe,
     rmpe_ratio,
     rmse,
-    write_rmpe_ratio_csv,
-    write_window_rmse_csv,
 )
 from skylattice.fcar import FcarOptions, FcarSpec
 from skylattice.fcsar import FcsarSpec, fit_fcsar, predict_missing_sensor
@@ -400,13 +408,10 @@ def _fcsar_holdout_predictions(
     )
     train_field = field.subset(train_ids)
     graph = build_neighbor_graph(train_field.layout, spec.graph.k)
-    sensor_specs = tuple(
-        spec.sensor_specs[layout.index_of(sid)] for sid in train_ids
-    )
     sub_spec = FcsarSpec(
         graph=graph,
         n_neighbor_lags=spec.n_neighbor_lags,
-        sensor_specs=sensor_specs,
+        temporal=spec.temporal,
     )
     fit = fit_fcsar(train_field, sub_spec, options)
     preds = np.empty((len(omega), field.n_times))
@@ -446,14 +451,6 @@ def jittered_field(seed, n_times=60):
     return simulate_field(cfg)
 
 
-def mixed_lag_template(field, b=1):
-    # sensor 6 needs b + 1 own lags: t0 depends on whether it is held out
-    graph = build_neighbor_graph(field.layout, 2)
-    specs = [FcarSpec.delay_absorbed(1, 1)] * field.n_sensors
-    specs[6] = FcarSpec.delay_absorbed(b + 1, 1)
-    return FcsarSpec(graph, b, tuple(specs))
-
-
 @pytest.mark.parametrize("b", [1, 2])
 def test_shared_backfits_match_refit_oracle_on_regular_grid(monkeypatch, b):
     # every held-out grid sensor has tied nearest training sensors, so the
@@ -486,17 +483,6 @@ def test_shared_backfits_match_refit_oracle_on_sampled_plan(monkeypatch):
     assert_matches_oracle(
         monkeypatch, field, plan, fcsar_template(field), eval_start=2
     )
-
-
-@pytest.mark.parametrize("b", [1, 2])
-def test_shared_backfits_key_on_support_start(monkeypatch, b):
-    # on the regular grid every prediction averages all training blocks,
-    # so a block backfit at the other t0 would show in every value
-    field = advective_field(seed=7, n_times=60)
-    spec = mixed_lag_template(field, b)
-    assert spec.support_start == b + 1
-    plan = CrossvalPlan.all_subsets(16, 1)
-    assert_matches_oracle(monkeypatch, field, plan, spec, eval_start=b + 1)
 
 
 def test_shared_backfits_do_not_outlive_the_call(monkeypatch):
@@ -597,16 +583,42 @@ def test_report_validates_values():
 
 
 def test_csv_writers_roundtrip(tmp_path):
-    import csv as csvmod
+    # ``crossval`` and ``report`` write their ratio and window RMSE rows in
+    # .10g under fixed headers
+    sim = tmp_path / "sim"
+    assert cli_main(["simulate", "--out", str(sim), "--T", "120", "--seed", "3"]) == 0
+    inputs = ["--measurements", str(sim / "measurements.csv"),
+              "--layout", str(sim / "layout.csv")]
+    model = ["--label", "day1", "--b", "1", "--p", "1", "--knots", "8"]
+    argv = ["crossval", *inputs, *model, "--window", "0", "--k", "1"]
+    assert cli_main([*argv, "--out", str(tmp_path / "cv")]) == 0
+    argv = ["report", *inputs, *model, "--windows", "60"]
+    assert cli_main([*argv, "--out", str(tmp_path / "rep")]) == 0
 
-    window = tmp_path / "window.csv"
-    write_window_rmse_csv([("day1", 600, 0.16, 0.999)], window)
-    rows = list(csvmod.reader(window.open()))
-    assert rows[0] == ["label", "window", "rmse", "adj_r2"]
-    assert rows[1] == ["day1", "600", "0.16", "0.999"]
+    field = ingest_field(
+        read_measurements_csv(sim / "measurements.csv"),
+        read_layout_csv(sim / "layout.csv"),
+        kind="detrended",
+    )
+    spec = FcsarSpec.uniform(
+        build_neighbor_graph(field.layout, 2), 1, FcarSpec.delay_absorbed(1, 1)
+    )
+    plan = CrossvalPlan.all_subsets(16, 1)
+    ratio = rmpe_ratio(
+        crossval(field, plan, "fcsar", spec, LIGHT, eval_start=1),
+        crossval(field, plan, "natural_neighbor", eval_start=1),
+    )
+    averaged = time_average(field, 60.0)
+    fit = fit_fcsar(averaged, spec, LIGHT)
+    obs = averaged.values[:, fit.support_start :]
+    fitted = fit.fitted_values[:, fit.support_start :]
+    window_rmse = rmse(obs, fitted)
+    adj = adjusted_r2(obs, fitted, fit.total_params)
 
-    ratio = tmp_path / "ratio.csv"
-    write_rmpe_ratio_csv([("day1", 1, 0.73210987654321)], ratio)
-    rows = list(csvmod.reader(ratio.open()))
-    assert rows[0] == ["label", "k", "ratio"]
-    assert float(rows[1][2]) == pytest.approx(0.73210987654321, rel=1e-9)
+    rows = list(csv.reader((tmp_path / "cv" / "rmpe_ratio.csv").open()))
+    assert rows == [["label", "k", "ratio"], ["day1", "1", f"{ratio:.10g}"]]
+    rows = list(csv.reader((tmp_path / "rep" / "window_rmse.csv").open()))
+    assert rows == [
+        ["label", "window", "rmse", "adj_r2"],
+        ["day1", "60", f"{window_rmse:.10g}", f"{adj:.10g}"],
+    ]

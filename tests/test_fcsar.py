@@ -13,6 +13,8 @@ from skylattice import (
     grid_layout,
     natural_neighbor_predict,
 )
+from skylattice.cli import main as cli_main
+from skylattice.core import ingest_field, read_layout_csv, read_measurements_csv
 from skylattice.evaluation import CrossvalPlan, crossval
 from skylattice.fcar import FcarOptions, FcarSpec, effective_params, fit_fcar
 from skylattice.spatial import sar_residuals_field, voronoi_weights
@@ -20,19 +22,17 @@ from skylattice.fcsar import (
     _BACKFIT_CYCLES,
     FcsarFit,
     FcsarSpec,
-    _check_detrended,
+    _check_input,
+    _fit_sensors,
     _neighbor_design,
-    _temporal_stage,
     _transfer_sum,
     fit_fcsar,
     nan_padded,
     fit_separable,
     predict_missing_sensor,
     separability_diagnostic,
-    write_separability_csv,
 )
 from skylattice.simulation import FieldSimConfig, simulate_field
-from skylattice.spatial import _check_same_layout
 
 AR1_SPEC = FcarSpec.delay_absorbed(1, 1)
 AR2_SPEC = FcarSpec.delay_absorbed(2, 1)
@@ -84,22 +84,15 @@ def test_spec_requires_positive_neighbor_lag():
     layout = small_layout()
     graph = build_neighbor_graph(layout, k=2)
     with pytest.raises(ValueError, match="n_neighbor_lags"):
-        FcsarSpec(graph, 0, (AR1_SPEC,) * 16)
-
-
-def test_spec_requires_one_temporal_spec_per_sensor():
-    layout = small_layout()
-    graph = build_neighbor_graph(layout, k=2)
-    with pytest.raises(ValueError, match="per sensor"):
-        FcsarSpec(graph, 1, (AR1_SPEC,) * 15)
+        FcsarSpec(graph, 0, AR1_SPEC)
 
 
 def test_uniform_spec_and_support_start():
     layout = small_layout()
     graph = build_neighbor_graph(layout, k=2)
     spec = FcsarSpec.uniform(graph, 1, AR2_SPEC)
-    assert len(spec.sensor_specs) == 16
-    assert all(s is AR2_SPEC for s in spec.sensor_specs)
+    assert spec.temporal is AR2_SPEC
+    assert spec == FcsarSpec(graph, 1, AR2_SPEC)
     assert spec.support_start == 2  # max(b=1, max_lag=2)
     assert FcsarSpec.uniform(graph, 3, AR1_SPEC).support_start == 3
 
@@ -298,9 +291,7 @@ def _fit_neighbor_coefficients(
 
 
 def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
-    field.require_complete("fit_fcsar")
-    _check_detrended(field, "fit_fcsar")
-    _check_same_layout(field.layout, spec.graph.layout, "fit_fcsar")
+    _check_input(field, spec.graph, "fit_fcsar")
     z = field.values
     S, T = z.shape
     t0 = spec.support_start
@@ -313,6 +304,7 @@ def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
             f"for {n_coef} neighbor coefficients per sensor"
         )
     strict = bool(options.strict_rank) if options is not None else False
+    ids = spec.graph.layout.ids
 
     n_cycles = 0 if freeze_beta_at_zero else _BACKFIT_CYCLES
     beta = np.zeros((S, spec.graph.k, b))
@@ -326,9 +318,9 @@ def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
         for s in range(S):
             spatial[s, b:] = _transfer_sum(z, spec.graph.neighbors[s], beta[s], b)
         if cycle + 1 < n_cycles:
-            fits = _temporal_stage(z, spatial, spec, options, t0)
+            fits = _fit_sensors(ids, z, spec.temporal, options, t0, z - spatial)
             temporal = np.stack([f.fitted for f in fits])
-    fcar_fits = _temporal_stage(z, spatial, spec, options, t0)
+    fcar_fits = _fit_sensors(ids, z, spec.temporal, options, t0, z - spatial)
 
     temporal = np.stack([f.fitted for f in fcar_fits])
     fitted = nan_padded(spatial[:, t0:] + temporal, T)
@@ -356,13 +348,6 @@ def assert_same_fit(new, old):
         assert np.array_equal(a.residuals, b.residuals)
 
 
-def mixed_lag_spec(graph, b):
-    # sensor 6 needs two own lags, so the support starts later
-    specs = [AR1_SPEC] * graph.layout.n_sensors
-    specs[6] = AR2_SPEC
-    return FcsarSpec(graph, b, tuple(specs))
-
-
 @pytest.mark.parametrize("b", [1, 2])
 @pytest.mark.parametrize("freeze", [False, True])
 def test_per_sensor_backfit_matches_cycle_major_oracle(b, freeze):
@@ -371,12 +356,11 @@ def test_per_sensor_backfit_matches_cycle_major_oracle(b, freeze):
     lattice = as_field(layout, simulate_lattice(layout, graph, 150, seed=11))
     cloudy = advective_field(T=120, seed=5)
     for field in (lattice, cloudy):
-        g = build_neighbor_graph(field.layout, k=2)
-        for spec in (FcsarSpec.uniform(g, b, AR1_SPEC), mixed_lag_spec(g, b)):
-            assert_same_fit(
-                fit_fcsar(field, spec, LIGHT, freeze_beta_at_zero=freeze),
-                oracle_fit_fcsar(field, spec, LIGHT, freeze_beta_at_zero=freeze),
-            )
+        spec = FcsarSpec.uniform(build_neighbor_graph(field.layout, k=2), b, AR1_SPEC)
+        assert_same_fit(
+            fit_fcsar(field, spec, LIGHT, freeze_beta_at_zero=freeze),
+            oracle_fit_fcsar(field, spec, LIGHT, freeze_beta_at_zero=freeze),
+        )
 
 
 def test_per_sensor_backfit_matches_oracle_on_deficient_designs():
@@ -748,14 +732,27 @@ def test_diagnostic_accepts_factorizable_field():
 
 
 def test_separability_csv_roundtrip(tmp_path):
-    field = separable_field(T=100, seed=1)
+    # ``diagnose`` writes the report's RMSEs in .10g under a fixed header
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--out", sim, "--mode", "separable", "--corr-length", 60,
+            "--T", 100, "--seed", 1]
+    assert cli_main([str(a) for a in argv]) == 0
+    inputs = ["--measurements", sim / "measurements.csv", "--layout", sim / "layout.csv"]
+    argv = ["diagnose", *inputs, "--out", tmp_path / "diag", "--label", "sep-1",
+            "--window", 0, "--p", 1, "--knots", 8]
+    assert cli_main([str(a) for a in argv]) == 0
+    field = ingest_field(
+        read_measurements_csv(sim / "measurements.csv"),
+        read_layout_csv(sim / "layout.csv"),
+        kind="detrended",
+    )
     graph = build_neighbor_graph(field.layout, k=2)
     rep = separability_diagnostic(field, graph, AR1_SPEC, LIGHT, label="sep-1")
-    path = tmp_path / "diag.csv"
-    write_separability_csv([rep], path)
-    with open(path, newline="") as fh:
+    with open(tmp_path / "diag" / "separability.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"]
-    assert rows[1][0] == "sep-1"
-    assert float(rows[1][1]) == pytest.approx(rep.st_rmse, rel=1e-9)
-    assert float(rows[1][4]) == pytest.approx(rep.fcsar_b2_rmse, rel=1e-9)
+    assert rows == [
+        ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"],
+        ["sep-1", *(f"{v:.10g}" for v in (
+            rep.st_rmse, rep.ts_rmse, rep.fcsar_b1_rmse, rep.fcsar_b2_rmse
+        ))],
+    ]
