@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from .core import (
     write_layout_csv,
     write_measurements_csv,
 )
-from .evaluation import CrossvalPlan, adjusted_r2, crossval, rmpe_ratio, rmse
+from .evaluation import SUBSET_CAP, CrossvalPlan, adjusted_r2, crossval, rmpe_ratio, rmse
 from .fcar import FcarOptions, FcarSpec, effective_params
 from .fcsar import (
     FcsarSpec,
@@ -74,9 +75,12 @@ def _parse_int(s: str) -> int:
 
 def _parse_float(s: str) -> float:
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise UsageError(f"expected a number, got {s!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _parse_bool(s: str) -> bool:
@@ -475,6 +479,7 @@ def cmd_simulate(cfg: dict) -> None:
     _check(cfg["T"] >= 2, "--T must be >= 2")
     _check(cfg["dt"] > 0, "--dt must be > 0")
     _check(cfg["nx"] >= 1 and cfg["ny"] >= 1, "--nx and --ny must be >= 1")
+    _check(cfg["nx"] * cfg["ny"] >= 3, "--nx * --ny must be >= 3: a layout needs 3 sensors")
     _check(cfg["spacing"] > 0, "--spacing must be > 0")
     _check(cfg["corr_length"] > 0, "--corr-length must be > 0")
     layout = grid_layout(cfg["ny"], cfg["nx"], cfg["spacing"])
@@ -584,7 +589,7 @@ def cmd_fit(cfg: dict) -> None:
     + _model_opts()
     + [
         Opt("k", (1,), _parse_int_list, "missing-sensor counts, e.g. 1,2,3"),
-        Opt("cap", 2000, _parse_int, "max subsets per k before seeded sampling"),
+        Opt("cap", SUBSET_CAP, _parse_int, "max subsets per k before seeded sampling"),
     ],
 )
 def cmd_crossval(cfg: dict) -> None:
@@ -611,7 +616,7 @@ def cmd_crossval(cfg: dict) -> None:
             field, plan, "natural_neighbor", eval_start=cfg["b"]
         )
         ratio = rmpe_ratio(report_model, report_base)
-        rows.append((cfg["label"], k, ratio))
+        rows.append((cfg["label"], k, f"{ratio:.10g}"))
         sampled = " (sampled)" if plan.sampled else ""
         _say(
             cfg,
@@ -653,12 +658,12 @@ def cmd_diagnose(cfg: dict) -> None:
         label=cfg["label"],
         threshold=cfg["threshold"],
     )
+    rmses = (report.st_rmse, report.ts_rmse, report.fcsar_b1_rmse, report.fcsar_b2_rmse)
     out_dir = _start_run(cfg, "diagnose")
     _write_csv_rows(
         out_dir / "separability.csv",
         ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"],
-        [(report.label, report.st_rmse, report.ts_rmse, report.fcsar_b1_rmse,
-          report.fcsar_b2_rmse)],
+        [(report.label, *(f"{v:.10g}" for v in rmses))],
     )
     _say(
         cfg,
@@ -701,7 +706,8 @@ def cmd_report(cfg: dict) -> None:
         fitted = fit.fitted[:, fit.support :]
         window_rmse = rmse(obs, fitted)
         adj, adj_text = _adj_r2(obs, fitted, fit.n_params)
-        rows.append((cfg["label"], window, window_rmse, adj))
+        adj_cell = None if adj is None else f"{adj:.10g}"
+        rows.append((cfg["label"], f"{window:.10g}", f"{window_rmse:.10g}", adj_cell))
         _say(cfg, 1, f"{cfg['label']} window={window:g}s rmse={window_rmse:.6g}{adj_text}")
     out_dir = _start_run(cfg, "report")
     _write_csv_rows(out_dir / "window_rmse.csv", ["label", "window", "rmse", "adj_r2"], rows)

@@ -16,7 +16,6 @@ from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 FIELD_KINDS = ("raw", "detrended", "residual")
 
@@ -86,10 +85,9 @@ class SensorLayout:
         return SensorLayout(tuple(self.ids[i] for i in idx), self.xy[idx])
 
 
-def grid_layout(
-    rows: int, cols: int, spacing: float, origin: tuple[float, float] = (0.0, 0.0)
-) -> SensorLayout:
-    """Regular rows x cols sensor grid with the given spacing in meters.
+def grid_layout(rows: int, cols: int, spacing: float) -> SensorLayout:
+    """Regular rows x cols sensor grid from the origin with the given
+    spacing in meters.
 
     Ids are ``s00, s01, ...`` in row-major order, zero-padded so that
     lexicographic order equals layout order.
@@ -102,7 +100,7 @@ def grid_layout(
     for r in range(rows):
         for c in range(cols):
             ids.append(f"s{r * cols + c:0{width}d}")
-            pts.append((origin[0] + c * spacing, origin[1] + r * spacing))
+            pts.append((c * spacing, r * spacing))
     return SensorLayout(tuple(ids), np.array(pts))
 
 
@@ -344,12 +342,11 @@ def write_layout_csv(layout: SensorLayout, path) -> None:
 
 
 def _write_csv_rows(path, header: list, rows: Iterable[tuple]) -> None:
-    """Write a header and rows; floats as ``.10g``, everything else as given."""
+    """Write a header and rows as given; callers format their own cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +401,10 @@ def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     # correlation of y against the odd-length window w, zero-padded ends
     if y.size * w.size <= _FFT_THRESHOLD:
         return np.convolve(y, w[::-1], mode="same")
+    # imported here: scipy.signal loads scipy.stats too, which about doubles
+    # the package's import time, and only long records reach this branch
+    from scipy.signal import fftconvolve
+
     return fftconvolve(y, w[::-1], mode="same")
 
 

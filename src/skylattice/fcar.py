@@ -26,10 +26,10 @@ kernel-window sweep over the grid and one over the observed u serve all
 components, and the grid sweep's cross sums also give the band
 propagation.
 
-When the intercept curve m_0 is present and lag d is kept among the
-regressors, m_0(u) and m_d(u)*u are only weakly separated (both are
-functions of u alone); :meth:`FcarSpec.delay_absorbed` builds the rewritten
-form that folds the lag-d term into m_0.  That is the right form for series
+An intercept curve m_0 next to the lag-d term would be only weakly
+separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
+m_0 comes only in the rewritten form :meth:`FcarSpec.delay_absorbed`,
+which folds the lag-d term into m_0.  That is the right form for series
 like the exponential autoregression in :mod:`skylattice.simulation`, whose
 lag-d contribution is a pure function of u.
 """
@@ -63,34 +63,20 @@ class FcarSpec:
     """Model order for a functional-coefficient autoregression.
 
     ``p`` is the autoregressive order and ``d`` the delay of the functional
-    variable u_t = X_{t-d} (1 <= d <= p).  ``lags`` defaults to (1, ..., p);
-    passing an explicit subset fits only those lag terms, which is how the
-    delay-absorbed rewrite drops the lag-d regressor.
+    variable u_t = X_{t-d} (1 <= d <= p).  The plain form fits the lag terms
+    1..p; with ``absorb_delay`` set, the intercept curve m_0 is fitted and
+    the lag-d term is dropped (see :meth:`delay_absorbed`).
     """
 
     p: int
     d: int
-    include_intercept_function: bool = False
-    lags: Optional[tuple[int, ...]] = None
+    absorb_delay: bool = False
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not (1 <= self.d <= self.p):
             raise ValueError("d must satisfy 1 <= d <= p")
-        lags = self.lags
-        if lags is None:
-            lags = tuple(range(1, self.p + 1))
-        else:
-            lags = tuple(int(j) for j in lags)
-            if len(set(lags)) != len(lags) or any(
-                j < 1 or j > self.p for j in lags
-            ):
-                raise ValueError("lags must be distinct integers in 1..p")
-            lags = tuple(sorted(lags))
-        if not lags and not self.include_intercept_function:
-            raise ValueError("model has no terms: empty lags and no intercept curve")
-        object.__setattr__(self, "lags", lags)
 
     @classmethod
     def delay_absorbed(cls, p: int, d: int) -> "FcarSpec":
@@ -99,22 +85,18 @@ class FcarSpec:
         Because u_t = X_{t-d}, the term m_d(u_t) X_{t-d} = m_d(u) u is a
         function of u alone and is absorbed into the intercept curve.
         """
-        return cls(
-            p=p,
-            d=d,
-            include_intercept_function=True,
-            lags=tuple(j for j in range(1, p + 1) if j != d),
-        )
+        return cls(p=p, d=d, absorb_delay=True)
 
     @property
     def components(self) -> tuple[int, ...]:
         """Component indices in fit order; 0 denotes the intercept curve."""
-        head = (0,) if self.include_intercept_function else ()
-        return head + self.lags
+        if self.absorb_delay:
+            return (0,) + tuple(j for j in range(1, self.p + 1) if j != self.d)
+        return tuple(range(1, self.p + 1))
 
     @property
     def max_lag(self) -> int:
-        return max(max(self.lags, default=0), self.d)
+        return self.p
 
 
 @dataclass(frozen=True)
@@ -257,9 +239,7 @@ def _block_solve(D: np.ndarray, y: np.ndarray, cap: float):
     return coef, sigma2, gram_inv, rank
 
 
-def _spline_lstsq(
-    rows: _FitRows, spec: FcarSpec, basis: SplineBasis, strict: bool
-) -> _SplinePrefit:
+def _spline_lstsq(rows: _FitRows, spec: FcarSpec, basis: SplineBasis) -> _SplinePrefit:
     n_funcs = basis.n_funcs
     if rows.t.size <= n_funcs + spec.max_lag:
         raise ValueError(
@@ -270,57 +250,43 @@ def _spline_lstsq(
     y = rows.y
     y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
 
-    coefs, sigma2s, gram_invs, bad = [], [], [], []
+    coefs, sigma2s, gram_invs = [], [], []
+    deficient = False
     for j, reg in zip(spec.components, rows.cols):
         r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
         D = B * reg[:, None]
         coef, sigma2, gram_inv, rank = _block_solve(D, y, 1e3 * y_scale / r_scale)
-        if rank < n_funcs:
-            bad.append(j)
+        deficient |= rank < n_funcs
         coefs.append(coef)
         sigma2s.append(sigma2)
         gram_invs.append(gram_inv)
-    if bad and strict:
-        raise ValueError(f"rank-deficient spline design; deficient component blocks: {bad}")
     coeffs = np.column_stack(coefs)
     return _SplinePrefit(
         coeffs=coeffs,
         parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(rows.cols)),
         sigma2s=tuple(sigma2s),
         gram_invs=tuple(gram_invs),
-        deficient=bool(bad),
+        deficient=deficient,
     )
 
 
-def spline_preestimate(
-    x: np.ndarray,
-    spec: FcarSpec,
-    basis: SplineBasis,
-    *,
-    response: Optional[np.ndarray] = None,
-    t_start: Optional[int] = None,
-    strict: bool = False,
-) -> np.ndarray:
+def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.ndarray:
     """Under-smoothed B-spline least-squares pre-estimates of all curves.
 
     Each component is fit marginally: for component ``j`` the coefficients
-    minimize sum_t (X_t - sum_k lambda_k b_k(u_t) X_{t-j})^2 on its own,
-    leaving the other components to the kernel refinement stage.  Returns
-    an (N+2, n_components) matrix, columns ordered as ``spec.components``.
-    Each block is solved through the SVD with singular values below 1e-8 of
-    the largest treated as zero; with the default knot count, knot intervals
-    holding too few points leave directions unidentified, and those take the
-    minimum-norm value 0 (the cutoff rises automatically while the solution
-    scale shows near-dependent directions survived it).  With ``strict`` set
-    a rank-deficient design raises instead, naming the deficient component
-    blocks.
-
-    ``response`` substitutes a different left-hand side for X_t (used by the
-    lattice model, whose temporal stage regresses spatial residuals on
-    lagged values of the original series).
+    minimize sum_t (X_t - sum_k lambda_k b_k(u_t) X_{t-j})^2 over the rows
+    t = ``spec.max_lag`` .. T-1 on its own, leaving the other components to
+    the kernel refinement stage.  Returns an (N+2, n_components) matrix,
+    columns ordered as ``spec.components``.  Each block is solved through
+    the SVD with singular values below 1e-8 of the largest treated as zero;
+    with the default knot count, knot intervals holding too few points leave
+    directions unidentified, and those take the minimum-norm value 0 (the
+    cutoff rises automatically while the solution scale shows near-dependent
+    directions survived it).  :func:`fit_fcar` reports such a design in
+    ``FcarFit.rank_deficient``.
     """
-    rows = _fit_rows(np.asarray(x, dtype=float), spec, t_start, response)
-    return _spline_lstsq(rows, spec, basis, strict).coeffs
+    rows = _fit_rows(np.asarray(x, dtype=float), spec, None, None)
+    return _spline_lstsq(rows, spec, basis).coeffs
 
 
 def pseudo_responses(
@@ -562,13 +528,11 @@ class FcarOptions:
     """Tuning knobs for :func:`fit_fcar`; defaults follow the module rules.
 
     ``None`` picks :func:`default_knot_count` knots and the
-    :func:`rule_of_thumb_bandwidth`; ``strict_rank`` makes a rank-deficient
-    spline design raise instead of taking minimum-norm coefficients.
+    :func:`rule_of_thumb_bandwidth`.
     """
 
     n_knots: Optional[int] = None
     bandwidth: Optional[float] = None
-    strict_rank: bool = False
 
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth <= 0:
@@ -591,6 +555,8 @@ class FcarFit:
     order; ``spline_coeffs`` the (N+2) x n_components pre-estimate used for
     fallback evaluation wherever the kernel stage is unreliable.  ``fitted``
     and ``residuals`` cover rows ``t_start`` .. T-1 of the input series.
+    ``rank_deficient`` is set when a spline block had rank below N+2 and
+    took minimum-norm coefficients.
     """
 
     spec: FcarSpec
@@ -666,7 +632,7 @@ def fit_fcar(
     n_knots = opts.n_knots if opts.n_knots is not None else default_knot_count(T)
     basis = SplineBasis(n_knots)
     rows = _fit_rows(x, spec, t_start, response)
-    prefit = _spline_lstsq(rows, spec, basis, opts.strict_rank)
+    prefit = _spline_lstsq(rows, spec, basis)
     u = rows.u
     h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
     u_grid = np.linspace(u.min(), u.max(), GRID_SIZE)

@@ -233,7 +233,6 @@ def _backfit_sensor(
     neighbors: Sequence[int],
     spec: FcsarSpec,
     options: Optional[FcarOptions],
-    strict: bool,
     sensor_id: str,
 ) -> tuple[np.ndarray, bool, np.ndarray]:
     """Two-cycle backfit of one sensor's neighbor-transfer coefficients.
@@ -247,9 +246,9 @@ def _backfit_sensor(
 
     Returns the (k, b) coefficient block, whether the neighbor design has
     full rank, and the length-T spatial row.  A rank-deficient design
-    (duplicated sensors, constant fields) takes the minimum-norm solution;
-    under ``strict`` it raises.  The design never changes between cycles,
-    so neither does its rank.
+    (duplicated sensors, constant fields) takes the minimum-norm solution,
+    and the caller reports the sensor.  The design never changes between
+    cycles, so neither does its rank.
     """
     T = z.shape[1]
     b, t0 = spec.n_neighbor_lags, spec.support_start
@@ -259,8 +258,6 @@ def _backfit_sensor(
     for cycle in range(_BACKFIT_CYCLES):
         coef, _, rank, _ = np.linalg.lstsq(design, z[s, t0:] - temporal, rcond=None)
         full_rank = bool(rank == design.shape[1])
-        if strict and not full_rank:
-            raise ValueError(f"collinear neighbor regressors for sensor {sensor_id!r}")
         beta = coef.reshape(len(neighbors), b)
         spatial[b:] = _transfer_sum(z, neighbors, beta, b)
         if cycle + 1 < _BACKFIT_CYCLES:
@@ -286,7 +283,7 @@ def _transfer_stage(
     two), so one dict may serve any sensor subsets of one field under one
     lag depth, temporal spec and options.
     """
-    strict = _fit_checks(field, spec, options)
+    _fit_checks(field, spec)
     z = field.values
     ids = field.layout.ids
     beta = np.empty((len(ids), spec.graph.k, spec.n_neighbor_lags))
@@ -295,7 +292,7 @@ def _transfer_stage(
     for s, neighbors in enumerate(spec.graph.neighbors):
         key = (ids[s], tuple(ids[n] for n in neighbors))
         if key not in backfits:
-            backfits[key] = _backfit_sensor(z, s, neighbors, spec, options, strict, ids[s])
+            backfits[key] = _backfit_sensor(z, s, neighbors, spec, options, ids[s])
         beta[s], full_rank, spatial[s] = backfits[key]
         if not full_rank:
             deficient.append(ids[s])
@@ -309,10 +306,8 @@ def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
     return out
 
 
-def _fit_checks(
-    field: SpatioTemporalField, spec: FcsarSpec, options: Optional[FcarOptions]
-) -> bool:
-    """Check a field and spec for ``fit_fcsar``; return whether rank is strict."""
+def _fit_checks(field: SpatioTemporalField, spec: FcsarSpec) -> None:
+    """Check a field and spec for ``fit_fcsar``."""
     _check_input(field, spec.graph, "fit_fcsar")
     T = field.n_times
     n_rows = T - spec.support_start
@@ -322,7 +317,6 @@ def _fit_checks(
             f"series too short: {T} time points leave {n_rows} usable rows "
             f"for {n_coef} neighbor coefficients per sensor"
         )
-    return bool(options.strict_rank) if options is not None else False
 
 
 def fit_fcsar(
@@ -351,8 +345,9 @@ def fit_fcsar(
     spec : FcsarSpec
         Graph, neighbor lag depth, and the temporal spec of every sensor.
     options : FcarOptions, optional
-        Passed to every temporal-stage fit.  ``options.strict_rank`` also
-        makes a collinear neighbor design an error instead of a flag.
+        Passed to every temporal-stage fit.  A collinear neighbor design
+        takes the minimum-norm coefficients, and its sensor is listed in
+        ``FcsarFit.deficient_sensors``.
     freeze_beta_at_zero : bool
         Run zero backfit cycles: all transfer coefficients stay 0 and the
         single temporal stage sees the raw series, reproducing independent
@@ -366,7 +361,7 @@ def fit_fcsar(
     S, T = z.shape
     t0 = spec.support_start
     if freeze_beta_at_zero:
-        _fit_checks(field, spec, options)
+        _fit_checks(field, spec)
         beta = np.zeros((S, spec.graph.k, spec.n_neighbor_lags))
         spatial, deficient = np.zeros((S, T)), ()
     else:

@@ -112,6 +112,25 @@ def test_simulate_raw_field_with_diurnal_trend(tmp_path):
     assert field.values.std() > 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--diurnal", "nan"),
+        ("--corr-length", "inf"),
+        ("--velocity", "nan,0"),
+        ("--dt", "inf"),
+        ("--spacing", "inf"),
+        ("--nx", "1", "--ny", "2"),
+    ],
+    ids=" ".join,
+)
+def test_simulate_rejects_unusable_values_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--out", out, "--T", 20, *flags) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- detrend
 
 
@@ -594,18 +613,29 @@ def test_report_and_fit_share_the_adj_r2_rule(tmp_path):
 # ------------------------------------------------------------- entry points
 
 
-def test_module_entry_point_reports_version():
-    # the child imports the package this suite imported, installed or not
+def run_child(*args):
+    """Run a fresh interpreter on the package this suite imported, installed or not."""
     src = str(Path(skylattice.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "skylattice", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_reports_version():
+    proc = run_child("-m", "skylattice", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal pulls in scipy.stats; only detrend's FFT branch needs it
+    proc = run_child("-c", "import sys, skylattice.cli; print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exports_and_tracer_targets_resolve():

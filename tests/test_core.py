@@ -178,7 +178,9 @@ class TestIngest:
         npt.assert_array_equal(g.values[~mask], f.values[~mask])
 
     def test_layout_round_trip(self, tmp_path):
-        lay = grid_layout(3, 2, 83.0, origin=(-10.0, 5.5))
+        lay = SensorLayout(
+            ("a", "b", "c"), np.array([[-10.0, 5.5], [73.25, 5.5], [0.1, 1e-7]])
+        )
         path = tmp_path / "layout.csv"
         write_layout_csv(lay, path)
         back = read_layout_csv(path)

@@ -70,29 +70,19 @@ def central_mask(u_values, series, lo_q=0.05, hi_q=0.95):
 class TestFcarSpec:
     def test_default_lags_and_components(self):
         spec = FcarSpec(p=2, d=1)
-        assert spec.lags == (1, 2)
         assert spec.components == (1, 2)
         assert spec.max_lag == 2
 
-    def test_intercept_prepends_component_zero(self):
-        spec = FcarSpec(p=1, d=1, include_intercept_function=True)
-        assert spec.components == (0, 1)
-
     def test_delay_absorbed_drops_the_delay_lag(self):
         spec = FcarSpec.delay_absorbed(2, 1)
-        assert spec.include_intercept_function
-        assert spec.lags == (2,)
+        assert spec.absorb_delay
         assert spec.components == (0, 2)
         assert spec.max_lag == 2
 
     def test_delay_absorbed_keeps_other_lags(self):
         spec = FcarSpec.delay_absorbed(3, 2)
-        assert spec.lags == (1, 3)
         assert spec.components == (0, 1, 3)
-
-    def test_lags_are_sorted(self):
-        spec = FcarSpec(p=3, d=1, lags=(3, 1))
-        assert spec.lags == (1, 3)
+        assert spec.max_lag == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -100,9 +90,6 @@ class TestFcarSpec:
             {"p": 0, "d": 1},
             {"p": 2, "d": 0},
             {"p": 2, "d": 3},
-            {"p": 2, "d": 1, "lags": (1, 1)},
-            {"p": 2, "d": 1, "lags": (3,)},
-            {"p": 2, "d": 1, "lags": ()},
         ],
     )
     def test_invalid_orders_raise(self, kwargs):
@@ -217,7 +204,8 @@ class TestSplinePreestimate:
         spec = FcarSpec(p=2, d=1)
         basis = SplineBasis(6)
         base = spline_preestimate(x, spec, basis)
-        doubled = spline_preestimate(x, spec, basis, response=2.0 * x)
+        rows = fcar._fit_rows(x, spec, None, 2.0 * x)
+        doubled = fcar._spline_lstsq(rows, spec, basis).coeffs
         npt.assert_allclose(doubled, 2.0 * base, atol=1e-9)
 
     def test_constant_truth_centered_across_replications(self):
@@ -244,10 +232,10 @@ class TestSplinePreestimate:
         x = np.tile([0.5, 1.5, 2.5], 8)
         spec = FcarSpec(p=1, d=1)
         basis = SplineBasis(2)
-        with pytest.raises(ValueError, match="deficient"):
-            spline_preestimate(x, spec, basis, strict=True)
-        coeffs = spline_preestimate(x, spec, basis)
-        assert np.all(np.isfinite(coeffs))
+        _, prefit = spline_rows(x, spec, basis)
+        assert prefit.deficient
+        assert np.all(np.isfinite(prefit.coeffs))
+        npt.assert_array_equal(spline_preestimate(x, spec, basis), prefit.coeffs)
 
     def test_series_too_short_raises(self):
         x = ar1_series(12, seed=1)
@@ -275,14 +263,14 @@ class TestSplinePreestimate:
 def spline_rows(x, spec, basis):
     """The fit rows of ``x`` and their marginal spline pre-fit."""
     rows = fcar._fit_rows(x, spec, None, None)
-    return rows, fcar._spline_lstsq(rows, spec, basis, False)
+    return rows, fcar._spline_lstsq(rows, spec, basis)
 
 
 class TestFitRows:
     def test_rows_hold_the_regression(self):
         x = ar2_series(60, seed=3)
         resp = np.cos(x)
-        spec = FcarSpec(p=3, d=2, include_intercept_function=True, lags=(1, 3))
+        spec = FcarSpec.delay_absorbed(3, 2)
         rows = fcar._fit_rows(x, spec, 5, resp)
         t = np.arange(5, 60)
         npt.assert_array_equal(rows.t, t)

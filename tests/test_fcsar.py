@@ -202,17 +202,6 @@ def test_identical_sensors_flagged_minimum_norm():
     assert np.max(slot_diff) < 1e-8
 
 
-def test_collinear_design_raises_under_strict_rank():
-    layout = small_layout()
-    graph = build_neighbor_graph(layout, k=2)
-    rng = np.random.default_rng(3)
-    x = np.cumsum(rng.standard_normal(300)) * 0.1
-    z = np.tile(x - x.mean(), (16, 1))
-    strict = FcarOptions(n_knots=8, strict_rank=True)
-    with pytest.raises(ValueError, match="collinear neighbor regressors for sensor"):
-        fit_fcsar(as_field(layout, z), FcsarSpec.uniform(graph, 1, AR1_SPEC), strict)
-
-
 def test_too_short_series_raises():
     layout = small_layout()
     graph = build_neighbor_graph(layout, k=2)
@@ -266,12 +255,11 @@ def _fit_neighbor_coefficients(
     b: int,
     t0: int,
     response: np.ndarray,
-    strict: bool,
 ):
     """Per-sensor least squares of ``response`` rows on lagged neighbor values.
 
     Rank-deficient designs (duplicated sensors, constant fields) take the
-    minimum-norm solution and are flagged; under ``strict`` they raise.
+    minimum-norm solution and are flagged.
     """
     S = z.shape[0]
     beta = np.empty((S, graph.k, b))
@@ -280,12 +268,7 @@ def _fit_neighbor_coefficients(
         design = _neighbor_design(z, graph.neighbors[s], b, t0)
         coef, _, rank, _ = np.linalg.lstsq(design, response[s], rcond=None)
         if rank < design.shape[1]:
-            sensor = graph.layout.ids[s]
-            if strict:
-                raise ValueError(
-                    f"collinear neighbor regressors for sensor {sensor!r}"
-                )
-            deficient.append(sensor)
+            deficient.append(graph.layout.ids[s])
         beta[s] = coef.reshape(graph.k, b)
     return beta, tuple(deficient)
 
@@ -303,7 +286,6 @@ def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
             f"series too short: {T} time points leave {n_rows} usable rows "
             f"for {n_coef} neighbor coefficients per sensor"
         )
-    strict = bool(options.strict_rank) if options is not None else False
     ids = spec.graph.layout.ids
 
     n_cycles = 0 if freeze_beta_at_zero else _BACKFIT_CYCLES
@@ -313,7 +295,7 @@ def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
     temporal = np.zeros((S, n_rows))
     for cycle in range(n_cycles):
         beta, deficient = _fit_neighbor_coefficients(
-            z, spec.graph, b, t0, z[:, t0:] - temporal, strict
+            z, spec.graph, b, t0, z[:, t0:] - temporal
         )
         for s in range(S):
             spatial[s, b:] = _transfer_sum(z, spec.graph.neighbors[s], beta[s], b)
@@ -374,13 +356,6 @@ def test_per_sensor_backfit_matches_oracle_on_deficient_designs():
     new = fit_fcsar(as_field(layout, z), spec, LIGHT)
     assert new.deficient_sensors == ("s00", "s01", "s05")
     assert_same_fit(new, oracle_fit_fcsar(as_field(layout, z), spec, LIGHT))
-    strict = FcarOptions(n_knots=8, strict_rank=True)
-    messages = []
-    for fit in (fit_fcsar, oracle_fit_fcsar):
-        with pytest.raises(ValueError, match="collinear") as exc:
-            fit(as_field(layout, z), spec, strict)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1] == "collinear neighbor regressors for sensor 's00'"
 
 
 # ---------------------------------------------------------------- invariances
