@@ -8,7 +8,11 @@ averaging windows for a model-quality report.
 
 Every option can come from a ``key=value`` config file (``--config``);
 command-line flags override file entries, file entries override the
-documented defaults.  All outputs land under ``--out`` next to a
+documented defaults.  Each option's parser holds its whole rule (type,
+bound, list shape), and ``_resolve`` runs it on flag and file values
+alike, naming the option's flag in any error; commands check only the
+rules between options (``--d <= --p``, ``--nx * --ny >= 3``).  All
+outputs land under ``--out`` next to a
 ``run.json`` echo of the fully resolved configuration, so a run can be
 reproduced from its output directory alone.  Commands are deterministic
 given (config, seed): reruns produce byte-identical files.
@@ -70,16 +74,16 @@ def _parse_int(s: str) -> int:
     try:
         return int(s)
     except ValueError:
-        raise UsageError(f"expected an integer, got {s!r}") from None
+        raise UsageError(f"expects an integer, got {s!r}") from None
 
 
 def _parse_float(s: str) -> float:
     try:
         value = float(s)
     except ValueError:
-        raise UsageError(f"expected a number, got {s!r}") from None
+        raise UsageError(f"expects a number, got {s!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"expected a finite number, got {s!r}")
+        raise UsageError(f"expects a finite number, got {s!r}")
     return value
 
 
@@ -89,22 +93,48 @@ def _parse_bool(s: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {s!r}")
+    raise UsageError(f"expects a boolean, got {s!r}")
 
 
 def _parse_pair(s: str) -> tuple[float, float]:
     parts = s.split(",")
     if len(parts) != 2:
-        raise UsageError(f"expected two comma-separated numbers, got {s!r}")
+        raise UsageError(f"expects two comma-separated numbers, got {s!r}")
     return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    return tuple(_parse_int(tok) for tok in s.split(",") if tok.strip())
+def _at_least(low: float, parse: Callable[[str], float] = _parse_int):
+    """``parse``, then reject values below ``low``."""
+
+    def parse_bounded(s: str) -> float:
+        value = parse(s)
+        if value < low:
+            raise UsageError(f"must be >= {low:g}, got {s!r}")
+        return value
+
+    return parse_bounded
 
 
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    return tuple(_parse_float(tok) for tok in s.split(",") if tok.strip())
+def _positive(s: str) -> float:
+    value = _parse_float(s)
+    if value <= 0:
+        raise UsageError(f"must be > 0, got {s!r}")
+    return value
+
+
+def _list_of(parse: Callable[[str], object]):
+    """Comma-separated values, each through ``parse``: at least one, none repeated."""
+
+    def parse_list(s: str) -> tuple:
+        values = tuple(parse(tok) for tok in s.split(",") if tok.strip())
+        if not values:
+            raise UsageError(f"needs at least one value, got {s!r}")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise UsageError(f"repeats the value {v:g}")
+        return values
+
+    return parse_list
 
 
 @dataclass(frozen=True)
@@ -118,11 +148,14 @@ class Opt:
     choices: Optional[tuple] = None
     is_flag: bool = False
 
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
     def add_to(self, parser: argparse.ArgumentParser) -> None:
-        flag = "--" + self.name.replace("_", "-")
         if self.is_flag:
             parser.add_argument(
-                flag,
+                self.flag,
                 dest=self.name,
                 action="store_const",
                 const="true",
@@ -131,7 +164,7 @@ class Opt:
             )
         else:
             parser.add_argument(
-                flag,
+                self.flag,
                 dest=self.name,
                 type=str,
                 default=None,
@@ -144,11 +177,11 @@ def _common_opts() -> list[Opt]:
     return [
         Opt("out", "out", str, "output directory; created if missing"),
         Opt("label", "field", str, "row label used in report CSVs"),
-        Opt("seed", 0, _parse_int, "random seed for anything stochastic"),
+        Opt("seed", 0, _at_least(0), "random seed for anything stochastic"),
         Opt(
             "verbosity",
             1,
-            _parse_int,
+            _at_least(0),
             "0 silent, 1 summary lines, 2 chatty with error tracebacks",
         ),
     ]
@@ -171,7 +204,7 @@ DETREND_OPT = Opt(
 TREND_BANDWIDTH_OPT = Opt(
     "trend_bandwidth",
     0.0,
-    _parse_float,
+    _at_least(0, _parse_float),
     "detrending kernel bandwidth in seconds; 0 picks the default",
 )
 
@@ -183,7 +216,7 @@ def _prep_opts() -> list[Opt]:
         Opt(
             "window",
             600.0,
-            _parse_float,
+            _at_least(0, _parse_float),
             "averaging window in seconds before fitting; 0 keeps the "
             "native cadence",
         ),
@@ -192,19 +225,19 @@ def _prep_opts() -> list[Opt]:
 
 def _model_opts(with_b: bool = True) -> list[Opt]:
     opts = [
-        Opt("knn", 2, _parse_int, "nearest neighbors per sensor"),
-        Opt("p", 2, _parse_int, "temporal autoregressive order"),
-        Opt("d", 1, _parse_int, "delay of the functional variable"),
-        Opt("knots", 0, _parse_int, "spline knot count; 0 picks the default"),
+        Opt("knn", 2, _at_least(1), "nearest neighbors per sensor"),
+        Opt("p", 2, _at_least(1), "temporal autoregressive order"),
+        Opt("d", 1, _at_least(1), "delay of the functional variable; at most p"),
+        Opt("knots", 0, _at_least(0), "spline knot count; 0 picks the default"),
         Opt(
             "bandwidth",
             0.0,
-            _parse_float,
+            _at_least(0, _parse_float),
             "kernel bandwidth for the curve refinement; 0 picks the default",
         ),
     ]
     if with_b:
-        opts.insert(1, Opt("b", 2, _parse_int, "neighbor lag depth"))
+        opts.insert(1, Opt("b", 2, _at_least(1), "neighbor lag depth"))
     return opts
 
 
@@ -212,17 +245,17 @@ def _sim_opts() -> list[Opt]:
     return [
         Opt("mode", "advective", str, "field type", choices=SIM_MODES),
         Opt("regime", "partly_cloudy", str, "sky condition", choices=REGIMES),
-        Opt("nx", 4, _parse_int, "grid columns"),
-        Opt("ny", 4, _parse_int, "grid rows"),
-        Opt("spacing", 90.0, _parse_float, "grid spacing in meters"),
-        Opt("T", 144, _parse_int, "number of time steps"),
-        Opt("dt", 30.0, _parse_float, "sample cadence in seconds"),
+        Opt("nx", 4, _at_least(1), "grid columns; nx * ny >= 3"),
+        Opt("ny", 4, _at_least(1), "grid rows"),
+        Opt("spacing", 90.0, _positive, "grid spacing in meters"),
+        Opt("T", 144, _at_least(2), "number of time steps"),
+        Opt("dt", 30.0, _positive, "sample cadence in seconds"),
         Opt("velocity", (3.0, 0.0), _parse_pair, "cloud motion vx,vy in m/s"),
-        Opt("corr_length", 120.0, _parse_float, "spatial correlation length (m)"),
+        Opt("corr_length", 120.0, _positive, "spatial correlation length (m)"),
         Opt(
             "diurnal",
             0.0,
-            _parse_float,
+            _at_least(0, _parse_float),
             "amplitude of an added daily trend; > 0 yields a raw field",
         ),
     ]
@@ -273,11 +306,13 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
         if raw is None:
             value = opt.default
         else:
-            value = opt.parse(raw)
+            try:
+                value = opt.parse(raw)
+            except UsageError as exc:
+                raise UsageError(f"{opt.flag} {exc}") from None
         if opt.choices is not None and value not in opt.choices:
             raise UsageError(
-                f"--{opt.name.replace('_', '-')} must be one of "
-                f"{list(opt.choices)}, got {value!r}"
+                f"{opt.flag} must be one of {list(opt.choices)}, got {value!r}"
             )
         resolved[opt.name] = value
     return resolved
@@ -286,31 +321,6 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise UsageError(message)
-
-
-def _check_distinct(values: tuple, flag: str) -> None:
-    for i, v in enumerate(values):
-        _check(v not in values[:i], f"{flag} repeats the value {v:g}")
-
-
-def _validate_common(cfg: dict) -> None:
-    _check(cfg["verbosity"] >= 0, "--verbosity must be >= 0")
-
-
-def _validate_model(cfg: dict) -> None:
-    _check(cfg["knn"] >= 1, "--knn must be >= 1")
-    if "b" in cfg:
-        _check(cfg["b"] >= 1, "--b must be >= 1")
-    _check(cfg["p"] >= 1, "--p must be >= 1")
-    _check(1 <= cfg["d"] <= cfg["p"], "--d must satisfy 1 <= d <= p")
-    _check(cfg["knots"] >= 0, "--knots must be >= 0")
-    _check(cfg["bandwidth"] >= 0, "--bandwidth must be >= 0")
-
-
-def _validate_prep(cfg: dict) -> None:
-    if "window" in cfg:
-        _check(cfg["window"] >= 0, "--window must be >= 0")
-    _check(cfg["trend_bandwidth"] >= 0, "--trend-bandwidth must be >= 0")
 
 
 def _say(cfg: dict, level: int, message: str) -> None:
@@ -365,16 +375,6 @@ def _fcar_options(cfg: dict) -> FcarOptions:
     )
 
 
-def _adj_r2(obs: np.ndarray, fitted: np.ndarray, n_params: float):
-    """Adjusted R^2 and its summary-line text; (None, "") when the effective
-    parameter count reaches the number of scored cells, so ``fit.json``
-    gets null and ``window_rmse.csv`` an empty cell."""
-    if not n_params < obs.size:
-        return None, ""
-    adj = adjusted_r2(obs, fitted, n_params)
-    return adj, f" adj_r2={adj:.6g}"
-
-
 def _field_rows(field: SpatioTemporalField, support: int, *columns: np.ndarray):
     """Rows (t, sensor, *values) of S x T matrices from time index ``support`` on."""
     stamps = timestamp_strings(field.timestamps)
@@ -402,6 +402,22 @@ class ModelFit(NamedTuple):
     support: int
     n_params: float
     extra: dict
+
+
+def _score(field: SpatioTemporalField, fit: ModelFit):
+    """RMSE, adjusted R^2 and its summary-line text of ``fit`` from its support on.
+
+    The adjusted R^2 is (None, "") when the effective parameter count
+    reaches the number of scored cells, so ``fit.json`` gets null and
+    ``window_rmse.csv`` an empty cell.
+    """
+    obs = field.values[:, fit.support :]
+    fitted = fit.fitted[:, fit.support :]
+    value_rmse = rmse(obs, fitted)
+    if not fit.n_params < obs.size:
+        return value_rmse, None, ""
+    adj = adjusted_r2(obs, fitted, fit.n_params)
+    return value_rmse, adj, f" adj_r2={adj:.6g}"
 
 
 def _fit_fcar_each(field: SpatioTemporalField, cfg: dict) -> ModelFit:
@@ -476,12 +492,7 @@ FIT_MODELS = tuple(MODELS)
 
 @_register("simulate", "generate a synthetic sensor field", _common_opts() + _sim_opts())
 def cmd_simulate(cfg: dict) -> None:
-    _check(cfg["T"] >= 2, "--T must be >= 2")
-    _check(cfg["dt"] > 0, "--dt must be > 0")
-    _check(cfg["nx"] >= 1 and cfg["ny"] >= 1, "--nx and --ny must be >= 1")
     _check(cfg["nx"] * cfg["ny"] >= 3, "--nx * --ny must be >= 3: a layout needs 3 sensors")
-    _check(cfg["spacing"] > 0, "--spacing must be > 0")
-    _check(cfg["corr_length"] > 0, "--corr-length must be > 0")
     layout = grid_layout(cfg["ny"], cfg["nx"], cfg["spacing"])
     sim = FieldSimConfig(
         layout=layout,
@@ -514,7 +525,6 @@ def cmd_simulate(cfg: dict) -> None:
     _common_opts() + _io_opts() + [TREND_BANDWIDTH_OPT],
 )
 def cmd_detrend(cfg: dict) -> None:
-    _validate_prep(cfg)
     field = _read_field(cfg, "raw")
     detrended, trend = detrend(field, bandwidth=cfg["trend_bandwidth"] or None)
     out_dir = _start_run(cfg, "detrend")
@@ -541,35 +551,29 @@ def cmd_detrend(cfg: dict) -> None:
     + _model_opts(),
 )
 def cmd_fit(cfg: dict) -> None:
-    _validate_prep(cfg)
-    _validate_model(cfg)
+    _check(cfg["d"] <= cfg["p"], f"--d must be <= --p ({cfg['p']}), got {cfg['d']}")
     field = _load_field(cfg)
     model = cfg["model"]
     fit = MODELS[model](field, cfg)
-    support = fit.support
-
-    obs = field.values[:, support:]
-    fitted = fit.fitted[:, support:]
-    value_rmse = rmse(obs, fitted)
-    adj, adj_text = _adj_r2(obs, fitted, fit.n_params)
+    value_rmse, adj, adj_text = _score(field, fit)
 
     out_dir = _start_run(cfg, "fit")
     _write_csv_rows(
         out_dir / "fitted.csv",
         ["t", "sensor", "observed", "fitted"],
-        _field_rows(field, support, field.values, fit.fitted),
+        _field_rows(field, fit.support, field.values, fit.fitted),
     )
     _write_csv_rows(
         out_dir / "residuals.csv",
         ["t", "sensor", "residual"],
-        _field_rows(field, support, fit.residuals),
+        _field_rows(field, fit.support, fit.residuals),
     )
     summary = {
         "model": model,
         "rmse": value_rmse,
         "adj_r2": adj,
         "n_params": fit.n_params,
-        "support_start": support,
+        "support_start": fit.support,
         "n_sensors": field.n_sensors,
         "n_times": field.n_times,
         **fit.extra,
@@ -588,17 +592,12 @@ def cmd_fit(cfg: dict) -> None:
     + _prep_opts()
     + _model_opts()
     + [
-        Opt("k", (1,), _parse_int_list, "missing-sensor counts, e.g. 1,2,3"),
-        Opt("cap", SUBSET_CAP, _parse_int, "max subsets per k before seeded sampling"),
+        Opt("k", (1,), _list_of(_at_least(1)), "missing-sensor counts, e.g. 1,2,3"),
+        Opt("cap", SUBSET_CAP, _at_least(1), "max subsets per k before seeded sampling"),
     ],
 )
 def cmd_crossval(cfg: dict) -> None:
-    _validate_prep(cfg)
-    _validate_model(cfg)
-    _check(len(cfg["k"]) > 0, "--k needs at least one value")
-    _check(all(k >= 1 for k in cfg["k"]), "--k values must be >= 1")
-    _check_distinct(cfg["k"], "--k")
-    _check(cfg["cap"] >= 1, "--cap must be >= 1")
+    _check(cfg["d"] <= cfg["p"], f"--d must be <= --p ({cfg['p']}), got {cfg['d']}")
     field = _load_field(cfg)
     spec = FcsarSpec.uniform(
         build_neighbor_graph(field.layout, cfg["knn"]), cfg["b"], _temporal_spec(cfg)
@@ -642,12 +641,10 @@ def cmd_crossval(cfg: dict) -> None:
     + _io_opts()
     + _prep_opts()
     + _model_opts(with_b=False)
-    + [Opt("threshold", 1.5, _parse_float, "order-ratio verdict threshold")],
+    + [Opt("threshold", 1.5, _positive, "order-ratio verdict threshold")],
 )
 def cmd_diagnose(cfg: dict) -> None:
-    _validate_prep(cfg)
-    _validate_model(cfg)
-    _check(cfg["threshold"] > 0, "--threshold must be > 0")
+    _check(cfg["d"] <= cfg["p"], f"--d must be <= --p ({cfg['p']}), got {cfg['d']}")
     field = _load_field(cfg)
     graph = build_neighbor_graph(field.layout, cfg["knn"])
     report = separability_diagnostic(
@@ -685,27 +682,19 @@ def cmd_diagnose(cfg: dict) -> None:
         Opt(
             "windows",
             (600.0, 300.0, 60.0, 30.0),
-            _parse_float_list,
+            _list_of(_positive),
             "averaging windows in seconds, longest first",
         ),
     ]
     + _model_opts(),
 )
 def cmd_report(cfg: dict) -> None:
-    _validate_model(cfg)
-    _check(len(cfg["windows"]) > 0, "--windows needs at least one value")
-    _check(all(w > 0 for w in cfg["windows"]), "--windows values must be > 0")
-    _check_distinct(cfg["windows"], "--windows")
-    _validate_prep(cfg)
+    _check(cfg["d"] <= cfg["p"], f"--d must be <= --p ({cfg['p']}), got {cfg['d']}")
     field = _load_field(cfg)
     rows = []
     for window in cfg["windows"]:
         averaged = time_average(field, window)
-        fit = MODELS["fcsar"](averaged, cfg)
-        obs = averaged.values[:, fit.support :]
-        fitted = fit.fitted[:, fit.support :]
-        window_rmse = rmse(obs, fitted)
-        adj, adj_text = _adj_r2(obs, fitted, fit.n_params)
+        window_rmse, adj, adj_text = _score(averaged, MODELS["fcsar"](averaged, cfg))
         adj_cell = None if adj is None else f"{adj:.10g}"
         rows.append((cfg["label"], f"{window:.10g}", f"{window_rmse:.10g}", adj_cell))
         _say(cfg, 1, f"{cfg['label']} window={window:g}s rmse={window_rmse:.6g}{adj_text}")
@@ -743,7 +732,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _, opts, func = COMMANDS[args.command]
         cfg = _resolve(args, opts)
-        _validate_common(cfg)
         func(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -450,20 +450,21 @@ def detrend(
     offsets = np.arange(-half, half + 1) * dt
     k = kernel_values(offsets / bandwidth)
 
+    # the kernel moments, and so the singular times, are the same for every sensor
     s_mom = [_correlate_same(np.ones(field.n_times), k * offsets**r) for r in range(3)]
+    det = s_mom[0] * s_mom[2] - s_mom[1] ** 2
+    scale = np.abs(s_mom[0] * s_mom[2]) + np.abs(s_mom[1] ** 2)
+    bad = det <= 1e-12 * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        raise ValueError(
+            f"singular local fit at time index {int(np.argmax(bad))}: bandwidth "
+            f"{bandwidth:g}s spans too few samples at spacing {dt:g}s; "
+            "increase the bandwidth"
+        )
     trend = np.empty_like(field.values)
     for i in range(field.n_sensors):
         y = field.values[i]
         t_mom = [_correlate_same(y, k * offsets**r) for r in range(2)]
-        det = s_mom[0] * s_mom[2] - s_mom[1] ** 2
-        scale = np.abs(s_mom[0] * s_mom[2]) + np.abs(s_mom[1] ** 2)
-        bad = det <= 1e-12 * np.maximum(scale, 1e-300)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise ValueError(
-                f"singular local fit for sensor {field.layout.ids[i]!r} "
-                f"at time index {j}; increase the bandwidth"
-            )
         trend[i] = (s_mom[2] * t_mom[0] - s_mom[1] * t_mom[1]) / det
 
     detrended = SpatioTemporalField(

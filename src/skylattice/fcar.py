@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import svd
 
 from .core import _frozen_array, kernel_values
 
@@ -221,6 +220,11 @@ def _block_solve(D: np.ndarray, y: np.ndarray, cap: float):
     larger ones mean nearly-dependent columns from knot intervals holding
     too few points, and the cutoff rises until those directions are gone.
     """
+    # imported here: scipy.linalg loads slower than the rest of the package,
+    # and simulate, detrend and SAR fits never get here.  Not numpy's svd:
+    # it links another LAPACK build, whose results differ in the last bits
+    from scipy.linalg import svd
+
     U, sing, Vt = svd(D, full_matrices=False)
     if sing[0] <= 0.0:
         raise ValueError("degenerate spline design (all-zero block)")

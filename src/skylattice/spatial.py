@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, Voronoi
 
 from .core import SensorLayout, SpatioTemporalField, _frozen_array
 
@@ -340,6 +339,9 @@ def _polygon_area(vertices: np.ndarray) -> float:
 
 
 def _cell_areas(points: np.ndarray, n_real: int) -> np.ndarray:
+    # imported here for the reason _strictly_inside_hull gives
+    from scipy.spatial import Voronoi
+
     vor = Voronoi(points)
     areas = np.full(n_real, np.nan)
     for i in range(n_real):
@@ -351,7 +353,14 @@ def _cell_areas(points: np.ndarray, n_real: int) -> np.ndarray:
 
 
 def _strictly_inside_hull(xy: np.ndarray, q: np.ndarray, scale: float) -> bool:
-    hull = ConvexHull(xy)
+    # imported here: scipy.spatial loads slower than the rest of the package,
+    # and only crossval's interpolation baseline gets here
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(xy)
+    except QhullError as exc:
+        raise ValueError(f"degenerate layout geometry: {exc}") from exc
     # hull equations give outward normals: inside means all of them negative
     vals = hull.equations[:, :2] @ q + hull.equations[:, 2]
     return bool(np.all(vals < -1e-9 * scale))
@@ -379,11 +388,7 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
     if d_to_sensors[hit] <= 1e-9 * span:
         return VoronoiWeights(query=(q[0], q[1]), pairs=((hit, 1.0),))
 
-    try:
-        inside = _strictly_inside_hull(xy, q, span)
-    except QhullError as exc:
-        raise ValueError(f"degenerate layout geometry: {exc}") from exc
-    if not inside:
+    if not _strictly_inside_hull(xy, q, span):
         return VoronoiWeights(
             query=(q[0], q[1]),
             pairs=((_nearest_first(layout, q)[1][0], 1.0),),

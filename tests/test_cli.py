@@ -121,13 +121,17 @@ def test_simulate_raw_field_with_diurnal_trend(tmp_path):
         ("--dt", "inf"),
         ("--spacing", "inf"),
         ("--nx", "1", "--ny", "2"),
+        ("--diurnal", "-1"),
+        ("--seed", "-1"),
+        ("--nx", "0"),
+        ("--T", "1"),
     ],
     ids=" ".join,
 )
 def test_simulate_rejects_unusable_values_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--out", out, "--T", 20, *flags) == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+    assert capsys.readouterr().err.startswith(f"usage error: {flags[0]} ")
     assert not out.exists()
 
 
@@ -160,6 +164,28 @@ def test_detrend_command(tmp_path):
     np.testing.assert_allclose(
         detrended.values + trend.values, raw_field.values, atol=1e-9
     )
+
+
+def test_detrend_singular_fit_names_bandwidth_not_sensor(tmp_path, capsys):
+    # a 30 s kernel on 30 s samples weights the centre sample only
+    raw = tmp_path / "raw"
+    assert run_cli("simulate", "--out", raw, "--T", 48, "--diurnal", 50) == 0
+    out = tmp_path / "det"
+    code = run_cli(
+        "detrend",
+        "--measurements", raw / "measurements.csv",
+        "--layout", raw / "layout.csv",
+        "--out", out,
+        "--trend-bandwidth", 30,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: singular local fit at time index 0: bandwidth 30s spans too "
+        "few samples at spacing 30s"
+    )
+    assert "sensor" not in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- fit
@@ -334,6 +360,57 @@ def test_run_json_echoes_resolved_config(tmp_path, sim_dir):
 
 
 # ------------------------------------------------------------- exit codes
+
+
+BAD_VALUES = [
+    ("detrend", "--trend-bandwidth", "-1"),
+    ("fit", "--knn", "0"),
+    ("fit", "--knn", "x"),
+    ("fit", "--b", "0"),
+    ("fit", "--p", "0"),
+    ("fit", "--d", "0"),
+    ("fit", "--d", "3"),
+    ("fit", "--knots", "-1"),
+    ("fit", "--bandwidth", "-0.5"),
+    ("fit", "--window", "-60"),
+    ("fit", "--seed", "-1"),
+    ("fit", "--verbosity", "-1"),
+    ("fit", "--model", "arima"),
+    ("crossval", "--k", "0"),
+    ("crossval", "--k", "1,x"),
+    ("crossval", "--k", ","),
+    ("crossval", "--cap", "0"),
+    ("crossval", "--bandwidth", "nan"),
+    ("diagnose", "--threshold", "0"),
+    ("diagnose", "--knn", "1.5"),
+    ("report", "--windows", "0"),
+    ("report", "--windows", "60,-30"),
+    ("report", "--knots", "x"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, flag, value", BAD_VALUES, ids=[" ".join(c) for c in BAD_VALUES]
+)
+def test_bad_option_value_names_its_flag(
+    tmp_path, sim_dir, capsys, source, command, flag, value
+):
+    # the same rule applies whether the value comes from a flag or a config entry
+    out = tmp_path / "out"
+    args = [
+        "--measurements", sim_dir / "measurements.csv",
+        "--layout", sim_dir / "layout.csv",
+    ]
+    if source == "flag":
+        args += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        args += ["--config", cfg]
+    assert run_cli(command, *args, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} ")
+    assert not out.exists()
 
 
 def test_invalid_b_is_usage_error(sim_dir, tmp_path, capsys):
@@ -632,10 +709,14 @@ def test_module_entry_point_reports_version():
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal pulls in scipy.stats; only detrend's FFT branch needs it
-    proc = run_child("-c", "import sys, skylattice.cli; print('scipy.signal' in sys.modules)")
+    # scipy loads slower than the package: the functions that need it import it
+    proc = run_child(
+        "-c",
+        "import sys, skylattice.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exports_and_tracer_targets_resolve():
