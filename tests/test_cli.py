@@ -734,6 +734,32 @@ def test_exports_and_tracer_targets_resolve():
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
 
 
+def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
+    # the commands tools/fixture_digests.py runs, twice in one process and
+    # two directories: every file of the second run equals the first, byte
+    # for byte, so nothing a run leaves behind in the process (a cache, a
+    # random state) reaches the next one.  The digest test below runs each
+    # set in a fresh interpreter instead
+    path = Path(__file__).resolve().parents[1] / "tools" / "fixture_digests.py"
+    spec = importlib.util.spec_from_file_location("fixture_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        out.mkdir()
+        monkeypatch.chdir(out)
+        for argv in tool.COMMANDS:
+            assert main(list(argv)) == 0, argv
+        runs.append(
+            {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        )
+    assert len(tool.COMMANDS) == 12 and len(runs[0]) == 39
+    assert sorted(runs[1]) == sorted(runs[0])
+    for name, data in runs[0].items():
+        assert runs[1][name] == data, name
+
+
 def test_src_lines_counts_only_code_lines():
     path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
     spec = importlib.util.spec_from_file_location("src_lines", path)

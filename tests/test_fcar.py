@@ -317,8 +317,9 @@ class TestFitRows:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
-        # one sweep over the grid and one over the observed u serve every
-        # component, however many there are
+        # one sweep over the observed u and one over the grid serve every
+        # component, however many there are; the observed-u sweep runs
+        # first, because the grid's bands need its noise variance
         calls = []
         original = fcar._kernel_windows
 
@@ -331,8 +332,8 @@ class TestFitRows:
         fit = fit_fcar(x, FcarSpec.delay_absorbed(p, 1))
         assert len(fit.curves) == p
         assert len(calls) == 2
-        assert calls[0][1].size == fcar.GRID_SIZE
-        assert calls[1][1] is calls[1][0]
+        assert calls[0][1] is calls[0][0]
+        assert calls[1][1].size == fcar.GRID_SIZE
 
 
 class TestPseudoResponses:
@@ -715,11 +716,66 @@ def dense_cross(u_obs, a, b, u_eval, h):
 
 
 def dense_fused_local_linear(u_obs, cols, ws, u_eval, h):
-    """Per-component dense solves stacked the way ``fcar._local_linear`` returns them."""
+    """Per-component dense solves stacked one row per component, plus the
+    kernel cross sums of every pair of design columns."""
     per = [dense_local_linear(u_obs, c1, w, u_eval, h) for c1, w in zip(cols, ws)]
     stacked = tuple(np.array([p[i] for p in per]) for i in range(5))
     cross = np.array([[dense_cross(u_obs, a, b, u_eval, h) for b in cols] for a in cols])
     return stacked + (cross,)
+
+
+Z95 = 1.959963984540054
+
+
+def dense_sbk_estimate(u, cols, pseudos, components, u_grid, h, prefit_variance):
+    """``fcar.sbk_estimate`` rebuilt from the dense sums, one component at a time."""
+    k0 = kernel_values(np.zeros(1))[0] / h
+    curves = []
+    for c, (j, c1, pseudo) in enumerate(zip(components, cols, pseudos)):
+        obs_est, _, _, obs_rel, a11inv = dense_local_linear(u, c1, pseudo, u, h)
+        trace = float(np.nansum(k0 * c1**2 * a11inv))
+        resid = pseudo - obs_est * c1
+        ok = np.isfinite(resid)
+        sigma2 = float(np.nansum(resid[ok] ** 2) / max(np.count_nonzero(ok) - trace, 1.0))
+        est, varu, reliable, _, _ = dense_local_linear(u, c1, pseudo, u_grid, h)
+        vprop = np.zeros(u_grid.size)
+        for oc, (var, other) in enumerate(zip(prefit_variance, cols)):
+            if oc != c:
+                mult = dense_local_transfer(u, c1, other, u_grid, h)
+                vprop += var * np.where(np.isfinite(mult), mult, 0.0) ** 2
+        half = Z95 * np.sqrt(sigma2 * varu + vprop)
+        curves.append(
+            fcar.SbkCurve(
+                j, u_grid, est, est - half, est + half, reliable, sigma2, trace,
+                obs_est, obs_rel,
+            )
+        )
+    return tuple(curves)
+
+
+def level_sweep(u_obs, cols, ws, u_eval, h):
+    """One ``fcar._local_linear`` sweep, one row per component: the level
+    estimate, the raw reliability flag, a11/det and a00."""
+    shape = (len(cols), u_eval.size)
+    est, a11inv, a00s = (np.full(shape, np.nan) for _ in range(3))
+    raw_reliable = np.zeros(shape, dtype=bool)
+    for sl, *_, n_raw, fits in fcar._local_linear(u_obs, cols, ws, u_eval, h):
+        for c, (a00, _, a11, det, ok, level) in enumerate(fits):
+            est[c, sl], a00s[c, sl] = level, a00
+            a11inv[c, sl][ok] = a11[ok] / det[ok]
+            raw_reliable[c, sl] = ok & (n_raw >= fcar.MIN_LOCAL_OBS)
+    return est, raw_reliable, a11inv, a00s
+
+
+def band_variance(curve):
+    """Sandwich variance per unit noise variance behind a band that carries
+    no pre-estimate variance."""
+    return ((curve.upper - curve.estimate) / Z95) ** 2 / curve.sigma2
+
+
+def assert_same_nans_and_close(got, want, rtol=1e-10):
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    npt.assert_allclose(got, want, rtol=rtol, atol=0, equal_nan=True)
 
 
 WINDOW_CASES = ["random70", "random478", "ties", "dyadic", "outside", "ulp"]
@@ -819,30 +875,44 @@ class TestKernelWindows:
     @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
     def test_local_linear_matches_dense(self, kernel, name, design):
         u, c1, w, u_eval, h = window_case(name, design)
-        got = [a[0] for a in fcar._local_linear(u, (c1,), (w,), u_eval, h)]
         want = dense_local_linear(u, c1, w, u_eval, h)
-        est, varu, reliable, raw_reliable, a11inv, cross = got
-        npt.assert_allclose(cross[0], dense_cross(u, c1, c1, u_eval, h), rtol=1e-10, atol=0)
-        npt.assert_array_equal(reliable, want[2])
+        est, raw_reliable, a11inv, a00 = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
+        npt.assert_allclose(a00, dense_cross(u, c1, c1, u_eval, h), rtol=1e-10, atol=0)
         npt.assert_array_equal(raw_reliable, want[3])
-        for mine, ref in zip((est, varu, a11inv), (want[0], want[1], want[4])):
-            npt.assert_array_equal(np.isnan(mine), np.isnan(ref))
-            npt.assert_allclose(mine, ref, rtol=1e-10, atol=0, equal_nan=True)
+        assert_same_nans_and_close(est, want[0])
+        assert_same_nans_and_close(a11inv, want[4])
         if name == "outside":
             assert np.isnan(est[:6]).all() and not raw_reliable[:6].any()
+        # sbk_estimate at the same points: its grid sweep's estimate,
+        # information-weighted flag and sandwich variance, and its
+        # observed-u sweep's in-sample fit, smoother trace and noise variance
+        curve = sbk_one(u, c1, w, u_eval, h)
+        npt.assert_array_equal(curve.reliable, want[2])
+        assert_same_nans_and_close(curve.estimate, want[0])
+        assert_same_nans_and_close(band_variance(curve), want[1])
+        (dense,) = dense_sbk_estimate(u, (c1,), (w,), (1,), u_eval, h, (np.zeros(u_eval.size),))
+        npt.assert_array_equal(curve.obs_reliable, dense.obs_reliable)
+        assert_same_nans_and_close(curve.obs_estimate, dense.obs_estimate)
+        assert curve.smoother_trace == pytest.approx(dense.smoother_trace, rel=1e-10)
+        assert curve.sigma2 == pytest.approx(dense.sigma2, rel=1e-10)
 
     @pytest.mark.parametrize("name", WINDOW_CASES)
     @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
     def test_local_transfer_matches_dense(self, kernel, name):
-        # the band multiplier cross[c, oc] / cross[c, c] that sbk_estimate
-        # forms for a pre-estimate error riding on another design column
+        # the band multiplier that sbk_estimate forms for a pre-estimate
+        # error riding on another design column.  A zero response leaves
+        # no noise variance, so with a unit pre-estimate variance on the
+        # other column the first curve's band is 1.96 |multiplier| wherever
+        # its local system is well posed
         u, c1, other, u_eval, h = window_case(name, "other")
-        cross = fcar._local_linear(u, (c1, other), (other, c1), u_eval, h)[5]
-        got = np.divide(
-            cross[0, 1], cross[0, 0], out=np.full(u_eval.size, np.nan), where=cross[0, 0] > 0.0
-        )
+        zero, ones = np.zeros(u.size), np.ones(u_eval.size)
+        (curve, _) = sbk_estimate(u, (c1, other), (zero, zero), (1, 2), u_eval, h, (0 * ones, ones))
+        assert curve.sigma2 == 0.0
+        ok = np.isfinite(dense_local_linear(u, c1, zero, u_eval, h)[0])
+        got = curve.upper / Z95
+        npt.assert_array_equal(np.isfinite(got), ok)
         want = dense_local_transfer(u, c1, other, u_eval, h)
-        npt.assert_allclose(got, want, rtol=1e-10, atol=0, equal_nan=True)
+        npt.assert_allclose(got[ok], np.abs(want[ok]), rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("designs", COMPONENT_SETS, ids="+".join)
     @pytest.mark.parametrize("name", WINDOW_CASES)
@@ -851,14 +921,24 @@ class TestKernelWindows:
         u, _, _, u_eval, h = cases[0]
         cols = tuple(case[1] for case in cases)
         ws = tuple(case[2] for case in cases)
-        got = fcar._local_linear(u, cols, ws, u_eval, h)
         want = dense_fused_local_linear(u, cols, ws, u_eval, h)
-        npt.assert_array_equal(got[2], want[2])
-        npt.assert_array_equal(got[3], want[3])
-        for i in (0, 1, 4, 5):
-            assert got[i].shape == want[i].shape
-            npt.assert_array_equal(np.isnan(got[i]), np.isnan(want[i]))
-            npt.assert_allclose(got[i], want[i], rtol=1e-10, atol=0, equal_nan=True)
+        est, raw_reliable, a11inv, a00 = level_sweep(u, cols, ws, u_eval, h)
+        npt.assert_array_equal(raw_reliable, want[3])
+        assert_same_nans_and_close(est, want[0])
+        assert_same_nans_and_close(a11inv, want[4])
+        npt.assert_allclose(a00, np.diagonal(want[5]).T, rtol=1e-10, atol=0)
+        m, zeros = len(cols), (np.zeros(u_eval.size),) * len(cols)
+        for c, curve in enumerate(sbk_estimate(u, cols, ws, tuple(range(m)), u_eval, h, zeros)):
+            npt.assert_array_equal(curve.reliable, want[2][c])
+            assert_same_nans_and_close(curve.estimate, want[0][c])
+            assert_same_nans_and_close(band_variance(curve), want[1][c])
+        # a zero response and unit pre-estimate variances: each band is
+        # 1.96 times the root sum of the squared multipliers of the others
+        zero_ws, ones = (np.zeros(u.size),) * m, (np.ones(u_eval.size),) * m
+        for c, curve in enumerate(sbk_estimate(u, cols, zero_ws, tuple(range(m)), u_eval, h, ones)):
+            ok = np.isfinite(curve.estimate)
+            vprop = sum((want[5][c, oc, ok] / want[5][c, c, ok]) ** 2 for oc in range(m) if oc != c)
+            npt.assert_allclose((curve.upper / Z95)[ok], np.sqrt(vprop), rtol=1e-10, atol=0)
 
 
 def assert_fits_agree(got, want):
@@ -881,10 +961,10 @@ def assert_fits_agree(got, want):
 
 @pytest.fixture
 def dense_kernel_stage(monkeypatch):
-    """Run fits with the dense kernel sums in place of the windowed ones."""
+    """Run fits with the kernel stage built from the dense sums."""
 
     def use_dense():
-        monkeypatch.setattr(fcar, "_local_linear", dense_fused_local_linear)
+        monkeypatch.setattr(fcar, "sbk_estimate", dense_sbk_estimate)
 
     return use_dense
 
@@ -979,12 +1059,26 @@ class TestLocalLinearPermutation:
         w = 0.5 * c1 + 0.2 * rng.standard_normal(n)
         u_eval = np.concatenate([np.linspace(u.min() - 0.5, u.max() + 0.5, 31), u])
         perm = np.array(data.draw(st.permutations(range(n))))
-        base = fcar._local_linear(u, (c1,), (w,), u_eval, 0.4)
-        moved = fcar._local_linear(u[perm], (c1[perm],), (w[perm],), u_eval, 0.4)
-        npt.assert_array_equal(moved[2], base[2])
-        npt.assert_array_equal(moved[3], base[3])
-        for i in (0, 1, 4, 5):
+        base = level_sweep(u, (c1,), (w,), u_eval, 0.4)
+        moved = level_sweep(u[perm], (c1[perm],), (w[perm],), u_eval, 0.4)
+        npt.assert_array_equal(moved[1], base[1])
+        for i in (0, 2, 3):
             npt.assert_allclose(moved[i], base[i], rtol=1e-12, atol=0, equal_nan=True)
+        # the curves: the noise variance sums its rows in input order, so
+        # the bands move by rounding
+        base = sbk_one(u, c1, w, u_eval, 0.4)
+        moved = sbk_one(u[perm], c1[perm], w[perm], u_eval, 0.4)
+        npt.assert_array_equal(moved.reliable, base.reliable)
+        npt.assert_array_equal(moved.obs_reliable, base.obs_reliable[perm])
+        npt.assert_allclose(moved.estimate, base.estimate, rtol=1e-12, atol=0, equal_nan=True)
+        npt.assert_allclose(
+            moved.obs_estimate, base.obs_estimate[perm], rtol=1e-12, atol=0, equal_nan=True
+        )
+        for name in ("lower", "upper"):
+            npt.assert_allclose(
+                getattr(moved, name), getattr(base, name), rtol=1e-12, atol=1e-12, equal_nan=True
+            )
+        assert moved.smoother_trace == pytest.approx(base.smoother_trace, rel=1e-12)
 
 
 class TestValueScaling:
