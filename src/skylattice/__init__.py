@@ -1,116 +1,8 @@
-"""Spatio-temporal lattice models for dense irradiance sensor networks."""
+"""Spatio-temporal lattice models for dense irradiance sensor networks.
+
+The package root holds only the version; library code imports from the
+submodules (``skylattice.core``, ``skylattice.fcar``, ``skylattice.fcsar``,
+``skylattice.spatial``, ``skylattice.evaluation``, ``skylattice.simulation``).
+"""
 
 __version__ = "0.1.0"
-
-from .core import (
-    SensorLayout,
-    SpatioTemporalField,
-    TrendModel,
-    detrend,
-    grid_layout,
-    ingest_field,
-    read_layout_csv,
-    read_measurements_csv,
-    time_average,
-    write_layout_csv,
-    write_measurements_csv,
-)
-from .evaluation import (
-    CrossvalPlan,
-    MetricsReport,
-    adjusted_r2,
-    crossval,
-    rmpe,
-    rmpe_ratio,
-    rmse,
-)
-from .fcar import (
-    FcarFit,
-    FcarOptions,
-    FcarSpec,
-    SplineBasis,
-    effective_params,
-    fit_fcar,
-)
-from .fcsar import (
-    FcsarFit,
-    FcsarSpec,
-    SeparabilityReport,
-    SeparableFit,
-    fit_fcsar,
-    fit_separable,
-    predict_missing_sensor,
-    separability_diagnostic,
-)
-from .simulation import (
-    Expar2Config,
-    FieldSimConfig,
-    expar2_true_curves,
-    factorization_gap,
-    simulate_expar2,
-    simulate_field,
-)
-from .spatial import (
-    NaturalNeighborPrediction,
-    NeighborGraph,
-    SarFit,
-    SarTrace,
-    VoronoiWeights,
-    build_neighbor_graph,
-    natural_neighbor_predict,
-    sar_fit_ml,
-    sar_residuals_field,
-    voronoi_weights,
-)
-
-__all__ = [
-    "__version__",
-    "SensorLayout",
-    "SpatioTemporalField",
-    "TrendModel",
-    "detrend",
-    "grid_layout",
-    "ingest_field",
-    "read_layout_csv",
-    "read_measurements_csv",
-    "time_average",
-    "write_layout_csv",
-    "write_measurements_csv",
-    "CrossvalPlan",
-    "MetricsReport",
-    "adjusted_r2",
-    "crossval",
-    "rmpe",
-    "rmpe_ratio",
-    "rmse",
-    "FcarFit",
-    "FcarOptions",
-    "FcarSpec",
-    "SplineBasis",
-    "effective_params",
-    "fit_fcar",
-    "FcsarFit",
-    "FcsarSpec",
-    "SeparabilityReport",
-    "SeparableFit",
-    "fit_fcsar",
-    "fit_separable",
-    "predict_missing_sensor",
-    "separability_diagnostic",
-    "Expar2Config",
-    "FieldSimConfig",
-    "expar2_true_curves",
-    "factorization_gap",
-    "simulate_expar2",
-    "simulate_field",
-    "NaturalNeighborPrediction",
-    "NeighborGraph",
-    "SarFit",
-    "SarTrace",
-    "VoronoiWeights",
-    "build_neighbor_graph",
-    "natural_neighbor_predict",
-    "sar_fit_ml",
-    "sar_residuals_field",
-    "voronoi_weights",
-]

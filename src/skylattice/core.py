@@ -130,6 +130,9 @@ class SpatioTemporalField:
             raise ValueError(f"kind must be one of {FIELD_KINDS}, got {self.kind!r}")
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError("timestamps must be a non-empty 1-D array")
+        bad = np.flatnonzero(~np.isfinite(ts))
+        if bad.size:
+            raise ValueError(f"timestamps must be finite, got {ts[bad[0]]} at time index {bad[0]}")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if vals.shape != (self.layout.n_sensors, ts.size):
@@ -144,12 +147,13 @@ class SpatioTemporalField:
             if not m.any():
                 m = None
             object.__setattr__(self, "mask", m)
-        if self.mask is None:
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("values must be finite when no mask is given")
-        else:
-            if not np.all(np.isfinite(vals[~self.mask])):
-                raise ValueError("unmasked values must be finite")
+        bad = ~np.isfinite(vals) if self.mask is None else ~(np.isfinite(vals) | self.mask)
+        if bad.any():
+            j, i = np.argwhere(bad.T)[0]
+            raise ValueError(
+                f"unmasked values must be finite: sensor {self.layout.ids[i]!r} "
+                f"has {vals[i, j]} at time index {j} (t={ts[j]:.0f})"
+            )
 
     @property
     def n_sensors(self) -> int:
@@ -211,16 +215,16 @@ class TrendModel:
 def _parse_timestamp(tok: str) -> float:
     tok = tok.strip()
     try:
-        return float(tok)
+        ts = float(tok)
     except ValueError:
-        pass
-    try:
-        dt = datetime.fromisoformat(tok)
-    except ValueError:
-        raise ValueError(f"cannot parse timestamp {tok!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        try:
+            dt = datetime.fromisoformat(tok)
+        except ValueError:
+            raise ValueError(f"cannot parse timestamp {tok!r}") from None
+        ts = (dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt).timestamp()
+    if not math.isfinite(ts):
+        raise ValueError(f"timestamp {tok!r} is not finite")
+    return ts
 
 
 def _read_csv_rows(path, header: list[str], parse) -> list:
@@ -246,11 +250,18 @@ def _read_csv_rows(path, header: list[str], parse) -> list:
 def _parse_measurement(row: list[str]) -> tuple[float, str, Optional[float]]:
     ts = _parse_timestamp(row[0])
     vtok = row[2].strip()
-    return ts, row[1].strip(), None if vtok.lower() in _MISSING_TOKENS else float(vtok)
+    value = None if vtok.lower() in _MISSING_TOKENS else float(vtok)
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"value {vtok!r} is not finite; write NA for a missing reading")
+    return ts, row[1].strip(), value
 
 
 def read_measurements_csv(path) -> list[tuple[float, str, Optional[float]]]:
-    """Read ``timestamp,sensor_id,value`` rows; empty/NA values become None."""
+    """Read ``timestamp,sensor_id,value`` rows; empty/NA values become None.
+
+    A non-finite timestamp or value (``inf``, ``-inf``) is an error that
+    names the file and line; ``nan`` is one of the NA tokens.
+    """
     return _read_csv_rows(path, MEASUREMENT_HEADER, _parse_measurement)
 
 
@@ -263,13 +274,14 @@ def ingest_field(
 
     The time axis is the sorted union of record timestamps.  A record with
     value None, or a (sensor, time) pair with no record at all, becomes a
-    masked cell.  Records may arrive in any order.
+    masked cell.  Records may arrive in any order.  A non-finite value is
+    not a gap: the field rejects it, naming the sensor and time index.
 
     Raises
     ------
     ValueError
-        On an empty record stream, an unknown sensor id, or duplicate
-        (sensor, timestamp) records.
+        On an empty record stream, an unknown sensor id, duplicate
+        (sensor, timestamp) records, or a non-finite timestamp or value.
     """
     records = list(records)
     if not records:
@@ -288,7 +300,7 @@ def ingest_field(
         if seen[i, j]:
             raise ValueError(f"duplicate record for sensor {sid!r} at t={t}")
         seen[i, j] = True
-        if v is not None and math.isfinite(v):
+        if v is not None:
             values[i, j] = v
             mask[i, j] = False
     return SpatioTemporalField(layout, np.array(times), values, kind, mask)

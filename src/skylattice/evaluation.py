@@ -36,18 +36,6 @@ from .fcsar import FcsarSpec, _predict_with_beta, _transfer_stage
 from .fcsar import fit_fcsar  # noqa: F401
 from .spatial import build_neighbor_graph, natural_neighbor_predict
 
-__all__ = [
-    "SUBSET_CAP",
-    "CROSSVAL_MODELS",
-    "CrossvalPlan",
-    "MetricsReport",
-    "rmse",
-    "rmpe",
-    "adjusted_r2",
-    "crossval",
-    "rmpe_ratio",
-]
-
 # Above this many candidate subsets the plan samples instead of
 # enumerating; the seed is kept on the plan so runs are reproducible.
 SUBSET_CAP = 2000

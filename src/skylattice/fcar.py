@@ -583,10 +583,6 @@ class FcarFit:
         for name in ("spline_coeffs", "fitted", "residuals"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
-    @property
-    def residual_variance(self) -> float:
-        return float(np.mean(self.residuals**2))
-
     def _curve_for(self, j: int) -> SbkCurve:
         for curve in self.curves:
             if curve.target_j == j:

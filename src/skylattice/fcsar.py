@@ -32,17 +32,6 @@ from .spatial import (
     sar_residuals_field,
 )
 
-__all__ = [
-    "FcsarSpec",
-    "FcsarFit",
-    "SeparableFit",
-    "SeparabilityReport",
-    "fit_fcsar",
-    "fit_separable",
-    "predict_missing_sensor",
-    "separability_diagnostic",
-]
-
 SEPARABLE_ORDERS = ("space_then_time", "time_then_space")
 
 # backfit cycles of the coupled fit: spatial stage, then temporal stage

@@ -188,6 +188,29 @@ def test_detrend_singular_fit_names_bandwidth_not_sensor(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detrend", "fit"])
+@pytest.mark.parametrize(
+    "column, token, what",
+    [(0, "nan", "timestamp 'nan'"), (2, "inf", "value 'inf'")],
+)
+def test_non_finite_csv_cell_names_path_and_line(
+    tmp_path, sim_dir, capsys, command, column, token, what
+):
+    # a non-finite timestamp or reading is an input error at its line, not
+    # a gap reported later as a sensor missing at some time index
+    lines = (sim_dir / "measurements.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = token
+    lines[5] = ",".join(cells)
+    meas = tmp_path / "measurements.csv"
+    meas.write_text("\n".join(lines) + "\n")
+    args = ["--measurements", meas, "--layout", sim_dir / "layout.csv", "--out", tmp_path / "o"]
+    if command == "fit":
+        args += ["--model", "sar"]
+    assert run_cli(command, *args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {meas}:6: {what} is not finite")
+
+
 # ------------------------------------------------------------- fit
 
 
@@ -719,19 +742,29 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_exports_and_tracer_targets_resolve():
-    # perfbench/tracing.py wraps library functions by name; deleting one of
-    # them must fail here, not only when the benchmark runs
-    for module in (skylattice, skylattice.evaluation, skylattice.fcsar):
-        for name in module.__all__:
-            assert hasattr(module, name), f"{module.__name__}.{name}"
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+def load_repo_script(rel: str):
+    """Import a script of this repository by its path under the repo root."""
+    path = Path(__file__).resolve().parents[1] / rel
+    spec = importlib.util.spec_from_file_location(Path(rel).stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_and_bindings_resolve(monkeypatch):
+    # perfbench/tracing.py wraps library functions by name, and the
+    # benchmark self-test checks that the tracer patches every module
+    # binding of a function; deleting a target or a binding must fail
+    # here, not only when the benchmark runs
+    tracing = load_repo_script("perfbench/tracing.py")
     for mod_name, fn_name, _ in tracing.TARGETS:
         module = importlib.import_module(f"skylattice.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+    # the self-test puts perfbench/ and src/ on sys.path and imports
+    # `tracing`; both are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    load_repo_script("perfbench/selftest.py").check_tracer_bindings()
 
 
 def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
@@ -740,10 +773,7 @@ def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
     # for byte, so nothing a run leaves behind in the process (a cache, a
     # random state) reaches the next one.  The digest test below runs each
     # set in a fresh interpreter instead
-    path = Path(__file__).resolve().parents[1] / "tools" / "fixture_digests.py"
-    spec = importlib.util.spec_from_file_location("fixture_digests", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_repo_script("tools/fixture_digests.py")
     runs = []
     for name in ("first", "second"):
         out = tmp_path / name
@@ -761,10 +791,7 @@ def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
 
 
 def test_src_lines_counts_only_code_lines():
-    path = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
-    spec = importlib.util.spec_from_file_location("src_lines", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_repo_script("tools/src_lines.py")
     source = '''"""Module docstring,
 over two lines."""
 

@@ -1,5 +1,7 @@
 """Tests for containers, ingestion, time averaging, and detrending."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -89,6 +91,18 @@ class TestSpatioTemporalField:
         with pytest.raises(ValueError, match="strictly increasing"):
             make_field(np.zeros((3, 3)), timestamps=np.array([0.0, 2.0, 2.0]))
 
+    def test_non_finite_timestamp_rejected(self):
+        with pytest.raises(ValueError, match="^timestamps must be finite, got nan at time index 1$"):
+            make_field(np.zeros((3, 3)), timestamps=np.array([0.0, np.nan, 2.0]))
+
+    def test_non_finite_value_names_sensor_and_time(self):
+        vals = np.zeros((3, 3))
+        vals[1, 2] = np.inf
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[0, 0] = True
+        with pytest.raises(ValueError, match="sensor 's1' has inf at time index 2"):
+            make_field(vals, mask=mask)
+
     def test_nan_without_mask_rejected(self):
         vals = np.zeros((3, 3))
         vals[1, 2] = np.nan
@@ -162,6 +176,33 @@ class TestIngest:
         assert f.mask is not None
         assert bool(f.mask[1, 1]) is True
         assert not f.mask[0].any()
+
+    def test_non_finite_value_is_not_a_gap(self):
+        lay = small_layout(3)
+        records = [(0.0, s, 0.0) for s in lay.ids] + [(1.0, s, 0.0) for s in lay.ids[1:]]
+        with pytest.raises(ValueError, match="sensor 's0' has -inf at time index 1"):
+            ingest_field(records + [(1.0, "s0", -np.inf)], lay)
+        assert bool(ingest_field(records + [(1.0, "s0", None)], lay).mask[0, 1])
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("nan,s0,1.0", "timestamp 'nan' is not finite"),
+            ("inf,s0,1.0", "timestamp 'inf' is not finite"),
+            ("1,s0,inf", "value 'inf' is not finite; write NA"),
+            ("1,s0,-Infinity", "value '-Infinity' is not finite; write NA"),
+        ],
+    )
+    def test_non_finite_csv_cell_names_path_and_line(self, tmp_path, cells, message):
+        path = tmp_path / "meas.csv"
+        path.write_text(f"timestamp,sensor_id,value\n0,s0,1.0\n{cells}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: {message}")):
+            read_measurements_csv(path)
+
+    def test_na_tokens_stay_gaps(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("timestamp,sensor_id,value\n0,s0,NaN\n1,s0,na\n2,s0,\n3,s0,2.5\n")
+        assert [v for _, _, v in read_measurements_csv(path)] == [None, None, None, 2.5]
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(7)
