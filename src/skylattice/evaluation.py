@@ -14,8 +14,9 @@ one ``crossval`` call.  A sensor's backfit reads only its own series, its
 ordered neighbors' series and the fixed spec and options, and one
 temporal spec fixes the support start t0 for the call, so one training
 subset's coefficients for (sensor id, ordered neighbor ids) equal any
-other's, bit for bit.  Each distinct backfit therefore runs once per call
-and the results equal a from-scratch refit of every subset.  Prediction
+other's, bit for bit.  Each distinct backfit therefore runs once per call,
+on a temporal-stage design built once per sensor and call, and the
+results equal a from-scratch refit of every subset.  Prediction
 reads only the coefficients, so the final temporal stage of a full fit is
 never run.
 """
@@ -224,19 +225,21 @@ def _fcsar_holdout_predictions(
     spec: FcsarSpec,
     options: Optional[FcarOptions],
     backfits: dict,
+    designs: dict,
 ) -> np.ndarray:
     """Fit on the remaining sensors and predict each held-out one.
 
     ``_transfer_stage`` runs every check ``fit_fcsar`` runs on the training
-    field and backfits only the sensors ``backfits`` does not hold yet.
-    ``backfits`` must belong to one ``field``, ``spec`` and ``options``:
-    its keys do not name them.
+    field and backfits only the sensors ``backfits`` does not hold yet, on
+    the fcar designs ``designs`` holds by sensor id or builds into it.
+    Both dicts must belong to one ``field``, ``spec`` and ``options``:
+    their keys do not name them.
     """
     layout = field.layout
     train_field = field.subset([sid for i, sid in enumerate(layout.ids) if i not in omega])
     graph = build_neighbor_graph(train_field.layout, spec.graph.k)
     sub_spec = FcsarSpec(graph, spec.n_neighbor_lags, spec.temporal)
-    beta, _, _ = _transfer_stage(train_field, sub_spec, options, backfits)
+    beta, *_ = _transfer_stage(train_field, sub_spec, options, backfits, designs)
     preds = np.empty((len(omega), field.n_times))
     for row, i in enumerate(omega):
         preds[row] = _predict_with_beta(beta, train_field, layout.xy[i])
@@ -274,10 +277,14 @@ def crossval(
     For each subset the model is fitted on the remaining sensors and each
     held-out sensor is predicted one at a time from that fit.  For fcsar
     the call shares backfitted transfer coefficients across its subsets
-    in one dict keyed by (sensor id, ordered neighbor ids).  The field,
-    spec and options are fixed within the call, so a key pins the
-    backfit's data and the values equal a from-scratch refit of every
-    subset, bit for bit.  The dict lives for this call only.
+    in one dict keyed by (sensor id, ordered neighbor ids), and each
+    sensor's fcar design (spline factors and kernel Gram sums) in a second
+    dict keyed by sensor id, so a sensor with several neighbor sets builds
+    its design once.  The field, spec and options are fixed within the
+    call, so a key pins the backfit's and the design's data and the values
+    equal a from-scratch refit of every subset, bit for bit.  Both dicts
+    live for this call only: at most one design per sensor is held, and
+    all of them go when the call returns or raises.
 
     Parameters
     ----------
@@ -329,11 +336,12 @@ def crossval(
     values = []
     obs = field.values[:, start:]
     backfits: dict = {}
+    designs: dict = {}
     for omega in plan.combinations:
         try:
             if model == "fcsar":
                 preds = _fcsar_holdout_predictions(
-                    field, omega, spec, options, backfits
+                    field, omega, spec, options, backfits, designs
                 )
             else:
                 preds = _interp_holdout_predictions(field, omega)

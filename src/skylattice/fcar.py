@@ -17,16 +17,23 @@ approximate 95% pointwise bands combining the local-linear sandwich
 variance with the sampling variance the pre-estimates carry into the
 pseudo-responses.
 
-Each fit builds its regression rows once (``_fit_rows``): the row times,
-u_t, the response and one design column per component (X_{t-j}, or ones
-for m_0).  The spline stage, the pseudo-responses and the kernel stage all
-read those rows, so a rule about which rows a fit uses lives in one place.
-The kernel stage (``sbk_estimate``) refines every curve together in two
-kernel-window sweeps that serve all components.  The sweep over the
-observed u computes only the local level fit, which gives the in-sample
-estimates, the noise variance and the smoother trace; the sweep over the
-grid adds the sandwich sums, the information count and the band
-multipliers, and writes each curve's band block by block.
+A fit is a design, then a solve.  The design (``_fit_design``) holds
+everything the response cannot change: the regression rows (``_fit_rows``:
+the row times, u_t and one design column per component, X_{t-j} or ones
+for m_0), the basis and each spline block's SVD, the bandwidth and grid,
+and the kernel stage's Gram sums from one window sweep over the observed u
+and one over the grid: the local Gram entries and their determinant, the
+reliability flags, the smoother traces, the sandwich variances and the
+squared band multipliers.  The solve (``_solve_fit``) fits one response on
+a design: the spline coefficients with their per-response cutoff
+escalation, the pseudo-responses, and the kernel stage (``sbk_estimate``),
+whose two window sweeps form only the response sums of the local level
+fits, then the noise variance, the bands and the fitted values.  So a rule
+about which rows a fit uses lives in one place, and a series fitted
+against several responses (the lattice model's backfit and final stage,
+cross-validation's neighbor sets) builds its design once.  A design holds
+the spline factors and O(T) kernel values; window matrices live only
+inside a sweep.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -163,24 +170,21 @@ class UTransform:
 class _FitRows:
     """The regression rows of one fit: ``t`` the row times, ``u`` the
     functional variable X_{t-d} (data scale) and ``umap`` its map to [0, 1],
-    ``y`` the response and ``cols`` one design column per ``spec.components``
-    entry (X_{t-j}, or ones for the intercept curve).
+    and ``cols`` one design column per ``spec.components`` entry (X_{t-j},
+    or ones for the intercept curve).  The response is not part of them.
     """
 
     t: np.ndarray
     u: np.ndarray
     umap: UTransform
-    y: np.ndarray
     cols: tuple[np.ndarray, ...]
 
 
-def _fit_rows(
-    x: np.ndarray, spec: FcarSpec, t_start: Optional[int], response: Optional[np.ndarray]
-) -> _FitRows:
-    """Rows t_start .. T-1 (none before ``spec.max_lag``), built once per fit.
+def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int]) -> _FitRows:
+    """Rows t_start .. T-1 (none before ``spec.max_lag``), built once per design.
 
-    ``response`` replaces X_t as the left-hand side; u and the design
-    columns always come from ``x``.  Every stage of a fit reads these rows.
+    u and the design columns come from ``x``; every stage of a fit reads
+    these rows, and the response is read at ``t``.
     """
     T = x.size
     start = spec.max_lag if t_start is None else max(t_start, spec.max_lag)
@@ -191,9 +195,20 @@ def _fit_rows(
     lo, hi = float(u.min()), float(u.max())
     if not hi > lo:
         raise ValueError("functional variable is constant; cannot rescale to [0,1]")
-    y = x[t] if response is None else np.asarray(response, dtype=float)[t]
     cols = tuple(np.ones(t.size) if j == 0 else x[t - j] for j in spec.components)
-    return _FitRows(t, u, UTransform(lo, hi), y, cols)
+    return _FitRows(t, u, UTransform(lo, hi), cols)
+
+
+@dataclass(frozen=True)
+class _SplineBlock:
+    """One component's spline block D = B * X_{t-j}: its thin SVD
+    ``U * sing @ Vt`` and the 95th percentile of |X_{t-j}| (1 for the
+    intercept curve), which scales the coefficient cap."""
+
+    U: np.ndarray
+    sing: np.ndarray
+    Vt: np.ndarray
+    r_scale: float
 
 
 @dataclass(frozen=True)
@@ -214,23 +229,42 @@ class _SplinePrefit:
     deficient: bool
 
 
-def _block_solve(D: np.ndarray, y: np.ndarray, cap: float):
-    """Truncated-SVD least squares for one component block.
+def _spline_design(
+    rows: _FitRows, spec: FcarSpec, basis: SplineBasis
+) -> tuple[np.ndarray, tuple[_SplineBlock, ...]]:
+    """The basis at the rows' u and one factored block per component."""
+    # imported here: scipy.linalg loads slower than the rest of the package,
+    # and simulate, detrend and SAR fits never get here.  Not numpy's svd:
+    # it links another LAPACK build, whose results differ in the last bits
+    from scipy.linalg import svd
+
+    n_funcs = basis.n_funcs
+    if rows.t.size <= n_funcs + spec.max_lag:
+        raise ValueError(
+            f"series too short: {rows.t.size} usable rows for {n_funcs} "
+            "coefficients per component"
+        )
+    B = basis_eval(basis, rows.umap.to_unit(rows.u))
+    blocks = []
+    for j, reg in zip(spec.components, rows.cols):
+        r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
+        U, sing, Vt = svd(B * reg[:, None], full_matrices=False)
+        if sing[0] <= 0.0:
+            raise ValueError("degenerate spline design (all-zero block)")
+        blocks.append(_SplineBlock(U, sing, Vt, r_scale))
+    return B, tuple(blocks)
+
+
+def _block_solve(block: _SplineBlock, D: np.ndarray, y: np.ndarray, cap: float):
+    """Truncated-SVD least squares of ``y`` on one factored block ``D``.
 
     Coefficient values equal curve values at the knots, so a sane solution
     stays within a few multiples of the response/regressor scale; grossly
     larger ones mean nearly-dependent columns from knot intervals holding
     too few points, and the cutoff rises until those directions are gone.
     """
-    # imported here: scipy.linalg loads slower than the rest of the package,
-    # and simulate, detrend and SAR fits never get here.  Not numpy's svd:
-    # it links another LAPACK build, whose results differ in the last bits
-    from scipy.linalg import svd
-
-    U, sing, Vt = svd(D, full_matrices=False)
-    if sing[0] <= 0.0:
-        raise ValueError("degenerate spline design (all-zero block)")
-    uty = U.T @ y
+    sing, Vt = block.sing, block.Vt
+    uty = block.U.T @ y
     cond = _SPLINE_COND
     while True:
         keep = sing > cond * sing[0]
@@ -245,31 +279,28 @@ def _block_solve(D: np.ndarray, y: np.ndarray, cap: float):
     return coef, sigma2, gram_inv, rank
 
 
-def _spline_lstsq(rows: _FitRows, spec: FcarSpec, basis: SplineBasis) -> _SplinePrefit:
-    n_funcs = basis.n_funcs
-    if rows.t.size <= n_funcs + spec.max_lag:
-        raise ValueError(
-            f"series too short: {rows.t.size} usable rows for {n_funcs} "
-            "coefficients per component"
-        )
-    B = basis_eval(basis, rows.umap.to_unit(rows.u))
-    y = rows.y
+def _spline_lstsq(
+    B: np.ndarray,
+    blocks: tuple[_SplineBlock, ...],
+    cols: tuple[np.ndarray, ...],
+    y: np.ndarray,
+) -> _SplinePrefit:
+    """Marginal spline pre-fits of the response rows ``y`` on factored blocks."""
     y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
-
     coefs, sigma2s, gram_invs = [], [], []
     deficient = False
-    for j, reg in zip(spec.components, rows.cols):
-        r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
-        D = B * reg[:, None]
-        coef, sigma2, gram_inv, rank = _block_solve(D, y, 1e3 * y_scale / r_scale)
-        deficient |= rank < n_funcs
+    for block, reg in zip(blocks, cols):
+        coef, sigma2, gram_inv, rank = _block_solve(
+            block, B * reg[:, None], y, 1e3 * y_scale / block.r_scale
+        )
+        deficient |= rank < B.shape[1]
         coefs.append(coef)
         sigma2s.append(sigma2)
         gram_invs.append(gram_inv)
     coeffs = np.column_stack(coefs)
     return _SplinePrefit(
         coeffs=coeffs,
-        parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(rows.cols)),
+        parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(cols)),
         sigma2s=tuple(sigma2s),
         gram_invs=tuple(gram_invs),
         deficient=deficient,
@@ -291,8 +322,10 @@ def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.
     directions survived it).  :func:`fit_fcar` reports such a design in
     ``FcarFit.rank_deficient``.
     """
-    rows = _fit_rows(np.asarray(x, dtype=float), spec, None, None)
-    return _spline_lstsq(rows, spec, basis).coeffs
+    x = np.asarray(x, dtype=float)
+    rows = _fit_rows(x, spec, None)
+    B, blocks = _spline_design(rows, spec, basis)
+    return _spline_lstsq(B, blocks, rows.cols, x[rows.t]).coeffs
 
 
 def pseudo_responses(
@@ -376,160 +409,234 @@ def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float):
         yield sl, idx, diff, kernel_values(diff / h) / h
 
 
-def _local_linear(
+@dataclass(frozen=True)
+class _LocalGrams:
+    """Response-free local sums of every component at evaluation points.
+
+    Rows are components, columns the points ``u_eval``.  ``a01``/``a11``
+    are entries of the local Gram matrix of the design column c1 and its
+    interaction c1 * (u_t - u0), ``det`` its determinant, ``ok`` marks a
+    well-posed local system and ``reliable`` a point whose estimate the fit
+    may use.  On the grid, ``varu`` is the sandwich variance per unit noise
+    variance (NaN where not ``ok``) and ``mult2[c, oc]`` the squared band
+    multiplier of component oc's pre-estimate variance in component c's
+    level; both are None at the observed u.
+    """
+
+    u_eval: np.ndarray
+    a01: np.ndarray
+    a11: np.ndarray
+    det: np.ndarray
+    ok: np.ndarray
+    reliable: np.ndarray
+    varu: Optional[np.ndarray] = None
+    mult2: Optional[np.ndarray] = None
+
+
+def _local_grams(
     u_obs: np.ndarray,
     cols: tuple[np.ndarray, ...],
-    ws: tuple[np.ndarray, ...],
     u_eval: np.ndarray,
     h: float,
-):
-    """Weighted local-linear level fits of ws[c] ~ cols[c], block by block.
-
-    One :func:`_kernel_windows` sweep serves every component.  Yields
-    ``(sl, idx, diff, k, in_bw, n_raw, fits)`` per block: the block's
-    windows and kernel weights as :func:`_kernel_windows` gives them, the
-    in-bandwidth mask and count of each row, and per component the local
-    level fit ``(a00, a01, a11, det, ok, est)``.  The a's are the local
-    Gram matrix of the design column c1 and its interaction c1 * (u_t - u0),
-    ``det`` its determinant, ``ok`` marks a well-posed local system and
-    ``est`` is the level estimate there (NaN elsewhere).
-
-    Observations outside a window have zero kernel weight and lie outside
-    the bandwidth, so they add nothing to any sum or count, and the results
-    equal the sums over all observations up to summation order.
-    """
-    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
-        in_bw = np.abs(diff) <= h
-        fits = []
-        for c1, w in zip(cols, ws):
-            c1w, ww = c1[idx], w[idx]
-            c2 = c1w * diff
-            a00 = (k * c1w**2).sum(axis=1)
-            a01 = (k * c1w * c2).sum(axis=1)
-            a11 = (k * c2 * c2).sum(axis=1)
-            b0 = (k * c1w * ww).sum(axis=1)
-            b1 = (k * c2 * ww).sum(axis=1)
-            det = a00 * a11 - a01 * a01
-            scale = np.abs(a00 * a11) + a01 * a01
-            ok = det > 1e-12 * np.maximum(scale, 1e-300)
-            est = np.full(a00.size, np.nan)
-            est[ok] = (a11[ok] * b0[ok] - a01[ok] * b1[ok]) / det[ok]
-            fits.append((a00, a01, a11, det, ok, est))
-        yield sl, idx, diff, k, in_bw, np.count_nonzero(in_bw, axis=1), fits
-
-
-def sbk_estimate(
-    u: np.ndarray,
-    cols: tuple[np.ndarray, ...],
-    pseudos: tuple[np.ndarray, ...],
-    components: tuple[int, ...],
-    u_grid: np.ndarray,
-    h: float,
-    prefit_variance: tuple[np.ndarray, ...],
-) -> tuple[SbkCurve, ...]:
-    """Kernel refinement of every coefficient curve from its pseudo-responses.
-
-    ``u`` holds the functional variable per fit row; per component (in
-    ``components`` order), ``cols`` holds its design column (X_{t-j'} for a
-    lag term, the constant 1 for the intercept curve) and ``pseudos`` its
-    pseudo-responses.  At each point u0 a component's pseudo-responses are
-    regressed on its design column c1 and c1's interaction with (u_t - u0),
-    weighted by K_h(u_t - u0); the estimate is the local level coefficient.
-
-    Two :func:`_local_linear` sweeps serve all components.  The sweep over
-    the observed u gives the in-sample estimates, the residual-based noise
-    variance and the smoother trace.  The sweep over the grid then gives
-    the curves and their approximate 95% bands: the local-linear sandwich
-    variance times that noise variance, plus the variance the other
-    components' pre-estimates carry into the pseudo-responses.
-    ``prefit_variance[oc]`` (grid-aligned, data scale) is component oc's
-    pre-estimate variance, and it enters component c's level scaled by the
-    squared local multiplier, the kernel sum of c1 * cols[oc] over that of
-    c1^2.
+    bands: bool,
+) -> _LocalGrams:
+    """One :func:`_kernel_windows` sweep of the local Gram sums.
 
     A point is reliable when its local system is well posed and at least
-    ``MIN_LOCAL_OBS`` observations lie within one bandwidth.  On the grid
-    an observation counts, in addition, in proportion to c1^2 relative to
-    the sample mean square, so rows whose design value carries no
-    information about the coefficient do not prop up reliability: near u
-    where c1 itself vanishes (the lag-d component, whose design value
-    equals u) the coefficient is unidentified no matter how many raw
-    observations sit in the window.  The product estimate*c1 stays well
-    behaved there, which is all the in-sample estimates need, so the
-    observed-u flag counts raw observations only.
-
-    ``u_grid`` and the bandwidth ``h`` are on the data scale of u.
+    ``MIN_LOCAL_OBS`` observations lie within one bandwidth.  With
+    ``bands`` (the grid), an observation counts, in addition, in proportion
+    to c1^2 relative to the sample mean square, and the sweep adds the
+    sandwich sums and the band multipliers.  Observations outside a window
+    have zero kernel weight and lie outside the bandwidth, so they add
+    nothing to any sum or count, and the results equal the sums over all
+    observations up to summation order.
     """
-    u_grid = np.asarray(u_grid, dtype=float)
-    m, n, g = len(cols), u.size, u_grid.size
-    obs_est, obs_a11inv = np.full((m, n), np.nan), np.full((m, n), np.nan)
-    obs_rel = np.zeros((m, n), dtype=bool)
-    for sl, *_, n_raw, fits in _local_linear(u, cols, pseudos, u, h):
-        for c, (_, _, a11, det, ok, est) in enumerate(fits):
-            obs_est[c, sl] = est
-            # (1,1) entry of the inverted local Gram matrix, for the smoother diagonal
-            obs_a11inv[c, sl][ok] = a11[ok] / det[ok]
-            obs_rel[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS)
-    k0 = kernel_values(np.zeros(1))[0] / h
-    traces, sigma2s = [], []
-    for c, (c1, pseudo) in enumerate(zip(cols, pseudos)):
-        # noise variance from the component's own kernel-stage residuals,
-        # degrees of freedom corrected by the smoother trace
-        traces.append(float(np.nansum(k0 * c1**2 * obs_a11inv[c])))
-        resid = pseudo - obs_est[c] * c1
-        ok = np.isfinite(resid)
-        dof = max(float(np.count_nonzero(ok)) - traces[c], 1.0)
-        sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
-
-    est, half = np.full((m, g), np.nan), np.full((m, g), np.nan)
-    reliable = np.zeros((m, g), dtype=bool)
-    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
-    for sl, idx, diff, k, in_bw, n_raw, fits in _local_linear(u, cols, pseudos, u_grid, h):
-        k2 = k * k
-        for c, (a00, a01, a11, det, ok, level) in enumerate(fits):
-            est[c, sl] = level
-            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
-            reliable[c, sl] = ok & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
-            # sandwich: first diagonal entry of A^-1 B A^-1
-            c1w = cols[c][idx]
+    m, n = len(cols), u_eval.size
+    a01, a11, det = (np.zeros((m, n)) for _ in range(3))
+    ok, reliable = np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)
+    varu = np.full((m, n), np.nan) if bands else None
+    mult2 = np.zeros((m, m, n)) if bands else None
+    if bands:
+        info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
+    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
+        in_bw = np.abs(diff) <= h
+        n_raw = np.count_nonzero(in_bw, axis=1)
+        k2 = k * k if bands else None
+        for c, c1 in enumerate(cols):
+            c1w = c1[idx]
             c2 = c1w * diff
+            g00 = (k * c1w**2).sum(axis=1)
+            g01 = (k * c1w * c2).sum(axis=1)
+            g11 = (k * c2 * c2).sum(axis=1)
+            g_det = g00 * g11 - g01 * g01
+            scale = np.abs(g00 * g11) + g01 * g01
+            good = g_det > 1e-12 * np.maximum(scale, 1e-300)
+            a01[c, sl], a11[c, sl], det[c, sl], ok[c, sl] = g01, g11, g_det, good
+            reliable[c, sl] = good & (n_raw >= MIN_LOCAL_OBS)
+            if not bands:
+                continue
+            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
+            reliable[c, sl] &= n_info >= MIN_LOCAL_OBS
+            # sandwich: first diagonal entry of A^-1 B A^-1
             s00 = (k2 * c1w**2).sum(axis=1)
             s01 = (k2 * c1w * c2).sum(axis=1)
             s11 = (k2 * c2 * c2).sum(axis=1)
-            varu = np.full(a00.size, np.nan)
-            varu[ok] = (
-                a11[ok] ** 2 * s00[ok]
-                - 2.0 * a11[ok] * a01[ok] * s01[ok]
-                + a01[ok] ** 2 * s11[ok]
-            ) / det[ok] ** 2
+            varu[c, sl][good] = (
+                g11[good] ** 2 * s00[good]
+                - 2.0 * g11[good] * g01[good] * s01[good]
+                + g01[good] ** 2 * s11[good]
+            ) / g_det[good] ** 2
             # a pre-estimate error e(u) in component oc rides into the
             # pseudo-responses on its design column; with e nearly constant
             # in a kernel window, the local level shifts by e(u) times the
             # multiplier, so the bands stay honest about both stages
-            vprop = np.zeros(a00.size)
-            for oc, (var, other) in enumerate(zip(prefit_variance, cols)):
+            for oc, other in enumerate(cols):
                 if oc != c:
                     mult = np.divide(
-                        (k * c1w * other[idx]).sum(axis=1), a00,
-                        out=np.full(a00.size, np.nan), where=a00 > 0.0,
+                        (k * c1w * other[idx]).sum(axis=1), g00,
+                        out=np.full(g00.size, np.nan), where=g00 > 0.0,
                     )
-                    vprop += var[sl] * np.where(np.isfinite(mult), mult, 0.0) ** 2
-            half[c, sl] = 1.959963984540054 * np.sqrt(sigma2s[c] * varu + vprop)
-    return tuple(
-        SbkCurve(
-            target_j=j,
-            u=u_grid,
-            estimate=est[c],
-            lower=est[c] - half[c],
-            upper=est[c] + half[c],
-            reliable=reliable[c],
-            sigma2=sigma2s[c],
-            smoother_trace=traces[c],
-            obs_estimate=obs_est[c],
-            obs_reliable=obs_rel[c],
+                    mult2[c, oc, sl] = np.where(np.isfinite(mult), mult, 0.0) ** 2
+    return _LocalGrams(u_eval, a01, a11, det, ok, reliable, varu, mult2)
+
+
+def _local_levels(
+    u_obs: np.ndarray,
+    cols: tuple[np.ndarray, ...],
+    ws: tuple[np.ndarray, ...],
+    grams: _LocalGrams,
+    h: float,
+) -> np.ndarray:
+    """Local level estimates of ws[c] ~ cols[c] at ``grams.u_eval``.
+
+    One :func:`_kernel_windows` sweep forms the two response sums b0 and
+    b1 of every component; with the Gram sums they give the level where
+    the local system is well posed, and NaN elsewhere.
+    """
+    est = np.full(grams.a01.shape, np.nan)
+    for sl, idx, diff, k in _kernel_windows(u_obs, grams.u_eval, h):
+        for c, (c1, w) in enumerate(zip(cols, ws)):
+            c1w, ww = c1[idx], w[idx]
+            c2 = c1w * diff
+            b0 = (k * c1w * ww).sum(axis=1)
+            b1 = (k * c2 * ww).sum(axis=1)
+            ok = grams.ok[c, sl]
+            est[c, sl][ok] = (
+                grams.a11[c, sl][ok] * b0[ok] - grams.a01[c, sl][ok] * b1[ok]
+            ) / grams.det[c, sl][ok]
+    return est
+
+
+@dataclass(frozen=True)
+class _KernelDesign:
+    """Everything of the kernel stage that no response changes.
+
+    ``u`` holds the functional variable per fit row and ``cols`` one design
+    column per component (in ``components`` order).  ``obs`` and ``grid``
+    are the local Gram sums at the observed u and on ``grid.u_eval``, and
+    ``traces`` each component's smoother trace.
+    """
+
+    u: np.ndarray
+    cols: tuple[np.ndarray, ...]
+    components: tuple[int, ...]
+    h: float
+    obs: _LocalGrams
+    grid: _LocalGrams
+    traces: tuple[float, ...]
+
+
+def _kernel_design(
+    u: np.ndarray,
+    cols: tuple[np.ndarray, ...],
+    components: tuple[int, ...],
+    u_grid: np.ndarray,
+    h: float,
+) -> _KernelDesign:
+    """The kernel stage's Gram sums: one sweep over the observed u, one
+    over the grid.  ``u_grid`` and the bandwidth ``h`` are on the data
+    scale of u."""
+    obs = _local_grams(u, cols, u, h, bands=False)
+    grid = _local_grams(u, cols, np.asarray(u_grid, dtype=float), h, bands=True)
+    k0 = kernel_values(np.zeros(1))[0] / h
+    traces = []
+    for c, c1 in enumerate(cols):
+        # (1,1) entry of the inverted local Gram matrix, for the smoother diagonal
+        a11inv = np.full(u.size, np.nan)
+        ok = obs.ok[c]
+        a11inv[ok] = obs.a11[c][ok] / obs.det[c][ok]
+        traces.append(float(np.nansum(k0 * c1**2 * a11inv)))
+    return _KernelDesign(u, cols, components, h, obs, grid, tuple(traces))
+
+
+def sbk_estimate(
+    design: _KernelDesign,
+    pseudos: tuple[np.ndarray, ...],
+    prefit_variance: tuple[np.ndarray, ...],
+) -> tuple[SbkCurve, ...]:
+    """Kernel refinement of every coefficient curve from its pseudo-responses.
+
+    ``pseudos`` holds each component's pseudo-responses per fit row, in
+    ``design.components`` order.  At each point u0 a component's
+    pseudo-responses are regressed on its design column c1 and c1's
+    interaction with (u_t - u0), weighted by K_h(u_t - u0); the estimate is
+    the local level coefficient.
+
+    ``design`` holds every local sum that does not involve the response, so
+    one design serves any number of responses.  A :func:`_local_levels`
+    sweep over the observed u gives the in-sample estimates and, with the
+    design's smoother traces, the residual-based noise variance.  One over
+    the grid then gives the curves and their approximate 95% bands: the
+    local-linear sandwich variance times that noise variance, plus the
+    variance the other components' pre-estimates carry into the
+    pseudo-responses.  ``prefit_variance[oc]`` (grid-aligned, data scale)
+    is component oc's pre-estimate variance, and it enters component c's
+    level scaled by the squared local multiplier, the kernel sum of
+    c1 * cols[oc] over that of c1^2.
+
+    On the grid a point is reliable only when enough observations count
+    with weight c1^2 (see :func:`_local_grams`), so rows whose design value
+    carries no information about the coefficient do not prop up
+    reliability: near u where c1 itself vanishes (the lag-d component,
+    whose design value equals u) the coefficient is unidentified no matter
+    how many raw observations sit in the window.  The product estimate*c1
+    stays well behaved there, which is all the in-sample estimates need, so
+    the observed-u flag counts raw observations only.
+    """
+    u, cols, grid = design.u, design.cols, design.grid
+    obs_est = _local_levels(u, cols, pseudos, design.obs, design.h)
+    sigma2s = []
+    for c, (c1, pseudo) in enumerate(zip(cols, pseudos)):
+        # noise variance from the component's own kernel-stage residuals,
+        # degrees of freedom corrected by the smoother trace
+        resid = pseudo - obs_est[c] * c1
+        ok = np.isfinite(resid)
+        dof = max(float(np.count_nonzero(ok)) - design.traces[c], 1.0)
+        sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
+
+    est = _local_levels(u, cols, pseudos, grid, design.h)
+    curves = []
+    for c, j in enumerate(design.components):
+        vprop = np.zeros(grid.u_eval.size)
+        for oc, var in enumerate(prefit_variance):
+            if oc != c:
+                vprop += var * grid.mult2[c, oc]
+        half = 1.959963984540054 * np.sqrt(sigma2s[c] * grid.varu[c] + vprop)
+        curves.append(
+            SbkCurve(
+                target_j=j,
+                u=grid.u_eval,
+                estimate=est[c],
+                lower=est[c] - half,
+                upper=est[c] + half,
+                reliable=grid.reliable[c],
+                sigma2=sigma2s[c],
+                smoother_trace=design.traces[c],
+                obs_estimate=obs_est[c],
+                obs_reliable=design.obs.reliable[c],
+            )
         )
-        for c, j in enumerate(components)
-    )
+    return tuple(curves)
 
 
 @dataclass(frozen=True)
@@ -609,6 +716,100 @@ class FcarFit:
         return np.interp(np.asarray(u, dtype=float), curve.u, vals)
 
 
+@dataclass(frozen=True)
+class _FitDesign:
+    """Everything of one fit that the response cannot change.
+
+    The regression rows, the basis and its values ``B`` at the rows' u, the
+    factored spline block of each component, the bandwidth, the grid's
+    basis values ``grid_B`` and the kernel stage's Gram sums (whose
+    ``grid.u_eval`` is the grid).  :func:`_solve_fit` fits one response on
+    it, so one design serves every response that shares the series, spec,
+    options and start.  Window matrices live only inside a sweep, so a
+    design holds O(T) kernel values plus the spline factors.
+    """
+
+    spec: FcarSpec
+    basis: SplineBasis
+    rows: _FitRows
+    B: np.ndarray
+    blocks: tuple[_SplineBlock, ...]
+    grid_B: np.ndarray
+    kernel: _KernelDesign
+
+
+def _fit_design(
+    x: np.ndarray,
+    spec: FcarSpec,
+    options: Optional[FcarOptions],
+    t_start: Optional[int],
+) -> _FitDesign:
+    """The design of a :func:`fit_fcar` call; every input check runs here."""
+    opts = options or FcarOptions()
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-D series")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
+    T = x.size
+    n_knots = opts.n_knots if opts.n_knots is not None else default_knot_count(T)
+    basis = SplineBasis(n_knots)
+    rows = _fit_rows(x, spec, t_start)
+    B, blocks = _spline_design(rows, spec, basis)
+    u = rows.u
+    h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
+    u_grid = np.linspace(u.min(), u.max(), GRID_SIZE)
+    grid_B = basis_eval(basis, rows.umap.to_unit(u_grid))
+    kernel = _kernel_design(u, rows.cols, spec.components, u_grid, float(h))
+    return _FitDesign(spec, basis, rows, B, blocks, grid_B, kernel)
+
+
+def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
+    """Fit the length-T series ``response`` on ``design``, read at its rows."""
+    rows = design.rows
+    y = np.asarray(response, dtype=float)[rows.t]
+    prefit = _spline_lstsq(design.B, design.blocks, rows.cols, y)
+    grid_B = design.grid_B
+    # each component's spline pre-estimate variance on the grid:
+    # sigma^2 b(u)' G b(u)
+    prefit_variance = tuple(
+        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
+        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
+    )
+    pseudos = tuple(
+        pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols))
+    )
+    curves = sbk_estimate(design.kernel, pseudos, prefit_variance)
+
+    # in-sample fitted values from the kernel estimates at the observed u.
+    # Rows where any component's local solve is unreliable fall back to the
+    # first marginal pre-fit's prediction: each marginal fit predicts the
+    # whole response on its own, so summing per-component spline fallbacks
+    # would count the response more than once.
+    kernel_sum = np.zeros(rows.t.size)
+    row_ok = np.ones(rows.t.size, dtype=bool)
+    for c1, curve in zip(rows.cols, curves):
+        kernel_sum += np.where(
+            np.isfinite(curve.obs_estimate), curve.obs_estimate, 0.0
+        ) * c1
+        row_ok &= curve.obs_reliable & np.isfinite(curve.obs_estimate)
+    fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
+    residuals = y - fitted
+
+    return FcarFit(
+        spec=design.spec,
+        basis=design.basis,
+        u_transform=rows.umap,
+        spline_coeffs=prefit.coeffs,
+        curves=curves,
+        bandwidth=design.kernel.h,
+        t_start=int(rows.t[0]),
+        fitted=fitted,
+        residuals=residuals,
+        rank_deficient=prefit.deficient,
+    )
+
+
 def fit_fcar(
     x: np.ndarray,
     spec: FcarSpec,
@@ -627,61 +828,8 @@ def fit_fcar(
     Returns a :class:`FcarFit` whose ``fitted + residuals`` reproduce the
     response rows exactly.
     """
-    opts = options or FcarOptions()
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-D series")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
-    T = x.size
-    n_knots = opts.n_knots if opts.n_knots is not None else default_knot_count(T)
-    basis = SplineBasis(n_knots)
-    rows = _fit_rows(x, spec, t_start, response)
-    prefit = _spline_lstsq(rows, spec, basis)
-    u = rows.u
-    h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
-    u_grid = np.linspace(u.min(), u.max(), GRID_SIZE)
-    grid_B = basis_eval(basis, rows.umap.to_unit(u_grid))
-    # each component's spline pre-estimate variance on the grid:
-    # sigma^2 b(u)' G b(u)
-    prefit_variance = tuple(
-        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
-        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
-    )
-    pseudos = tuple(
-        pseudo_responses(rows.y, prefit.parts, c) for c in range(len(rows.cols))
-    )
-    curves = sbk_estimate(
-        u, rows.cols, pseudos, spec.components, u_grid, h, prefit_variance
-    )
-
-    # in-sample fitted values from the kernel estimates at the observed u.
-    # Rows where any component's local solve is unreliable fall back to the
-    # first marginal pre-fit's prediction: each marginal fit predicts the
-    # whole response on its own, so summing per-component spline fallbacks
-    # would count the response more than once.
-    kernel_sum = np.zeros(rows.t.size)
-    row_ok = np.ones(rows.t.size, dtype=bool)
-    for c1, curve in zip(rows.cols, curves):
-        kernel_sum += np.where(
-            np.isfinite(curve.obs_estimate), curve.obs_estimate, 0.0
-        ) * c1
-        row_ok &= curve.obs_reliable & np.isfinite(curve.obs_estimate)
-    fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
-    residuals = rows.y - fitted
-
-    return FcarFit(
-        spec=spec,
-        basis=basis,
-        u_transform=rows.umap,
-        spline_coeffs=prefit.coeffs,
-        curves=curves,
-        bandwidth=float(h),
-        t_start=int(rows.t[0]),
-        fitted=fitted,
-        residuals=residuals,
-        rank_deficient=prefit.deficient,
-    )
+    design = _fit_design(x, spec, options, t_start)
+    return _solve_fit(design, x if response is None else response)
 
 
 def effective_params(fit: FcarFit) -> float:

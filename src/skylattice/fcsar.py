@@ -10,20 +10,35 @@ refinement of each.  Every sensor uses one temporal spec, so the support
 start is fixed for a call and a sensor's backfit depends only on its
 series and its ordered neighbors' series: cross-validation shares one
 backfit per (sensor id, ordered neighbor ids) across its training
-subsets.  The module also provides the two factored pipelines
+subsets.  A sensor's fcar design (its spline factors and kernel sums)
+depends on its own series alone, so each temporal stage is a solve on it:
+``fit_fcsar`` builds one design per sensor, solves it for the backfit and
+the final stage, and drops it before the next sensor, so one design is
+alive at a time; cross-validation keeps one design per sensor id for the
+length of a call.  The module also provides the two factored pipelines
 (spatial fit first or temporal fit first) and a diagnostic that compares
 all four models' in-sample RMSE on a common support.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import SpatioTemporalField, _frozen_array
-from .fcar import FcarFit, FcarOptions, FcarSpec, effective_params, fit_fcar
+from .fcar import (
+    FcarFit,
+    FcarOptions,
+    FcarSpec,
+    _FitDesign,
+    _fit_design,
+    _solve_fit,
+    effective_params,
+    fit_fcar,
+)
 from .spatial import (
     NeighborGraph,
     SarTrace,
@@ -182,17 +197,16 @@ def _transfer_sum(
     return acc
 
 
-def _fit_sensor(
-    sensor_id: str, x: np.ndarray, spec: FcarSpec, options: Optional[FcarOptions],
-    t_start: int, response: Optional[np.ndarray],
-) -> FcarFit:
-    """``fit_fcar`` of one sensor's series.
+@contextmanager
+def _sensor_errors(sensor_id: str, x: np.ndarray, spec: FcarSpec, t_start: int):
+    """Name the sensor and the time indices of its fit rows in a ValueError.
 
-    A failure names the sensor and the time indices of the rows the fit
-    used, so an error from a field points at the series that caused it.
+    An fcar fit fails while its design is built (too short, constant u,
+    non-finite values, a degenerate spline block), so an error from a field
+    points at the series that caused it.
     """
     try:
-        return fit_fcar(x, spec, options, response=response, t_start=t_start)
+        yield
     except ValueError as exc:
         first = max(t_start, spec.max_lag)
         raise ValueError(
@@ -204,16 +218,17 @@ def _fit_sensors(
     ids: Sequence[str], x: np.ndarray, spec: FcarSpec, options: Optional[FcarOptions],
     t0: int, responses: Optional[np.ndarray] = None,
 ) -> tuple[FcarFit, ...]:
-    """``_fit_sensor`` of each row of the S x T matrix ``x`` from ``t0`` on.
+    """``fit_fcar`` of each row of the S x T matrix ``x`` from ``t0`` on.
 
-    Row s of ``responses``, when given, is sensor s's response.
+    Row s of ``responses``, when given, is sensor s's response.  Each
+    sensor's design serves this one fit and is dropped before the next.
     """
-    return tuple(
-        _fit_sensor(
-            sensor, x[s], spec, options, t0, None if responses is None else responses[s]
-        )
-        for s, sensor in enumerate(ids)
-    )
+    fits = []
+    for s, sensor in enumerate(ids):
+        response = None if responses is None else responses[s]
+        with _sensor_errors(sensor, x[s], spec, t0):
+            fits.append(fit_fcar(x[s], spec, options, response=response, t_start=t0))
+    return tuple(fits)
 
 
 def _backfit_sensor(
@@ -221,15 +236,15 @@ def _backfit_sensor(
     s: int,
     neighbors: Sequence[int],
     spec: FcsarSpec,
-    options: Optional[FcarOptions],
-    sensor_id: str,
+    fcar_design: _FitDesign,
 ) -> tuple[np.ndarray, bool, np.ndarray]:
     """Two-cycle backfit of one sensor's neighbor-transfer coefficients.
 
     Each cycle fits the coefficients by least squares of the series net of
     the temporal fit (zero at first) on the lagged neighbor values; every
     cycle but the last then refits the temporal stage on the series net of
-    the spatial component (zero before index b).  Only rows ``s`` and
+    the spatial component (zero before index b), solved on ``fcar_design``,
+    the sensor's design from ``spec.support_start``.  Only rows ``s`` and
     ``neighbors`` of ``z`` are read, so the result is a function of those
     rows, the lag depth, the temporal spec and the options.
 
@@ -250,8 +265,7 @@ def _backfit_sensor(
         beta = coef.reshape(len(neighbors), b)
         spatial[b:] = _transfer_sum(z, neighbors, beta, b)
         if cycle + 1 < _BACKFIT_CYCLES:
-            response = z[s] - spatial
-            temporal = _fit_sensor(sensor_id, z[s], spec.temporal, options, t0, response).fitted
+            temporal = _solve_fit(fcar_design, z[s] - spatial).fitted
     return beta, full_rank, spatial
 
 
@@ -260,32 +274,47 @@ def _transfer_stage(
     spec: FcsarSpec,
     options: Optional[FcarOptions],
     backfits: dict,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    designs: dict,
+    final: bool = False,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], tuple[FcarFit, ...]]:
     """Check the inputs, then backfit every sensor of ``field``.
 
-    Returns the (S, k, b) coefficients, the S x T spatial component and the
-    sensors with a rank-deficient neighbor design.  ``backfits`` maps
-    (sensor id, ordered neighbor ids) to a ``_backfit_sensor`` result; a
-    sensor whose key it holds is not backfit again, and the others are
-    added.  A backfit reads only its sensor's and neighbors' series, the
-    lag depth, the temporal spec and the options (t0 follows from the last
-    two), so one dict may serve any sensor subsets of one field under one
-    lag depth, temporal spec and options.
+    Returns the (S, k, b) coefficients, the S x T spatial component, the
+    sensors with a rank-deficient neighbor design and, with ``final``, each
+    sensor's final temporal stage on its series net of its spatial row
+    (else an empty tuple).  ``backfits`` maps (sensor id, ordered neighbor
+    ids) to a ``_backfit_sensor`` result and ``designs`` sensor ids to fcar
+    designs; a sensor whose key ``backfits`` holds is not backfit again,
+    and the others are added, on the sensor's design from ``designs`` or
+    on one built into it.  A backfit reads only its sensor's and neighbors'
+    series, the lag depth, the temporal spec and the options (t0 follows
+    from the last two), and a design only the sensor's series and the
+    same settings, so the dicts may serve any sensor subsets of one field
+    under one lag depth, temporal spec and options (cross-validation keeps
+    them for one call).  With ``final`` (``fit_fcsar``, on empty dicts) a
+    sensor's design serves its backfit and its final stage and leaves
+    ``designs`` before the next sensor, so one design is alive at a time.
     """
     _fit_checks(field, spec)
     z = field.values
     ids = field.layout.ids
+    t0 = spec.support_start
     beta = np.empty((len(ids), spec.graph.k, spec.n_neighbor_lags))
     spatial = np.empty(z.shape)
-    deficient = []
+    deficient, finals = [], []
     for s, neighbors in enumerate(spec.graph.neighbors):
         key = (ids[s], tuple(ids[n] for n in neighbors))
         if key not in backfits:
-            backfits[key] = _backfit_sensor(z, s, neighbors, spec, options, ids[s])
+            if ids[s] not in designs:
+                with _sensor_errors(ids[s], z[s], spec.temporal, t0):
+                    designs[ids[s]] = _fit_design(z[s], spec.temporal, options, t0)
+            backfits[key] = _backfit_sensor(z, s, neighbors, spec, designs[ids[s]])
         beta[s], full_rank, spatial[s] = backfits[key]
         if not full_rank:
             deficient.append(ids[s])
-    return beta, spatial, tuple(deficient)
+        if final:
+            finals.append(_solve_fit(designs.pop(ids[s]), z[s] - spatial[s]))
+    return beta, spatial, tuple(deficient), tuple(finals)
 
 
 def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
@@ -325,7 +354,9 @@ def fit_fcsar(
     sensor's own series).  Cycle two re-estimates the transfer
     coefficients on the series minus that temporal fit.  A final temporal
     stage on the series net of the spatial component gives the fitted
-    values.  The schedule is fixed for determinism.
+    values.  Both temporal stages of a sensor are solves on one fcar
+    design, built before its backfit and dropped after its final stage.
+    The schedule is fixed for determinism.
 
     Parameters
     ----------
@@ -353,11 +384,13 @@ def fit_fcsar(
         _fit_checks(field, spec)
         beta = np.zeros((S, spec.graph.k, spec.n_neighbor_lags))
         spatial, deficient = np.zeros((S, T)), ()
+        fcar_fits = _fit_sensors(
+            field.layout.ids, z, spec.temporal, options, t0, z - spatial
+        )
     else:
-        beta, spatial, deficient = _transfer_stage(field, spec, options, {})
-    fcar_fits = _fit_sensors(
-        field.layout.ids, z, spec.temporal, options, t0, z - spatial
-    )
+        beta, spatial, deficient, fcar_fits = _transfer_stage(
+            field, spec, options, {}, {}, final=True
+        )
 
     temporal = np.stack([f.fitted for f in fcar_fits])
     fitted = nan_padded(spatial[:, t0:] + temporal, T)

@@ -767,6 +767,28 @@ def test_tracer_targets_and_bindings_resolve(monkeypatch):
     load_repo_script("perfbench/selftest.py").check_tracer_bindings()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("fit", "--model", "fcsar", "--window", 0), ("crossval", "--k", 1, "--window", 60)],
+    ids=["fit-fcsar", "crossval-loo"],
+)
+def test_one_spline_svd_per_component_and_sensor(tmp_path, sim_dir, monkeypatch, command):
+    # the benchmark's fit_long and crossval_loo commands with CLI defaults
+    # (p=2, d=1: two components) on 16 sensors: one fcar design per sensor
+    # and command, so 32 SVDs whether a sensor's design is solved for two
+    # responses (fit) or for every neighbor set it is backfit with (crossval)
+    import scipy.linalg
+
+    calls = []
+    svd = scipy.linalg.svd
+    monkeypatch.setattr(
+        scipy.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw)
+    )
+    data = ("--measurements", sim_dir / "measurements.csv", "--layout", sim_dir / "layout.csv")
+    assert run_cli(*command, *data, "--out", tmp_path / "out") == 0
+    assert len(calls) == 32
+
+
 def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
     # the commands tools/fixture_digests.py runs, twice in one process and
     # two directories: every file of the second run equals the first, byte

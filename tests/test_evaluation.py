@@ -427,7 +427,7 @@ def oracle_crossval(monkeypatch, field, plan, spec, options, **kwargs):
         m.setattr(
             evaluation,
             "_fcsar_holdout_predictions",
-            lambda f, omega, s, opts, backfits: _fcsar_holdout_predictions(
+            lambda f, omega, s, opts, backfits, designs: _fcsar_holdout_predictions(
                 f, omega, s, opts
             ),
         )
@@ -518,7 +518,17 @@ def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
     short = SpatioTemporalField(
         base.layout, base.timestamps[:3], base.values[:, :3], "detrended"
     )
-    for field, reason in [(raw, "detrend"), (short, "too short")]:
+    # a sensor with a constant series fails while its fcar design is
+    # built, and the error still names it
+    values = base.values.copy()
+    values[5] = 0.25
+    flat = SpatioTemporalField(base.layout, base.timestamps, values, "detrended")
+    cases = [
+        (raw, "detrend"),
+        (short, "too short"),
+        (flat, "sensor 's05', time indices 1..29: functional variable is constant"),
+    ]
+    for field, reason in cases:
         spec = fcsar_template(field)
         shared = failure_message(
             lambda: crossval(field, plan, "fcsar", spec, LIGHT)
@@ -528,6 +538,45 @@ def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
         )
         assert shared == oracle
         assert "('s03',) held out" in shared and reason in shared
+
+
+def test_crossval_builds_one_design_per_sensor_for_the_call(monkeypatch):
+    # leave-one-out on 16 sensors backfits 48 distinct (sensor, neighbor
+    # set) keys, on 16 fcar designs: one spline SVD per component each
+    import gc
+    import weakref
+
+    import scipy.linalg
+
+    from skylattice import fcsar
+
+    built, svds = [], []
+    fit_design, svd = fcsar._fit_design, scipy.linalg.svd
+
+    def counting_design(*args):
+        design = fit_design(*args)
+        built.append(weakref.ref(design))
+        return design
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(fcsar, "_fit_design", counting_design)
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    backfits = []
+    backfit = fcsar._backfit_sensor
+    monkeypatch.setattr(
+        fcsar, "_backfit_sensor", lambda *args: backfits.append(1) or backfit(*args)
+    )
+    field = advective_field(seed=3, n_times=60)
+    spec = FcsarSpec.uniform(
+        build_neighbor_graph(field.layout, 2), 2, FcarSpec.delay_absorbed(2, 1)
+    )
+    crossval(field, CrossvalPlan.all_subsets(16, 1), "fcsar", spec, LIGHT)
+    assert (len(built), len(svds), len(backfits)) == (16, 32, 48)
+    gc.collect()
+    assert all(ref() is None for ref in built)
 
 
 # ---------------------------------------------------------------- ratio

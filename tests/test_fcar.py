@@ -204,9 +204,8 @@ class TestSplinePreestimate:
         spec = FcarSpec(p=2, d=1)
         basis = SplineBasis(6)
         base = spline_preestimate(x, spec, basis)
-        rows = fcar._fit_rows(x, spec, None, 2.0 * x)
-        doubled = fcar._spline_lstsq(rows, spec, basis).coeffs
-        npt.assert_allclose(doubled, 2.0 * base, atol=1e-9)
+        _, doubled = spline_rows(x, spec, basis, 2.0 * x)
+        npt.assert_allclose(doubled.coeffs, 2.0 * base, atol=1e-9)
 
     def test_constant_truth_centered_across_replications(self):
         # the under-smoothed pre-estimate is noisy per replication; its
@@ -260,28 +259,33 @@ class TestSplinePreestimate:
             assert float(np.max(np.abs(corr))) < 1e-6
 
 
-def spline_rows(x, spec, basis):
-    """The fit rows of ``x`` and their marginal spline pre-fit."""
-    rows = fcar._fit_rows(x, spec, None, None)
-    return rows, fcar._spline_lstsq(rows, spec, basis)
+def spline_rows(x, spec, basis, response=None):
+    """The fit rows of ``x`` and the marginal spline pre-fit of ``response``
+    (default ``x``) at those rows."""
+    rows = fcar._fit_rows(x, spec, None)
+    B, blocks = fcar._spline_design(rows, spec, basis)
+    y = (x if response is None else response)[rows.t]
+    return rows, fcar._spline_lstsq(B, blocks, rows.cols, y)
 
 
 class TestFitRows:
     def test_rows_hold_the_regression(self):
         x = ar2_series(60, seed=3)
-        resp = np.cos(x)
         spec = FcarSpec.delay_absorbed(3, 2)
-        rows = fcar._fit_rows(x, spec, 5, resp)
+        rows = fcar._fit_rows(x, spec, 5)
         t = np.arange(5, 60)
         npt.assert_array_equal(rows.t, t)
         npt.assert_array_equal(rows.u, x[t - 2])
         assert rows.umap == UTransform(x[t - 2].min(), x[t - 2].max())
-        npt.assert_array_equal(rows.y, resp[t])
         assert len(rows.cols) == 3
         for col, want in zip(rows.cols, (np.ones(t.size), x[t - 1], x[t - 3])):
             npt.assert_array_equal(col, want)
         # rows never start before the largest lag
-        npt.assert_array_equal(fcar._fit_rows(x, spec, 1, None).t, np.arange(3, 60))
+        npt.assert_array_equal(fcar._fit_rows(x, spec, 1).t, np.arange(3, 60))
+        # a solve reads its response at the rows
+        resp = np.cos(x)
+        fit = fit_fcar(x, spec, FcarOptions(n_knots=4), response=resp, t_start=5)
+        npt.assert_array_equal(fit.residuals, resp[t] - fit.fitted)
 
     @pytest.mark.parametrize(
         "spec",
@@ -289,37 +293,44 @@ class TestFitRows:
         ids=["delay-absorbed", "plain"],
     )
     def test_one_row_build_per_fit(self, monkeypatch, spec):
-        calls = {"_fit_rows": 0, "fit_fcar": 0}
+        # a fit is one design: one row build and one SVD per component
+        import scipy.linalg
 
-        def counting(name):
-            original = getattr(fcar, name)
+        calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_solve_fit": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        monkeypatch.setattr(fcar, "_fit_rows", counting("_fit_rows"))
+        counting(fcar, "_fit_rows")
+        counting(scipy.linalg, "svd")
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         fit_fcar(x, spec)
         fit_fcar(x, spec, response=np.sin(x), t_start=4)
-        assert calls["_fit_rows"] == 2
-        # every fit of a lattice model builds its rows once as well
-        monkeypatch.setattr(fcar, "fit_fcar", counting("fit_fcar"))
-        monkeypatch.setattr("skylattice.fcsar.fit_fcar", fcar.fit_fcar)
+        assert calls == {"_fit_rows": 2, "svd": 4, "_fit_design": 0, "_solve_fit": 0}
+        # a lattice fit builds one design per sensor and solves it twice:
+        # the backfit's temporal stage and the final one
+        from skylattice import fcsar
+
+        counting(fcsar, "_fit_design")
+        counting(fcsar, "_solve_fit")
         layout = grid_layout(3, 3, spacing=90.0)
         field = simulate_field(FieldSimConfig(layout, 80, seed=2))
         graph = build_neighbor_graph(layout, 2)
         fit_fcsar(field, FcsarSpec.uniform(graph, 1, spec), FcarOptions(n_knots=4))
-        assert calls["fit_fcar"] > 9
-        assert calls["_fit_rows"] == 2 + calls["fit_fcar"]
+        assert calls == {"_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9, "_solve_fit": 18}
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
         # one sweep over the observed u and one over the grid serve every
-        # component, however many there are; the observed-u sweep runs
-        # first, because the grid's bands need its noise variance
+        # component, however many there are: the design's Gram sweeps, then
+        # per response the level sweeps.  The observed-u sweeps run first,
+        # because the grid's bands need the noise variance
         calls = []
         original = fcar._kernel_windows
 
@@ -329,11 +340,15 @@ class TestFitRows:
 
         monkeypatch.setattr(fcar, "_kernel_windows", counting)
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
-        fit = fit_fcar(x, FcarSpec.delay_absorbed(p, 1))
-        assert len(fit.curves) == p
+        spec = FcarSpec.delay_absorbed(p, 1)
+        design = fcar._fit_design(x, spec, None, None)
         assert len(calls) == 2
-        assert calls[0][1] is calls[0][0]
-        assert calls[1][1].size == fcar.GRID_SIZE
+        fits = [fcar._solve_fit(design, r) for r in (x, np.sin(x))]
+        assert all(len(fit.curves) == p for fit in fits)
+        assert len(calls) == 6
+        for u_obs, u_eval, _ in calls[0::2]:
+            assert u_eval is u_obs
+        assert all(args[1].size == fcar.GRID_SIZE for args in calls[1::2])
 
 
 class TestPseudoResponses:
@@ -342,7 +357,7 @@ class TestPseudoResponses:
         spec = FcarSpec.delay_absorbed(2, 1)
         basis = SplineBasis(8)
         rows, prefit = spline_rows(x, spec, basis)
-        w = pseudo_responses(rows.y, prefit.parts, 1)
+        w = pseudo_responses(x[rows.t], prefit.parts, 1)
         t = np.arange(2, x.size)
         u = x[t - 1]
         unit = (u - u.min()) / (u.max() - u.min())
@@ -371,14 +386,20 @@ class TestPseudoResponses:
         full = np.zeros(t.size)
         for c, j in enumerate(spec.components):
             full += (B @ prefit.coeffs[:, c]) * x[t - j]
-        w1 = pseudo_responses(rows.y, prefit.parts, 0)
-        w2 = pseudo_responses(rows.y, prefit.parts, 1)
+        w1 = pseudo_responses(x[rows.t], prefit.parts, 0)
+        w2 = pseudo_responses(x[rows.t], prefit.parts, 1)
         npt.assert_allclose(2.0 * x[t] - w1 - w2, full, atol=1e-10)
+
+
+def sbk(u, cols, pseudos, components, grid, h, prefit_variance):
+    """``sbk_estimate`` of ``pseudos`` on a kernel design built for them."""
+    design = fcar._kernel_design(u, cols, components, np.asarray(grid, dtype=float), h)
+    return sbk_estimate(design, pseudos, prefit_variance)
 
 
 def sbk_one(u, c1, pseudo, grid, h):
     """``sbk_estimate`` of a single component (lag 1) with design column c1."""
-    (curve,) = sbk_estimate(u, (c1,), (pseudo,), (1,), grid, h, (np.zeros(np.size(grid)),))
+    (curve,) = sbk(u, (c1,), (pseudo,), (1,), grid, h, (np.zeros(np.size(grid)),))
     return curve
 
 
@@ -438,7 +459,7 @@ class TestSbkEstimate:
         zero = np.zeros(grid.size)
 
         def curves(variance):
-            return sbk_estimate(u, cols, pseudos, (1, 0), grid, h, variance)
+            return sbk(u, cols, pseudos, (1, 0), grid, h, variance)
 
         plain = curves((zero, zero))
         wide = curves((zero, zero + 0.5))
@@ -754,17 +775,14 @@ def dense_sbk_estimate(u, cols, pseudos, components, u_grid, h, prefit_variance)
 
 
 def level_sweep(u_obs, cols, ws, u_eval, h):
-    """One ``fcar._local_linear`` sweep, one row per component: the level
-    estimate, the raw reliability flag, a11/det and a00."""
-    shape = (len(cols), u_eval.size)
-    est, a11inv, a00s = (np.full(shape, np.nan) for _ in range(3))
-    raw_reliable = np.zeros(shape, dtype=bool)
-    for sl, *_, n_raw, fits in fcar._local_linear(u_obs, cols, ws, u_eval, h):
-        for c, (a00, _, a11, det, ok, level) in enumerate(fits):
-            est[c, sl], a00s[c, sl] = level, a00
-            a11inv[c, sl][ok] = a11[ok] / det[ok]
-            raw_reliable[c, sl] = ok & (n_raw >= fcar.MIN_LOCAL_OBS)
-    return est, raw_reliable, a11inv, a00s
+    """The Gram sweep without bands and the level sweep of ``ws``, one row
+    per component: the level estimate, the raw reliability flag and
+    a11/det."""
+    grams = fcar._local_grams(u_obs, cols, u_eval, h, bands=False)
+    est = fcar._local_levels(u_obs, cols, ws, grams, h)
+    a11inv = np.full(est.shape, np.nan)
+    a11inv[grams.ok] = grams.a11[grams.ok] / grams.det[grams.ok]
+    return est, grams.reliable, a11inv
 
 
 def band_variance(curve):
@@ -876,8 +894,7 @@ class TestKernelWindows:
     def test_local_linear_matches_dense(self, kernel, name, design):
         u, c1, w, u_eval, h = window_case(name, design)
         want = dense_local_linear(u, c1, w, u_eval, h)
-        est, raw_reliable, a11inv, a00 = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
-        npt.assert_allclose(a00, dense_cross(u, c1, c1, u_eval, h), rtol=1e-10, atol=0)
+        est, raw_reliable, a11inv = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
         npt.assert_array_equal(raw_reliable, want[3])
         assert_same_nans_and_close(est, want[0])
         assert_same_nans_and_close(a11inv, want[4])
@@ -906,7 +923,7 @@ class TestKernelWindows:
         # its local system is well posed
         u, c1, other, u_eval, h = window_case(name, "other")
         zero, ones = np.zeros(u.size), np.ones(u_eval.size)
-        (curve, _) = sbk_estimate(u, (c1, other), (zero, zero), (1, 2), u_eval, h, (0 * ones, ones))
+        (curve, _) = sbk(u, (c1, other), (zero, zero), (1, 2), u_eval, h, (0 * ones, ones))
         assert curve.sigma2 == 0.0
         ok = np.isfinite(dense_local_linear(u, c1, zero, u_eval, h)[0])
         got = curve.upper / Z95
@@ -922,20 +939,19 @@ class TestKernelWindows:
         cols = tuple(case[1] for case in cases)
         ws = tuple(case[2] for case in cases)
         want = dense_fused_local_linear(u, cols, ws, u_eval, h)
-        est, raw_reliable, a11inv, a00 = level_sweep(u, cols, ws, u_eval, h)
+        est, raw_reliable, a11inv = level_sweep(u, cols, ws, u_eval, h)
         npt.assert_array_equal(raw_reliable, want[3])
         assert_same_nans_and_close(est, want[0])
         assert_same_nans_and_close(a11inv, want[4])
-        npt.assert_allclose(a00, np.diagonal(want[5]).T, rtol=1e-10, atol=0)
         m, zeros = len(cols), (np.zeros(u_eval.size),) * len(cols)
-        for c, curve in enumerate(sbk_estimate(u, cols, ws, tuple(range(m)), u_eval, h, zeros)):
+        for c, curve in enumerate(sbk(u, cols, ws, tuple(range(m)), u_eval, h, zeros)):
             npt.assert_array_equal(curve.reliable, want[2][c])
             assert_same_nans_and_close(curve.estimate, want[0][c])
             assert_same_nans_and_close(band_variance(curve), want[1][c])
         # a zero response and unit pre-estimate variances: each band is
         # 1.96 times the root sum of the squared multipliers of the others
         zero_ws, ones = (np.zeros(u.size),) * m, (np.ones(u_eval.size),) * m
-        for c, curve in enumerate(sbk_estimate(u, cols, zero_ws, tuple(range(m)), u_eval, h, ones)):
+        for c, curve in enumerate(sbk(u, cols, zero_ws, tuple(range(m)), u_eval, h, ones)):
             ok = np.isfinite(curve.estimate)
             vprop = sum((want[5][c, oc, ok] / want[5][c, c, ok]) ** 2 for oc in range(m) if oc != c)
             npt.assert_allclose((curve.upper / Z95)[ok], np.sqrt(vprop), rtol=1e-10, atol=0)
@@ -963,8 +979,14 @@ def assert_fits_agree(got, want):
 def dense_kernel_stage(monkeypatch):
     """Run fits with the kernel stage built from the dense sums."""
 
+    def dense(design, pseudos, prefit_variance):
+        return dense_sbk_estimate(
+            design.u, design.cols, pseudos, design.components, design.grid.u_eval,
+            design.h, prefit_variance,
+        )
+
     def use_dense():
-        monkeypatch.setattr(fcar, "sbk_estimate", dense_sbk_estimate)
+        monkeypatch.setattr(fcar, "sbk_estimate", dense)
 
     return use_dense
 
@@ -1062,7 +1084,7 @@ class TestLocalLinearPermutation:
         base = level_sweep(u, (c1,), (w,), u_eval, 0.4)
         moved = level_sweep(u[perm], (c1[perm],), (w[perm],), u_eval, 0.4)
         npt.assert_array_equal(moved[1], base[1])
-        for i in (0, 2, 3):
+        for i in (0, 2):
             npt.assert_allclose(moved[i], base[i], rtol=1e-12, atol=0, equal_nan=True)
         # the curves: the noise variance sums its rows in input order, so
         # the bands move by rounding
@@ -1110,3 +1132,320 @@ class TestValueScaling:
         # relative to the largest fitted value: single values near 0 cancel
         want = 3.0 * base.fitted
         npt.assert_allclose(scaled.fitted, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# ------------------------------------------------ design/solve oracle
+# ``fit_fcar`` as it was before a fit split into a response-free design
+# and a per-response solve, kept verbatim with the helpers it called: every
+# fit builds its rows, factors its spline blocks and forms every kernel sum
+# for its own response.  A design solved for several responses must give
+# each response's reference fit bit for bit.
+
+
+class RefRows:
+    def __init__(self, t, u, umap, y, cols):
+        self.t, self.u, self.umap, self.y, self.cols = t, u, umap, y, cols
+
+
+def ref_fit_rows(x, spec, t_start, response):
+    T = x.size
+    start = spec.max_lag if t_start is None else max(t_start, spec.max_lag)
+    if T - start < 2:
+        raise ValueError("series too short for this specification")
+    t = np.arange(start, T)
+    u = x[t - spec.d]
+    lo, hi = float(u.min()), float(u.max())
+    if not hi > lo:
+        raise ValueError("functional variable is constant; cannot rescale to [0,1]")
+    y = x[t] if response is None else np.asarray(response, dtype=float)[t]
+    cols = tuple(np.ones(t.size) if j == 0 else x[t - j] for j in spec.components)
+    return RefRows(t, u, UTransform(lo, hi), y, cols)
+
+
+def ref_block_solve(D, y, cap):
+    from scipy.linalg import svd
+
+    U, sing, Vt = svd(D, full_matrices=False)
+    if sing[0] <= 0.0:
+        raise ValueError("degenerate spline design (all-zero block)")
+    uty = U.T @ y
+    cond = fcar._SPLINE_COND
+    while True:
+        keep = sing > cond * sing[0]
+        coef = Vt[keep].T @ (uty[keep] / sing[keep])
+        if not np.any(np.abs(coef) > cap) or cond >= fcar._SPLINE_COND_MAX:
+            break
+        cond *= fcar._SPLINE_COND_STEP
+    rank = int(np.count_nonzero(keep))
+    gram_inv = (Vt[keep].T / sing[keep] ** 2) @ Vt[keep]
+    resid = y - D @ coef
+    sigma2 = float(resid @ resid / max(y.size - rank, 1))
+    return coef, sigma2, gram_inv, rank
+
+
+def ref_spline_lstsq(rows, spec, basis):
+    n_funcs = basis.n_funcs
+    if rows.t.size <= n_funcs + spec.max_lag:
+        raise ValueError(
+            f"series too short: {rows.t.size} usable rows for {n_funcs} "
+            "coefficients per component"
+        )
+    B = basis_eval(basis, rows.umap.to_unit(rows.u))
+    y = rows.y
+    y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
+
+    coefs, sigma2s, gram_invs = [], [], []
+    deficient = False
+    for j, reg in zip(spec.components, rows.cols):
+        r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
+        D = B * reg[:, None]
+        coef, sigma2, gram_inv, rank = ref_block_solve(D, y, 1e3 * y_scale / r_scale)
+        deficient |= rank < n_funcs
+        coefs.append(coef)
+        sigma2s.append(sigma2)
+        gram_invs.append(gram_inv)
+    coeffs = np.column_stack(coefs)
+    return fcar._SplinePrefit(
+        coeffs=coeffs,
+        parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(rows.cols)),
+        sigma2s=tuple(sigma2s),
+        gram_invs=tuple(gram_invs),
+        deficient=deficient,
+    )
+
+
+def ref_local_linear(u_obs, cols, ws, u_eval, h):
+    for sl, idx, diff, k in fcar._kernel_windows(u_obs, u_eval, h):
+        in_bw = np.abs(diff) <= h
+        fits = []
+        for c1, w in zip(cols, ws):
+            c1w, ww = c1[idx], w[idx]
+            c2 = c1w * diff
+            a00 = (k * c1w**2).sum(axis=1)
+            a01 = (k * c1w * c2).sum(axis=1)
+            a11 = (k * c2 * c2).sum(axis=1)
+            b0 = (k * c1w * ww).sum(axis=1)
+            b1 = (k * c2 * ww).sum(axis=1)
+            det = a00 * a11 - a01 * a01
+            scale = np.abs(a00 * a11) + a01 * a01
+            ok = det > 1e-12 * np.maximum(scale, 1e-300)
+            est = np.full(a00.size, np.nan)
+            est[ok] = (a11[ok] * b0[ok] - a01[ok] * b1[ok]) / det[ok]
+            fits.append((a00, a01, a11, det, ok, est))
+        yield sl, idx, diff, k, in_bw, np.count_nonzero(in_bw, axis=1), fits
+
+
+def ref_sbk_estimate(u, cols, pseudos, components, u_grid, h, prefit_variance):
+    min_obs = fcar.MIN_LOCAL_OBS
+    u_grid = np.asarray(u_grid, dtype=float)
+    m, n, g = len(cols), u.size, u_grid.size
+    obs_est, obs_a11inv = np.full((m, n), np.nan), np.full((m, n), np.nan)
+    obs_rel = np.zeros((m, n), dtype=bool)
+    for sl, *_, n_raw, fits in ref_local_linear(u, cols, pseudos, u, h):
+        for c, (_, _, a11, det, ok, est) in enumerate(fits):
+            obs_est[c, sl] = est
+            obs_a11inv[c, sl][ok] = a11[ok] / det[ok]
+            obs_rel[c, sl] = ok & (n_raw >= min_obs)
+    k0 = kernel_values(np.zeros(1))[0] / h
+    traces, sigma2s = [], []
+    for c, (c1, pseudo) in enumerate(zip(cols, pseudos)):
+        traces.append(float(np.nansum(k0 * c1**2 * obs_a11inv[c])))
+        resid = pseudo - obs_est[c] * c1
+        ok = np.isfinite(resid)
+        dof = max(float(np.count_nonzero(ok)) - traces[c], 1.0)
+        sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
+
+    est, half = np.full((m, g), np.nan), np.full((m, g), np.nan)
+    reliable = np.zeros((m, g), dtype=bool)
+    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
+    for sl, idx, diff, k, in_bw, n_raw, fits in ref_local_linear(u, cols, pseudos, u_grid, h):
+        k2 = k * k
+        for c, (a00, a01, a11, det, ok, level) in enumerate(fits):
+            est[c, sl] = level
+            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
+            reliable[c, sl] = ok & (n_raw >= min_obs) & (n_info >= min_obs)
+            c1w = cols[c][idx]
+            c2 = c1w * diff
+            s00 = (k2 * c1w**2).sum(axis=1)
+            s01 = (k2 * c1w * c2).sum(axis=1)
+            s11 = (k2 * c2 * c2).sum(axis=1)
+            varu = np.full(a00.size, np.nan)
+            varu[ok] = (
+                a11[ok] ** 2 * s00[ok]
+                - 2.0 * a11[ok] * a01[ok] * s01[ok]
+                + a01[ok] ** 2 * s11[ok]
+            ) / det[ok] ** 2
+            vprop = np.zeros(a00.size)
+            for oc, (var, other) in enumerate(zip(prefit_variance, cols)):
+                if oc != c:
+                    mult = np.divide(
+                        (k * c1w * other[idx]).sum(axis=1), a00,
+                        out=np.full(a00.size, np.nan), where=a00 > 0.0,
+                    )
+                    vprop += var[sl] * np.where(np.isfinite(mult), mult, 0.0) ** 2
+            half[c, sl] = 1.959963984540054 * np.sqrt(sigma2s[c] * varu + vprop)
+    return tuple(
+        fcar.SbkCurve(
+            target_j=j,
+            u=u_grid,
+            estimate=est[c],
+            lower=est[c] - half[c],
+            upper=est[c] + half[c],
+            reliable=reliable[c],
+            sigma2=sigma2s[c],
+            smoother_trace=traces[c],
+            obs_estimate=obs_est[c],
+            obs_reliable=obs_rel[c],
+        )
+        for c, j in enumerate(components)
+    )
+
+
+def ref_fit_fcar(x, spec, options=None, *, response=None, t_start=None):
+    opts = options or FcarOptions()
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-D series")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
+    T = x.size
+    n_knots = opts.n_knots if opts.n_knots is not None else default_knot_count(T)
+    basis = SplineBasis(n_knots)
+    rows = ref_fit_rows(x, spec, t_start, response)
+    prefit = ref_spline_lstsq(rows, spec, basis)
+    u = rows.u
+    h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
+    u_grid = np.linspace(u.min(), u.max(), fcar.GRID_SIZE)
+    grid_B = basis_eval(basis, rows.umap.to_unit(u_grid))
+    prefit_variance = tuple(
+        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
+        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
+    )
+    pseudos = tuple(
+        pseudo_responses(rows.y, prefit.parts, c) for c in range(len(rows.cols))
+    )
+    curves = ref_sbk_estimate(
+        u, rows.cols, pseudos, spec.components, u_grid, h, prefit_variance
+    )
+
+    kernel_sum = np.zeros(rows.t.size)
+    row_ok = np.ones(rows.t.size, dtype=bool)
+    for c1, curve in zip(rows.cols, curves):
+        kernel_sum += np.where(
+            np.isfinite(curve.obs_estimate), curve.obs_estimate, 0.0
+        ) * c1
+        row_ok &= curve.obs_reliable & np.isfinite(curve.obs_estimate)
+    fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
+    residuals = rows.y - fitted
+
+    return fcar.FcarFit(
+        spec=spec,
+        basis=basis,
+        u_transform=rows.umap,
+        spline_coeffs=prefit.coeffs,
+        curves=curves,
+        bandwidth=float(h),
+        t_start=int(rows.t[0]),
+        fitted=fitted,
+        residuals=residuals,
+        rank_deficient=prefit.deficient,
+    )
+
+
+def assert_fits_identical(got, want):
+    """Every field of two fits, arrays under ``np.array_equal`` with NaNs equal."""
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+    for name in ("spec", "basis", "u_transform", "bandwidth", "t_start", "rank_deficient"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("spline_coeffs", "fitted", "residuals"):
+        same(getattr(got, name), getattr(want, name))
+    assert len(got.curves) == len(want.curves)
+    for mine, ref in zip(got.curves, want.curves):
+        for name in ("target_j", "sigma2", "smoother_trace"):
+            assert getattr(mine, name) == getattr(ref, name), name
+        for name in ("u", "estimate", "lower", "upper", "reliable", "obs_estimate", "obs_reliable"):
+            same(getattr(mine, name), getattr(ref, name))
+
+
+def oracle_responses(x):
+    """Three responses on one design: the series, a nonlinear transform
+    and a residual-like mix; the series itself enters as ``None``."""
+    return (None, np.sin(x) + 0.3 * x, x - 0.5 * np.roll(x, 1))
+
+
+ORACLE_SPECS = [FcarSpec(p=p, d=1) for p in (1, 2, 3)] + [
+    FcarSpec.delay_absorbed(p, 1) for p in (1, 2, 3)
+] + [FcarSpec(p=3, d=2), FcarSpec.delay_absorbed(3, 3)]
+
+
+def solve_on_one_design(x, spec, options, t_start, responses):
+    design = fcar._fit_design(x, spec, options, t_start)
+    return [fcar._solve_fit(design, x if r is None else r) for r in responses]
+
+
+class TestDesignSolveOracle:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
+    @pytest.mark.parametrize("t_start", [None, 9])
+    def test_one_design_matches_reference_per_response(self, spec, t_start):
+        x = simulate_expar2(Expar2Config(n_times=240, seed=spec.p + 7 * spec.d))
+        responses = oracle_responses(x)
+        fits = solve_on_one_design(x, spec, None, t_start, responses)
+        for fit, response in zip(fits, responses):
+            assert_fits_identical(
+                fit, ref_fit_fcar(x, spec, response=response, t_start=t_start)
+            )
+            assert fit.t_start == max(spec.max_lag, t_start or 0)
+        # fit_fcar is the same design and solve
+        assert_fits_identical(
+            fit_fcar(x, spec, response=responses[1], t_start=t_start), fits[1]
+        )
+
+    def test_cutoff_escalation_stays_per_response(self, monkeypatch):
+        # the lag-2 block of this design has a singular value at 3.5e-5 of
+        # its largest.  Any response with a component along it gets grossly
+        # large coefficients, and the cutoff rises past that value; a
+        # response in the span of the block's larger singular directions
+        # stays at the first cutoff
+        x = ar1_series(100, seed=0)
+        spec = FcarSpec(p=2, d=1)
+        design = fcar._fit_design(x, spec, None, None)
+        block = design.blocks[1]
+        good = block.sing > 1e-3 * block.sing[0]
+        assert np.count_nonzero(
+            (block.sing > fcar._SPLINE_COND * block.sing[0]) & ~good
+        ) == 1
+        in_span = np.zeros(x.size)
+        in_span[design.rows.t] = block.U[:, good] @ np.random.default_rng(1).standard_normal(
+            np.count_nonzero(good)
+        )
+        spike = np.zeros(x.size)
+        spike[[40, 77, 91]] = (3.0, -2.0, 1.5)
+        responses = (in_span, None, spike)
+        fits = solve_on_one_design(x, spec, None, None, responses)
+        for fit, response in zip(fits, responses):
+            assert_fits_identical(fit, ref_fit_fcar(x, spec, response=response))
+        monkeypatch.setattr(fcar, "_SPLINE_COND_MAX", fcar._SPLINE_COND)
+        fixed = solve_on_one_design(x, spec, None, None, responses)
+        moved = [not np.array_equal(a.spline_coeffs, b.spline_coeffs) for a, b in zip(fits, fixed)]
+        assert moved == [False, True, True]
+
+    def test_singular_local_systems_match_reference(self):
+        # a bandwidth far below the spacing of the sample leaves grid points
+        # and observations with an empty or one-point window: NaN estimates
+        x = ar2_series(150, seed=12)
+        spec = FcarSpec.delay_absorbed(2, 1)
+        options = FcarOptions(bandwidth=0.01 * float(np.ptp(x)))
+        responses = oracle_responses(x)
+        fits = solve_on_one_design(x, spec, options, 4, responses)
+        for fit, response in zip(fits, responses):
+            for curve in fit.curves:
+                assert np.isnan(curve.estimate).any() and np.isnan(curve.obs_estimate).any()
+                assert np.isfinite(curve.estimate).any()
+            assert_fits_identical(
+                fit, ref_fit_fcar(x, spec, options, response=response, t_start=4)
+            )

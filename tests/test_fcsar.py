@@ -363,6 +363,64 @@ def test_per_sensor_backfit_matches_oracle_on_deficient_designs():
     assert_same_fit(new, oracle_fit_fcsar(as_field(layout, z), spec, LIGHT))
 
 
+def test_fit_holds_one_fcar_design_at_a_time(monkeypatch):
+    # each sensor's design serves its backfit and its final stage, and is
+    # gone before the next sensor's design is built
+    import gc
+    import weakref
+
+    from skylattice import fcsar
+
+    built = []
+    fit_design = fcsar._fit_design
+
+    def tracking(*args):
+        gc.collect()
+        assert all(ref() is None for ref in built)
+        design = fit_design(*args)
+        built.append(weakref.ref(design))
+        return design
+
+    monkeypatch.setattr(fcsar, "_fit_design", tracking)
+    field = advective_field(T=100, seed=2)
+    spec = FcsarSpec.uniform(build_neighbor_graph(field.layout, k=2), 2, AR2_SPEC)
+    fit = fit_fcsar(field, spec, LIGHT)
+    gc.collect()
+    assert len(built) == 16 and all(ref() is None for ref in built)
+    assert_same_fit(fit, oracle_fit_fcsar(field, spec, LIGHT))
+
+
+def _flat(z):
+    z[5] = 0.25
+
+
+def _zero_lag_two(z):
+    # u_t = X_{t-1} takes two values, the lag-2 column X_{t-2} is all zero
+    z[5] = 0.0
+    z[5, -2] = 1.0
+
+
+DESIGN_FAILURES = [
+    (_flat, 40, "functional variable is constant"),
+    (_zero_lag_two, 40, "degenerate spline design"),
+    (None, 14, "series too short: 12 usable rows for 10 coefficients"),
+]
+
+
+@pytest.mark.parametrize("edit, T, reason", DESIGN_FAILURES, ids=["flat", "zero-block", "short"])
+def test_design_stage_errors_name_the_sensor(edit, T, reason):
+    layout = small_layout()
+    graph = build_neighbor_graph(layout, k=2)
+    z = simulate_lattice(layout, graph, T, seed=3)
+    if edit is not None:
+        edit(z)
+    spec = FcsarSpec.uniform(graph, 1, FcarSpec(p=2, d=1))
+    sensor = "s05" if edit is not None else "s00"
+    with pytest.raises(ValueError) as exc:
+        fit_fcsar(as_field(layout, z), spec, LIGHT)
+    assert str(exc.value).startswith(f"sensor '{sensor}', time indices 2..{T - 1}: {reason}")
+
+
 # ---------------------------------------------------------------- invariances
 
 
