@@ -20,20 +20,24 @@ pseudo-responses.
 A fit is a design, then a solve.  The design (``_fit_design``) holds
 everything the response cannot change: the regression rows (``_fit_rows``:
 the row times, u_t and one design column per component, X_{t-j} or ones
-for m_0), the basis and each spline block's SVD, the bandwidth and grid,
-and the kernel stage's Gram sums from one window sweep over the observed u
-and one over the grid: the local Gram entries and their determinant, the
-reliability flags, the smoother traces, the sandwich variances and the
-squared band multipliers.  The solve (``_solve_fit``) fits one response on
-a design: the spline coefficients with their per-response cutoff
-escalation, the pseudo-responses, and the kernel stage (``sbk_estimate``),
-whose two window sweeps form only the response sums of the local level
-fits, then the noise variance, the bands and the fitted values.  So a rule
-about which rows a fit uses lives in one place, and a series fitted
-against several responses (the lattice model's backfit and final stage,
-cross-validation's neighbor sets) builds its design once.  A design holds
-the spline factors and O(T) kernel values; window matrices live only
-inside a sweep.
+for m_0), the basis at the rows (``_TentRows``: each row's knot interval
+and its fraction of it), each spline block factored through its knot
+intervals (``_SplineBlock``: per interval a two-column QR, then the SVD of
+the stacked 2 x 2 triangles, O(T) work and no T-row factor), the
+bandwidth and grid, and the kernel stage's Gram sums from one window
+sweep over the observed u and one over the grid: the local Gram entries
+and their determinant, the reliability flags, the smoother traces, the
+sandwich variances and the squared band multipliers.  The solve
+(``_solve_fit``) fits one response on a design: the spline coefficients
+with their per-response cutoff escalation, the pseudo-responses, and the
+kernel stage (``sbk_estimate``), whose two window sweeps form only the
+response sums of the local level fits, then the noise variance, the bands
+and the fitted values.  So a rule about which rows a fit uses lives in one
+place, and a series fitted against several responses (the lattice model's
+backfit and final stage, cross-validation's neighbor sets) builds its
+design once.  A design holds O(T) values (the interval factors and the
+kernel sums) plus the small SVD of each block's stacked triangles; window
+matrices live only inside a sweep.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -118,10 +122,6 @@ class SplineBasis:
             raise ValueError("N must be >= 1")
 
     @property
-    def H(self) -> float:
-        return 1.0 / (self.N + 1)
-
-    @property
     def knots(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.N + 2)
 
@@ -138,17 +138,47 @@ def default_knot_count(T: int) -> int:
     return max(1, min(n, T // 4))
 
 
+@dataclass(frozen=True)
+class _TentRows:
+    """The tent basis at points u in [0, 1], by knot interval.
+
+    Row i is 1 - ``f[i]`` in column ``k[i]``, ``f[i]`` in column
+    ``k[i] + 1`` and 0 elsewhere: ``k`` is the knot interval holding u
+    (0..N) and ``f`` the fraction of it to the left of u, so a u on a knot
+    has f = 0, except u = 1, which closes interval N with f = 1.
+    ``rows @ coef`` evaluates the spline with knot values ``coef``.
+    """
+
+    k: np.ndarray
+    f: np.ndarray
+
+    def __matmul__(self, coef: np.ndarray) -> np.ndarray:
+        return (1.0 - self.f) * coef[self.k] + self.f * coef[self.k + 1]
+
+
+def _tent_rows(basis: SplineBasis, u) -> _TentRows:
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+        raise ValueError("u must lie in [0, 1]")
+    knots = basis.knots
+    k = np.minimum(np.searchsorted(knots, u_arr, side="right") - 1, basis.N)
+    return _TentRows(k, (u_arr - knots[k]) / (knots[k + 1] - knots[k]))
+
+
 def basis_eval(basis: SplineBasis, u) -> np.ndarray:
     """Evaluate all tent functions at u in [0,1].
 
     Returns an (N+2,) vector for scalar u or an (n, N+2) matrix for an array.
-    At most two entries per row are nonzero and each row sums to 1.
+    At most two entries per row are nonzero and each row sums to 1; at a
+    knot the row is that knot's unit vector.
     """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
-        raise ValueError("u must lie in [0, 1]")
-    dist = np.abs(u_arr[..., None] - basis.knots)
-    return np.maximum(0.0, 1.0 - dist / basis.H)
+    rows = _tent_rows(basis, u)
+    k, f = rows.k.ravel(), rows.f.ravel()
+    out = np.zeros((k.size, basis.n_funcs))
+    i = np.arange(k.size)
+    out[i, k] = 1.0 - f
+    out[i, k + 1] = f
+    return out.reshape(rows.k.shape + (basis.n_funcs,))
 
 
 @dataclass(frozen=True)
@@ -201,14 +231,33 @@ def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int]) -> _FitRows
 
 @dataclass(frozen=True)
 class _SplineBlock:
-    """One component's spline block D = B * X_{t-j}: its thin SVD
-    ``U * sing @ Vt`` and the 95th percentile of |X_{t-j}| (1 for the
-    intercept curve), which scales the coefficient cap."""
+    """One component's spline block D = B * X_{t-j}, factored by knot interval.
 
+    Row i of D is nonzero only in columns k_i and k_i + 1 (``_TentRows``),
+    so the rows of interval k form a two-column matrix, and its thin QR
+    factor ``[q0 q1]`` (the rows' two coefficients, in columns 2k and 2k+1
+    of Q~) and 2 x 2 triangle stack to D = Q~ R~, with R~ of shape
+    2(N+1) x (N+2).  ``U * sing @ Vt`` is the thin SVD of R~, so ``sing``
+    and ``Vt`` are D's and D's left factor is Q~ U.  ``r_scale`` is the
+    95th percentile of |X_{t-j}| (1 for the intercept curve), which scales
+    the coefficient cap.
+    """
+
+    k: np.ndarray
+    q0: np.ndarray
+    q1: np.ndarray
     U: np.ndarray
     sing: np.ndarray
     Vt: np.ndarray
     r_scale: float
+
+    def qt(self, y: np.ndarray) -> np.ndarray:
+        """Q~' y: per interval, the sums of q0 * y and q1 * y, interleaved."""
+        m = self.U.shape[0] // 2
+        return np.column_stack((
+            np.bincount(self.k, self.q0 * y, minlength=m),
+            np.bincount(self.k, self.q1 * y, minlength=m),
+        )).ravel()
 
 
 @dataclass(frozen=True)
@@ -229,42 +278,80 @@ class _SplinePrefit:
     deficient: bool
 
 
-def _spline_design(
-    rows: _FitRows, spec: FcarSpec, basis: SplineBasis
-) -> tuple[np.ndarray, tuple[_SplineBlock, ...]]:
-    """The basis at the rows' u and one factored block per component."""
+def _spline_block(
+    tent: _TentRows, reg: np.ndarray, n_funcs: int, r_scale: float
+) -> _SplineBlock:
+    """Factor the block D = B * ``reg`` through its knot intervals.
+
+    Per interval, classical Gram-Schmidt on the rows' two columns with one
+    re-orthogonalization pass, in segment sums over the rows; then the SVD
+    of the stacked triangles.  An interval without rows, or whose columns
+    vanish or are exactly parallel, leaves a zero row in R~ and a zero
+    column in Q~.
+    """
     # imported here: scipy.linalg loads slower than the rest of the package,
     # and simulate, detrend and SAR fits never get here.  Not numpy's svd:
     # it links another LAPACK build, whose results differ in the last bits
     from scipy.linalg import svd
 
+    k, m = tent.k, n_funcs - 1
+
+    def interval_sums(v):
+        return np.bincount(k, v, minlength=m)
+
+    def normalize(v):
+        norm = np.sqrt(interval_sums(v * v))
+        return v / np.where(norm > 0.0, norm, 1.0)[k], norm
+
+    a1 = tent.f * reg
+    q0, r00 = normalize((1.0 - tent.f) * reg)
+    r01 = interval_sums(q0 * a1)
+    v = a1 - r01[k] * q0
+    again = interval_sums(q0 * v)
+    v -= again[k] * q0
+    q1, r11 = normalize(v)
+    R = np.zeros((2 * m, n_funcs))
+    i = np.arange(m)
+    R[2 * i, i] = r00
+    R[2 * i, i + 1] = r01 + again
+    R[2 * i + 1, i + 1] = r11
+    U, sing, Vt = svd(R, full_matrices=False)
+    if sing[0] <= 0.0:
+        raise ValueError("degenerate spline design (all-zero block)")
+    return _SplineBlock(k, q0, q1, U, sing, Vt, r_scale)
+
+
+def _spline_design(
+    rows: _FitRows, spec: FcarSpec, basis: SplineBasis
+) -> tuple[_TentRows, tuple[_SplineBlock, ...]]:
+    """The basis at the rows' u and one factored block per component."""
     n_funcs = basis.n_funcs
     if rows.t.size <= n_funcs + spec.max_lag:
         raise ValueError(
             f"series too short: {rows.t.size} usable rows for {n_funcs} "
             "coefficients per component"
         )
-    B = basis_eval(basis, rows.umap.to_unit(rows.u))
+    tent = _tent_rows(basis, rows.umap.to_unit(rows.u))
     blocks = []
     for j, reg in zip(spec.components, rows.cols):
         r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
-        U, sing, Vt = svd(B * reg[:, None], full_matrices=False)
-        if sing[0] <= 0.0:
-            raise ValueError("degenerate spline design (all-zero block)")
-        blocks.append(_SplineBlock(U, sing, Vt, r_scale))
-    return B, tuple(blocks)
+        blocks.append(_spline_block(tent, reg, n_funcs, r_scale))
+    return tent, tuple(blocks)
 
 
-def _block_solve(block: _SplineBlock, D: np.ndarray, y: np.ndarray, cap: float):
-    """Truncated-SVD least squares of ``y`` on one factored block ``D``.
+def _block_solve(block: _SplineBlock, y: np.ndarray, cap: float):
+    """Truncated-SVD least squares of ``y`` on one factored block.
 
     Coefficient values equal curve values at the knots, so a sane solution
     stays within a few multiples of the response/regressor scale; grossly
     larger ones mean nearly-dependent columns from knot intervals holding
     too few points, and the cutoff rises until those directions are gone.
+    Returns the coefficients, the truncated inverse Gram matrix, the rank
+    kept and the cutoff it was kept at; D's left factor is applied as
+    U' (Q~' y), so no T-row factor is formed.
     """
     sing, Vt = block.sing, block.Vt
-    uty = block.U.T @ y
+    uty = block.U.T @ block.qt(y)
     cond = _SPLINE_COND
     while True:
         keep = sing > cond * sing[0]
@@ -272,35 +359,32 @@ def _block_solve(block: _SplineBlock, D: np.ndarray, y: np.ndarray, cap: float):
         if not np.any(np.abs(coef) > cap) or cond >= _SPLINE_COND_MAX:
             break
         cond *= _SPLINE_COND_STEP
-    rank = int(np.count_nonzero(keep))
     gram_inv = (Vt[keep].T / sing[keep] ** 2) @ Vt[keep]
-    resid = y - D @ coef
-    sigma2 = float(resid @ resid / max(y.size - rank, 1))
-    return coef, sigma2, gram_inv, rank
+    return coef, gram_inv, int(np.count_nonzero(keep)), cond
 
 
 def _spline_lstsq(
-    B: np.ndarray,
+    B: _TentRows,
     blocks: tuple[_SplineBlock, ...],
     cols: tuple[np.ndarray, ...],
     y: np.ndarray,
 ) -> _SplinePrefit:
     """Marginal spline pre-fits of the response rows ``y`` on factored blocks."""
     y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
-    coefs, sigma2s, gram_invs = [], [], []
+    coefs, parts, sigma2s, gram_invs = [], [], [], []
     deficient = False
     for block, reg in zip(blocks, cols):
-        coef, sigma2, gram_inv, rank = _block_solve(
-            block, B * reg[:, None], y, 1e3 * y_scale / block.r_scale
-        )
-        deficient |= rank < B.shape[1]
+        coef, gram_inv, rank, _ = _block_solve(block, y, 1e3 * y_scale / block.r_scale)
+        deficient |= rank < block.sing.size
+        part = (B @ coef) * reg
+        resid = y - part
         coefs.append(coef)
-        sigma2s.append(sigma2)
+        parts.append(part)
+        sigma2s.append(float(resid @ resid / max(y.size - rank, 1)))
         gram_invs.append(gram_inv)
-    coeffs = np.column_stack(coefs)
     return _SplinePrefit(
-        coeffs=coeffs,
-        parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(cols)),
+        coeffs=np.column_stack(coefs),
+        parts=tuple(parts),
         sigma2s=tuple(sigma2s),
         gram_invs=tuple(gram_invs),
         deficient=deficient,
@@ -315,12 +399,13 @@ def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.
     t = ``spec.max_lag`` .. T-1 on its own, leaving the other components to
     the kernel refinement stage.  Returns an (N+2, n_components) matrix,
     columns ordered as ``spec.components``.  Each block is solved through
-    the SVD with singular values below 1e-8 of the largest treated as zero;
-    with the default knot count, knot intervals holding too few points leave
-    directions unidentified, and those take the minimum-norm value 0 (the
-    cutoff rises automatically while the solution scale shows near-dependent
-    directions survived it).  :func:`fit_fcar` reports such a design in
-    ``FcarFit.rank_deficient``.
+    its SVD, taken of the knot intervals' stacked QR triangles (whose
+    singular values and right factor are the block's), with singular values
+    below 1e-8 of the largest treated as zero; with the default knot count,
+    knot intervals holding too few points leave directions unidentified,
+    and those take the minimum-norm value 0 (the cutoff rises automatically
+    while the solution scale shows near-dependent directions survived it).
+    :func:`fit_fcar` reports such a design in ``FcarFit.rank_deficient``.
     """
     x = np.asarray(x, dtype=float)
     rows = _fit_rows(x, spec, None)
@@ -720,19 +805,20 @@ class FcarFit:
 class _FitDesign:
     """Everything of one fit that the response cannot change.
 
-    The regression rows, the basis and its values ``B`` at the rows' u, the
-    factored spline block of each component, the bandwidth, the grid's
-    basis values ``grid_B`` and the kernel stage's Gram sums (whose
-    ``grid.u_eval`` is the grid).  :func:`_solve_fit` fits one response on
-    it, so one design serves every response that shares the series, spec,
-    options and start.  Window matrices live only inside a sweep, so a
-    design holds O(T) kernel values plus the spline factors.
+    The regression rows, the basis and its values ``B`` at the rows' u (by
+    knot interval), the factored spline block of each component, the
+    bandwidth, the grid's basis values ``grid_B`` and the kernel stage's
+    Gram sums (whose ``grid.u_eval`` is the grid).  :func:`_solve_fit` fits
+    one response on it, so one design serves every response that shares
+    the series, spec, options and start.  Window matrices live only inside
+    a sweep, so a design holds O(T) values plus each block's
+    2(N+1) x (N+2) factors.
     """
 
     spec: FcarSpec
     basis: SplineBasis
     rows: _FitRows
-    B: np.ndarray
+    B: _TentRows
     blocks: tuple[_SplineBlock, ...]
     grid_B: np.ndarray
     kernel: _KernelDesign

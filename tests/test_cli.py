@@ -776,17 +776,20 @@ def test_one_spline_svd_per_component_and_sensor(tmp_path, sim_dir, monkeypatch,
     # the benchmark's fit_long and crossval_loo commands with CLI defaults
     # (p=2, d=1: two components) on 16 sensors: one fcar design per sensor
     # and command, so 32 SVDs whether a sensor's design is solved for two
-    # responses (fit) or for every neighbor set it is backfit with (crossval)
+    # responses (fit) or for every neighbor set it is backfit with (crossval).
+    # Each factors a block's stacked interval triangles, 2(N+1) x (N+2), and
+    # never the T-row block itself
     import scipy.linalg
 
-    calls = []
+    shapes = []
     svd = scipy.linalg.svd
     monkeypatch.setattr(
-        scipy.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw)
+        scipy.linalg, "svd", lambda a, *r, **kw: shapes.append(a.shape) or svd(a, *r, **kw)
     )
     data = ("--measurements", sim_dir / "measurements.csv", "--layout", sim_dir / "layout.csv")
     assert run_cli(*command, *data, "--out", tmp_path / "out") == 0
-    assert len(calls) == 32
+    assert len(shapes) == 32
+    assert all(rows <= 2 * (cols - 1) for rows, cols in shapes), shapes
 
 
 def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):

@@ -117,6 +117,13 @@ class TestSplineBasis:
         rng = np.random.default_rng(3)
         vals = basis_eval(basis, rng.uniform(0, 1, 500))
         assert int(np.max(np.count_nonzero(vals, axis=1))) <= 2
+        # at a knot the row is that knot's unit vector: one nonzero entry,
+        # equal to 1, with no rounding left in the neighbouring tents
+        for n in range(1, 61):
+            basis = SplineBasis(n)
+            vals = basis_eval(basis, basis.knots)
+            npt.assert_array_equal(np.count_nonzero(vals, axis=1), 1, err_msg=f"N={n}")
+            npt.assert_array_equal(vals, np.eye(basis.n_funcs), err_msg=f"N={n}")
 
     def test_partition_of_unity_large_sample(self):
         basis = SplineBasis(12)
@@ -293,16 +300,20 @@ class TestFitRows:
         ids=["delay-absorbed", "plain"],
     )
     def test_one_row_build_per_fit(self, monkeypatch, spec):
-        # a fit is one design: one row build and one SVD per component
+        # a fit is one design: one row build and one SVD per component, of
+        # the block's stacked interval triangles (at most 2(N+1) rows)
         import scipy.linalg
 
         calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_solve_fit": 0}
+        svd_rows = []
 
         def counting(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "svd":
+                    svd_rows.append((args[0].shape[0], 2 * (args[0].shape[1] - 1)))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -324,6 +335,7 @@ class TestFitRows:
         graph = build_neighbor_graph(layout, 2)
         fit_fcsar(field, FcsarSpec.uniform(graph, 1, spec), FcarOptions(n_knots=4))
         assert calls == {"_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9, "_solve_fit": 18}
+        assert all(rows <= bound for rows, bound in svd_rows), svd_rows
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
@@ -1136,10 +1148,12 @@ class TestValueScaling:
 
 # ------------------------------------------------ design/solve oracle
 # ``fit_fcar`` as it was before a fit split into a response-free design
-# and a per-response solve, kept verbatim with the helpers it called: every
-# fit builds its rows, factors its spline blocks and forms every kernel sum
-# for its own response.  A design solved for several responses must give
-# each response's reference fit bit for bit.
+# and a per-response solve, kept with the helpers it called: every fit
+# builds its rows, factors its dense spline blocks by SVD and forms every
+# kernel sum for its own response.  A design solved for several responses
+# must give each response's reference fit to 1e-12 of scale, with the same
+# NaNs and flags; the spline blocks are factored by knot interval now, which
+# moves the last bits.
 
 
 class RefRows:
@@ -1180,7 +1194,7 @@ def ref_block_solve(D, y, cap):
     gram_inv = (Vt[keep].T / sing[keep] ** 2) @ Vt[keep]
     resid = y - D @ coef
     sigma2 = float(resid @ resid / max(y.size - rank, 1))
-    return coef, sigma2, gram_inv, rank
+    return coef, sigma2, gram_inv, rank, cond
 
 
 def ref_spline_lstsq(rows, spec, basis):
@@ -1199,7 +1213,7 @@ def ref_spline_lstsq(rows, spec, basis):
     for j, reg in zip(spec.components, rows.cols):
         r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
         D = B * reg[:, None]
-        coef, sigma2, gram_inv, rank = ref_block_solve(D, y, 1e3 * y_scale / r_scale)
+        coef, sigma2, gram_inv, rank, _ = ref_block_solve(D, y, 1e3 * y_scale / r_scale)
         deficient |= rank < n_funcs
         coefs.append(coef)
         sigma2s.append(sigma2)
@@ -1372,6 +1386,41 @@ def assert_fits_identical(got, want):
             same(getattr(mine, name), getattr(ref, name))
 
 
+def assert_close_to_scale(got, want, floor, rtol, name):
+    """Same shape and NaNs; finite entries within ``rtol`` of the larger of
+    the largest |want| and ``floor``."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, name
+    npt.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+    fin = np.isfinite(want)
+    scale = max(float(np.abs(want[fin]).max(initial=0.0)), floor)
+    npt.assert_allclose(got[fin], want[fin], rtol=0, atol=rtol * scale, err_msg=name)
+
+
+def assert_fits_close(got, want, rtol=1e-12):
+    """Two fits agree to ``rtol`` of scale, with equal NaNs and flags.
+
+    An array's scale is its largest magnitude, but at least the response's
+    (its square for a variance): a curve fitted to a pseudo-response that
+    is zero up to rounding holds rounding only, and no relative digits.
+    """
+    y = want.fitted + want.residuals
+    y_scale = float(np.abs(y).max())
+    for name in ("spec", "basis", "u_transform", "bandwidth", "t_start", "rank_deficient"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("spline_coeffs", "fitted", "residuals"):
+        assert_close_to_scale(getattr(got, name), getattr(want, name), y_scale, rtol, name)
+    assert len(got.curves) == len(want.curves)
+    for mine, ref in zip(got.curves, want.curves):
+        assert mine.target_j == ref.target_j
+        for name in ("u", "estimate", "lower", "upper", "obs_estimate"):
+            assert_close_to_scale(getattr(mine, name), getattr(ref, name), y_scale, rtol, name)
+        assert_close_to_scale(mine.sigma2, ref.sigma2, y_scale**2, rtol, "sigma2")
+        assert_close_to_scale(mine.smoother_trace, ref.smoother_trace, 1.0, rtol, "trace")
+        for name in ("reliable", "obs_reliable"):
+            npt.assert_array_equal(getattr(mine, name), getattr(ref, name), err_msg=name)
+
+
 def oracle_responses(x):
     """Three responses on one design: the series, a nonlinear transform
     and a residual-like mix; the series itself enters as ``None``."""
@@ -1388,29 +1437,41 @@ def solve_on_one_design(x, spec, options, t_start, responses):
     return [fcar._solve_fit(design, x if r is None else r) for r in responses]
 
 
+def assert_shared_design_matches(x, spec, options, t_start, responses, rtols=None):
+    """One design solved for every response: each fit equals a fresh
+    ``fit_fcar`` bit for bit and the dense reference to its ``rtols`` entry
+    (default 1e-12) of scale."""
+    fits = solve_on_one_design(x, spec, options, t_start, responses)
+    for fit, response, rtol in zip(fits, responses, rtols or [1e-12] * len(responses)):
+        assert_fits_identical(
+            fit, fit_fcar(x, spec, options, response=response, t_start=t_start)
+        )
+        assert_fits_close(
+            fit, ref_fit_fcar(x, spec, options, response=response, t_start=t_start), rtol
+        )
+    return fits
+
+
 class TestDesignSolveOracle:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
     @pytest.mark.parametrize("t_start", [None, 9])
     def test_one_design_matches_reference_per_response(self, spec, t_start):
         x = simulate_expar2(Expar2Config(n_times=240, seed=spec.p + 7 * spec.d))
-        responses = oracle_responses(x)
-        fits = solve_on_one_design(x, spec, None, t_start, responses)
-        for fit, response in zip(fits, responses):
-            assert_fits_identical(
-                fit, ref_fit_fcar(x, spec, response=response, t_start=t_start)
-            )
+        fits = assert_shared_design_matches(x, spec, None, t_start, oracle_responses(x))
+        for fit in fits:
             assert fit.t_start == max(spec.max_lag, t_start or 0)
-        # fit_fcar is the same design and solve
-        assert_fits_identical(
-            fit_fcar(x, spec, response=responses[1], t_start=t_start), fits[1]
-        )
 
     def test_cutoff_escalation_stays_per_response(self, monkeypatch):
         # the lag-2 block of this design has a singular value at 3.5e-5 of
         # its largest.  Any response with a component along it gets grossly
         # large coefficients, and the cutoff rises past that value; a
         # response in the span of the block's larger singular directions
-        # stays at the first cutoff
+        # (from the dense SVD of D) stays at the first cutoff.  That response
+        # keeps the small singular value, so two stable factorizations of
+        # the block agree only to eps times the kept condition number
+        # (2.9e4), not to 1e-12
+        from scipy.linalg import svd
+
         x = ar1_series(100, seed=0)
         spec = FcarSpec(p=2, d=1)
         design = fcar._fit_design(x, spec, None, None)
@@ -1419,16 +1480,19 @@ class TestDesignSolveOracle:
         assert np.count_nonzero(
             (block.sing > fcar._SPLINE_COND * block.sing[0]) & ~good
         ) == 1
+        rows = design.rows
+        D = basis_eval(design.basis, rows.umap.to_unit(rows.u)) * rows.cols[1][:, None]
+        U = svd(D, full_matrices=False)[0]
         in_span = np.zeros(x.size)
-        in_span[design.rows.t] = block.U[:, good] @ np.random.default_rng(1).standard_normal(
+        in_span[rows.t] = U[:, good] @ np.random.default_rng(1).standard_normal(
             np.count_nonzero(good)
         )
         spike = np.zeros(x.size)
         spike[[40, 77, 91]] = (3.0, -2.0, 1.5)
         responses = (in_span, None, spike)
-        fits = solve_on_one_design(x, spec, None, None, responses)
-        for fit, response in zip(fits, responses):
-            assert_fits_identical(fit, ref_fit_fcar(x, spec, response=response))
+        kept_cond = block.sing[0] / block.sing[~good][0]
+        rtols = [np.finfo(float).eps * kept_cond, 1e-12, 1e-12]
+        fits = assert_shared_design_matches(x, spec, None, None, responses, rtols)
         monkeypatch.setattr(fcar, "_SPLINE_COND_MAX", fcar._SPLINE_COND)
         fixed = solve_on_one_design(x, spec, None, None, responses)
         moved = [not np.array_equal(a.spline_coeffs, b.spline_coeffs) for a, b in zip(fits, fixed)]
@@ -1440,12 +1504,101 @@ class TestDesignSolveOracle:
         x = ar2_series(150, seed=12)
         spec = FcarSpec.delay_absorbed(2, 1)
         options = FcarOptions(bandwidth=0.01 * float(np.ptp(x)))
-        responses = oracle_responses(x)
-        fits = solve_on_one_design(x, spec, options, 4, responses)
-        for fit, response in zip(fits, responses):
+        fits = assert_shared_design_matches(x, spec, options, 4, oracle_responses(x))
+        for fit in fits:
             for curve in fit.curves:
                 assert np.isnan(curve.estimate).any() and np.isnan(curve.obs_estimate).any()
                 assert np.isfinite(curve.estimate).any()
-            assert_fits_identical(
-                fit, ref_fit_fcar(x, spec, options, response=response, t_start=4)
-            )
+
+
+# ------------------------------------------------ interval compression oracle
+# Each spline block is factored by knot interval (a two-column QR per
+# interval, then the SVD of the stacked triangles).  The dense SVD of the
+# T-row block, ``ref_block_solve``, is its oracle.
+
+
+def knot_series():
+    """A series on the knots of ``SplineBasis(7)`` (u = 0..8 maps onto
+    knots 0..8 exactly), whose rows leave interval 6 = [6, 7) empty,
+    interval 4 with one row and interval 3 with only a tight cluster, whose
+    two columns are nearly parallel; zeros make rows with reg = 0."""
+    rng = np.random.default_rng(5)
+    cluster = 3.3 + 1e-6 * rng.standard_normal(12)
+    pool = [0.0, 0.0, 1.0, 1.5, 2.0, 2.5, 5.0, 5.2, 7.0, 7.6, 8.0]
+    return np.concatenate([rng.permutation(pool), cluster, [4.5], rng.permutation(pool * 2)])
+
+
+def assert_compression_matches_dense(x, spec, basis, responses):
+    from scipy.linalg import svd
+
+    rows = fcar._fit_rows(x, spec, None)
+    tent, blocks = fcar._spline_design(rows, spec, basis)
+    B = basis_eval(basis, rows.umap.to_unit(rows.u))
+    dense = [B * reg[:, None] for reg in rows.cols]
+    m, n = basis.N + 1, rows.t.size
+    for block, D in zip(blocks, dense):
+        sing = svd(D, compute_uv=False)
+        s0 = float(sing[0])
+        npt.assert_allclose(block.sing, sing, rtol=0, atol=1e-12 * s0)
+        # R~'R~ = D'D, and Q~ R~ = D with orthonormal nonzero columns in Q~
+        R = (block.U * block.sing) @ block.Vt
+        assert R.shape == (2 * m, basis.n_funcs)
+        npt.assert_allclose(R.T @ R, D.T @ D, rtol=0, atol=1e-12 * s0**2)
+        Q = np.zeros((n, 2 * m))
+        Q[np.arange(n), 2 * block.k] = block.q0
+        Q[np.arange(n), 2 * block.k + 1] = block.q1
+        npt.assert_allclose(Q @ R, D, rtol=0, atol=1e-12 * s0)
+        used = np.any(Q != 0.0, axis=0)
+        npt.assert_allclose(Q[:, used].T @ Q[:, used], np.eye(used.sum()), rtol=0, atol=1e-12)
+    for response in responses:
+        y = response[rows.t]
+        prefit = fcar._spline_lstsq(tent, blocks, rows.cols, y)
+        y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
+        for c, (block, D) in enumerate(zip(blocks, dense)):
+            cap = 1e3 * y_scale / block.r_scale
+            coef, gram_inv, rank, cond = fcar._block_solve(block, y, cap)
+            ref_coef, ref_sigma2, ref_gram, ref_rank, ref_cond = ref_block_solve(D, y, cap)
+            assert (rank, cond) == (ref_rank, ref_cond)
+            npt.assert_array_equal(prefit.coeffs[:, c], coef)
+            npt.assert_array_equal(prefit.gram_invs[c], gram_inv)
+            for got, want in ((coef, ref_coef), (gram_inv, ref_gram)):
+                npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            npt.assert_allclose(prefit.sigma2s[c], ref_sigma2, rtol=1e-12)
+
+
+COMPRESSION_SPECS = [FcarSpec(p=p, d=1) for p in (1, 2, 3)] + [
+    FcarSpec.delay_absorbed(p, 1) for p in (1, 2, 3)
+]
+
+
+class TestIntervalCompression:
+    @pytest.mark.parametrize("T", [72, 480, 2880])
+    @pytest.mark.parametrize("spec", COMPRESSION_SPECS, ids=repr)
+    def test_matches_dense_svd(self, T, spec):
+        x = simulate_expar2(Expar2Config(n_times=T, seed=T + spec.p))
+        spike = np.zeros(T)
+        spike[[T // 3, T // 2]] = (50.0, -40.0)
+        basis = SplineBasis(default_knot_count(T))
+        assert_compression_matches_dense(x, spec, basis, (x, np.sin(3.0 * x), spike))
+
+    @pytest.mark.parametrize(
+        "spec", [FcarSpec(p=2, d=1), FcarSpec.delay_absorbed(2, 1), FcarSpec(p=3, d=2)], ids=repr
+    )
+    def test_empty_and_thin_intervals_and_knots(self, spec):
+        x = knot_series()
+        rows = fcar._fit_rows(x, spec, None)
+        tent = fcar._tent_rows(SplineBasis(7), rows.umap.to_unit(rows.u))
+        counts = np.bincount(tent.k, minlength=8)
+        assert counts[6] == 0 and counts[4] == 1 and counts[3] >= 10
+        assert np.any(tent.f == 0.0) and np.any(tent.f == 1.0)
+        assert any(np.any(reg == 0.0) for reg in rows.cols)
+        rng = np.random.default_rng(8)
+        assert_compression_matches_dense(
+            x, spec, SplineBasis(7), (x, rng.standard_normal(x.size), np.cos(x))
+        )
+
+    def test_all_zero_block_raises(self):
+        x = np.zeros(30)
+        x[-2:] = (1.0, 0.5)
+        with pytest.raises(ValueError, match="degenerate spline design"):
+            spline_preestimate(x, FcarSpec(p=2, d=1), SplineBasis(2))
