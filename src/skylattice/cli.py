@@ -530,7 +530,7 @@ def cmd_detrend(cfg: dict) -> None:
 
 @_register(
     "fit",
-    "fit one model and write fit/residual/plot-data files",
+    "fit one model and write fitted.csv, residuals.csv and fit.json",
     _common_opts()
     + _io_opts()
     + _prep_opts()

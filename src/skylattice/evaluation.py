@@ -16,9 +16,10 @@ temporal spec fixes the support start t0 for the call, so one training
 subset's coefficients for (sensor id, ordered neighbor ids) equal any
 other's, bit for bit.  Each distinct backfit therefore runs once per call,
 on a temporal-stage design built once per sensor and call, and the
-results equal a from-scratch refit of every subset.  Prediction
-reads only the coefficients, so the final temporal stage of a full fit is
-never run.
+results equal a from-scratch refit of every subset.  Prediction reads only
+the coefficients, so the final temporal stage of a full fit is never run,
+and a backfit's temporal stage stops at its in-sample fitted values: no
+coefficient curve, grid or band is built.
 """
 
 from __future__ import annotations
@@ -278,13 +279,13 @@ def crossval(
     held-out sensor is predicted one at a time from that fit.  For fcsar
     the call shares backfitted transfer coefficients across its subsets
     in one dict keyed by (sensor id, ordered neighbor ids), and each
-    sensor's fcar design (spline factors and kernel Gram sums) in a second
-    dict keyed by sensor id, so a sensor with several neighbor sets builds
-    its design once.  The field, spec and options are fixed within the
-    call, so a key pins the backfit's and the design's data and the values
-    equal a from-scratch refit of every subset, bit for bit.  Both dicts
-    live for this call only: at most one design per sensor is held, and
-    all of them go when the call returns or raises.
+    sensor's fcar design (spline factors and observed-u kernel Gram sums)
+    in a second dict keyed by sensor id, so a sensor with several neighbor
+    sets builds its design once.  The field, spec and options are fixed
+    within the call, so a key pins the backfit's and the design's data and
+    the values equal a from-scratch refit of every subset, bit for bit.
+    Both dicts live for this call only: at most one design per sensor is
+    held, and all of them go when the call returns or raises.
 
     Parameters
     ----------

@@ -17,27 +17,29 @@ approximate 95% pointwise bands combining the local-linear sandwich
 variance with the sampling variance the pre-estimates carry into the
 pseudo-responses.
 
-A fit is a design, then a solve.  The design (``_fit_design``) holds
-everything the response cannot change: the regression rows (``_fit_rows``:
-the row times, u_t and one design column per component, X_{t-j} or ones
-for m_0), the basis at the rows (``_TentRows``: each row's knot interval
-and its fraction of it), each spline block factored through its knot
-intervals (``_SplineBlock``: per interval a two-column QR, then the SVD of
-the stacked 2 x 2 triangles, O(T) work and no T-row factor), the
-bandwidth and grid, and the kernel stage's Gram sums from one window
-sweep over the observed u and one over the grid: the local Gram entries
-and their determinant, the reliability flags, the smoother traces, the
-sandwich variances and the squared band multipliers.  The solve
-(``_solve_fit``) fits one response on a design: the spline coefficients
-with their per-response cutoff escalation, the pseudo-responses, and the
-kernel stage (``sbk_estimate``), whose two window sweeps form only the
-response sums of the local level fits, then the noise variance, the bands
-and the fitted values.  So a rule about which rows a fit uses lives in one
-place, and a series fitted against several responses (the lattice model's
-backfit and final stage, cross-validation's neighbor sets) builds its
-design once.  A design holds O(T) values (the interval factors and the
-kernel sums) plus the small SVD of each block's stacked triangles; window
-matrices live only inside a sweep.
+A fit is a design, then a solve, split by what its callers read.  The
+design (``_fit_design``) holds everything the response cannot change: the
+regression rows (``_fit_rows``: the row times, u_t and one design column
+per component, X_{t-j} or ones for m_0), the basis at the rows
+(``_TentRows``: each row's knot interval and its fraction of it), each
+spline block factored through its knot intervals (``_SplineBlock``: per
+interval a two-column QR, then the SVD of the stacked 2 x 2 triangles,
+O(T) work and no T-row factor), the bandwidth, and the kernel stage's Gram
+sums from one window sweep over the observed u (the local Gram entries,
+their determinant and the reliability flags) with the smoother traces.
+The in-sample solve (``_fit_in_sample``) fits one response on a design:
+the spline coefficients with their per-response cutoff escalation, the
+pseudo-responses, one window sweep of the local levels at the observed u
+and the fitted values; it is all the lattice model's backfit reads.  The
+full solve (``_solve_fit``) adds the curves (``sbk_estimate``): the noise
+variance, one sweep of the grid's Gram, sandwich and multiplier sums, one
+of its levels, and the bands.  So a rule about which rows a fit uses lives
+in one place, a series fitted against several responses (the lattice
+model's backfit and final stage, cross-validation's neighbor sets) builds
+its design once, and a grid is built only by fits that return curves.  A
+design holds O(T) values (the interval factors and the kernel sums) plus
+the small SVD of each block's stacked triangles; window matrices live only
+inside a sweep.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -614,12 +616,13 @@ def _local_levels(
 
 @dataclass(frozen=True)
 class _KernelDesign:
-    """Everything of the kernel stage that no response changes.
+    """Everything of the in-sample kernel stage that no response changes.
 
     ``u`` holds the functional variable per fit row and ``cols`` one design
-    column per component (in ``components`` order).  ``obs`` and ``grid``
-    are the local Gram sums at the observed u and on ``grid.u_eval``, and
-    ``traces`` each component's smoother trace.
+    column per component (in ``components`` order).  ``obs`` holds the
+    local Gram sums at the observed u and ``traces`` each component's
+    smoother trace.  The grid's sums belong to the curves, which
+    :func:`sbk_estimate` builds.
     """
 
     u: np.ndarray
@@ -627,7 +630,6 @@ class _KernelDesign:
     components: tuple[int, ...]
     h: float
     obs: _LocalGrams
-    grid: _LocalGrams
     traces: tuple[float, ...]
 
 
@@ -635,49 +637,45 @@ def _kernel_design(
     u: np.ndarray,
     cols: tuple[np.ndarray, ...],
     components: tuple[int, ...],
-    u_grid: np.ndarray,
     h: float,
 ) -> _KernelDesign:
-    """The kernel stage's Gram sums: one sweep over the observed u, one
-    over the grid.  ``u_grid`` and the bandwidth ``h`` are on the data
-    scale of u."""
+    """The observed-u Gram sums, in one sweep, and the smoother traces.
+    The bandwidth ``h`` is on the data scale of u."""
     obs = _local_grams(u, cols, u, h, bands=False)
-    grid = _local_grams(u, cols, np.asarray(u_grid, dtype=float), h, bands=True)
     k0 = kernel_values(np.zeros(1))[0] / h
-    traces = []
-    for c, c1 in enumerate(cols):
-        # (1,1) entry of the inverted local Gram matrix, for the smoother diagonal
-        a11inv = np.full(u.size, np.nan)
-        ok = obs.ok[c]
-        a11inv[ok] = obs.a11[c][ok] / obs.det[c][ok]
-        traces.append(float(np.nansum(k0 * c1**2 * a11inv)))
-    return _KernelDesign(u, cols, components, h, obs, grid, tuple(traces))
+    # (1,1) entry of the inverted local Gram matrix, for the smoother diagonal
+    a11inv = np.full(obs.a11.shape, np.nan)
+    a11inv[obs.ok] = obs.a11[obs.ok] / obs.det[obs.ok]
+    traces = tuple(float(np.nansum(k0 * c1**2 * row)) for c1, row in zip(cols, a11inv))
+    return _KernelDesign(u, cols, components, h, obs, traces)
 
 
 def sbk_estimate(
     design: _KernelDesign,
     pseudos: tuple[np.ndarray, ...],
+    obs_estimate: np.ndarray,
+    u_grid: np.ndarray,
     prefit_variance: tuple[np.ndarray, ...],
 ) -> tuple[SbkCurve, ...]:
-    """Kernel refinement of every coefficient curve from its pseudo-responses.
+    """Kernel refinement of every coefficient curve on the grid ``u_grid``.
 
     ``pseudos`` holds each component's pseudo-responses per fit row, in
-    ``design.components`` order.  At each point u0 a component's
-    pseudo-responses are regressed on its design column c1 and c1's
-    interaction with (u_t - u0), weighted by K_h(u_t - u0); the estimate is
-    the local level coefficient.
+    ``design.components`` order, and ``obs_estimate`` (one row per
+    component) their local levels at the observed u.  At each point u0 a
+    component's pseudo-responses are regressed on its design column c1 and
+    c1's interaction with (u_t - u0), weighted by K_h(u_t - u0); the
+    estimate is the local level coefficient.
 
-    ``design`` holds every local sum that does not involve the response, so
-    one design serves any number of responses.  A :func:`_local_levels`
-    sweep over the observed u gives the in-sample estimates and, with the
-    design's smoother traces, the residual-based noise variance.  One over
-    the grid then gives the curves and their approximate 95% bands: the
-    local-linear sandwich variance times that noise variance, plus the
-    variance the other components' pre-estimates carry into the
-    pseudo-responses.  ``prefit_variance[oc]`` (grid-aligned, data scale)
-    is component oc's pre-estimate variance, and it enters component c's
-    level scaled by the squared local multiplier, the kernel sum of
-    c1 * cols[oc] over that of c1^2.
+    The in-sample levels and the design's smoother traces give the
+    residual-based noise variance.  One :func:`_local_grams` sweep over the
+    grid then forms its Gram, sandwich and multiplier sums, and one
+    :func:`_local_levels` sweep its levels: the curves and their
+    approximate 95% bands, the local-linear sandwich variance times that
+    noise variance plus the variance the other components' pre-estimates
+    carry into the pseudo-responses.  ``prefit_variance[oc]`` (grid-aligned,
+    data scale) is component oc's pre-estimate variance, and it enters
+    component c's level scaled by the squared local multiplier, the kernel
+    sum of c1 * cols[oc] over that of c1^2.
 
     On the grid a point is reliable only when enough observations count
     with weight c1^2 (see :func:`_local_grams`), so rows whose design value
@@ -688,21 +686,21 @@ def sbk_estimate(
     stays well behaved there, which is all the in-sample estimates need, so
     the observed-u flag counts raw observations only.
     """
-    u, cols, grid = design.u, design.cols, design.grid
-    obs_est = _local_levels(u, cols, pseudos, design.obs, design.h)
+    u, cols = design.u, design.cols
     sigma2s = []
     for c, (c1, pseudo) in enumerate(zip(cols, pseudos)):
         # noise variance from the component's own kernel-stage residuals,
         # degrees of freedom corrected by the smoother trace
-        resid = pseudo - obs_est[c] * c1
+        resid = pseudo - obs_estimate[c] * c1
         ok = np.isfinite(resid)
         dof = max(float(np.count_nonzero(ok)) - design.traces[c], 1.0)
         sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
 
+    grid = _local_grams(u, cols, u_grid, design.h, bands=True)
     est = _local_levels(u, cols, pseudos, grid, design.h)
     curves = []
     for c, j in enumerate(design.components):
-        vprop = np.zeros(grid.u_eval.size)
+        vprop = np.zeros(u_grid.size)
         for oc, var in enumerate(prefit_variance):
             if oc != c:
                 vprop += var * grid.mult2[c, oc]
@@ -710,14 +708,14 @@ def sbk_estimate(
         curves.append(
             SbkCurve(
                 target_j=j,
-                u=grid.u_eval,
+                u=u_grid,
                 estimate=est[c],
                 lower=est[c] - half,
                 upper=est[c] + half,
                 reliable=grid.reliable[c],
                 sigma2=sigma2s[c],
                 smoother_trace=design.traces[c],
-                obs_estimate=obs_est[c],
+                obs_estimate=obs_estimate[c],
                 obs_reliable=design.obs.reliable[c],
             )
         )
@@ -803,15 +801,15 @@ class FcarFit:
 
 @dataclass(frozen=True)
 class _FitDesign:
-    """Everything of one fit that the response cannot change.
+    """Everything of one fit's in-sample stage that the response cannot change.
 
     The regression rows, the basis and its values ``B`` at the rows' u (by
-    knot interval), the factored spline block of each component, the
-    bandwidth, the grid's basis values ``grid_B`` and the kernel stage's
-    Gram sums (whose ``grid.u_eval`` is the grid).  :func:`_solve_fit` fits
-    one response on it, so one design serves every response that shares
-    the series, spec, options and start.  Window matrices live only inside
-    a sweep, so a design holds O(T) values plus each block's
+    knot interval), the factored spline block of each component, and the
+    kernel design: the bandwidth, the Gram sums at the observed u and the
+    smoother traces.  :func:`_fit_in_sample` fits one response on it and
+    :func:`_solve_fit` adds the curves, so one design serves every response
+    that shares the series, spec, options and start.  Window matrices live
+    only inside a sweep, so a design holds O(T) values plus each block's
     2(N+1) x (N+2) factors.
     """
 
@@ -820,7 +818,6 @@ class _FitDesign:
     rows: _FitRows
     B: _TentRows
     blocks: tuple[_SplineBlock, ...]
-    grid_B: np.ndarray
     kernel: _KernelDesign
 
 
@@ -844,44 +841,68 @@ def _fit_design(
     B, blocks = _spline_design(rows, spec, basis)
     u = rows.u
     h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
-    u_grid = np.linspace(u.min(), u.max(), GRID_SIZE)
-    grid_B = basis_eval(basis, rows.umap.to_unit(u_grid))
-    kernel = _kernel_design(u, rows.cols, spec.components, u_grid, float(h))
-    return _FitDesign(spec, basis, rows, B, blocks, grid_B, kernel)
+    kernel = _kernel_design(u, rows.cols, spec.components, float(h))
+    return _FitDesign(spec, basis, rows, B, blocks, kernel)
 
 
-def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
-    """Fit the length-T series ``response`` on ``design``, read at its rows."""
-    rows = design.rows
+@dataclass(frozen=True)
+class _InSampleFit:
+    """One response's fit at the rows of a design.
+
+    ``y`` is the response at the rows, ``prefit`` its marginal spline
+    pre-fits, ``pseudos`` the pseudo-responses, ``obs_estimate`` their local
+    levels at the observed u (one row per component) and ``fitted`` the
+    fitted values.
+    """
+
+    y: np.ndarray
+    prefit: _SplinePrefit
+    pseudos: tuple[np.ndarray, ...]
+    obs_estimate: np.ndarray
+    fitted: np.ndarray
+
+
+def _fit_in_sample(design: _FitDesign, response: np.ndarray) -> _InSampleFit:
+    """Fit the length-T series ``response`` on ``design`` at its rows only.
+
+    The spline pre-fit, the pseudo-responses and one :func:`_local_levels`
+    sweep over the observed u; no grid is built.
+    """
+    rows, kernel = design.rows, design.kernel
     y = np.asarray(response, dtype=float)[rows.t]
     prefit = _spline_lstsq(design.B, design.blocks, rows.cols, y)
-    grid_B = design.grid_B
-    # each component's spline pre-estimate variance on the grid:
-    # sigma^2 b(u)' G b(u)
-    prefit_variance = tuple(
-        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
-        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
-    )
-    pseudos = tuple(
-        pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols))
-    )
-    curves = sbk_estimate(design.kernel, pseudos, prefit_variance)
+    pseudos = tuple(pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols)))
+    obs_est = _local_levels(kernel.u, rows.cols, pseudos, kernel.obs, kernel.h)
 
-    # in-sample fitted values from the kernel estimates at the observed u.
     # Rows where any component's local solve is unreliable fall back to the
     # first marginal pre-fit's prediction: each marginal fit predicts the
     # whole response on its own, so summing per-component spline fallbacks
     # would count the response more than once.
     kernel_sum = np.zeros(rows.t.size)
     row_ok = np.ones(rows.t.size, dtype=bool)
-    for c1, curve in zip(rows.cols, curves):
-        kernel_sum += np.where(
-            np.isfinite(curve.obs_estimate), curve.obs_estimate, 0.0
-        ) * c1
-        row_ok &= curve.obs_reliable & np.isfinite(curve.obs_estimate)
+    for c1, est, reliable in zip(rows.cols, obs_est, kernel.obs.reliable):
+        kernel_sum += np.where(np.isfinite(est), est, 0.0) * c1
+        row_ok &= reliable & np.isfinite(est)
     fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
-    residuals = y - fitted
+    return _InSampleFit(y, prefit, pseudos, obs_est, fitted)
 
+
+def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
+    """Fit the length-T series ``response`` on ``design``, read at its rows,
+    and refine its curves on the grid."""
+    fit = _fit_in_sample(design, response)
+    rows, prefit = design.rows, fit.prefit
+    u_grid = np.linspace(rows.u.min(), rows.u.max(), GRID_SIZE)
+    grid_B = basis_eval(design.basis, rows.umap.to_unit(u_grid))
+    # each component's spline pre-estimate variance on the grid:
+    # sigma^2 b(u)' G b(u)
+    prefit_variance = tuple(
+        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
+        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
+    )
+    curves = sbk_estimate(
+        design.kernel, fit.pseudos, fit.obs_estimate, u_grid, prefit_variance
+    )
     return FcarFit(
         spec=design.spec,
         basis=design.basis,
@@ -890,8 +911,8 @@ def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
         curves=curves,
         bandwidth=design.kernel.h,
         t_start=int(rows.t[0]),
-        fitted=fitted,
-        residuals=residuals,
+        fitted=fit.fitted,
+        residuals=fit.y - fit.fitted,
         rank_deficient=prefit.deficient,
     )
 
@@ -901,21 +922,17 @@ def fit_fcar(
     spec: FcarSpec,
     options: Optional[FcarOptions] = None,
     *,
-    response: Optional[np.ndarray] = None,
     t_start: Optional[int] = None,
 ) -> FcarFit:
     """Fit the model by the three-step spline-backfitted kernel procedure.
 
-    The series should be detrended and mean-centered.  ``response``/
-    ``t_start`` support fitting the temporal component of the lattice model,
-    where the left-hand side is a residual series but the regressors and the
-    functional variable still come from the original series ``x``.
+    The series should be detrended and mean-centered.  Rows start at
+    ``t_start`` (never before ``spec.max_lag``).
 
     Returns a :class:`FcarFit` whose ``fitted + residuals`` reproduce the
-    response rows exactly.
+    series rows exactly.
     """
-    design = _fit_design(x, spec, options, t_start)
-    return _solve_fit(design, x if response is None else response)
+    return _solve_fit(_fit_design(x, spec, options, t_start), x)
 
 
 def effective_params(fit: FcarFit) -> float:

@@ -10,14 +10,17 @@ refinement of each.  Every sensor uses one temporal spec, so the support
 start is fixed for a call and a sensor's backfit depends only on its
 series and its ordered neighbors' series: cross-validation shares one
 backfit per (sensor id, ordered neighbor ids) across its training
-subsets.  A sensor's fcar design (its spline factors and kernel sums)
-depends on its own series alone, so each temporal stage is a solve on it:
-``fit_fcsar`` builds one design per sensor, solves it for the backfit and
-the final stage, and drops it before the next sensor, so one design is
-alive at a time; cross-validation keeps one design per sensor id for the
-length of a call.  The module also provides the two factored pipelines
-(spatial fit first or temporal fit first) and a diagnostic that compares
-all four models' in-sample RMSE on a common support.
+subsets.  A sensor's fcar design (its spline factors and observed-u
+kernel sums) depends on its own series alone, so each temporal stage is a
+solve on it: the backfit reads only the fitted values of an in-sample
+solve, and only the final stage of ``fit_fcsar`` refines curves on a
+grid.  ``fit_fcsar`` builds one design per sensor, solves it for the
+backfit and the final stage, and drops it before the next sensor, so one
+design is alive at a time; cross-validation keeps one design per sensor id
+for the length of a call and builds no grid.  The module also provides
+the two factored pipelines (spatial fit first or temporal fit first) and a
+diagnostic that compares all four models' in-sample RMSE on a common
+support.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .fcar import (
     FcarSpec,
     _FitDesign,
     _fit_design,
+    _fit_in_sample,
     _solve_fit,
     effective_params,
     fit_fcar,
@@ -216,18 +220,16 @@ def _sensor_errors(sensor_id: str, x: np.ndarray, spec: FcarSpec, t_start: int):
 
 def _fit_sensors(
     ids: Sequence[str], x: np.ndarray, spec: FcarSpec, options: Optional[FcarOptions],
-    t0: int, responses: Optional[np.ndarray] = None,
+    t0: int,
 ) -> tuple[FcarFit, ...]:
     """``fit_fcar`` of each row of the S x T matrix ``x`` from ``t0`` on.
 
-    Row s of ``responses``, when given, is sensor s's response.  Each
-    sensor's design serves this one fit and is dropped before the next.
+    Each sensor's design serves this one fit and is dropped before the next.
     """
     fits = []
     for s, sensor in enumerate(ids):
-        response = None if responses is None else responses[s]
         with _sensor_errors(sensor, x[s], spec, t0):
-            fits.append(fit_fcar(x[s], spec, options, response=response, t_start=t0))
+            fits.append(fit_fcar(x[s], spec, options, t_start=t0))
     return tuple(fits)
 
 
@@ -243,8 +245,9 @@ def _backfit_sensor(
     Each cycle fits the coefficients by least squares of the series net of
     the temporal fit (zero at first) on the lagged neighbor values; every
     cycle but the last then refits the temporal stage on the series net of
-    the spatial component (zero before index b), solved on ``fcar_design``,
-    the sensor's design from ``spec.support_start``.  Only rows ``s`` and
+    the spatial component (zero before index b): an in-sample solve on
+    ``fcar_design``, the sensor's design from ``spec.support_start``, whose
+    fitted values are all the next cycle reads.  Only rows ``s`` and
     ``neighbors`` of ``z`` are read, so the result is a function of those
     rows, the lag depth, the temporal spec and the options.
 
@@ -265,7 +268,7 @@ def _backfit_sensor(
         beta = coef.reshape(len(neighbors), b)
         spatial[b:] = _transfer_sum(z, neighbors, beta, b)
         if cycle + 1 < _BACKFIT_CYCLES:
-            temporal = _solve_fit(fcar_design, z[s] - spatial).fitted
+            temporal = _fit_in_sample(fcar_design, z[s] - spatial).fitted
     return beta, full_rank, spatial
 
 
@@ -355,7 +358,8 @@ def fit_fcsar(
     coefficients on the series minus that temporal fit.  A final temporal
     stage on the series net of the spatial component gives the fitted
     values.  Both temporal stages of a sensor are solves on one fcar
-    design, built before its backfit and dropped after its final stage.
+    design, built before its backfit and dropped after its final stage;
+    only the final stage refines the curves on a grid.
     The schedule is fixed for determinism.
 
     Parameters
@@ -384,9 +388,7 @@ def fit_fcsar(
         _fit_checks(field, spec)
         beta = np.zeros((S, spec.graph.k, spec.n_neighbor_lags))
         spatial, deficient = np.zeros((S, T)), ()
-        fcar_fits = _fit_sensors(
-            field.layout.ids, z, spec.temporal, options, t0, z - spatial
-        )
+        fcar_fits = _fit_sensors(field.layout.ids, z, spec.temporal, options, t0)
     else:
         beta, spatial, deficient, fcar_fits = _transfer_stage(
             field, spec, options, {}, {}, final=True

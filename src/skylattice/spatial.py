@@ -447,7 +447,7 @@ def natural_neighbor_predict(
     weights = voronoi_weights(layout_train, q)
     train_rows = np.array([field.layout.index_of(s) for s in layout_train.ids])
     sub = field.values[train_rows]
-    if field.mask is not None and field.mask[train_rows].any():
-        raise ValueError("training sensors must have complete series")
+    if field.mask is not None:
+        field.subset(layout_train.ids).require_complete("natural_neighbor_predict")
     w = weights.as_vector(layout_train.n_sensors)
     return NaturalNeighborPrediction(values=w @ sub, weights=weights)

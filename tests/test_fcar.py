@@ -22,6 +22,7 @@ from skylattice.fcar import (
     sbk_estimate,
     spline_preestimate,
 )
+from skylattice.evaluation import CrossvalPlan, crossval
 from skylattice.fcsar import FcsarSpec, fit_fcsar, fit_separable
 from skylattice.simulation import (
     Expar2Config,
@@ -291,7 +292,7 @@ class TestFitRows:
         npt.assert_array_equal(fcar._fit_rows(x, spec, 1).t, np.arange(3, 60))
         # a solve reads its response at the rows
         resp = np.cos(x)
-        fit = fit_fcar(x, spec, FcarOptions(n_knots=4), response=resp, t_start=5)
+        fit = fcar._solve_fit(fcar._fit_design(x, spec, FcarOptions(n_knots=4), 5), resp)
         npt.assert_array_equal(fit.residuals, resp[t] - fit.fitted)
 
     @pytest.mark.parametrize(
@@ -304,7 +305,7 @@ class TestFitRows:
         # the block's stacked interval triangles (at most 2(N+1) rows)
         import scipy.linalg
 
-        calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_solve_fit": 0}
+        calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_fit_in_sample": 0, "_solve_fit": 0}
         svd_rows = []
 
         def counting(module, name):
@@ -322,27 +323,36 @@ class TestFitRows:
         counting(scipy.linalg, "svd")
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         fit_fcar(x, spec)
-        fit_fcar(x, spec, response=np.sin(x), t_start=4)
-        assert calls == {"_fit_rows": 2, "svd": 4, "_fit_design": 0, "_solve_fit": 0}
+        fcar._solve_fit(fcar._fit_design(x, spec, None, 4), np.sin(x))
+        assert calls == {
+            "_fit_rows": 2, "svd": 4, "_fit_design": 0, "_fit_in_sample": 0, "_solve_fit": 0
+        }
         # a lattice fit builds one design per sensor and solves it twice:
-        # the backfit's temporal stage and the final one
+        # in sample for the backfit's temporal stage, then in full (an
+        # in-sample solve and the curves) for the final one
         from skylattice import fcsar
 
         counting(fcsar, "_fit_design")
         counting(fcsar, "_solve_fit")
+        counting(fcsar, "_fit_in_sample")
+        counting(fcar, "_fit_in_sample")
         layout = grid_layout(3, 3, spacing=90.0)
         field = simulate_field(FieldSimConfig(layout, 80, seed=2))
         graph = build_neighbor_graph(layout, 2)
         fit_fcsar(field, FcsarSpec.uniform(graph, 1, spec), FcarOptions(n_knots=4))
-        assert calls == {"_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9, "_solve_fit": 18}
+        assert calls == {
+            "_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9,
+            "_fit_in_sample": 18, "_solve_fit": 9,
+        }
         assert all(rows <= bound for rows, bound in svd_rows), svd_rows
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
-        # one sweep over the observed u and one over the grid serve every
-        # component, however many there are: the design's Gram sweeps, then
-        # per response the level sweeps.  The observed-u sweeps run first,
-        # because the grid's bands need the noise variance
+        # each sweep serves every component, however many there are: the
+        # design sweeps the observed u once (its Gram sums), an in-sample
+        # solve once (its levels), and a full solve adds the grid's Gram
+        # sweep and level sweep.  The observed-u levels come first, because
+        # the grid's bands need the noise variance
         calls = []
         original = fcar._kernel_windows
 
@@ -354,13 +364,45 @@ class TestFitRows:
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         spec = FcarSpec.delay_absorbed(p, 1)
         design = fcar._fit_design(x, spec, None, None)
+        assert len(calls) == 1
+        fcar._fit_in_sample(design, np.sin(x))
         assert len(calls) == 2
         fits = [fcar._solve_fit(design, r) for r in (x, np.sin(x))]
         assert all(len(fit.curves) == p for fit in fits)
-        assert len(calls) == 6
-        for u_obs, u_eval, _ in calls[0::2]:
-            assert u_eval is u_obs
-        assert all(args[1].size == fcar.GRID_SIZE for args in calls[1::2])
+        kinds = ["obs" if u_eval is u_obs else u_eval.size for u_obs, u_eval, _ in calls]
+        assert kinds == ["obs", "obs"] + ["obs", fcar.GRID_SIZE, fcar.GRID_SIZE] * 2
+
+    def test_grid_sweeps_only_in_fits_that_return_curves(self, monkeypatch):
+        # leave-one-out cross-validation reads only transfer coefficients,
+        # so its backfits build no grid; a lattice fit refines the curves
+        # of each sensor's final stage once: one Gram and one level sweep
+        sweeps = []
+        grams, levels = fcar._local_grams, fcar._local_levels
+
+        def where(u_obs, u_eval):
+            return "obs" if u_eval is u_obs else u_eval.size
+
+        def counting_grams(u_obs, cols, u_eval, h, bands):
+            sweeps.append(("_local_grams", where(u_obs, u_eval)))
+            return grams(u_obs, cols, u_eval, h, bands)
+
+        def counting_levels(u_obs, cols, ws, local, h):
+            sweeps.append(("_local_levels", where(u_obs, local.u_eval)))
+            return levels(u_obs, cols, ws, local, h)
+
+        monkeypatch.setattr(fcar, "_local_grams", counting_grams)
+        monkeypatch.setattr(fcar, "_local_levels", counting_levels)
+        layout = grid_layout(4, 4, spacing=90.0)
+        field = simulate_field(FieldSimConfig(layout, 80, seed=2))
+        spec = FcsarSpec.uniform(build_neighbor_graph(layout, 2), 1, FcarSpec.delay_absorbed(2, 1))
+        options = FcarOptions(n_knots=4)
+        crossval(field, CrossvalPlan.all_subsets(16, 1), "fcsar", spec, options)
+        assert sweeps and all(kind == "obs" for _, kind in sweeps)
+        sweeps.clear()
+        fit_fcsar(field, spec, options)
+        grid = [name for name, kind in sweeps if kind != "obs"]
+        assert all(kind in ("obs", fcar.GRID_SIZE) for _, kind in sweeps)
+        assert sorted(grid) == ["_local_grams"] * 16 + ["_local_levels"] * 16
 
 
 class TestPseudoResponses:
@@ -404,9 +446,13 @@ class TestPseudoResponses:
 
 
 def sbk(u, cols, pseudos, components, grid, h, prefit_variance):
-    """``sbk_estimate`` of ``pseudos`` on a kernel design built for them."""
-    design = fcar._kernel_design(u, cols, components, np.asarray(grid, dtype=float), h)
-    return sbk_estimate(design, pseudos, prefit_variance)
+    """``sbk_estimate`` of ``pseudos`` on a kernel design built for them,
+    after the in-sample level sweep."""
+    design = fcar._kernel_design(u, cols, components, h)
+    obs_estimate = fcar._local_levels(u, cols, pseudos, design.obs, h)
+    return sbk_estimate(
+        design, pseudos, obs_estimate, np.asarray(grid, dtype=float), prefit_variance
+    )
 
 
 def sbk_one(u, c1, pseudo, grid, h):
@@ -571,7 +617,7 @@ class TestFitFcar:
     def test_response_rows_are_the_fit_target(self):
         x = ar1_series(250, seed=31)
         resp = np.sin(x) + 0.1 * x
-        fit = fit_fcar(x, FcarSpec(p=1, d=1), response=resp)
+        fit = fcar._solve_fit(fcar._fit_design(x, FcarSpec(p=1, d=1), None, None), resp)
         npt.assert_allclose(fit.fitted + fit.residuals, resp[fit.t_start :], atol=1e-12)
 
     def test_options_are_honored(self):
@@ -989,15 +1035,24 @@ def assert_fits_agree(got, want):
 
 @pytest.fixture
 def dense_kernel_stage(monkeypatch):
-    """Run fits with the kernel stage built from the dense sums."""
+    """Run fits with the kernel stage built from the dense sums: the
+    in-sample level sweep, which every solve runs (a backfit runs nothing
+    else of the kernel stage), and the curves."""
 
-    def dense(design, pseudos, prefit_variance):
+    def dense_levels(u_obs, cols, ws, grams, h):
+        assert grams.u_eval is u_obs
+        return np.array(
+            [dense_local_linear(u_obs, c1, w, u_obs, h)[0] for c1, w in zip(cols, ws)]
+        )
+
+    def dense(design, pseudos, obs_estimate, u_grid, prefit_variance):
         return dense_sbk_estimate(
-            design.u, design.cols, pseudos, design.components, design.grid.u_eval,
-            design.h, prefit_variance,
+            design.u, design.cols, pseudos, design.components, u_grid, design.h,
+            prefit_variance,
         )
 
     def use_dense():
+        monkeypatch.setattr(fcar, "_local_levels", dense_levels)
         monkeypatch.setattr(fcar, "sbk_estimate", dense)
 
     return use_dense
@@ -1438,14 +1493,13 @@ def solve_on_one_design(x, spec, options, t_start, responses):
 
 
 def assert_shared_design_matches(x, spec, options, t_start, responses, rtols=None):
-    """One design solved for every response: each fit equals a fresh
-    ``fit_fcar`` bit for bit and the dense reference to its ``rtols`` entry
+    """One design solved for every response: each fit equals a solve on a
+    fresh design bit for bit and the dense reference to its ``rtols`` entry
     (default 1e-12) of scale."""
     fits = solve_on_one_design(x, spec, options, t_start, responses)
     for fit, response, rtol in zip(fits, responses, rtols or [1e-12] * len(responses)):
-        assert_fits_identical(
-            fit, fit_fcar(x, spec, options, response=response, t_start=t_start)
-        )
+        fresh = fcar._fit_design(x, spec, options, t_start)
+        assert_fits_identical(fit, fcar._solve_fit(fresh, x if response is None else response))
         assert_fits_close(
             fit, ref_fit_fcar(x, spec, options, response=response, t_start=t_start), rtol
         )

@@ -16,7 +16,14 @@ from skylattice.core import (
     read_measurements_csv,
 )
 from skylattice.evaluation import CrossvalPlan, crossval
-from skylattice.fcar import FcarOptions, FcarSpec, effective_params, fit_fcar
+from skylattice.fcar import (
+    FcarOptions,
+    FcarSpec,
+    _fit_design,
+    _solve_fit,
+    effective_params,
+    fit_fcar,
+)
 from skylattice.spatial import (
     build_neighbor_graph,
     natural_neighbor_predict,
@@ -28,7 +35,6 @@ from skylattice.fcsar import (
     FcsarFit,
     FcsarSpec,
     _check_input,
-    _fit_sensors,
     _neighbor_design,
     _transfer_sum,
     fit_fcsar,
@@ -278,6 +284,14 @@ def _fit_neighbor_coefficients(
     return beta, tuple(deficient)
 
 
+def solve_each(z, spec, options, t0, responses):
+    """One fcar design per row of ``z``, solved for that row of ``responses``."""
+    return tuple(
+        _solve_fit(_fit_design(z[s], spec.temporal, options, t0), responses[s])
+        for s in range(z.shape[0])
+    )
+
+
 def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
     _check_input(field, spec.graph, "fit_fcsar")
     z = field.values
@@ -291,8 +305,6 @@ def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
             f"series too short: {T} time points leave {n_rows} usable rows "
             f"for {n_coef} neighbor coefficients per sensor"
         )
-    ids = spec.graph.layout.ids
-
     n_cycles = 0 if freeze_beta_at_zero else _BACKFIT_CYCLES
     beta = np.zeros((S, spec.graph.k, b))
     deficient = ()
@@ -305,9 +317,9 @@ def oracle_fit_fcsar(field, spec, options=None, *, freeze_beta_at_zero=False):
         for s in range(S):
             spatial[s, b:] = _transfer_sum(z, spec.graph.neighbors[s], beta[s], b)
         if cycle + 1 < n_cycles:
-            fits = _fit_sensors(ids, z, spec.temporal, options, t0, z - spatial)
+            fits = solve_each(z, spec, options, t0, z - spatial)
             temporal = np.stack([f.fitted for f in fits])
-    fcar_fits = _fit_sensors(ids, z, spec.temporal, options, t0, z - spatial)
+    fcar_fits = solve_each(z, spec, options, t0, z - spatial)
 
     temporal = np.stack([f.fitted for f in fcar_fits])
     fitted = nan_padded(spatial[:, t0:] + temporal, T)

@@ -928,3 +928,21 @@ class TestNaturalNeighborPredict:
         field = make_field(lay, vals)
         with pytest.raises(ValueError, match="excluded"):
             natural_neighbor_predict(field, lay, "s05")
+
+    def test_gap_in_training_names_sensor_and_time(self):
+        # the held-out sensor's own gap is not read; the earliest gap among
+        # the training sensors is named
+        lay = grid_layout(4, 4, 1.0)
+        vals = np.random.default_rng(3).standard_normal((16, 6))
+        mask = np.zeros(vals.shape, dtype=bool)
+        mask[lay.index_of("s05"), 0] = True
+        mask[lay.index_of("s10"), 4] = True
+        mask[lay.index_of("s02"), 5] = True
+        vals[mask] = np.nan
+        field = SpatioTemporalField(lay, 1000.0 + 60.0 * np.arange(6), vals, mask=mask)
+        train = lay.subset([s for s in lay.ids if s != "s05"])
+        with pytest.raises(ValueError, match=r"sensor 's10' is missing at time index 4 "):
+            natural_neighbor_predict(field, train, "s05")
+        complete = lay.subset([s for s in lay.ids if s not in ("s05", "s10", "s02")])
+        pred = natural_neighbor_predict(field.subset(complete.ids + ("s05",)), complete, "s05")
+        assert np.all(np.isfinite(pred.values))
