@@ -4,7 +4,9 @@ A measurement campaign is held as a :class:`SpatioTemporalField`: a sensor
 layout, a strictly increasing time axis, and an S x T value matrix.  Raw
 fields are reduced by :func:`time_average` and split into a smooth diurnal
 component plus a residual by :func:`detrend`.  All containers are immutable;
-every transformation returns a new instance.
+every transformation returns a new instance.  The Epanechnikov kernel and
+the running-moments local-linear smoother that :func:`detrend` and the
+fcar kernel stage share live here too.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ LAYOUT_HEADER = ["sensor_id", "x_m", "y_m"]
 
 # cells treated as "value missing" on ingest
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
-
-# direct O(n*m) convolution below this work estimate, FFT above
-_FFT_THRESHOLD = 5_000_000
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -414,15 +413,192 @@ def kernel_values(z: np.ndarray) -> np.ndarray:
     return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
 
 
-def _correlate_same(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # correlation of y against the odd-length window w, zero-padded ends
-    if y.size * w.size <= _FFT_THRESHOLD:
-        return np.convolve(y, w[::-1], mode="same")
-    # imported here: scipy.signal loads scipy.stats too, which about doubles
-    # the package's import time, and only long records reach this branch
-    from scipy.signal import fftconvolve
+@dataclass(frozen=True)
+class _Segments:
+    """Bins of width h over sorted points, and each point's window cut at the
+    bin boundaries into three segments, one each in bins b-1, b and b+1 of
+    the point's bin b.  Segment s runs over the sorted points ``cuts[s]``
+    .. ``cuts[s + 1] - 1``, ``width[s]`` of them, in the bin holding the
+    sorted point ``inside[s]`` (any point where the segment is empty).  The
+    non-empty bins start at the sorted points ``bin_starts`` and hold
+    ``bin_sizes`` points.
+    """
 
-    return fftconvolve(y, w[::-1], mode="same")
+    bin_starts: np.ndarray
+    bin_sizes: np.ndarray
+    cuts: np.ndarray
+    inside: np.ndarray
+    width: np.ndarray
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of x (sorted along the last axis) over the three segments of
+        every point's window, on a new axis before the last.
+
+        The prefix sums run over x minus its bin means, so they return to
+        about zero at every bin boundary and carry the rounding of the
+        bin's own values only, however far from the first point the bin
+        lies; each segment adds its bin's mean times its width back.
+        """
+        means = np.add.reduceat(x, self.bin_starts, axis=-1) / self.bin_sizes
+        per_point = np.repeat(means, self.bin_sizes, axis=-1)
+        prefix = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        np.cumsum(x - per_point, axis=-1, out=prefix[..., 1:])
+        # np.take keeps the result C-ordered, where fancy indexing on the
+        # last axis would not
+        ends = np.take(prefix, self.cuts, axis=-1)
+        back = np.take(per_point, self.inside, axis=-1) * self.width
+        return ends[..., 1:, :] - ends[..., :-1, :] + back
+
+
+@dataclass(frozen=True)
+class _MomentSmoother:
+    """Epanechnikov local-linear fits at the observations themselves.
+
+    Built by :func:`_moment_smoother` from points u, a bandwidth h and design
+    columns ``cols`` (one row per component).  At each observation u0,
+    component c regresses a response on c1 = cols[c] and c1 (u - u0) / h
+    with weights K((u - u0) / h).  ``ok`` marks a well-posed local system,
+    ``n_raw`` counts the observations within one bandwidth (|u - u0| <= h)
+    and ``diag`` is the diagonal of the matrix mapping a response to its
+    fitted values c1 * level (NaN where not ``ok``); these three are in
+    input order.
+
+    The rest is kept for :meth:`levels`, in u order: ``order`` sorts the
+    points and ``rank`` undoes it, ``cols`` is sorted, ``vpow`` holds v^0
+    .. v^3 of each point's offset v from its bin's centre, in bandwidths,
+    and ``segments`` the window segments.  ``coef[c, m, s]`` weighs the
+    sum of c1 w v^m over segment s in component c's level: it holds the
+    inverse local Gram matrix and the re-centring of the segment's moments
+    on the evaluation point.
+    """
+
+    ok: np.ndarray
+    n_raw: np.ndarray
+    diag: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    cols: np.ndarray
+    vpow: np.ndarray
+    segments: _Segments
+    coef: np.ndarray
+
+    def levels(self, ws: np.ndarray) -> np.ndarray:
+        """Local levels of responses ``ws`` (components x k x n, in input
+        order: k responses per component) at every observation; NaN where
+        the local system is not ``ok``.  One response per component at a
+        time, so temporaries hold O(n) values whatever k is."""
+        y = self.cols[:, None, :] * ws[..., self.order]
+        est = np.empty(y.shape)
+        for k in range(y.shape[1]):
+            sums = self.segments.sums(y[:, k, None, :] * self.vpow)
+            est[:, k] = np.einsum("cmsi,cmsi->ci", sums, self.coef)
+        return est[..., self.rank]
+
+
+def _window_weights() -> np.ndarray:
+    """``w[j, m, s, p]``: the weight of e^p times the moment sum w v^m over
+    segment s in the window sum of w K(x) x^j, j = 0, 1, 2, with
+    K(x) = 1 - x^2 and x = (u - u0) / h.
+
+    v is a point's offset from the centre of its own bin, b-1+s for
+    segment s, and e the evaluation point's from the centre of its bin b,
+    in bandwidths, so x = v + (s - 1) - e; the weight is the multinomial
+    expansion of x^j - x^(j+2).
+    """
+    w = np.zeros((3, 5, 3, 5))
+    for j in range(3):
+        for r, sign in ((j, 1.0), (j + 2, -1.0)):
+            for m in range(r + 1):
+                for p in range(r - m + 1):
+                    q = r - m - p
+                    terms = math.comb(r, m) * math.comb(r - m, p)
+                    for s in range(3):
+                        w[j, m, s, p] += sign * terms * (-1.0) ** p * (s - 1.0) ** q
+    return w.reshape(45, 5)
+
+
+_WINDOW_WEIGHTS = _window_weights()
+
+
+def _moment_smoother(u: np.ndarray, cols: np.ndarray, h: float) -> _MomentSmoother:
+    """The response-free part of the local-linear fits at every u, by
+    running moments in O(n log n).
+
+    The kernel is a polynomial, so every window sum of c1^2 (u - u0)^j and
+    c1 w (u - u0)^j is a difference of prefix sums of c1^2 v^m (m <= 4)
+    and c1 w v^m (m <= 3) (Seifert, Brockmann, Engel & Gasser 1994).  To
+    keep those sums accurate, u is cut into bins of width h from its
+    minimum and v is each point's offset from its own bin's centre, in
+    bandwidths (|v| <= 1/2).  The window of a point in bin b then lies in
+    bins b-1, b and b+1: each bin's segment is summed about its own centre,
+    re-centred on bin b's, where no offset exceeds 3/2 bandwidths, and
+    then on the evaluation point.  (Only points whose kernel weight rounds
+    to zero at the window's edge can fall outside the three bins.)
+
+    A point is ``ok`` when its open window |u - u0| < h holds at least two
+    distinct u with nonzero c1, and the determinant of its local Gram
+    matrix exceeds 1e-12 of |g00 g11| + g01^2.  Exact sums give a zero
+    determinant wherever the first rule fails; prefix sums leave round-off
+    there, so the rule is explicit.
+    """
+    u = np.asarray(u, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    n = u.size
+    order = np.argsort(u, kind="stable")
+    rank = np.argsort(order)
+    us, cs = u[order], cols[:, order]
+    edges = us + np.array([[-h], [h]])
+    left = np.searchsorted(us, edges, side="left")
+    right = np.searchsorted(us, edges, side="right")
+    lo, hi, open_lo, open_hi = left[0], right[1], right[0], left[1]
+    z = (us - us[0]) / h
+    b = np.floor(z)
+    v = z - b - 0.5
+    bounds = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [n]])
+    # the starts of bins b-1 .. b+2, moved into the window: a point's own
+    # bin b holds it, so lo <= (start of b) <= point < (start of b+1) < hi
+    cuts = np.searchsorted(b, b + np.arange(-1.0, 3.0)[:, None])
+    cuts = np.minimum(np.maximum(cuts, lo), hi)
+    segments = _Segments(
+        bin_starts=bounds[:-1],
+        bin_sizes=bounds[1:] - bounds[:-1],
+        cuts=cuts,
+        inside=np.minimum(cuts[:3], n - 1),
+        width=cuts[1:] - cuts[:-1],
+    )
+    vpow = np.ones((5, n))
+    vpow[1:] = v
+    np.multiply.accumulate(vpow, axis=0, out=vpow)
+    # each point evaluates at itself, so its e is its own v
+    weights = np.dot(_WINDOW_WEIGHTS, vpow).reshape(3, 5, 3, n)
+
+    c2 = cs * cs
+    g00, g01, g11 = np.einsum("jmsi,cmsi->jci", weights, segments.sums(c2[:, None, :] * vpow))
+    # det = g00 g11 - g01^2 > 1e-12 (g00 g11 + g01^2), which implies det > 0
+    well_posed = (1.0 - 1e-12) * g00 * g11 > (1.0 + 1e-12) * g01 * g01
+    # the u of the first and last rows with a nonzero column in each open
+    # window; +inf and -inf where there is none
+    idx = np.where(cs != 0.0, np.arange(n), n)
+    first = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1][:, open_lo]
+    last = np.maximum.accumulate(np.where(idx < n, idx, -1), axis=1)[:, open_hi - 1]
+    u_at = np.concatenate([us, [np.inf, -np.inf]])
+    distinct = u_at[first] < u_at[last]
+    ok = distinct & well_posed
+    inv = np.divide(1.0, g00 * g11 - g01 * g01, out=np.full(ok.shape, np.nan), where=ok)
+    # level = (g11 r0 - g01 r1) / det, r0 and r1 the response's sums of
+    # w K and w K x, whose moments stop at v^3
+    coef = (g11 * inv)[:, None, None] * weights[0, :4] - (g01 * inv)[:, None, None] * weights[1, :4]
+    return _MomentSmoother(
+        ok=ok[:, rank],
+        n_raw=(hi - lo)[rank],
+        diag=(c2 * g11 * inv)[:, rank],
+        order=order,
+        rank=rank,
+        cols=cs,
+        vpow=vpow[:4],
+        segments=segments,
+        coef=coef,
+    )
 
 
 def detrend(
@@ -433,7 +609,14 @@ def detrend(
     Each sensor's series is regressed on time with a straight line fit
     locally around every sample, weighted by the Epanechnikov kernel with
     the given bandwidth (seconds).  The fitted curve is the trend; the
-    returned field holds the residuals and has kind "detrended".
+    returned field holds the residuals and has kind "detrended".  The fits
+    are one running-moments smoother (:func:`_moment_smoother`, u the time
+    on the uniform axis and c1 = 1) with every sensor as one response
+    row, so all sensors share its sorting, windows and Gram sums and the
+    work is O(T) per sensor, whatever the bandwidth.  A sample whose
+    window holds fewer than two samples of nonzero weight has no local
+    line; the error names the bandwidth, the spacing and the first such
+    time index.
 
     Parameters
     ----------
@@ -457,32 +640,19 @@ def detrend(
         bandwidth = span / 8.0
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-
-    # uniform spacing makes the local designs translation invariant, so the
-    # weighted moments reduce to correlations with fixed windows
-    half = int(math.floor(bandwidth / dt))
-    if half < 1:
+    if bandwidth < dt:
         raise ValueError("bandwidth too small for the native spacing")
-    half = min(half, field.n_times - 1)
-    offsets = np.arange(-half, half + 1) * dt
-    k = kernel_values(offsets / bandwidth)
 
-    # the kernel moments, and so the singular times, are the same for every sensor
-    s_mom = [_correlate_same(np.ones(field.n_times), k * offsets**r) for r in range(3)]
-    det = s_mom[0] * s_mom[2] - s_mom[1] ** 2
-    scale = np.abs(s_mom[0] * s_mom[2]) + np.abs(s_mom[1] ** 2)
-    bad = det <= 1e-12 * np.maximum(scale, 1e-300)
+    T = field.n_times
+    smoother = _moment_smoother(np.arange(T) * dt, np.ones((1, T)), bandwidth)
+    bad = ~smoother.ok[0]
     if np.any(bad):
         raise ValueError(
             f"singular local fit at time index {int(np.argmax(bad))}: bandwidth "
             f"{bandwidth:g}s spans too few samples at spacing {dt:g}s; "
             "increase the bandwidth"
         )
-    trend = np.empty_like(field.values)
-    for i in range(field.n_sensors):
-        y = field.values[i]
-        t_mom = [_correlate_same(y, k * offsets**r) for r in range(2)]
-        trend[i] = (s_mom[2] * t_mom[0] - s_mom[1] * t_mom[1]) / det
+    trend = smoother.levels(field.values[None])[0]
 
     detrended = SpatioTemporalField(
         field.layout, field.timestamps, field.values - trend, "detrended", None

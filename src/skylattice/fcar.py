@@ -24,22 +24,26 @@ per component, X_{t-j} or ones for m_0), the basis at the rows
 (``_TentRows``: each row's knot interval and its fraction of it), each
 spline block factored through its knot intervals (``_SplineBlock``: per
 interval a two-column QR, then the SVD of the stacked 2 x 2 triangles,
-O(T) work and no T-row factor), the bandwidth, and the kernel stage's Gram
-sums from one window sweep over the observed u (the local Gram entries,
-their determinant and the reliability flags) with the smoother traces.
-The in-sample solve (``_fit_in_sample``) fits one response on a design:
-the spline coefficients with their per-response cutoff escalation, the
-pseudo-responses, one window sweep of the local levels at the observed u
-and the fitted values; it is all the lattice model's backfit reads.  The
-full solve (``_solve_fit``) adds the curves (``sbk_estimate``): the noise
-variance, one sweep of the grid's Gram, sandwich and multiplier sums, one
-of its levels, and the bands.  So a rule about which rows a fit uses lives
-in one place, a series fitted against several responses (the lattice
-model's backfit and final stage, cross-validation's neighbor sets) builds
-its design once, and a grid is built only by fits that return curves.  A
-design holds O(T) values (the interval factors and the kernel sums) plus
-the small SVD of each block's stacked triangles; window matrices live only
-inside a sweep.
+O(T) work and no T-row factor), the bandwidth, and the kernel stage at the
+observed u (``_KernelDesign``): a running-moments smoother
+(``core._moment_smoother``) that sorts the rows by u, cuts each row's
+kernel window at bins of one bandwidth and folds the local Gram sums of
+every component into the weights of a response's moments, with the
+reliability flags and the smoother traces, in O(T log T).  The in-sample
+solve (``_fit_in_sample``) fits one response on a design: the spline
+coefficients with their per-response cutoff escalation, the
+pseudo-responses, their local levels at the observed u from one pass of
+prefix sums (O(T)), and the fitted values; it is all the lattice model's
+backfit reads.  The full solve (``_solve_fit``) adds the curves
+(``sbk_estimate``): the noise variance, one window sweep of the grid's
+Gram, sandwich and multiplier sums, one of its levels, and the bands.  So
+a rule about which rows a fit uses lives in one place, a series fitted
+against several responses (the lattice model's backfit and final stage,
+cross-validation's neighbor sets) builds its design once, and a grid is
+built only by fits that return curves.  A design holds O(T) values (the
+interval factors and the smoother's segment bounds and weights) plus the
+small SVD of each block's stacked triangles; the grid's window matrices
+live only inside its sweeps.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -57,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _frozen_array, kernel_values
+from .core import _frozen_array, _MomentSmoother, _moment_smoother, kernel_values
 
 # relative singular-value cutoff for the spline pre-estimate, and the factor
 # by which it is raised while the solution stays numerically unidentified
@@ -498,16 +502,15 @@ def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float):
 
 @dataclass(frozen=True)
 class _LocalGrams:
-    """Response-free local sums of every component at evaluation points.
+    """Response-free local sums of every component at the grid points.
 
     Rows are components, columns the points ``u_eval``.  ``a01``/``a11``
     are entries of the local Gram matrix of the design column c1 and its
     interaction c1 * (u_t - u0), ``det`` its determinant, ``ok`` marks a
     well-posed local system and ``reliable`` a point whose estimate the fit
-    may use.  On the grid, ``varu`` is the sandwich variance per unit noise
-    variance (NaN where not ``ok``) and ``mult2[c, oc]`` the squared band
-    multiplier of component oc's pre-estimate variance in component c's
-    level; both are None at the observed u.
+    may use.  ``varu`` is the sandwich variance per unit noise variance
+    (NaN where not ``ok``) and ``mult2[c, oc]`` the squared band multiplier
+    of component oc's pre-estimate variance in component c's level.
     """
 
     u_eval: np.ndarray
@@ -516,8 +519,8 @@ class _LocalGrams:
     det: np.ndarray
     ok: np.ndarray
     reliable: np.ndarray
-    varu: Optional[np.ndarray] = None
-    mult2: Optional[np.ndarray] = None
+    varu: np.ndarray
+    mult2: np.ndarray
 
 
 def _local_grams(
@@ -525,30 +528,27 @@ def _local_grams(
     cols: tuple[np.ndarray, ...],
     u_eval: np.ndarray,
     h: float,
-    bands: bool,
 ) -> _LocalGrams:
-    """One :func:`_kernel_windows` sweep of the local Gram sums.
+    """One :func:`_kernel_windows` sweep of the grid's Gram, sandwich and
+    multiplier sums.
 
     A point is reliable when its local system is well posed and at least
-    ``MIN_LOCAL_OBS`` observations lie within one bandwidth.  With
-    ``bands`` (the grid), an observation counts, in addition, in proportion
-    to c1^2 relative to the sample mean square, and the sweep adds the
-    sandwich sums and the band multipliers.  Observations outside a window
-    have zero kernel weight and lie outside the bandwidth, so they add
-    nothing to any sum or count, and the results equal the sums over all
-    observations up to summation order.
+    ``MIN_LOCAL_OBS`` observations lie within one bandwidth, counting each
+    both as one and in proportion to c1^2 relative to the sample mean
+    square.  Observations outside a window have zero kernel weight and lie
+    outside the bandwidth, so they add nothing to any sum or count, and the
+    results equal the sums over all observations up to summation order.
     """
     m, n = len(cols), u_eval.size
     a01, a11, det = (np.zeros((m, n)) for _ in range(3))
     ok, reliable = np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)
-    varu = np.full((m, n), np.nan) if bands else None
-    mult2 = np.zeros((m, m, n)) if bands else None
-    if bands:
-        info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
+    varu = np.full((m, n), np.nan)
+    mult2 = np.zeros((m, m, n))
+    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
     for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
         in_bw = np.abs(diff) <= h
         n_raw = np.count_nonzero(in_bw, axis=1)
-        k2 = k * k if bands else None
+        k2 = k * k
         for c, c1 in enumerate(cols):
             c1w = c1[idx]
             c2 = c1w * diff
@@ -559,11 +559,8 @@ def _local_grams(
             scale = np.abs(g00 * g11) + g01 * g01
             good = g_det > 1e-12 * np.maximum(scale, 1e-300)
             a01[c, sl], a11[c, sl], det[c, sl], ok[c, sl] = g01, g11, g_det, good
-            reliable[c, sl] = good & (n_raw >= MIN_LOCAL_OBS)
-            if not bands:
-                continue
             n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
-            reliable[c, sl] &= n_info >= MIN_LOCAL_OBS
+            reliable[c, sl] = good & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
             # sandwich: first diagonal entry of A^-1 B A^-1
             s00 = (k2 * c1w**2).sum(axis=1)
             s01 = (k2 * c1w * c2).sum(axis=1)
@@ -594,7 +591,7 @@ def _local_levels(
     grams: _LocalGrams,
     h: float,
 ) -> np.ndarray:
-    """Local level estimates of ws[c] ~ cols[c] at ``grams.u_eval``.
+    """Local level estimates of ws[c] ~ cols[c] at the grid ``grams.u_eval``.
 
     One :func:`_kernel_windows` sweep forms the two response sums b0 and
     b1 of every component; with the Gram sums they give the level where
@@ -619,18 +616,29 @@ class _KernelDesign:
     """Everything of the in-sample kernel stage that no response changes.
 
     ``u`` holds the functional variable per fit row and ``cols`` one design
-    column per component (in ``components`` order).  ``obs`` holds the
-    local Gram sums at the observed u and ``traces`` each component's
-    smoother trace.  The grid's sums belong to the curves, which
-    :func:`sbk_estimate` builds.
+    column per component (in ``components`` order).  ``obs`` is the
+    running-moments smoother at the observed u
+    (:func:`core._moment_smoother`): the sorted rows cut into bins, each
+    component's Gram sums folded into the weights of a response's moments,
+    and the well-posed flags.
+    ``reliable`` marks the observed u whose local system is well posed with
+    at least ``MIN_LOCAL_OBS`` observations within one bandwidth, and
+    ``traces`` holds each component's smoother trace.  The grid's sums
+    belong to the curves, which :func:`sbk_estimate` builds.
     """
 
     u: np.ndarray
     cols: tuple[np.ndarray, ...]
     components: tuple[int, ...]
     h: float
-    obs: _LocalGrams
+    obs: _MomentSmoother
+    reliable: np.ndarray
     traces: tuple[float, ...]
+
+    def levels(self, pseudos: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Local levels of each component's pseudo-responses at the observed
+        u, one row per component; NaN where the local system is singular."""
+        return self.obs.levels(np.array(pseudos)[:, None, :])[:, 0]
 
 
 def _kernel_design(
@@ -639,15 +647,12 @@ def _kernel_design(
     components: tuple[int, ...],
     h: float,
 ) -> _KernelDesign:
-    """The observed-u Gram sums, in one sweep, and the smoother traces.
-    The bandwidth ``h`` is on the data scale of u."""
-    obs = _local_grams(u, cols, u, h, bands=False)
-    k0 = kernel_values(np.zeros(1))[0] / h
-    # (1,1) entry of the inverted local Gram matrix, for the smoother diagonal
-    a11inv = np.full(obs.a11.shape, np.nan)
-    a11inv[obs.ok] = obs.a11[obs.ok] / obs.det[obs.ok]
-    traces = tuple(float(np.nansum(k0 * c1**2 * row)) for c1, row in zip(cols, a11inv))
-    return _KernelDesign(u, cols, components, h, obs, traces)
+    """The observed-u smoother, its flags and the smoother traces.  The
+    bandwidth ``h`` is on the data scale of u."""
+    obs = _moment_smoother(u, np.array(cols), h)
+    reliable = obs.ok & (obs.n_raw >= MIN_LOCAL_OBS)
+    traces = tuple(float(t) for t in np.nansum(obs.diag, axis=1))
+    return _KernelDesign(u, cols, components, h, obs, reliable, traces)
 
 
 def sbk_estimate(
@@ -696,7 +701,7 @@ def sbk_estimate(
         dof = max(float(np.count_nonzero(ok)) - design.traces[c], 1.0)
         sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
 
-    grid = _local_grams(u, cols, u_grid, design.h, bands=True)
+    grid = _local_grams(u, cols, u_grid, design.h)
     est = _local_levels(u, cols, pseudos, grid, design.h)
     curves = []
     for c, j in enumerate(design.components):
@@ -716,7 +721,7 @@ def sbk_estimate(
                 sigma2=sigma2s[c],
                 smoother_trace=design.traces[c],
                 obs_estimate=obs_estimate[c],
-                obs_reliable=design.obs.reliable[c],
+                obs_reliable=design.reliable[c],
             )
         )
     return tuple(curves)
@@ -805,12 +810,12 @@ class _FitDesign:
 
     The regression rows, the basis and its values ``B`` at the rows' u (by
     knot interval), the factored spline block of each component, and the
-    kernel design: the bandwidth, the Gram sums at the observed u and the
-    smoother traces.  :func:`_fit_in_sample` fits one response on it and
-    :func:`_solve_fit` adds the curves, so one design serves every response
-    that shares the series, spec, options and start.  Window matrices live
-    only inside a sweep, so a design holds O(T) values plus each block's
-    2(N+1) x (N+2) factors.
+    kernel design: the bandwidth, the running-moments smoother at the
+    observed u with its flags, and the smoother traces.
+    :func:`_fit_in_sample` fits one response on it and :func:`_solve_fit`
+    adds the curves, so one design serves every response that shares the
+    series, spec, options and start.  A design holds O(T) values plus each
+    block's 2(N+1) x (N+2) factors.
     """
 
     spec: FcarSpec
@@ -865,14 +870,16 @@ class _InSampleFit:
 def _fit_in_sample(design: _FitDesign, response: np.ndarray) -> _InSampleFit:
     """Fit the length-T series ``response`` on ``design`` at its rows only.
 
-    The spline pre-fit, the pseudo-responses and one :func:`_local_levels`
-    sweep over the observed u; no grid is built.
+    The spline pre-fit, the pseudo-responses and their local levels at the
+    observed u, read off the design's running-moments smoother in O(T)
+    (:meth:`_KernelDesign.levels`); no window sweep runs and no grid is
+    built.
     """
     rows, kernel = design.rows, design.kernel
     y = np.asarray(response, dtype=float)[rows.t]
     prefit = _spline_lstsq(design.B, design.blocks, rows.cols, y)
     pseudos = tuple(pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols)))
-    obs_est = _local_levels(kernel.u, rows.cols, pseudos, kernel.obs, kernel.h)
+    obs_est = kernel.levels(pseudos)
 
     # Rows where any component's local solve is unreliable fall back to the
     # first marginal pre-fit's prediction: each marginal fit predicts the
@@ -880,7 +887,7 @@ def _fit_in_sample(design: _FitDesign, response: np.ndarray) -> _InSampleFit:
     # would count the response more than once.
     kernel_sum = np.zeros(rows.t.size)
     row_ok = np.ones(rows.t.size, dtype=bool)
-    for c1, est, reliable in zip(rows.cols, obs_est, kernel.obs.reliable):
+    for c1, est, reliable in zip(rows.cols, obs_est, kernel.reliable):
         kernel_sum += np.where(np.isfinite(est), est, 0.0) * c1
         row_ok &= reliable & np.isfinite(est)
     fitted = np.where(row_ok, kernel_sum, prefit.parts[0])

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -813,6 +814,38 @@ def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
     assert sorted(runs[1]) == sorted(runs[0])
     for name, data in runs[0].items():
         assert runs[1][name] == data, name
+
+
+def test_fixture_digests_against_names_each_moved_number(tmp_path):
+    # --against runs the commands on two checkouts: on this one twice,
+    # nothing moves and nothing is printed.  One perturbed cell is then
+    # named with its file and difference
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "tools" / "fixture_digests.py"), str(tmp_path),
+         "--against", str(repo)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    tool = load_repo_script("tools/fixture_digests.py")
+    assert len(tool.output_files(tmp_path / "src")) == 39
+    fitted = tmp_path / "src" / "fit-fcar" / "fitted.csv"
+    header, first, *rest = fitted.read_bytes().decode().splitlines(keepends=True)
+    cells = first.rstrip("\r\n")
+    t, sensor, observed, value = cells.split(",")
+    moved = float(value) + 0.25
+    n_numbers = sum(len(re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", line)) for line in [first, *rest])
+    row = f"{t},{sensor},{observed},{moved!r}" + first[len(cells):]
+    fitted.write_bytes((header + row + "".join(rest)).encode())
+    rel = 0.25 / max(abs(float(value)), abs(moved))
+    assert tool.compare_trees(tmp_path / "against", tmp_path / "src") == [
+        f"fit-fcar/fitted.csv  max_abs {0.25:.3g}  max_rel {rel:.3g}  (1 of {n_numbers} numbers)"
+    ]
+    (tmp_path / "against" / "diag" / "extra.txt").write_text("x")
+    assert tool.compare_trees(tmp_path / "against", tmp_path / "src")[0] == (
+        "diag/extra.txt  only in against"
+    )
 
 
 def test_src_lines_counts_only_code_lines():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skylattice import fcar
-from skylattice.core import grid_layout, kernel_values
+from skylattice.core import _moment_smoother, grid_layout, kernel_values
 from skylattice.fcar import (
     FcarOptions,
     FcarSpec,
@@ -348,11 +348,10 @@ class TestFitRows:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
-        # each sweep serves every component, however many there are: the
-        # design sweeps the observed u once (its Gram sums), an in-sample
-        # solve once (its levels), and a full solve adds the grid's Gram
-        # sweep and level sweep.  The observed-u levels come first, because
-        # the grid's bands need the noise variance
+        # each sweep serves every component, however many there are.  The
+        # observed u take no window sweep: the design builds their
+        # running-moments smoother and an in-sample solve reads its levels
+        # off it.  A full solve adds the grid's Gram sweep and level sweep
         calls = []
         original = fcar._kernel_windows
 
@@ -364,27 +363,26 @@ class TestFitRows:
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         spec = FcarSpec.delay_absorbed(p, 1)
         design = fcar._fit_design(x, spec, None, None)
-        assert len(calls) == 1
         fcar._fit_in_sample(design, np.sin(x))
-        assert len(calls) == 2
+        assert calls == []
         fits = [fcar._solve_fit(design, r) for r in (x, np.sin(x))]
         assert all(len(fit.curves) == p for fit in fits)
-        kinds = ["obs" if u_eval is u_obs else u_eval.size for u_obs, u_eval, _ in calls]
-        assert kinds == ["obs", "obs"] + ["obs", fcar.GRID_SIZE, fcar.GRID_SIZE] * 2
+        assert [u_eval.size for _, u_eval, _ in calls] == [fcar.GRID_SIZE] * 4
 
     def test_grid_sweeps_only_in_fits_that_return_curves(self, monkeypatch):
         # leave-one-out cross-validation reads only transfer coefficients,
-        # so its backfits build no grid; a lattice fit refines the curves
-        # of each sensor's final stage once: one Gram and one level sweep
+        # so its backfits build no grid, and the observed u take no window
+        # sweep; a lattice fit refines the curves of each sensor's final
+        # stage once: one Gram and one level sweep
         sweeps = []
         grams, levels = fcar._local_grams, fcar._local_levels
 
         def where(u_obs, u_eval):
             return "obs" if u_eval is u_obs else u_eval.size
 
-        def counting_grams(u_obs, cols, u_eval, h, bands):
+        def counting_grams(u_obs, cols, u_eval, h):
             sweeps.append(("_local_grams", where(u_obs, u_eval)))
-            return grams(u_obs, cols, u_eval, h, bands)
+            return grams(u_obs, cols, u_eval, h)
 
         def counting_levels(u_obs, cols, ws, local, h):
             sweeps.append(("_local_levels", where(u_obs, local.u_eval)))
@@ -397,12 +395,10 @@ class TestFitRows:
         spec = FcsarSpec.uniform(build_neighbor_graph(layout, 2), 1, FcarSpec.delay_absorbed(2, 1))
         options = FcarOptions(n_knots=4)
         crossval(field, CrossvalPlan.all_subsets(16, 1), "fcsar", spec, options)
-        assert sweeps and all(kind == "obs" for _, kind in sweeps)
-        sweeps.clear()
+        assert sweeps == []
         fit_fcsar(field, spec, options)
-        grid = [name for name, kind in sweeps if kind != "obs"]
-        assert all(kind in ("obs", fcar.GRID_SIZE) for _, kind in sweeps)
-        assert sorted(grid) == ["_local_grams"] * 16 + ["_local_levels"] * 16
+        assert all(kind == fcar.GRID_SIZE for _, kind in sweeps)
+        assert sorted(name for name, _ in sweeps) == ["_local_grams"] * 16 + ["_local_levels"] * 16
 
 
 class TestPseudoResponses:
@@ -447,9 +443,9 @@ class TestPseudoResponses:
 
 def sbk(u, cols, pseudos, components, grid, h, prefit_variance):
     """``sbk_estimate`` of ``pseudos`` on a kernel design built for them,
-    after the in-sample level sweep."""
+    after their in-sample levels."""
     design = fcar._kernel_design(u, cols, components, h)
-    obs_estimate = fcar._local_levels(u, cols, pseudos, design.obs, h)
+    obs_estimate = design.levels(pseudos)
     return sbk_estimate(
         design, pseudos, obs_estimate, np.asarray(grid, dtype=float), prefit_variance
     )
@@ -833,10 +829,10 @@ def dense_sbk_estimate(u, cols, pseudos, components, u_grid, h, prefit_variance)
 
 
 def level_sweep(u_obs, cols, ws, u_eval, h):
-    """The Gram sweep without bands and the level sweep of ``ws``, one row
-    per component: the level estimate, the raw reliability flag and
+    """The grid's Gram sweep and level sweep of ``ws`` at any points, one
+    row per component: the level estimate, the reliability flag and
     a11/det."""
-    grams = fcar._local_grams(u_obs, cols, u_eval, h, bands=False)
+    grams = fcar._local_grams(u_obs, cols, u_eval, h)
     est = fcar._local_levels(u_obs, cols, ws, grams, h)
     a11inv = np.full(est.shape, np.nan)
     a11inv[grams.ok] = grams.a11[grams.ok] / grams.det[grams.ok]
@@ -952,15 +948,15 @@ class TestKernelWindows:
     def test_local_linear_matches_dense(self, kernel, name, design):
         u, c1, w, u_eval, h = window_case(name, design)
         want = dense_local_linear(u, c1, w, u_eval, h)
-        est, raw_reliable, a11inv = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
-        npt.assert_array_equal(raw_reliable, want[3])
+        est, reliable, a11inv = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
+        npt.assert_array_equal(reliable, want[2])
         assert_same_nans_and_close(est, want[0])
         assert_same_nans_and_close(a11inv, want[4])
         if name == "outside":
-            assert np.isnan(est[:6]).all() and not raw_reliable[:6].any()
+            assert np.isnan(est[:6]).all() and not reliable[:6].any()
         # sbk_estimate at the same points: its grid sweep's estimate,
-        # information-weighted flag and sandwich variance, and its
-        # observed-u sweep's in-sample fit, smoother trace and noise variance
+        # information-weighted flag and sandwich variance, and the design's
+        # in-sample fit, smoother trace and noise variance at the observed u
         curve = sbk_one(u, c1, w, u_eval, h)
         npt.assert_array_equal(curve.reliable, want[2])
         assert_same_nans_and_close(curve.estimate, want[0])
@@ -997,8 +993,8 @@ class TestKernelWindows:
         cols = tuple(case[1] for case in cases)
         ws = tuple(case[2] for case in cases)
         want = dense_fused_local_linear(u, cols, ws, u_eval, h)
-        est, raw_reliable, a11inv = level_sweep(u, cols, ws, u_eval, h)
-        npt.assert_array_equal(raw_reliable, want[3])
+        est, reliable, a11inv = level_sweep(u, cols, ws, u_eval, h)
+        npt.assert_array_equal(reliable, want[2])
         assert_same_nans_and_close(est, want[0])
         assert_same_nans_and_close(a11inv, want[4])
         m, zeros = len(cols), (np.zeros(u_eval.size),) * len(cols)
@@ -1039,11 +1035,11 @@ def dense_kernel_stage(monkeypatch):
     in-sample level sweep, which every solve runs (a backfit runs nothing
     else of the kernel stage), and the curves."""
 
-    def dense_levels(u_obs, cols, ws, grams, h):
-        assert grams.u_eval is u_obs
-        return np.array(
-            [dense_local_linear(u_obs, c1, w, u_obs, h)[0] for c1, w in zip(cols, ws)]
-        )
+    def dense_levels(design, pseudos):
+        return np.array([
+            dense_local_linear(design.u, c1, w, design.u, design.h)[0]
+            for c1, w in zip(design.cols, pseudos)
+        ])
 
     def dense(design, pseudos, obs_estimate, u_grid, prefit_variance):
         return dense_sbk_estimate(
@@ -1052,7 +1048,7 @@ def dense_kernel_stage(monkeypatch):
         )
 
     def use_dense():
-        monkeypatch.setattr(fcar, "_local_levels", dense_levels)
+        monkeypatch.setattr(fcar._KernelDesign, "levels", dense_levels)
         monkeypatch.setattr(fcar, "sbk_estimate", dense)
 
     return use_dense
@@ -1468,8 +1464,18 @@ def assert_fits_close(got, want, rtol=1e-12):
     assert len(got.curves) == len(want.curves)
     for mine, ref in zip(got.curves, want.curves):
         assert mine.target_j == ref.target_j
-        for name in ("u", "estimate", "lower", "upper", "obs_estimate"):
+        for name in ("u", "estimate", "lower", "upper"):
             assert_close_to_scale(getattr(mine, name), getattr(ref, name), y_scale, rtol, name)
+        # the in-sample levels are running-moment sums, the reference's are
+        # window sums.  A level backed by fewer than MIN_LOCAL_OBS
+        # observations can rest on a nearly singular system (two nearly
+        # tied u), where the two differ by more than rounding; such a level
+        # is unreliable and its row falls back, so only its NaN must agree
+        npt.assert_array_equal(np.isnan(mine.obs_estimate), np.isnan(ref.obs_estimate))
+        rel = ref.obs_reliable
+        assert_close_to_scale(
+            mine.obs_estimate[rel], ref.obs_estimate[rel], y_scale, rtol, "obs_estimate"
+        )
         assert_close_to_scale(mine.sigma2, ref.sigma2, y_scale**2, rtol, "sigma2")
         assert_close_to_scale(mine.smoother_trace, ref.smoother_trace, 1.0, rtol, "trace")
         for name in ("reliable", "obs_reliable"):
@@ -1563,6 +1569,176 @@ class TestDesignSolveOracle:
             for curve in fit.curves:
                 assert np.isnan(curve.estimate).any() and np.isnan(curve.obs_estimate).any()
                 assert np.isfinite(curve.estimate).any()
+
+    def test_degenerate_windows_keep_the_reference_flags(self):
+        # u_t = x_{t-1}; lag 1's design column is u itself and lag 2's is
+        # x_{t-2}.  Far from the bulk of u in [-1, 1] (h = 0.5) sit: an
+        # isolated cluster of three tied u (rows 21, 41, 61), a lone u
+        # (row 31), a near-tie pair 0.01 h apart (rows 51, 71), and a pair
+        # whose lag-2 column is zero at one row (rows 46, 66).  A window
+        # whose rows with a nonzero column hold one distinct u is singular,
+        # so its level is NaN and its point adds nothing to the trace; the
+        # near-tie pair still spans two distinct u and interpolates.
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 80)
+        x[[20, 40, 60]] = 5.0
+        x[30] = -5.0
+        x[[50, 70]] = (8.0, 8.005)
+        x[[44, 45, 65]] = (0.0, -8.0, -8.2)
+        spec = FcarSpec(p=2, d=1)
+        options = FcarOptions(n_knots=4, bandwidth=0.5)
+        design = fcar._fit_design(x, spec, options, None)
+        fit = fcar._solve_fit(design, x)
+        want = ref_fit_fcar(x, spec, options)
+        rows = {t: i for i, t in enumerate(design.rows.t)}
+        nan_rows = {0: (21, 41, 61, 31), 1: (21, 41, 61, 31, 46, 66)}
+        finite_rows = {0: (51, 71, 46, 66), 1: (51, 71)}
+        for c, (mine, ref) in enumerate(zip(fit.curves, want.curves)):
+            npt.assert_array_equal(np.isnan(mine.obs_estimate), np.isnan(ref.obs_estimate))
+            npt.assert_array_equal(mine.obs_reliable, ref.obs_reliable)
+            assert mine.smoother_trace == pytest.approx(ref.smoother_trace, rel=1e-9)
+            assert all(np.isnan(ref.obs_estimate[rows[t]]) for t in nan_rows[c])
+            assert all(np.isfinite(ref.obs_estimate[rows[t]]) for t in finite_rows[c])
+            assert not ref.obs_reliable[[rows[t] for t in nan_rows[c] + finite_rows[c]]].any()
+            fin = ref.obs_reliable
+            npt.assert_allclose(
+                mine.obs_estimate[fin], ref.obs_estimate[fin], rtol=0,
+                atol=1e-10 * np.abs(ref.obs_estimate[fin]).max(),
+            )
+
+
+# ------------------------------------------------ running-moments oracle
+# The observed-u levels come from running moments (``core._moment_smoother``):
+# prefix sums over u-sorted observations, cut at bins of width h.  The
+# window sweep they replace, ``ref_local_linear`` at the observed u, is
+# their oracle.  Levels agree to 1e-10 of scale at points with at least
+# MIN_LOCAL_OBS observations within one bandwidth, where the flags agree
+# exactly; below that count a flag may differ.
+
+
+def ref_obs_smoother(u, cols, ws, h):
+    """The window sweep at the observed u: levels, well-posed flags,
+    in-bandwidth counts and the smoother diagonal, one row per component."""
+    m, n = len(cols), u.size
+    est, diag = np.full((m, n), np.nan), np.full((m, n), np.nan)
+    ok, n_raw = np.zeros((m, n), dtype=bool), np.zeros(n, dtype=int)
+    k0 = kernel_values(np.zeros(1))[0] / h
+    for sl, *_, n_in, fits in ref_local_linear(u, cols, ws, u, h):
+        n_raw[sl] = n_in
+        for c, (_, _, a11, det, good, level) in enumerate(fits):
+            est[c, sl], ok[c, sl] = level, good
+            diag[c, sl][good] = k0 * cols[c][sl][good] ** 2 * a11[good] / det[good]
+    return est, ok, n_raw, diag
+
+
+def assert_close_where_counted(got, want, n_raw, tol=1e-10):
+    """Equal NaNs and values within ``tol`` of the largest |want| at points
+    with at least MIN_LOCAL_OBS observations within one bandwidth."""
+    many = n_raw >= fcar.MIN_LOCAL_OBS
+    got, want = np.asarray(got)[..., many], np.asarray(want)[..., many]
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    scale = np.nanmax(np.abs(want), initial=0.0)
+    npt.assert_allclose(got, want, rtol=0, atol=tol * scale, equal_nan=True)
+
+
+def assert_smoother_matches_windows(smoother, u, cols, ws, h):
+    est, ok, n_raw, diag = ref_obs_smoother(u, cols, ws, h)
+    npt.assert_array_equal(smoother.n_raw, n_raw)
+    many = n_raw >= fcar.MIN_LOCAL_OBS
+    npt.assert_array_equal(smoother.ok[:, many], ok[:, many])
+    assert_close_where_counted(smoother.levels(np.array(ws)[:, None])[:, 0], est, n_raw)
+    assert_close_where_counted(smoother.diag, diag, n_raw)
+    npt.assert_allclose(np.nansum(smoother.diag, axis=1), np.nansum(diag, axis=1), rtol=1e-10)
+
+
+OBS_SPECS = [FcarSpec(p=p, d=1) for p in (1, 2, 3)] + [
+    FcarSpec.delay_absorbed(p, 1) for p in (1, 2, 3)
+]
+
+
+class TestRunningMomentsOracle:
+    @pytest.mark.parametrize("spec", OBS_SPECS, ids=repr)
+    @pytest.mark.parametrize("T", [72, 480, 2880])
+    def test_in_sample_levels_match_window_sweep(self, T, spec):
+        # the pseudo-responses of a fit of the series itself, on its design
+        x = simulate_expar2(Expar2Config(n_times=T, seed=T + spec.p))
+        design = fcar._fit_design(x, spec, None, None)
+        kernel = design.kernel
+        pseudos = fcar._fit_in_sample(design, x).pseudos
+        assert_smoother_matches_windows(kernel.obs, kernel.u, kernel.cols, pseudos, kernel.h)
+        many = kernel.obs.n_raw >= fcar.MIN_LOCAL_OBS
+        npt.assert_array_equal(kernel.reliable, kernel.obs.ok & many)
+
+    @pytest.mark.parametrize("name", WINDOW_CASES)
+    def test_window_cases_match_window_sweep(self, name):
+        # wide windows, ties and dyadic values on bin and window edges, and
+        # observations an ulp beyond another's bandwidth
+        cases = [window_case(name, design) for design in ("intercept", "lag", "other")]
+        u, _, _, _, h = cases[0]
+        cols = tuple(case[1] for case in cases)
+        smoother = _moment_smoother(u, np.array(cols), h)
+        assert_smoother_matches_windows(smoother, u, cols, tuple(case[2] for case in cases), h)
+
+
+def invariance_sample(seed, ties):
+    """Points, two design columns (ones, and one with zeros) and responses."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 200))
+    u = rng.standard_normal(n)
+    if ties:
+        u = np.round(4.0 * u) / 4.0
+    c1 = rng.standard_normal(n)
+    c1[rng.random(n) < 0.1] = 0.0
+    cols = np.array([np.ones(n), c1])
+    ws = cols * (0.5 + u**2) + 0.2 * rng.standard_normal((2, n))
+    return u, cols, ws, float(rng.uniform(0.05, 1.5))
+
+
+def smoother_levels(u, cols, ws, h):
+    smoother = _moment_smoother(u, cols, h)
+    return smoother, smoother.levels(ws[:, None])[:, 0]
+
+
+class TestRunningMomentsInvariance:
+    """Moving the observations must leave the levels within the oracle's
+    tolerance: the bins are laid from the smallest u, so a shift or scale
+    moves every bin edge with the points."""
+
+    @given(data=st.data(), seed=st.integers(0, 10_000), ties=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_observation_order(self, data, seed, ties):
+        u, cols, ws, h = invariance_sample(seed, ties)
+        perm = np.array(data.draw(st.permutations(range(u.size))))
+        base, est = smoother_levels(u, cols, ws, h)
+        moved, moved_est = smoother_levels(u[perm], cols[:, perm], ws[:, perm], h)
+        npt.assert_array_equal(moved.n_raw, base.n_raw[perm])
+        npt.assert_array_equal(moved.ok, base.ok[:, perm])
+        assert_close_where_counted(moved_est, est[:, perm], moved.n_raw)
+
+    @given(seed=st.integers(0, 10_000), ties=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_shift_of_u(self, seed, ties):
+        u, cols, ws, h = invariance_sample(seed, ties)
+        base, est = smoother_levels(u, cols, ws, h)
+        moved, moved_est = smoother_levels(u + 12345.678, cols, ws, h)
+        same = moved.n_raw == base.n_raw
+        assert same.mean() > 0.9
+        npt.assert_array_equal(moved.ok[:, same], base.ok[:, same])
+        assert_close_where_counted(moved_est[:, same], est[:, same], base.n_raw[same])
+
+    @given(
+        seed=st.integers(0, 10_000),
+        ties=st.booleans(),
+        factor=st.sampled_from([1e-3, 0.37, 3.0, 1e4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_common_scale_of_u_and_h(self, seed, ties, factor):
+        u, cols, ws, h = invariance_sample(seed, ties)
+        base, est = smoother_levels(u, cols, ws, h)
+        moved, moved_est = smoother_levels(u * factor, cols, ws, h * factor)
+        same = moved.n_raw == base.n_raw
+        assert same.mean() > 0.9
+        npt.assert_array_equal(moved.ok[:, same], base.ok[:, same])
+        assert_close_where_counted(moved_est[:, same], est[:, same], base.n_raw[same])
 
 
 # ------------------------------------------------ interval compression oracle
