@@ -4,9 +4,11 @@ A measurement campaign is held as a :class:`SpatioTemporalField`: a sensor
 layout, a strictly increasing time axis, and an S x T value matrix.  Raw
 fields are reduced by :func:`time_average` and split into a smooth diurnal
 component plus a residual by :func:`detrend`.  All containers are immutable;
-every transformation returns a new instance.  The Epanechnikov kernel and
-the running-moments local-linear smoother that :func:`detrend` and the
-fcar kernel stage share live here too.
+every transformation returns a new instance.  The one Epanechnikov
+local-linear smoother of the package lives here too
+(:func:`_moment_smoother`, by running moments): :func:`detrend` evaluates
+it at the sample times, and the fcar kernel stage at the observed u and
+on each curve grid.
 """
 
 from __future__ import annotations
@@ -408,132 +410,239 @@ def time_average(field: SpatioTemporalField, window_seconds: float) -> SpatioTem
     return SpatioTemporalField(field.layout, out_ts, out_vals, field.kind, out_mask)
 
 
-def kernel_values(z: np.ndarray) -> np.ndarray:
-    """Epanechnikov kernel K(z) at standardized offsets z; 0 wherever |z| > 1."""
-    return np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
-
-
 @dataclass(frozen=True)
 class _Segments:
-    """Bins of width h over sorted points, and each point's window cut at the
-    bin boundaries into three segments, one each in bins b-1, b and b+1 of
-    the point's bin b.  Segment s runs over the sorted points ``cuts[s]``
-    .. ``cuts[s + 1] - 1``, ``width[s]`` of them, in the bin holding the
-    sorted point ``inside[s]`` (any point where the segment is empty).  The
-    non-empty bins start at the sorted points ``bin_starts`` and hold
-    ``bin_sizes`` points.
+    """Each evaluation point's kernel window over n sorted points, cut into
+    three segments at bins of width h.
+
+    The window of an evaluation point in bin b lies in bins b-1, b and b+1.
+    Per point, rows 0..3 of ``index`` are the cuts: segment s runs over the
+    sorted points ``index[s]`` .. ``index[s + 1] - 1``, ``width[s]`` of
+    them.  Row 4 + s is n + 1 plus the number, among the non-empty bins, of
+    the bin segment s lies in (any bin where it is empty), so ``index``
+    addresses the prefix sums of the n points followed by the bin means.
+    The non-empty bins start at the sorted points ``bin_starts`` and hold
+    ``bin_sizes`` points, and ``closed`` holds the first and one past the
+    last point of each closed window |u - u0| <= h.
     """
 
     bin_starts: np.ndarray
     bin_sizes: np.ndarray
-    cuts: np.ndarray
-    inside: np.ndarray
+    index: np.ndarray
     width: np.ndarray
+    closed: np.ndarray
 
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        """Sums of x (sorted along the last axis) over the three segments of
-        every point's window, on a new axis before the last.
+    def ends(self, x: np.ndarray) -> np.ndarray:
+        """The prefix sums of x (sorted along the last axis) at the four cuts
+        of every window, then the means of its three segments' bins, on a
+        new axis before the last.
 
         The prefix sums run over x minus its bin means, so they return to
         about zero at every bin boundary and carry the rounding of the
         bin's own values only, however far from the first point the bin
-        lies; each segment adds its bin's mean times its width back.
+        lies; a segment's sum is the difference of its two cuts plus its
+        bin's mean times its width.
         """
-        means = np.add.reduceat(x, self.bin_starts, axis=-1) / self.bin_sizes
-        per_point = np.repeat(means, self.bin_sizes, axis=-1)
-        prefix = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-        np.cumsum(x - per_point, axis=-1, out=prefix[..., 1:])
+        n = x.shape[-1]
+        buf = np.empty(x.shape[:-1] + (n + 1 + self.bin_sizes.size,), dtype=x.dtype)
+        means = buf[..., n + 1 :]
+        np.divide(np.add.reduceat(x, self.bin_starts, axis=-1), self.bin_sizes, out=means)
+        buf[..., 0] = 0.0
+        np.cumsum(x - np.repeat(means, self.bin_sizes, axis=-1), axis=-1, out=buf[..., 1 : n + 1])
         # np.take keeps the result C-ordered, where fancy indexing on the
         # last axis would not
-        ends = np.take(prefix, self.cuts, axis=-1)
-        back = np.take(per_point, self.inside, axis=-1) * self.width
-        return ends[..., 1:, :] - ends[..., :-1, :] + back
+        return np.take(buf, self.index, axis=-1)
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of x (sorted along the last axis) over the three segments of
+        every window, on a new axis before the last."""
+        ends = self.ends(x)
+        return ends[..., 1:4, :] - ends[..., :3, :] + ends[..., 4:, :] * self.width
+
+
+def _window_weights(polys) -> np.ndarray:
+    """``w[j, m, s, p]``: the weight of e^p times the moment sum w v^m over
+    segment s in the window sum of w P_j(x), where ``polys[j]`` holds the
+    coefficients of x^0, x^1, ... of P_j and x = (u - u0) / h.
+
+    v is a point's offset from the centre of its own bin, b-1+s for
+    segment s, and e the evaluation point's from the centre of its bin b,
+    in bandwidths, so x = v + (s - 1) - e; the weight is the multinomial
+    expansion of P_j.  Flattened to (j, m, s) rows and p columns.
+    """
+    polys = np.asarray(polys, dtype=float)
+    degree = polys.shape[1]
+    w = np.zeros((polys.shape[0], degree, 3, degree))
+    for j, r in zip(*np.nonzero(polys)):
+        for m in range(r + 1):
+            for p in range(r - m + 1):
+                terms = polys[j, r] * math.comb(r, m) * math.comb(r - m, p)
+                for s in range(3):
+                    w[j, m, s, p] += terms * (-1.0) ** p * (s - 1.0) ** (r - m - p)
+    return w.reshape(-1, degree)
+
+
+# K(x), K(x) x^j and K(x)^2 x^j for j = 0, 1, 2, with K(x) = 1 - x^2 the
+# Epanechnikov kernel without its factor 3/4, which every ratio cancels
+_KERNEL = _window_weights([[1, 0, -1]])
+_KERNEL_MOMENTS = _window_weights([[1, 0, -1, 0, 0], [0, 1, 0, -1, 0], [0, 0, 1, 0, -1]])
+_SQUARED_MOMENTS = _window_weights(
+    [[1, 0, -2, 0, 1, 0, 0], [0, 1, 0, -2, 0, 1, 0], [0, 0, 1, 0, -2, 0, 1]]
+)
 
 
 @dataclass(frozen=True)
 class _MomentSmoother:
-    """Epanechnikov local-linear fits at the observations themselves.
+    """Epanechnikov local-linear fits at a set of evaluation points.
 
-    Built by :func:`_moment_smoother` from points u, a bandwidth h and design
-    columns ``cols`` (one row per component).  At each observation u0,
-    component c regresses a response on c1 = cols[c] and c1 (u - u0) / h
-    with weights K((u - u0) / h).  ``ok`` marks a well-posed local system,
-    ``n_raw`` counts the observations within one bandwidth (|u - u0| <= h)
-    and ``diag`` is the diagonal of the matrix mapping a response to its
-    fitted values c1 * level (NaN where not ``ok``); these three are in
-    input order.
+    Built by :func:`_moment_smoother` from points u, design columns ``cols``
+    (one row per component), a bandwidth h and evaluation points.  At each
+    evaluation point u0, component c regresses a response on c1 = cols[c]
+    and c1 (u - u0) / h with weights K((u - u0) / h).  ``ok`` marks a
+    well-posed local system and ``n_raw`` counts the observations within
+    one bandwidth (|u - u0| <= h); both are in the evaluation points' order.
 
-    The rest is kept for :meth:`levels`, in u order: ``order`` sorts the
-    points and ``rank`` undoes it, ``cols`` is sorted, ``vpow`` holds v^0
-    .. v^3 of each point's offset v from its bin's centre, in bandwidths,
-    and ``segments`` the window segments.  ``coef[c, m, s]`` weighs the
-    sum of c1 w v^m over segment s in component c's level: it holds the
-    inverse local Gram matrix and the re-centring of the segment's moments
+    The rest is kept for the methods, sorted: ``order`` sorts the
+    observations and ``rank`` undoes the evaluation points' sort, ``cols``
+    is in u order, ``vpow`` holds v^0 .. v^6 of each observation's offset
+    v from its bin's centre and ``epow`` e^0 .. e^6 of each evaluation
+    point's from its bin's centre, in bandwidths, and ``segments`` the
+    window segments.  ``gram`` holds the local Gram sums g00, g01 and g11
+    of c1 and c1 x (x = (u - u0) / h) and ``inv`` the inverse of their
+    determinant (NaN where not ``ok``).  ``fold[c, m, t]`` weighs the
+    ``segments.ends`` row t of c1 w v^m in component c's level: it holds the
+    inverse local Gram matrix and the re-centring of each segment's moments
     on the evaluation point.
     """
 
     ok: np.ndarray
     n_raw: np.ndarray
-    diag: np.ndarray
     order: np.ndarray
     rank: np.ndarray
     cols: np.ndarray
     vpow: np.ndarray
+    epow: np.ndarray
     segments: _Segments
-    coef: np.ndarray
+    gram: np.ndarray
+    inv: np.ndarray
+    fold: np.ndarray
 
     def levels(self, ws: np.ndarray) -> np.ndarray:
         """Local levels of responses ``ws`` (components x k x n, in input
-        order: k responses per component) at every observation; NaN where
-        the local system is not ``ok``.  One response per component at a
-        time, so temporaries hold O(n) values whatever k is."""
+        order: k responses per component) at every evaluation point; NaN
+        where the local system is not ``ok``.  One response per component
+        at a time, so temporaries hold O(n) values whatever k is."""
         y = self.cols[:, None, :] * ws[..., self.order]
-        est = np.empty(y.shape)
+        est = np.empty(y.shape[:2] + (self.rank.size,))
         for k in range(y.shape[1]):
-            sums = self.segments.sums(y[:, k, None, :] * self.vpow)
-            est[:, k] = np.einsum("cmsi,cmsi->ci", sums, self.coef)
+            ends = self.segments.ends(y[:, k, None, :] * self.vpow[:4])
+            est[:, k] = np.einsum("cmti,cmti->ci", ends, self.fold)
         return est[..., self.rank]
 
+    def diag(self) -> np.ndarray:
+        """The diagonal of the matrix mapping a response to its fitted
+        values c1 * level, where the evaluation points are the observations
+        themselves; NaN where not ``ok``."""
+        return (self.cols * self.cols * self.gram[2] * self.inv)[:, self.rank]
 
-def _window_weights() -> np.ndarray:
-    """``w[j, m, s, p]``: the weight of e^p times the moment sum w v^m over
-    segment s in the window sum of w K(x) x^j, j = 0, 1, 2, with
-    K(x) = 1 - x^2 and x = (u - u0) / h.
+    def window_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of x (one row per component, in input order) over each
+        evaluation point's closed window |u - u0| <= h."""
+        prefix = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        np.cumsum(x[..., self.order], axis=-1, out=prefix[..., 1:])
+        ends = np.take(prefix, self.segments.closed, axis=-1)
+        return (ends[..., 1, :] - ends[..., 0, :])[..., self.rank]
 
-    v is a point's offset from the centre of its own bin, b-1+s for
-    segment s, and e the evaluation point's from the centre of its bin b,
-    in bandwidths, so x = v + (s - 1) - e; the weight is the multinomial
-    expansion of x^j - x^(j+2).
-    """
-    w = np.zeros((3, 5, 3, 5))
-    for j in range(3):
-        for r, sign in ((j, 1.0), (j + 2, -1.0)):
-            for m in range(r + 1):
-                for p in range(r - m + 1):
-                    q = r - m - p
-                    terms = math.comb(r, m) * math.comb(r - m, p)
-                    for s in range(3):
-                        w[j, m, s, p] += sign * terms * (-1.0) ** p * (s - 1.0) ** q
-    return w.reshape(45, 5)
+    def _kernel_sums(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Window sums of x P_j(x) (x sorted, one row per series) for the
+        polynomials P_j whose weights are ``table``; one row per P_j, in
+        the precision of x."""
+        degree = table.shape[1]
+        epow = self.epow[:degree].astype(x.dtype, copy=False)
+        weights = np.dot(table, epow).reshape(-1, degree, 3, epow.shape[1])
+        sums = self.segments.sums(x[:, None, :] * self.vpow[:degree])
+        return np.einsum("jmsi,cmsi->jci", weights, sums)
+
+    def sandwich(self) -> np.ndarray:
+        """Per component, the variance of the local level per unit noise
+        variance: the first diagonal entry of A^-1 B A^-1, A the local Gram
+        matrix and B its sums with K^2 for K; NaN where not ``ok``.
+
+        A window whose weight sits in a narrow band far from the point
+        (an extrapolation) makes A nearly singular, and this quadratic form
+        in B squares that condition; B's moment sums, whose re-centring
+        cancels most where the weights are small, run in extended precision
+        (``np.longdouble``) so that such windows keep 1e-10 of the direct
+        sums.
+        """
+        squares = (self.cols * self.cols).astype(np.longdouble)
+        s00, s01, s11 = self._kernel_sums(_SQUARED_MOMENTS, squares)
+        g00, g01, g11 = self.gram
+        var = (g11 * g11 * s00 - 2.0 * g11 * g01 * s01 + g01 * g01 * s11) * self.inv**2
+        return var[:, self.rank].astype(float)
+
+    def transfer(self) -> np.ndarray:
+        """``t[c, oc]``: the kernel sum of c1 * cols[oc] over that of c1^2,
+        the shift of component c's level per unit of a constant added to
+        its responses along cols[oc]; 0 where the latter is not positive
+        and where oc == c."""
+        a, b = np.triu_indices(len(self.cols), 1)
+        (cross,) = self._kernel_sums(_KERNEL, self.cols[a] * self.cols[b])
+        g00 = self.gram[0]
+        t = np.zeros((len(self.cols),) + g00.shape)
+        for row, col in ((a, b), (b, a)):
+            t[row, col] = np.divide(cross, g00[row], out=np.zeros(cross.shape), where=g00[row] > 0.0)
+        return t[..., self.rank]
 
 
-_WINDOW_WEIGHTS = _window_weights()
+def _powers(v: np.ndarray) -> np.ndarray:
+    """v^0 .. v^6, one row each."""
+    out = np.ones((7, v.size))
+    out[1:] = v
+    return np.multiply.accumulate(out, axis=0, out=out)
 
 
-def _moment_smoother(u: np.ndarray, cols: np.ndarray, h: float) -> _MomentSmoother:
-    """The response-free part of the local-linear fits at every u, by
-    running moments in O(n log n).
+def _closed_windows(us: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
+    """Per evaluation point x0 in ``xs``, the first sorted u with
+    |u - x0| <= h and the one after the last, with u - x0 rounded as a
+    direct test rounds it.  Searching for x0 -+ h rounds differently, so
+    the cuts found there move over the few distinct u on the wrong side."""
+    cut = np.array([np.searchsorted(us, xs - h, side="left"), np.searchsorted(us, xs + h, side="right")])
+    padded = np.concatenate([[-np.inf], us, [np.inf]])
+
+    def past(i):
+        # whether sorted u[i - 1] lies at or after the window's start, or
+        # after its end
+        d = padded[i] - xs
+        return np.array([d[0] >= -h, d[1] > h])
+
+    while True:
+        back, ahead = past(cut), ~past(cut + 1)
+        if not (back.any() or ahead.any()):
+            return cut
+        cut = np.where(back, np.searchsorted(us, padded[cut], side="left"), cut)
+        cut = np.where(ahead, np.searchsorted(us, padded[cut + 1], side="right"), cut)
+
+
+def _moment_smoother(
+    u: np.ndarray, cols: np.ndarray, h: float, points: np.ndarray
+) -> _MomentSmoother:
+    """The response-free part of the local-linear fits at ``points``, by
+    running moments in O((n + m) log n) for n observations and m points.
 
     The kernel is a polynomial, so every window sum of c1^2 (u - u0)^j and
-    c1 w (u - u0)^j is a difference of prefix sums of c1^2 v^m (m <= 4)
-    and c1 w v^m (m <= 3) (Seifert, Brockmann, Engel & Gasser 1994).  To
-    keep those sums accurate, u is cut into bins of width h from its
-    minimum and v is each point's offset from its own bin's centre, in
-    bandwidths (|v| <= 1/2).  The window of a point in bin b then lies in
-    bins b-1, b and b+1: each bin's segment is summed about its own centre,
-    re-centred on bin b's, where no offset exceeds 3/2 bandwidths, and
-    then on the evaluation point.  (Only points whose kernel weight rounds
-    to zero at the window's edge can fall outside the three bins.)
+    c1 w (u - u0)^j is a difference of prefix sums of c1^2 v^m and c1 w
+    v^m (Seifert, Brockmann, Engel & Gasser 1994).  To keep those sums
+    accurate, u is cut into bins of width h from its minimum and v is each
+    point's offset from its own bin's centre, in bandwidths (|v| <= 1/2).
+    The window of an evaluation point in bin b then lies in bins b-1, b and
+    b+1: each bin's segment is summed about its own centre, re-centred on
+    bin b's, where no offset exceeds 3/2 bandwidths, and then on the
+    evaluation point, whose offset e from bin b's centre plays the part of
+    v.  (Only points whose kernel weight rounds to zero at the window's
+    edge can fall outside the three bins.)  An evaluation point need not be
+    an observation: one outside the data, or in a gap wider than 2h, has
+    empty segments.
 
     A point is ``ok`` when its open window |u - u0| < h holds at least two
     distinct u with nonzero c1, and the determinant of its local Gram
@@ -543,61 +652,76 @@ def _moment_smoother(u: np.ndarray, cols: np.ndarray, h: float) -> _MomentSmooth
     """
     u = np.asarray(u, dtype=float)
     cols = np.asarray(cols, dtype=float)
-    n = u.size
+    points = np.asarray(points, dtype=float)
+    n, m = u.size, points.size
     order = np.argsort(u, kind="stable")
-    rank = np.argsort(order)
-    us, cs = u[order], cols[:, order]
-    edges = us + np.array([[-h], [h]])
-    left = np.searchsorted(us, edges, side="left")
-    right = np.searchsorted(us, edges, side="right")
-    lo, hi, open_lo, open_hi = left[0], right[1], right[0], left[1]
+    at = np.argsort(points, kind="stable")
+    us, cs, xs = u[order], cols[:, order], points[at]
     z = (us - us[0]) / h
     b = np.floor(z)
-    v = z - b - 0.5
+    z0 = (xs - us[0]) / h
+    b0 = np.floor(z0)
+    closed = _closed_windows(us, xs, h)
+    lo, hi = closed
+    # the open windows serve only the distinct-u rule; the kernel weight
+    # at their edges vanishes to rounding, so their cuts need not match a
+    # direct test
+    open_lo = np.searchsorted(us, xs - h, side="right")
+    open_hi = np.searchsorted(us, xs + h, side="left")
     bounds = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [n]])
-    # the starts of bins b-1 .. b+2, moved into the window: a point's own
-    # bin b holds it, so lo <= (start of b) <= point < (start of b+1) < hi
-    cuts = np.searchsorted(b, b + np.arange(-1.0, 3.0)[:, None])
-    cuts = np.minimum(np.maximum(cuts, lo), hi)
+    sizes = bounds[1:] - bounds[:-1]
+    # the first non-empty bins from b-1 .. b+2 on, and their starts moved
+    # into the window: when the point is in the data, bin b's points lie
+    # in it, so lo <= (start of b) and (start of b+1) <= hi
+    bins = np.searchsorted(b[bounds[:-1]], b0 + np.arange(-1.0, 3.0)[:, None])
+    cuts = np.minimum(np.maximum(bounds[bins], lo), hi)
     segments = _Segments(
         bin_starts=bounds[:-1],
-        bin_sizes=bounds[1:] - bounds[:-1],
-        cuts=cuts,
-        inside=np.minimum(cuts[:3], n - 1),
+        bin_sizes=sizes,
+        index=np.concatenate([cuts, n + 1 + np.minimum(bins[:3], sizes.size - 1)]),
         width=cuts[1:] - cuts[:-1],
+        closed=closed,
     )
-    vpow = np.ones((5, n))
-    vpow[1:] = v
-    np.multiply.accumulate(vpow, axis=0, out=vpow)
-    # each point evaluates at itself, so its e is its own v
-    weights = np.dot(_WINDOW_WEIGHTS, vpow).reshape(3, 5, 3, n)
+    vpow, epow = _powers(z - b - 0.5), _powers(z0 - b0 - 0.5)
+    weights = np.dot(_KERNEL_MOMENTS, epow[:5]).reshape(3, 5, 3, m)
 
     c2 = cs * cs
-    g00, g01, g11 = np.einsum("jmsi,cmsi->jci", weights, segments.sums(c2[:, None, :] * vpow))
+    gram = np.einsum("jmsi,cmsi->jci", weights, segments.sums(c2[:, None, :] * vpow[:5]))
+    g00, g01, g11 = gram
     # det = g00 g11 - g01^2 > 1e-12 (g00 g11 + g01^2), which implies det > 0
     well_posed = (1.0 - 1e-12) * g00 * g11 > (1.0 + 1e-12) * g01 * g01
-    # the u of the first and last rows with a nonzero column in each open
-    # window; +inf and -inf where there is none
-    idx = np.where(cs != 0.0, np.arange(n), n)
-    first = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1][:, open_lo]
-    last = np.maximum.accumulate(np.where(idx < n, idx, -1), axis=1)[:, open_hi - 1]
-    u_at = np.concatenate([us, [np.inf, -np.inf]])
-    distinct = u_at[first] < u_at[last]
+    # first[:, i] is the smallest u with a nonzero column from sorted row i
+    # on and last[:, i] the largest before row i (+inf and -inf where there
+    # is none), so an open window holds two distinct such u when the first
+    # from its start lies below the last before its end
+    inf = np.full((cs.shape[0], 1), np.inf)
+    first = np.concatenate([np.where(cs != 0.0, us, np.inf), inf], axis=1)
+    first = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+    last = np.maximum.accumulate(np.concatenate([-inf, np.where(cs != 0.0, us, -np.inf)], axis=1), axis=1)
+    distinct = first[:, open_lo] < last[:, open_hi]
     ok = distinct & well_posed
     inv = np.divide(1.0, g00 * g11 - g01 * g01, out=np.full(ok.shape, np.nan), where=ok)
     # level = (g11 r0 - g01 r1) / det, r0 and r1 the response's sums of
-    # w K and w K x, whose moments stop at v^3
+    # w K and w K x, whose moments stop at v^3; segment s enters as the
+    # ends t = s + 1 minus t = s, plus its bin's mean times its width
     coef = (g11 * inv)[:, None, None] * weights[0, :4] - (g01 * inv)[:, None, None] * weights[1, :4]
+    fold = np.zeros(coef.shape[:2] + (7, m))
+    fold[:, :, 1:4] = coef
+    fold[:, :, :3] -= coef
+    fold[:, :, 4:] = coef * segments.width
+    rank = np.argsort(at)
     return _MomentSmoother(
         ok=ok[:, rank],
         n_raw=(hi - lo)[rank],
-        diag=(c2 * g11 * inv)[:, rank],
         order=order,
         rank=rank,
         cols=cs,
-        vpow=vpow[:4],
+        vpow=vpow,
+        epow=epow,
         segments=segments,
-        coef=coef,
+        gram=gram,
+        inv=inv,
+        fold=fold,
     )
 
 
@@ -644,7 +768,8 @@ def detrend(
         raise ValueError("bandwidth too small for the native spacing")
 
     T = field.n_times
-    smoother = _moment_smoother(np.arange(T) * dt, np.ones((1, T)), bandwidth)
+    t = np.arange(T) * dt
+    smoother = _moment_smoother(t, np.ones((1, T)), bandwidth, t)
     bad = ~smoother.ok[0]
     if np.any(bad):
         raise ValueError(

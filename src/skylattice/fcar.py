@@ -25,25 +25,25 @@ per component, X_{t-j} or ones for m_0), the basis at the rows
 spline block factored through its knot intervals (``_SplineBlock``: per
 interval a two-column QR, then the SVD of the stacked 2 x 2 triangles,
 O(T) work and no T-row factor), the bandwidth, and the kernel stage at the
-observed u (``_KernelDesign``): a running-moments smoother
-(``core._moment_smoother``) that sorts the rows by u, cuts each row's
-kernel window at bins of one bandwidth and folds the local Gram sums of
-every component into the weights of a response's moments, with the
-reliability flags and the smoother traces, in O(T log T).  The in-sample
-solve (``_fit_in_sample``) fits one response on a design: the spline
-coefficients with their per-response cutoff escalation, the
+observed u (``_KernelDesign``): the running-moments smoother
+(``core._moment_smoother``) evaluated at the observed u, which sorts the
+rows by u, cuts each window at bins of one bandwidth and folds the local
+Gram sums of every component into the weights of a response's moments,
+with the reliability flags and the smoother traces, in O(T log T).  The
+in-sample solve (``_fit_in_sample``) fits one response on a design: the
+spline coefficients with their per-response cutoff escalation, the
 pseudo-responses, their local levels at the observed u from one pass of
 prefix sums (O(T)), and the fitted values; it is all the lattice model's
 backfit reads.  The full solve (``_solve_fit``) adds the curves
-(``sbk_estimate``): the noise variance, one window sweep of the grid's
-Gram, sandwich and multiplier sums, one of its levels, and the bands.  So
-a rule about which rows a fit uses lives in one place, a series fitted
-against several responses (the lattice model's backfit and final stage,
-cross-validation's neighbor sets) builds its design once, and a grid is
-built only by fits that return curves.  A design holds O(T) values (the
-interval factors and the smoother's segment bounds and weights) plus the
-small SVD of each block's stacked triangles; the grid's window matrices
-live only inside its sweeps.
+(``sbk_estimate``): the noise variance, then the same smoother evaluated
+on the grid for its levels, flags, sandwich variances and band
+multipliers.  So a rule about which rows a fit uses lives in one place, a
+series fitted against several responses (the lattice model's backfit and
+final stage, cross-validation's neighbor sets) builds its design once, a
+grid is built only by fits that return curves, and every kernel sum of the
+package comes from one smoother.  A design holds O(T) values (the interval
+factors and the smoother's segment bounds and weights) plus the small SVD
+of each block's stacked triangles.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -61,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _frozen_array, _MomentSmoother, _moment_smoother, kernel_values
+from .core import _frozen_array, _MomentSmoother, _moment_smoother
 
 # relative singular-value cutoff for the spline pre-estimate, and the factor
 # by which it is raised while the solution stays numerically unidentified
@@ -327,6 +327,27 @@ def _spline_block(
     return _SplineBlock(k, q0, q1, U, sing, Vt, r_scale)
 
 
+def _abs_p95(v: np.ndarray) -> float:
+    """``np.percentile(np.abs(v), 95)``, bit for bit, from one partition.
+
+    The same linear interpolation between the order statistics around
+    index 0.95 (n - 1), in the same operations, without the sort or the
+    generic quantile machinery, whose call overhead dominates at the sizes
+    a spline block has.
+    """
+    a = np.abs(v)
+    index = (a.size - 1) * 0.95
+    lo = math.floor(index)
+    if lo >= a.size - 1:
+        return float(a.max())
+    below, above = np.partition(a, (lo, lo + 1))[lo : lo + 2]
+    gamma = index - lo
+    diff = above - below
+    if gamma >= 0.5:
+        return float(above - diff * (1 - gamma))
+    return float(below + diff * gamma)
+
+
 def _spline_design(
     rows: _FitRows, spec: FcarSpec, basis: SplineBasis
 ) -> tuple[_TentRows, tuple[_SplineBlock, ...]]:
@@ -340,7 +361,7 @@ def _spline_design(
     tent = _tent_rows(basis, rows.umap.to_unit(rows.u))
     blocks = []
     for j, reg in zip(spec.components, rows.cols):
-        r_scale = 1.0 if j == 0 else max(float(np.percentile(np.abs(reg), 95)), 1e-12)
+        r_scale = 1.0 if j == 0 else max(_abs_p95(reg), 1e-12)
         blocks.append(_spline_block(tent, reg, n_funcs, r_scale))
     return tent, tuple(blocks)
 
@@ -376,7 +397,7 @@ def _spline_lstsq(
     y: np.ndarray,
 ) -> _SplinePrefit:
     """Marginal spline pre-fits of the response rows ``y`` on factored blocks."""
-    y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
+    y_scale = max(_abs_p95(y), 1e-12)
     coefs, parts, sigma2s, gram_invs = [], [], [], []
     deficient = False
     for block, reg in zip(blocks, cols):
@@ -468,163 +489,20 @@ class SbkCurve:
             )
 
 
-def _kernel_windows(u_obs: np.ndarray, u_eval: np.ndarray, h: float):
-    """Blocks of evaluation points with the observations their kernel weights.
-
-    Yields ``(sl, idx, diff, k)`` for consecutive blocks ``sl`` of at most 256
-    evaluation points.  ``idx`` is a (rows x W) matrix of indices into
-    ``u_obs``: each row holds W distinct observations that are consecutive in
-    u order and include every observation within the kernel's support of that
-    row's evaluation point, W being the widest such window in the block.
-    ``diff = u_obs[idx] - u_eval[sl, None]`` and ``k = K_h(diff)``; entries a
-    row holds beyond its evaluation point's support carry k == 0 and
-    |diff| > h.
-    """
-    order = np.argsort(u_obs, kind="stable")
-    u_sorted = u_obs[order]
-    n = u_sorted.size
-    # the kernel vanishes beyond |diff| = h; widen the search so rounding in
-    # the |diff| <= h and |diff/h| <= 1 tests can never accept an
-    # observation the window left out
-    pad = 1e-9 * (h + np.abs(u_eval))
-    lo = np.searchsorted(u_sorted, u_eval - h - pad, side="left")
-    hi = np.searchsorted(u_sorted, u_eval + h + pad, side="right")
-    for first in range(0, u_eval.size, 256):
-        sl = slice(first, min(first + 256, u_eval.size))
-        width = int((hi[sl] - lo[sl]).max())
-        # shift windows that would run past the end back inside, so every
-        # index in a row stays distinct
-        start = np.minimum(lo[sl], n - width)
-        idx = order[start[:, None] + np.arange(width)]
-        diff = u_obs[idx] - u_eval[sl, None]
-        yield sl, idx, diff, kernel_values(diff / h) / h
-
-
-@dataclass(frozen=True)
-class _LocalGrams:
-    """Response-free local sums of every component at the grid points.
-
-    Rows are components, columns the points ``u_eval``.  ``a01``/``a11``
-    are entries of the local Gram matrix of the design column c1 and its
-    interaction c1 * (u_t - u0), ``det`` its determinant, ``ok`` marks a
-    well-posed local system and ``reliable`` a point whose estimate the fit
-    may use.  ``varu`` is the sandwich variance per unit noise variance
-    (NaN where not ``ok``) and ``mult2[c, oc]`` the squared band multiplier
-    of component oc's pre-estimate variance in component c's level.
-    """
-
-    u_eval: np.ndarray
-    a01: np.ndarray
-    a11: np.ndarray
-    det: np.ndarray
-    ok: np.ndarray
-    reliable: np.ndarray
-    varu: np.ndarray
-    mult2: np.ndarray
-
-
-def _local_grams(
-    u_obs: np.ndarray,
-    cols: tuple[np.ndarray, ...],
-    u_eval: np.ndarray,
-    h: float,
-) -> _LocalGrams:
-    """One :func:`_kernel_windows` sweep of the grid's Gram, sandwich and
-    multiplier sums.
-
-    A point is reliable when its local system is well posed and at least
-    ``MIN_LOCAL_OBS`` observations lie within one bandwidth, counting each
-    both as one and in proportion to c1^2 relative to the sample mean
-    square.  Observations outside a window have zero kernel weight and lie
-    outside the bandwidth, so they add nothing to any sum or count, and the
-    results equal the sums over all observations up to summation order.
-    """
-    m, n = len(cols), u_eval.size
-    a01, a11, det = (np.zeros((m, n)) for _ in range(3))
-    ok, reliable = np.zeros((m, n), dtype=bool), np.zeros((m, n), dtype=bool)
-    varu = np.full((m, n), np.nan)
-    mult2 = np.zeros((m, m, n))
-    info_wts = [c1**2 / max(float(np.mean(c1**2)), 1e-300) for c1 in cols]
-    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
-        in_bw = np.abs(diff) <= h
-        n_raw = np.count_nonzero(in_bw, axis=1)
-        k2 = k * k
-        for c, c1 in enumerate(cols):
-            c1w = c1[idx]
-            c2 = c1w * diff
-            g00 = (k * c1w**2).sum(axis=1)
-            g01 = (k * c1w * c2).sum(axis=1)
-            g11 = (k * c2 * c2).sum(axis=1)
-            g_det = g00 * g11 - g01 * g01
-            scale = np.abs(g00 * g11) + g01 * g01
-            good = g_det > 1e-12 * np.maximum(scale, 1e-300)
-            a01[c, sl], a11[c, sl], det[c, sl], ok[c, sl] = g01, g11, g_det, good
-            n_info = (in_bw * info_wts[c][idx]).sum(axis=1)
-            reliable[c, sl] = good & (n_raw >= MIN_LOCAL_OBS) & (n_info >= MIN_LOCAL_OBS)
-            # sandwich: first diagonal entry of A^-1 B A^-1
-            s00 = (k2 * c1w**2).sum(axis=1)
-            s01 = (k2 * c1w * c2).sum(axis=1)
-            s11 = (k2 * c2 * c2).sum(axis=1)
-            varu[c, sl][good] = (
-                g11[good] ** 2 * s00[good]
-                - 2.0 * g11[good] * g01[good] * s01[good]
-                + g01[good] ** 2 * s11[good]
-            ) / g_det[good] ** 2
-            # a pre-estimate error e(u) in component oc rides into the
-            # pseudo-responses on its design column; with e nearly constant
-            # in a kernel window, the local level shifts by e(u) times the
-            # multiplier, so the bands stay honest about both stages
-            for oc, other in enumerate(cols):
-                if oc != c:
-                    mult = np.divide(
-                        (k * c1w * other[idx]).sum(axis=1), g00,
-                        out=np.full(g00.size, np.nan), where=g00 > 0.0,
-                    )
-                    mult2[c, oc, sl] = np.where(np.isfinite(mult), mult, 0.0) ** 2
-    return _LocalGrams(u_eval, a01, a11, det, ok, reliable, varu, mult2)
-
-
-def _local_levels(
-    u_obs: np.ndarray,
-    cols: tuple[np.ndarray, ...],
-    ws: tuple[np.ndarray, ...],
-    grams: _LocalGrams,
-    h: float,
-) -> np.ndarray:
-    """Local level estimates of ws[c] ~ cols[c] at the grid ``grams.u_eval``.
-
-    One :func:`_kernel_windows` sweep forms the two response sums b0 and
-    b1 of every component; with the Gram sums they give the level where
-    the local system is well posed, and NaN elsewhere.
-    """
-    est = np.full(grams.a01.shape, np.nan)
-    for sl, idx, diff, k in _kernel_windows(u_obs, grams.u_eval, h):
-        for c, (c1, w) in enumerate(zip(cols, ws)):
-            c1w, ww = c1[idx], w[idx]
-            c2 = c1w * diff
-            b0 = (k * c1w * ww).sum(axis=1)
-            b1 = (k * c2 * ww).sum(axis=1)
-            ok = grams.ok[c, sl]
-            est[c, sl][ok] = (
-                grams.a11[c, sl][ok] * b0[ok] - grams.a01[c, sl][ok] * b1[ok]
-            ) / grams.det[c, sl][ok]
-    return est
-
-
 @dataclass(frozen=True)
 class _KernelDesign:
     """Everything of the in-sample kernel stage that no response changes.
 
     ``u`` holds the functional variable per fit row and ``cols`` one design
     column per component (in ``components`` order).  ``obs`` is the
-    running-moments smoother at the observed u
+    running-moments smoother evaluated at the observed u
     (:func:`core._moment_smoother`): the sorted rows cut into bins, each
     component's Gram sums folded into the weights of a response's moments,
-    and the well-posed flags.
-    ``reliable`` marks the observed u whose local system is well posed with
-    at least ``MIN_LOCAL_OBS`` observations within one bandwidth, and
-    ``traces`` holds each component's smoother trace.  The grid's sums
-    belong to the curves, which :func:`sbk_estimate` builds.
+    and the well-posed flags.  ``reliable`` marks the observed u whose
+    local system is well posed with at least ``MIN_LOCAL_OBS``
+    observations within one bandwidth, and ``traces`` holds each
+    component's smoother trace.  The curves evaluate the same smoother on
+    their grid in :func:`sbk_estimate`.
     """
 
     u: np.ndarray
@@ -649,9 +527,9 @@ def _kernel_design(
 ) -> _KernelDesign:
     """The observed-u smoother, its flags and the smoother traces.  The
     bandwidth ``h`` is on the data scale of u."""
-    obs = _moment_smoother(u, np.array(cols), h)
+    obs = _moment_smoother(u, np.array(cols), h, u)
     reliable = obs.ok & (obs.n_raw >= MIN_LOCAL_OBS)
-    traces = tuple(float(t) for t in np.nansum(obs.diag, axis=1))
+    traces = tuple(float(t) for t in np.nansum(obs.diag(), axis=1))
     return _KernelDesign(u, cols, components, h, obs, reliable, traces)
 
 
@@ -672,24 +550,28 @@ def sbk_estimate(
     estimate is the local level coefficient.
 
     The in-sample levels and the design's smoother traces give the
-    residual-based noise variance.  One :func:`_local_grams` sweep over the
-    grid then forms its Gram, sandwich and multiplier sums, and one
-    :func:`_local_levels` sweep its levels: the curves and their
-    approximate 95% bands, the local-linear sandwich variance times that
-    noise variance plus the variance the other components' pre-estimates
-    carry into the pseudo-responses.  ``prefit_variance[oc]`` (grid-aligned,
-    data scale) is component oc's pre-estimate variance, and it enters
-    component c's level scaled by the squared local multiplier, the kernel
-    sum of c1 * cols[oc] over that of c1^2.
+    residual-based noise variance.  One evaluation of the running-moments
+    smoother on the grid (:func:`core._moment_smoother`, the one the
+    design evaluates at the observed u) then gives the levels, the flags,
+    the local-linear sandwich variances and the band multipliers: the
+    curves and their approximate 95% bands, the sandwich variance times
+    that noise variance plus the variance the other components'
+    pre-estimates carry into the pseudo-responses.
+    ``prefit_variance[oc]`` (grid-aligned, data scale) is component oc's
+    pre-estimate variance, and it enters component c's level scaled by the
+    squared local multiplier, the kernel sum of c1 * cols[oc] over that of
+    c1^2.
 
-    On the grid a point is reliable only when enough observations count
-    with weight c1^2 (see :func:`_local_grams`), so rows whose design value
-    carries no information about the coefficient do not prop up
-    reliability: near u where c1 itself vanishes (the lag-d component,
-    whose design value equals u) the coefficient is unidentified no matter
-    how many raw observations sit in the window.  The product estimate*c1
-    stays well behaved there, which is all the in-sample estimates need, so
-    the observed-u flag counts raw observations only.
+    A grid point is reliable when its local system is well posed and at
+    least ``MIN_LOCAL_OBS`` observations lie within one bandwidth,
+    counting each both as one and in proportion to c1^2 relative to the
+    sample mean square.  So rows whose design value carries no
+    information about the coefficient do not prop up reliability: near u
+    where c1 itself vanishes (the lag-d component, whose design value
+    equals u) the coefficient is unidentified no matter how many raw
+    observations sit in the window.  The product estimate*c1 stays well
+    behaved there, which is all the in-sample estimates need, so the
+    observed-u flag counts raw observations only.
     """
     u, cols = design.u, design.cols
     sigma2s = []
@@ -701,15 +583,24 @@ def sbk_estimate(
         dof = max(float(np.count_nonzero(ok)) - design.traces[c], 1.0)
         sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
 
-    grid = _local_grams(u, cols, u_grid, design.h)
-    est = _local_levels(u, cols, pseudos, grid, design.h)
+    c1s = np.array(cols)
+    grid = _moment_smoother(u, c1s, design.h, u_grid)
+    est = grid.levels(np.array(pseudos)[:, None, :])[:, 0]
+    info = c1s * c1s / np.maximum(np.mean(c1s * c1s, axis=1, keepdims=True), 1e-300)
+    reliable = grid.ok & (grid.n_raw >= MIN_LOCAL_OBS) & (grid.window_sums(info) >= MIN_LOCAL_OBS)
+    varu = grid.sandwich()
+    # a pre-estimate error e(u) in component oc rides into the
+    # pseudo-responses on its design column; with e nearly constant in a
+    # kernel window, component c's level shifts by e(u) times the transfer
+    # multiplier, so the bands stay honest about both stages
+    mult2 = grid.transfer() ** 2
     curves = []
     for c, j in enumerate(design.components):
         vprop = np.zeros(u_grid.size)
         for oc, var in enumerate(prefit_variance):
             if oc != c:
-                vprop += var * grid.mult2[c, oc]
-        half = 1.959963984540054 * np.sqrt(sigma2s[c] * grid.varu[c] + vprop)
+                vprop += var * mult2[c, oc]
+        half = 1.959963984540054 * np.sqrt(sigma2s[c] * varu[c] + vprop)
         curves.append(
             SbkCurve(
                 target_j=j,
@@ -717,7 +608,7 @@ def sbk_estimate(
                 estimate=est[c],
                 lower=est[c] - half,
                 upper=est[c] + half,
-                reliable=grid.reliable[c],
+                reliable=reliable[c],
                 sigma2=sigma2s[c],
                 smoother_trace=design.traces[c],
                 obs_estimate=obs_estimate[c],
@@ -872,8 +763,7 @@ def _fit_in_sample(design: _FitDesign, response: np.ndarray) -> _InSampleFit:
 
     The spline pre-fit, the pseudo-responses and their local levels at the
     observed u, read off the design's running-moments smoother in O(T)
-    (:meth:`_KernelDesign.levels`); no window sweep runs and no grid is
-    built.
+    (:meth:`_KernelDesign.levels`); no grid is built.
     """
     rows, kernel = design.rows, design.kernel
     y = np.asarray(response, dtype=float)[rows.t]

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import kernel_values
 from skylattice.core import (
     SensorLayout,
     SpatioTemporalField,
     detrend,
     grid_layout,
     ingest_field,
-    kernel_values,
     read_layout_csv,
     read_measurements_csv,
     time_average,

@@ -3,11 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skylattice import fcar
-from skylattice.core import _moment_smoother, grid_layout, kernel_values
+from kernel_oracle import _kernel_windows, kernel_values
+from skylattice.core import _moment_smoother, grid_layout
 from skylattice.fcar import (
     FcarOptions,
     FcarSpec,
@@ -276,6 +277,30 @@ def spline_rows(x, spec, basis, response=None):
     return rows, fcar._spline_lstsq(B, blocks, rows.cols, y)
 
 
+class TestAbsPercentile:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @example([0.0])
+    @example([-0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([3.0] * 40)
+    @example([-2.0, 2.0] * 11)
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_numpy_percentile(self, values):
+        # one value, ties, zeros of both signs and any magnitude
+        v = np.array(values)
+        got = np.float64(fcar._abs_p95(v))
+        assert got.tobytes() == np.float64(np.percentile(np.abs(v), 95)).tobytes()
+
+
 class TestFitRows:
     def test_rows_hold_the_regression(self):
         x = ar2_series(60, seed=3)
@@ -347,58 +372,50 @@ class TestFitRows:
         assert all(rows <= bound for rows, bound in svd_rows), svd_rows
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_two_kernel_sweeps_per_fit(self, monkeypatch, p):
-        # each sweep serves every component, however many there are.  The
-        # observed u take no window sweep: the design builds their
-        # running-moments smoother and an in-sample solve reads its levels
-        # off it.  A full solve adds the grid's Gram sweep and level sweep
+    def test_one_smoother_evaluation_per_design_and_per_solve(self, monkeypatch, p):
+        # each running-moments evaluation serves every component, however
+        # many there are: the design evaluates the smoother at the observed
+        # u, an in-sample solve reads its levels off the design, and a full
+        # solve adds one evaluation on the curve grid
         calls = []
-        original = fcar._kernel_windows
+        original = fcar._moment_smoother
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(u, cols, h, points):
+            calls.append("obs" if points is u else points.size)
+            return original(u, cols, h, points)
 
-        monkeypatch.setattr(fcar, "_kernel_windows", counting)
+        monkeypatch.setattr(fcar, "_moment_smoother", counting)
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         spec = FcarSpec.delay_absorbed(p, 1)
         design = fcar._fit_design(x, spec, None, None)
         fcar._fit_in_sample(design, np.sin(x))
-        assert calls == []
+        assert calls == ["obs"]
         fits = [fcar._solve_fit(design, r) for r in (x, np.sin(x))]
         assert all(len(fit.curves) == p for fit in fits)
-        assert [u_eval.size for _, u_eval, _ in calls] == [fcar.GRID_SIZE] * 4
+        assert calls == ["obs"] + [fcar.GRID_SIZE] * 2
 
-    def test_grid_sweeps_only_in_fits_that_return_curves(self, monkeypatch):
+    def test_grid_evaluations_only_in_fits_that_return_curves(self, monkeypatch):
         # leave-one-out cross-validation reads only transfer coefficients,
-        # so its backfits build no grid, and the observed u take no window
-        # sweep; a lattice fit refines the curves of each sensor's final
-        # stage once: one Gram and one level sweep
-        sweeps = []
-        grams, levels = fcar._local_grams, fcar._local_levels
+        # so its backfits evaluate the smoother at the observed u of each
+        # design and never on a grid; a lattice fit builds one design per
+        # sensor and refines the curves of its final stage once
+        calls = []
+        original = fcar._moment_smoother
 
-        def where(u_obs, u_eval):
-            return "obs" if u_eval is u_obs else u_eval.size
+        def counting(u, cols, h, points):
+            calls.append("obs" if points is u else points.size)
+            return original(u, cols, h, points)
 
-        def counting_grams(u_obs, cols, u_eval, h):
-            sweeps.append(("_local_grams", where(u_obs, u_eval)))
-            return grams(u_obs, cols, u_eval, h)
-
-        def counting_levels(u_obs, cols, ws, local, h):
-            sweeps.append(("_local_levels", where(u_obs, local.u_eval)))
-            return levels(u_obs, cols, ws, local, h)
-
-        monkeypatch.setattr(fcar, "_local_grams", counting_grams)
-        monkeypatch.setattr(fcar, "_local_levels", counting_levels)
+        monkeypatch.setattr(fcar, "_moment_smoother", counting)
         layout = grid_layout(4, 4, spacing=90.0)
         field = simulate_field(FieldSimConfig(layout, 80, seed=2))
         spec = FcsarSpec.uniform(build_neighbor_graph(layout, 2), 1, FcarSpec.delay_absorbed(2, 1))
         options = FcarOptions(n_knots=4)
         crossval(field, CrossvalPlan.all_subsets(16, 1), "fcsar", spec, options)
-        assert sweeps == []
+        assert calls and set(calls) == {"obs"}
+        calls.clear()
         fit_fcsar(field, spec, options)
-        assert all(kind == fcar.GRID_SIZE for _, kind in sweeps)
-        assert sorted(name for name, _ in sweeps) == ["_local_grams"] * 16 + ["_local_levels"] * 16
+        assert sorted(calls, key=str) == [fcar.GRID_SIZE] * 16 + ["obs"] * 16
 
 
 class TestPseudoResponses:
@@ -829,14 +846,19 @@ def dense_sbk_estimate(u, cols, pseudos, components, u_grid, h, prefit_variance)
 
 
 def level_sweep(u_obs, cols, ws, u_eval, h):
-    """The grid's Gram sweep and level sweep of ``ws`` at any points, one
-    row per component: the level estimate, the reliability flag and
-    a11/det."""
-    grams = fcar._local_grams(u_obs, cols, u_eval, h)
-    est = fcar._local_levels(u_obs, cols, ws, grams, h)
-    a11inv = np.full(est.shape, np.nan)
-    a11inv[grams.ok] = grams.a11[grams.ok] / grams.det[grams.ok]
-    return est, grams.reliable, a11inv
+    """The running-moments smoother of ``ws`` at any points, one row per
+    component: the level estimate, the grid's reliability flag and a11/det
+    in the units of ``dense_local_linear``.
+
+    The smoother's Gram sums leave out the kernel's 1/h and 3/4 (every ratio
+    cancels them), so their g11/det is 3/(4h) times the dense a11/det."""
+    cols = np.array(cols)
+    smoother = _moment_smoother(u_obs, cols, h, u_eval)
+    est = smoother.levels(np.array(ws)[:, None])[:, 0]
+    info = cols**2 / np.mean(cols**2, axis=1, keepdims=True)
+    many = (smoother.n_raw >= fcar.MIN_LOCAL_OBS) & (smoother.window_sums(info) >= fcar.MIN_LOCAL_OBS)
+    a11inv = (smoother.gram[2] * smoother.inv)[:, smoother.rank] * (h / 0.75)
+    return est, smoother.ok & many, a11inv
 
 
 def band_variance(curve):
@@ -845,9 +867,20 @@ def band_variance(curve):
     return ((curve.upper - curve.estimate) / Z95) ** 2 / curve.sigma2
 
 
-def assert_same_nans_and_close(got, want, rtol=1e-10):
+def dense_counts(u_obs, u_eval, h):
+    """Observations within one bandwidth (|u - u0| <= h) of each point."""
+    return np.count_nonzero(np.abs(u_obs[None, :] - u_eval[:, None]) <= h, axis=1)
+
+
+def assert_same_nans_and_close(got, want, counts, rtol=1e-10):
+    """Equal NaNs everywhere, and values within ``rtol`` at the points whose
+    ``counts`` reach MIN_LOCAL_OBS.  With fewer observations a level can
+    rest on a nearly singular system (two u close together, far from the
+    point), where running moments and direct sums differ by more than
+    rounding; such a point is never reliable, and no caller reads it."""
     npt.assert_array_equal(np.isnan(got), np.isnan(want))
-    npt.assert_allclose(got, want, rtol=rtol, atol=0, equal_nan=True)
+    many = counts >= fcar.MIN_LOCAL_OBS
+    npt.assert_allclose(got[..., many], want[..., many], rtol=rtol, atol=0, equal_nan=True)
 
 
 WINDOW_CASES = ["random70", "random478", "ties", "dyadic", "outside", "ulp"]
@@ -924,23 +957,27 @@ class TestKernelWindows:
 
     @pytest.mark.parametrize("name", WINDOW_CASES)
     @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
-    def test_windows_hold_every_weighted_observation(self, kernel, name):
-        u, _, _, u_eval, h = window_case(name, "other")
-        seen = np.zeros(u_eval.size, dtype=int)
-        widest = 0
-        for sl, idx, diff, k in fcar._kernel_windows(u, u_eval, h):
-            npt.assert_array_equal(diff, u[idx] - u_eval[sl, None])
-            for row, e in zip(idx, u_eval[sl]):
-                assert np.unique(row).size == row.size
-                dense_diff = u - e
-                weighted = kernel_values(dense_diff / h) != 0
-                needed = (np.abs(dense_diff) <= h) | weighted
-                assert set(np.flatnonzero(needed)) <= set(row.tolist())
-            seen[sl] += 1
-            widest = max(widest, idx.shape[1])
-        assert np.all(seen == 1)
+    def test_segments_hold_every_weighted_observation(self, kernel, name):
+        # the smoother cuts each point's window at bins of one bandwidth
+        # into three segments; together they must hold every observation
+        # within one bandwidth or of nonzero kernel weight, and each
+        # segment must lie in the one bin it is summed about
+        u, c1, _, u_eval, h = window_case(name, "other")
+        smoother = _moment_smoother(u, c1[None], h, u_eval)
+        segments, n = smoother.segments, u.size
+        bin_of = np.repeat(np.arange(segments.bin_sizes.size), segments.bin_sizes)
+        cuts = segments.index[:4, smoother.rank]
+        bins = segments.index[4:, smoother.rank] - (n + 1)
+        for i, e in enumerate(u_eval):
+            diff = u - e
+            needed = (np.abs(diff) <= h) | (kernel_values(diff / h) != 0)
+            held = smoother.order[cuts[0, i] : cuts[3, i]]
+            assert set(np.flatnonzero(needed)) <= set(held.tolist())
+            for s in range(3):
+                assert np.all(bin_of[cuts[s, i] : cuts[s + 1, i]] == bins[s, i])
+        npt.assert_array_equal(smoother.n_raw, dense_counts(u, u_eval, h))
         if name == "random70":
-            assert widest == u.size
+            assert np.max(cuts[3] - cuts[0]) == n
 
     @pytest.mark.parametrize("design", ["lag", "other", "intercept"])
     @pytest.mark.parametrize("name", WINDOW_CASES)
@@ -949,9 +986,10 @@ class TestKernelWindows:
         u, c1, w, u_eval, h = window_case(name, design)
         want = dense_local_linear(u, c1, w, u_eval, h)
         est, reliable, a11inv = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
+        counts = dense_counts(u, u_eval, h)
         npt.assert_array_equal(reliable, want[2])
-        assert_same_nans_and_close(est, want[0])
-        assert_same_nans_and_close(a11inv, want[4])
+        assert_same_nans_and_close(est, want[0], counts)
+        assert_same_nans_and_close(a11inv, want[4], counts)
         if name == "outside":
             assert np.isnan(est[:6]).all() and not reliable[:6].any()
         # sbk_estimate at the same points: its grid sweep's estimate,
@@ -959,13 +997,32 @@ class TestKernelWindows:
         # in-sample fit, smoother trace and noise variance at the observed u
         curve = sbk_one(u, c1, w, u_eval, h)
         npt.assert_array_equal(curve.reliable, want[2])
-        assert_same_nans_and_close(curve.estimate, want[0])
-        assert_same_nans_and_close(band_variance(curve), want[1])
+        assert_same_nans_and_close(curve.estimate, want[0], counts)
+        assert_same_nans_and_close(band_variance(curve), want[1], counts)
         (dense,) = dense_sbk_estimate(u, (c1,), (w,), (1,), u_eval, h, (np.zeros(u_eval.size),))
         npt.assert_array_equal(curve.obs_reliable, dense.obs_reliable)
-        assert_same_nans_and_close(curve.obs_estimate, dense.obs_estimate)
+        assert_same_nans_and_close(curve.obs_estimate, dense.obs_estimate, dense_counts(u, u, h))
         assert curve.smoother_trace == pytest.approx(dense.smoother_trace, rel=1e-10)
         assert curve.sigma2 == pytest.approx(dense.sigma2, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_points_a_bandwidth_from_each_observation(self, seed):
+        # the rounded u0 = u -+ h put an observation on or next to the edge
+        # of a window, where its kernel weight is zero up to rounding; below
+        # the smallest u the open window is empty and the closed one holds
+        # only those edge observations, and no such point may pass as well
+        # posed on the rounding of its sums
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([rng.uniform(0.1, 2.0, 60), np.full(3, 0.1)])
+        c1 = rng.standard_normal(u.size)
+        w = c1 * (1.0 + u) + 0.1 * rng.standard_normal(u.size)
+        h = 0.3
+        u_eval = np.concatenate([u - h, u + h])
+        want = dense_local_linear(u, c1, w, u_eval, h)
+        est, reliable, _ = (a[0] for a in level_sweep(u, (c1,), (w,), u_eval, h))
+        npt.assert_array_equal(np.isnan(est), np.isnan(want[0]))
+        npt.assert_array_equal(reliable, want[2])
+        assert np.isnan(est[u_eval < 0.1 - h + 1e-12]).all()
 
     @pytest.mark.parametrize("name", WINDOW_CASES)
     @pytest.mark.parametrize("kernel", KERNEL_SUPPORT)
@@ -994,14 +1051,15 @@ class TestKernelWindows:
         ws = tuple(case[2] for case in cases)
         want = dense_fused_local_linear(u, cols, ws, u_eval, h)
         est, reliable, a11inv = level_sweep(u, cols, ws, u_eval, h)
+        counts = dense_counts(u, u_eval, h)
         npt.assert_array_equal(reliable, want[2])
-        assert_same_nans_and_close(est, want[0])
-        assert_same_nans_and_close(a11inv, want[4])
+        assert_same_nans_and_close(est, want[0], counts)
+        assert_same_nans_and_close(a11inv, want[4], counts)
         m, zeros = len(cols), (np.zeros(u_eval.size),) * len(cols)
         for c, curve in enumerate(sbk(u, cols, ws, tuple(range(m)), u_eval, h, zeros)):
             npt.assert_array_equal(curve.reliable, want[2][c])
-            assert_same_nans_and_close(curve.estimate, want[0][c])
-            assert_same_nans_and_close(band_variance(curve), want[1][c])
+            assert_same_nans_and_close(curve.estimate, want[0][c], counts)
+            assert_same_nans_and_close(band_variance(curve), want[1][c], counts)
         # a zero response and unit pre-estimate variances: each band is
         # 1.96 times the root sum of the squared multipliers of the others
         zero_ws, ones = (np.zeros(u.size),) * m, (np.ones(u_eval.size),) * m
@@ -1280,7 +1338,7 @@ def ref_spline_lstsq(rows, spec, basis):
 
 
 def ref_local_linear(u_obs, cols, ws, u_eval, h):
-    for sl, idx, diff, k in fcar._kernel_windows(u_obs, u_eval, h):
+    for sl, idx, diff, k in _kernel_windows(u_obs, u_eval, h):
         in_bw = np.abs(diff) <= h
         fits = []
         for c1, w in zip(cols, ws):
@@ -1448,12 +1506,15 @@ def assert_close_to_scale(got, want, floor, rtol, name):
     npt.assert_allclose(got[fin], want[fin], rtol=0, atol=rtol * scale, err_msg=name)
 
 
-def assert_fits_close(got, want, rtol=1e-12):
+def assert_fits_close(got, want, grid_counts, rtol=1e-12):
     """Two fits agree to ``rtol`` of scale, with equal NaNs and flags.
 
     An array's scale is its largest magnitude, but at least the response's
     (its square for a variance): a curve fitted to a pseudo-response that
     is zero up to rounding holds rounding only, and no relative digits.
+    The curves are compared at the grid points whose ``grid_counts``
+    (observations within one bandwidth) reach MIN_LOCAL_OBS, like the
+    in-sample levels below.
     """
     y = want.fitted + want.residuals
     y_scale = float(np.abs(y).max())
@@ -1464,8 +1525,12 @@ def assert_fits_close(got, want, rtol=1e-12):
     assert len(got.curves) == len(want.curves)
     for mine, ref in zip(got.curves, want.curves):
         assert mine.target_j == ref.target_j
-        for name in ("u", "estimate", "lower", "upper"):
-            assert_close_to_scale(getattr(mine, name), getattr(ref, name), y_scale, rtol, name)
+        assert_close_to_scale(mine.u, ref.u, y_scale, rtol, "u")
+        many = grid_counts >= fcar.MIN_LOCAL_OBS
+        for name in ("estimate", "lower", "upper"):
+            got_c, want_c = getattr(mine, name), getattr(ref, name)
+            npt.assert_array_equal(np.isnan(got_c), np.isnan(want_c), err_msg=name)
+            assert_close_to_scale(got_c[many], want_c[many], y_scale, rtol, name)
         # the in-sample levels are running-moment sums, the reference's are
         # window sums.  A level backed by fewer than MIN_LOCAL_OBS
         # observations can rest on a nearly singular system (two nearly
@@ -1506,9 +1571,9 @@ def assert_shared_design_matches(x, spec, options, t_start, responses, rtols=Non
     for fit, response, rtol in zip(fits, responses, rtols or [1e-12] * len(responses)):
         fresh = fcar._fit_design(x, spec, options, t_start)
         assert_fits_identical(fit, fcar._solve_fit(fresh, x if response is None else response))
-        assert_fits_close(
-            fit, ref_fit_fcar(x, spec, options, response=response, t_start=t_start), rtol
-        )
+        ref = ref_fit_fcar(x, spec, options, response=response, t_start=t_start)
+        counts = dense_counts(fcar._fit_rows(x, spec, t_start).u, ref.curves[0].u, ref.bandwidth)
+        assert_fits_close(fit, ref, counts, rtol)
     return fits
 
 
@@ -1646,8 +1711,8 @@ def assert_smoother_matches_windows(smoother, u, cols, ws, h):
     many = n_raw >= fcar.MIN_LOCAL_OBS
     npt.assert_array_equal(smoother.ok[:, many], ok[:, many])
     assert_close_where_counted(smoother.levels(np.array(ws)[:, None])[:, 0], est, n_raw)
-    assert_close_where_counted(smoother.diag, diag, n_raw)
-    npt.assert_allclose(np.nansum(smoother.diag, axis=1), np.nansum(diag, axis=1), rtol=1e-10)
+    assert_close_where_counted(smoother.diag(), diag, n_raw)
+    npt.assert_allclose(np.nansum(smoother.diag(), axis=1), np.nansum(diag, axis=1), rtol=1e-10)
 
 
 OBS_SPECS = [FcarSpec(p=p, d=1) for p in (1, 2, 3)] + [
@@ -1668,6 +1733,40 @@ class TestRunningMomentsOracle:
         many = kernel.obs.n_raw >= fcar.MIN_LOCAL_OBS
         npt.assert_array_equal(kernel.reliable, kernel.obs.ok & many)
 
+    @pytest.mark.parametrize("spec", OBS_SPECS, ids=repr)
+    @pytest.mark.parametrize("T", [72, 480, 2880])
+    def test_grid_curves_match_dense_sbk_estimate(self, monkeypatch, T, spec):
+        # the curves of a fit of the series itself against the same curves
+        # from direct kernel sums: flags and NaNs everywhere, values to
+        # 1e-10 of scale where MIN_LOCAL_OBS observations back a point
+        seen = []
+        original = fcar.sbk_estimate
+
+        def recording(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fcar, "sbk_estimate", recording)
+        x = simulate_expar2(Expar2Config(n_times=T, seed=T + spec.p))
+        fit = fit_fcar(x, spec)
+        ((design, pseudos, _, u_grid, prefit_variance),) = seen
+        want = dense_sbk_estimate(
+            design.u, design.cols, pseudos, design.components, u_grid, design.h, prefit_variance
+        )
+        scale = float(np.abs(x).max())
+        grid_many = dense_counts(design.u, u_grid, design.h) >= fcar.MIN_LOCAL_OBS
+        obs_many = dense_counts(design.u, design.u, design.h) >= fcar.MIN_LOCAL_OBS
+        for mine, ref in zip(fit.curves, want):
+            npt.assert_array_equal(mine.reliable, ref.reliable)
+            npt.assert_array_equal(mine.obs_reliable, ref.obs_reliable)
+            for name, many in (("estimate", grid_many), ("lower", grid_many),
+                               ("upper", grid_many), ("obs_estimate", obs_many)):
+                got_c, want_c = getattr(mine, name), getattr(ref, name)
+                npt.assert_array_equal(np.isnan(got_c), np.isnan(want_c), err_msg=name)
+                assert_close_to_scale(got_c[many], want_c[many], scale, 1e-10, name)
+            assert mine.sigma2 == pytest.approx(ref.sigma2, rel=1e-10)
+            assert mine.smoother_trace == pytest.approx(ref.smoother_trace, rel=1e-10)
+
     @pytest.mark.parametrize("name", WINDOW_CASES)
     def test_window_cases_match_window_sweep(self, name):
         # wide windows, ties and dyadic values on bin and window edges, and
@@ -1675,7 +1774,7 @@ class TestRunningMomentsOracle:
         cases = [window_case(name, design) for design in ("intercept", "lag", "other")]
         u, _, _, _, h = cases[0]
         cols = tuple(case[1] for case in cases)
-        smoother = _moment_smoother(u, np.array(cols), h)
+        smoother = _moment_smoother(u, np.array(cols), h, u)
         assert_smoother_matches_windows(smoother, u, cols, tuple(case[2] for case in cases), h)
 
 
@@ -1694,8 +1793,38 @@ def invariance_sample(seed, ties):
 
 
 def smoother_levels(u, cols, ws, h):
-    smoother = _moment_smoother(u, cols, h)
+    smoother = _moment_smoother(u, cols, h, u)
     return smoother, smoother.levels(ws[:, None])[:, 0]
+
+
+def invariance_grid(u, h):
+    """41 points over the observed u, as a fit lays its curve grid."""
+    return np.linspace(u.min(), u.max(), 41)
+
+
+def grid_fit(u, cols, ws, h, grid):
+    """The smoother's flags and levels at ``grid``: ok, the in-bandwidth
+    count, the c1^2-weighted count that ``sbk_estimate`` also requires of
+    a reliable point, and the levels."""
+    smoother = _moment_smoother(u, cols, h, grid)
+    info = smoother.window_sums(cols**2 / np.mean(cols**2, axis=1, keepdims=True))
+    return smoother.ok, smoother.n_raw, info, smoother.levels(ws[:, None])[:, 0]
+
+
+def assert_grid_fits_agree(got, want, where):
+    """Equal flags and counts at the points ``where``, information counts to
+    rounding, and levels within 1e-10 of scale where ``sbk_estimate``
+    would call them reliable.  An unreliable level falls back to the
+    spline; it may rest on a nearly singular system (a window whose c1 is
+    nearly zero), whose level moves with the rounding of any move."""
+    ok, n_raw, info, levels = want
+    npt.assert_array_equal(got[0][:, where], ok[:, where])
+    npt.assert_array_equal(got[1][where], n_raw[where])
+    npt.assert_allclose(got[2][:, where], info[:, where], rtol=1e-12, atol=1e-12)
+    reliable = ok & (n_raw >= fcar.MIN_LOCAL_OBS) & (info >= fcar.MIN_LOCAL_OBS) & where
+    npt.assert_array_equal(np.isnan(got[3][:, where]), np.isnan(levels[:, where]))
+    scale = np.abs(levels[reliable]).max(initial=0.0)
+    npt.assert_allclose(got[3][reliable], levels[reliable], rtol=0, atol=1e-10 * scale)
 
 
 class TestRunningMomentsInvariance:
@@ -1739,6 +1868,44 @@ class TestRunningMomentsInvariance:
         assert same.mean() > 0.9
         npt.assert_array_equal(moved.ok[:, same], base.ok[:, same])
         assert_close_where_counted(moved_est[:, same], est[:, same], base.n_raw[same])
+
+    # the same three moves at evaluation points that are not observations
+
+    @given(data=st.data(), seed=st.integers(0, 10_000), ties=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_observation_order_at_grid_points(self, data, seed, ties):
+        u, cols, ws, h = invariance_sample(seed, ties)
+        grid = invariance_grid(u, h)
+        perm = np.array(data.draw(st.permutations(range(u.size))))
+        base = grid_fit(u, cols, ws, h, grid)
+        moved = grid_fit(u[perm], cols[:, perm], ws[:, perm], h, grid)
+        assert_grid_fits_agree(moved, base, np.ones(grid.size, dtype=bool))
+
+    @given(seed=st.integers(0, 10_000), ties=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_shift_of_u_and_grid(self, seed, ties):
+        u, cols, ws, h = invariance_sample(seed, ties)
+        grid = invariance_grid(u, h)
+        base = grid_fit(u, cols, ws, h, grid)
+        moved = grid_fit(u + 12345.678, cols, ws, h, grid + 12345.678)
+        same = moved[1] == base[1]
+        assert same.mean() > 0.9
+        assert_grid_fits_agree(moved, base, same)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        ties=st.booleans(),
+        factor=st.sampled_from([1e-3, 0.37, 3.0, 1e4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_common_scale_of_u_grid_and_h(self, seed, ties, factor):
+        u, cols, ws, h = invariance_sample(seed, ties)
+        grid = invariance_grid(u, h)
+        base = grid_fit(u, cols, ws, h, grid)
+        moved = grid_fit(u * factor, cols, ws, h * factor, grid * factor)
+        same = moved[1] == base[1]
+        assert same.mean() > 0.9
+        assert_grid_fits_agree(moved, base, same)
 
 
 # ------------------------------------------------ interval compression oracle
