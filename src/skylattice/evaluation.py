@@ -18,8 +18,8 @@ other's, bit for bit.  Each distinct backfit therefore runs once per call,
 on a temporal-stage design built once per sensor and call, and the
 results equal a from-scratch refit of every subset.  Prediction reads only
 the coefficients, so the final temporal stage of a full fit is never run,
-and a backfit's temporal stage stops at its in-sample fitted values: no
-coefficient curve, grid or band is built.
+and a backfit's temporal stage reads only its fitted values; curves are
+built when read, so no coefficient curve, grid or band is built.
 """
 
 from __future__ import annotations

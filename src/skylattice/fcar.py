@@ -17,33 +17,32 @@ approximate 95% pointwise bands combining the local-linear sandwich
 variance with the sampling variance the pre-estimates carry into the
 pseudo-responses.
 
-A fit is a design, then a solve, split by what its callers read.  The
-design (``_fit_design``) holds everything the response cannot change: the
-regression rows (``_fit_rows``: the row times, u_t and one design column
-per component, X_{t-j} or ones for m_0), the basis at the rows
-(``_TentRows``: each row's knot interval and its fraction of it), each
-spline block factored through its knot intervals (``_SplineBlock``: per
-interval a two-column QR, then the SVD of the stacked 2 x 2 triangles,
-O(T) work and no T-row factor), the bandwidth, and the kernel stage at the
-observed u (``_KernelDesign``): the running-moments smoother
-(``core._moment_smoother``) evaluated at the observed u, which sorts the
-rows by u, cuts each window at bins of one bandwidth and folds the local
-Gram sums of every component into the weights of a response's moments,
-with the reliability flags and the smoother traces, in O(T log T).  The
-in-sample solve (``_fit_in_sample``) fits one response on a design: the
-spline coefficients with their per-response cutoff escalation, the
+A fit is a design, then a solve.  The design (``_fit_design``) holds
+everything the response cannot change: the regression rows
+(``_fit_rows``: the row times, u_t and one design column per component,
+X_{t-j} or ones for m_0), the basis at the rows (``_TentRows``: each row's
+knot interval and its fraction of it), each spline block factored through
+its knot intervals (``_SplineBlock``: per interval a two-column QR, then
+the SVD of the stacked 2 x 2 triangles, O(T) work and no T-row factor),
+the bandwidth, and the running-moments smoother (``core._moment_smoother``)
+evaluated at the observed u, which sorts the rows by u, cuts each window at
+bins of one bandwidth and folds the local Gram sums of every component into
+the weights of a response's moments, with the reliability flags and the
+smoother traces, in O(T log T).  The solve (``_solve_fit``) fits one
+response on a design: the spline coefficients with their per-response
+cutoff escalation and the band of each pre-estimate's covariance, the
 pseudo-responses, their local levels at the observed u from one pass of
-prefix sums (O(T)), and the fitted values; it is all the lattice model's
-backfit reads.  The full solve (``_solve_fit``) adds the curves
-(``sbk_estimate``): the noise variance, then the same smoother evaluated
-on the grid for its levels, flags, sandwich variances and band
-multipliers.  So a rule about which rows a fit uses lives in one place, a
-series fitted against several responses (the lattice model's backfit and
-final stage, cross-validation's neighbor sets) builds its design once, a
-grid is built only by fits that return curves, and every kernel sum of the
-package comes from one smoother.  A design holds O(T) values (the interval
-factors and the smoother's segment bounds and weights) plus the small SVD
-of each block's stacked triangles.
+prefix sums (O(T)), and the fitted values.  The fit keeps those O(T + N)
+values and no part of the design, and its curves are built when read
+(``FcarFit.curves``, ``sbk_estimate``): the noise variance, then the same
+smoother evaluated on the grid for its levels, flags, sandwich variances
+and band multipliers.  So a rule about which rows a fit uses lives in one
+place, a series fitted against several responses (the lattice model's
+backfit and final stage, cross-validation's neighbor sets) builds its
+design once, a grid is built only for a fit whose curves are read, and
+every kernel sum of the package comes from one smoother.  A design holds
+O(T) values (the interval factors and the smoother's segment bounds and
+weights) plus the small SVD of each block's stacked triangles.
 
 An intercept curve m_0 next to the lag-d term would be only weakly
 separated from it (m_0(u) and m_d(u)*u are both functions of u alone), so
@@ -55,6 +54,7 @@ lag-d contribution is a pure function of u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -161,6 +161,24 @@ class _TentRows:
     def __matmul__(self, coef: np.ndarray) -> np.ndarray:
         return (1.0 - self.f) * coef[self.k] + self.f * coef[self.k + 1]
 
+    def quadratic(self, band: np.ndarray) -> np.ndarray:
+        """b(u)' G b(u) at every point, b(u) the point's row and G symmetric
+        with diagonal ``band[0]`` and superdiagonal ``band[1, :-1]``: a row
+        has two adjacent nonzeros, so no other entry of G enters."""
+        k, f = self.k, self.f
+        g = 1.0 - f
+        return g * g * band[0, k] + 2.0 * f * g * band[1, k] + f * f * band[0, k + 1]
+
+
+def _kept(x, dtype=float) -> np.ndarray:
+    """``x`` itself when it is a read-only C-ordered array of ``dtype`` that
+    owns its values, as a design's rows and a solve's results are, else a
+    frozen copy (``core._frozen_array``)."""
+    if isinstance(x, np.ndarray) and not x.flags.writeable:
+        if x.flags.owndata and x.flags.c_contiguous and x.dtype == dtype:
+            return x
+    return _frozen_array(x, dtype)
+
 
 def _tent_rows(basis: SplineBasis, u) -> _TentRows:
     u_arr = np.asarray(u, dtype=float)
@@ -207,13 +225,15 @@ class _FitRows:
     """The regression rows of one fit: ``t`` the row times, ``u`` the
     functional variable X_{t-d} (data scale) and ``umap`` its map to [0, 1],
     and ``cols`` one design column per ``spec.components`` entry (X_{t-j},
-    or ones for the intercept curve).  The response is not part of them.
+    or ones for the intercept curve), one row each.  ``u`` and ``cols`` are
+    read-only, so every fit on the rows keeps them uncopied.  The response
+    is not part of them.
     """
 
     t: np.ndarray
     u: np.ndarray
     umap: UTransform
-    cols: tuple[np.ndarray, ...]
+    cols: np.ndarray
 
 
 def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int]) -> _FitRows:
@@ -227,11 +247,11 @@ def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int]) -> _FitRows
     if T - start < 2:
         raise ValueError("series too short for this specification")
     t = np.arange(start, T)
-    u = x[t - spec.d]
+    u = _frozen_array(x[t - spec.d])
     lo, hi = float(u.min()), float(u.max())
     if not hi > lo:
         raise ValueError("functional variable is constant; cannot rescale to [0,1]")
-    cols = tuple(np.ones(t.size) if j == 0 else x[t - j] for j in spec.components)
+    cols = _frozen_array([np.ones(t.size) if j == 0 else x[t - j] for j in spec.components])
     return _FitRows(t, u, UTransform(lo, hi), cols)
 
 
@@ -260,10 +280,10 @@ class _SplineBlock:
     def qt(self, y: np.ndarray) -> np.ndarray:
         """Q~' y: per interval, the sums of q0 * y and q1 * y, interleaved."""
         m = self.U.shape[0] // 2
-        return np.column_stack((
-            np.bincount(self.k, self.q0 * y, minlength=m),
-            np.bincount(self.k, self.q1 * y, minlength=m),
-        )).ravel()
+        out = np.empty(2 * m)
+        out[0::2] = np.bincount(self.k, self.q0 * y, minlength=m)
+        out[1::2] = np.bincount(self.k, self.q1 * y, minlength=m)
+        return out
 
 
 @dataclass(frozen=True)
@@ -271,16 +291,16 @@ class _SplinePrefit:
     """Marginal spline pre-fits: coefficients plus variance bookkeeping.
 
     ``coeffs`` is (N+2) x n_components; per component, ``parts`` holds the
-    term m~_j(u_t) X_{t-j} at each fit row and ``sigma2s``/``gram_invs`` the
-    marginal fit's residual variance and truncated inverse Gram matrix, which
-    give the pre-estimate's pointwise sampling variance that the kernel
-    stage folds into its bands.
+    term m~_j(u_t) X_{t-j} at each fit row and ``sigma2s``/``bands`` the
+    marginal fit's residual variance and the band of its truncated inverse
+    Gram matrix (see :func:`_block_solve`), which give the pre-estimate's
+    pointwise sampling variance that the kernel stage folds into its bands.
     """
 
     coeffs: np.ndarray
     parts: tuple[np.ndarray, ...]
     sigma2s: tuple[float, ...]
-    gram_invs: tuple[np.ndarray, ...]
+    bands: tuple[np.ndarray, ...]
     deficient: bool
 
 
@@ -325,6 +345,19 @@ def _spline_block(
     if sing[0] <= 0.0:
         raise ValueError("degenerate spline design (all-zero block)")
     return _SplineBlock(k, q0, q1, U, sing, Vt, r_scale)
+
+
+def _gram_band(sing: np.ndarray, Vt: np.ndarray) -> np.ndarray:
+    """The band of the inverse Gram matrix G = V S^-2 V' of the kept
+    singular values ``sing`` and right singular vectors ``Vt``:
+    ``band[0]`` is G's diagonal and ``band[1, :-1]`` its superdiagonal,
+    all that b(u)' G b(u) reads of it (:meth:`_TentRows.quadratic`), in
+    O(rank N) and without forming G."""
+    w = Vt / sing[:, None]
+    band = np.zeros((2, Vt.shape[1]))
+    np.add.reduce(w * w, axis=0, out=band[0])
+    np.add.reduce(w[:, :-1] * w[:, 1:], axis=0, out=band[1, :-1])
+    return band
 
 
 def _abs_p95(v: np.ndarray) -> float:
@@ -373,7 +406,8 @@ def _block_solve(block: _SplineBlock, y: np.ndarray, cap: float):
     stays within a few multiples of the response/regressor scale; grossly
     larger ones mean nearly-dependent columns from knot intervals holding
     too few points, and the cutoff rises until those directions are gone.
-    Returns the coefficients, the truncated inverse Gram matrix, the rank
+    Returns the coefficients, the band of the inverse Gram matrix
+    truncated where the solution was kept (:func:`_gram_band`), the rank
     kept and the cutoff it was kept at; D's left factor is applied as
     U' (Q~' y), so no T-row factor is formed.
     """
@@ -386,34 +420,35 @@ def _block_solve(block: _SplineBlock, y: np.ndarray, cap: float):
         if not np.any(np.abs(coef) > cap) or cond >= _SPLINE_COND_MAX:
             break
         cond *= _SPLINE_COND_STEP
-    gram_inv = (Vt[keep].T / sing[keep] ** 2) @ Vt[keep]
-    return coef, gram_inv, int(np.count_nonzero(keep)), cond
+    # sing descends, so the kept directions are its first rank
+    rank = int(np.count_nonzero(keep))
+    return coef, _gram_band(sing[:rank], Vt[:rank]), rank, cond
 
 
 def _spline_lstsq(
     B: _TentRows,
     blocks: tuple[_SplineBlock, ...],
-    cols: tuple[np.ndarray, ...],
+    cols: np.ndarray,
     y: np.ndarray,
 ) -> _SplinePrefit:
     """Marginal spline pre-fits of the response rows ``y`` on factored blocks."""
     y_scale = max(_abs_p95(y), 1e-12)
-    coefs, parts, sigma2s, gram_invs = [], [], [], []
+    coefs, parts, sigma2s, bands = [], [], [], []
     deficient = False
     for block, reg in zip(blocks, cols):
-        coef, gram_inv, rank, _ = _block_solve(block, y, 1e3 * y_scale / block.r_scale)
+        coef, band, rank, _ = _block_solve(block, y, 1e3 * y_scale / block.r_scale)
         deficient |= rank < block.sing.size
         part = (B @ coef) * reg
         resid = y - part
         coefs.append(coef)
         parts.append(part)
         sigma2s.append(float(resid @ resid / max(y.size - rank, 1)))
-        gram_invs.append(gram_inv)
+        bands.append(band)
     return _SplinePrefit(
         coeffs=np.column_stack(coefs),
         parts=tuple(parts),
         sigma2s=tuple(sigma2s),
-        gram_invs=tuple(gram_invs),
+        bands=tuple(bands),
         deficient=deficient,
     )
 
@@ -489,67 +524,21 @@ class SbkCurve:
             )
 
 
-@dataclass(frozen=True)
-class _KernelDesign:
-    """Everything of the in-sample kernel stage that no response changes.
-
-    ``u`` holds the functional variable per fit row and ``cols`` one design
-    column per component (in ``components`` order).  ``obs`` is the
-    running-moments smoother evaluated at the observed u
-    (:func:`core._moment_smoother`): the sorted rows cut into bins, each
-    component's Gram sums folded into the weights of a response's moments,
-    and the well-posed flags.  ``reliable`` marks the observed u whose
-    local system is well posed with at least ``MIN_LOCAL_OBS``
-    observations within one bandwidth, and ``traces`` holds each
-    component's smoother trace.  The curves evaluate the same smoother on
-    their grid in :func:`sbk_estimate`.
-    """
-
-    u: np.ndarray
-    cols: tuple[np.ndarray, ...]
-    components: tuple[int, ...]
-    h: float
-    obs: _MomentSmoother
-    reliable: np.ndarray
-    traces: tuple[float, ...]
-
-    def levels(self, pseudos: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Local levels of each component's pseudo-responses at the observed
-        u, one row per component; NaN where the local system is singular."""
-        return self.obs.levels(np.array(pseudos)[:, None, :])[:, 0]
-
-
-def _kernel_design(
-    u: np.ndarray,
-    cols: tuple[np.ndarray, ...],
-    components: tuple[int, ...],
-    h: float,
-) -> _KernelDesign:
-    """The observed-u smoother, its flags and the smoother traces.  The
-    bandwidth ``h`` is on the data scale of u."""
-    obs = _moment_smoother(u, np.array(cols), h, u)
-    reliable = obs.ok & (obs.n_raw >= MIN_LOCAL_OBS)
-    traces = tuple(float(t) for t in np.nansum(obs.diag(), axis=1))
-    return _KernelDesign(u, cols, components, h, obs, reliable, traces)
-
-
 def sbk_estimate(
-    design: _KernelDesign,
-    pseudos: tuple[np.ndarray, ...],
-    obs_estimate: np.ndarray,
-    u_grid: np.ndarray,
-    prefit_variance: tuple[np.ndarray, ...],
+    fit: FcarFit, u_grid: np.ndarray, prefit_variance: tuple[np.ndarray, ...]
 ) -> tuple[SbkCurve, ...]:
-    """Kernel refinement of every coefficient curve on the grid ``u_grid``.
+    """Kernel refinement of every coefficient curve of ``fit`` on the grid
+    ``u_grid``; :attr:`FcarFit.curves` calls it on first read, so curves
+    are built when read.
 
-    ``pseudos`` holds each component's pseudo-responses per fit row, in
-    ``design.components`` order, and ``obs_estimate`` (one row per
-    component) their local levels at the observed u.  At each point u0 a
-    component's pseudo-responses are regressed on its design column c1 and
-    c1's interaction with (u_t - u0), weighted by K_h(u_t - u0); the
-    estimate is the local level coefficient.
+    ``fit.pseudos`` holds each component's pseudo-responses per fit row, in
+    ``fit.spec.components`` order, and ``fit.obs_estimate`` their local
+    levels at the observed u.  At each point u0 a component's
+    pseudo-responses are regressed on its design column c1 and c1's
+    interaction with (u_t - u0), weighted by K_h(u_t - u0); the estimate is
+    the local level coefficient.
 
-    The in-sample levels and the design's smoother traces give the
+    The in-sample levels and the fit's smoother traces give the
     residual-based noise variance.  One evaluation of the running-moments
     smoother on the grid (:func:`core._moment_smoother`, the one the
     design evaluates at the observed u) then gives the levels, the flags,
@@ -573,20 +562,19 @@ def sbk_estimate(
     behaved there, which is all the in-sample estimates need, so the
     observed-u flag counts raw observations only.
     """
-    u, cols = design.u, design.cols
+    u, cols, pseudos, obs_estimate = fit.u, fit.cols, fit.pseudos, fit.obs_estimate
     sigma2s = []
     for c, (c1, pseudo) in enumerate(zip(cols, pseudos)):
         # noise variance from the component's own kernel-stage residuals,
         # degrees of freedom corrected by the smoother trace
         resid = pseudo - obs_estimate[c] * c1
         ok = np.isfinite(resid)
-        dof = max(float(np.count_nonzero(ok)) - design.traces[c], 1.0)
+        dof = max(float(np.count_nonzero(ok)) - fit.traces[c], 1.0)
         sigma2s.append(float(np.nansum(resid[ok] ** 2) / dof))
 
-    c1s = np.array(cols)
-    grid = _moment_smoother(u, c1s, design.h, u_grid)
-    est = grid.levels(np.array(pseudos)[:, None, :])[:, 0]
-    info = c1s * c1s / np.maximum(np.mean(c1s * c1s, axis=1, keepdims=True), 1e-300)
+    grid = _moment_smoother(u, cols, fit.bandwidth, u_grid)
+    est = grid.levels(pseudos[:, None, :])[:, 0]
+    info = cols * cols / np.maximum(np.mean(cols * cols, axis=1, keepdims=True), 1e-300)
     reliable = grid.ok & (grid.n_raw >= MIN_LOCAL_OBS) & (grid.window_sums(info) >= MIN_LOCAL_OBS)
     varu = grid.sandwich()
     # a pre-estimate error e(u) in component oc rides into the
@@ -595,7 +583,7 @@ def sbk_estimate(
     # multiplier, so the bands stay honest about both stages
     mult2 = grid.transfer() ** 2
     curves = []
-    for c, j in enumerate(design.components):
+    for c, j in enumerate(fit.spec.components):
         vprop = np.zeros(u_grid.size)
         for oc, var in enumerate(prefit_variance):
             if oc != c:
@@ -610,9 +598,9 @@ def sbk_estimate(
                 upper=est[c] + half,
                 reliable=reliable[c],
                 sigma2=sigma2s[c],
-                smoother_trace=design.traces[c],
+                smoother_trace=fit.traces[c],
                 obs_estimate=obs_estimate[c],
-                obs_reliable=design.reliable[c],
+                obs_reliable=fit.obs_reliable[c],
             )
         )
     return tuple(curves)
@@ -646,28 +634,56 @@ def rule_of_thumb_bandwidth(u: np.ndarray, T: int) -> float:
 class FcarFit:
     """Fitted functional-coefficient autoregression.
 
-    ``curves`` holds one :class:`SbkCurve` per component in ``spec.components``
-    order; ``spline_coeffs`` the (N+2) x n_components pre-estimate used for
-    fallback evaluation wherever the kernel stage is unreliable.  ``fitted``
-    and ``residuals`` cover rows ``t_start`` .. T-1 of the input series.
-    ``rank_deficient`` is set when a spline block had rank below N+2 and
-    took minimum-norm coefficients.
+    ``spline_coeffs`` holds the (N+2) x n_components pre-estimate used for
+    fallback evaluation wherever the kernel stage is unreliable.
+    ``fitted`` and ``residuals`` cover rows ``t_start`` .. T-1 of the input
+    series.  ``rank_deficient`` is set when a spline block had rank below
+    N+2 and took minimum-norm coefficients.
+
+    The rest is what the curves need, O(T + N) values and no part of the
+    design, one row per component in ``spec.components`` order: ``u`` is
+    the functional variable per fit row (data scale), ``cols`` the design
+    columns, ``pseudos`` the pseudo-responses and ``obs_estimate`` their
+    local levels at the observed u, ``obs_reliable`` the observed-u flags
+    and ``traces`` the smoother traces, and ``prefit_cov`` the diagonal
+    (``[c, 0]``) and superdiagonal (``[c, 1, :-1]``) of each spline
+    pre-estimate's coefficient covariance sigma^2 G.  The curves are built
+    when read (:attr:`curves`).
     """
 
     spec: FcarSpec
     basis: SplineBasis
     u_transform: UTransform
     spline_coeffs: np.ndarray
-    curves: tuple[SbkCurve, ...]
     bandwidth: float
     t_start: int
     fitted: np.ndarray
     residuals: np.ndarray
-    rank_deficient: bool = False
+    rank_deficient: bool
+    u: np.ndarray
+    cols: np.ndarray
+    pseudos: np.ndarray
+    obs_estimate: np.ndarray
+    obs_reliable: np.ndarray
+    traces: tuple[float, ...]
+    prefit_cov: np.ndarray
 
     def __post_init__(self):
-        for name in ("spline_coeffs", "fitted", "residuals"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+        for name in ("spline_coeffs", "fitted", "residuals", "u", "cols", "pseudos",
+                     "obs_estimate", "prefit_cov"):
+            object.__setattr__(self, name, _kept(getattr(self, name)))
+        object.__setattr__(self, "obs_reliable", _kept(self.obs_reliable, dtype=bool))
+
+    @functools.cached_property
+    def curves(self) -> tuple[SbkCurve, ...]:
+        """One :class:`SbkCurve` per component in ``spec.components`` order,
+        on ``GRID_SIZE`` points spanning the observed u, built when first
+        read and kept: each pre-estimate's variance on the grid,
+        b(u)' sigma^2 G b(u) from the band of its covariance, then
+        :func:`sbk_estimate`."""
+        u_grid = np.linspace(self.u.min(), self.u.max(), GRID_SIZE)
+        tent = _tent_rows(self.basis, self.u_transform.to_unit(u_grid))
+        return sbk_estimate(self, u_grid, tuple(tent.quadratic(cov) for cov in self.prefit_cov))
 
     def _curve_for(self, j: int) -> SbkCurve:
         for curve in self.curves:
@@ -697,16 +713,19 @@ class FcarFit:
 
 @dataclass(frozen=True)
 class _FitDesign:
-    """Everything of one fit's in-sample stage that the response cannot change.
+    """Everything of one fit that the response cannot change.
 
     The regression rows, the basis and its values ``B`` at the rows' u (by
-    knot interval), the factored spline block of each component, and the
-    kernel design: the bandwidth, the running-moments smoother at the
-    observed u with its flags, and the smoother traces.
-    :func:`_fit_in_sample` fits one response on it and :func:`_solve_fit`
-    adds the curves, so one design serves every response that shares the
-    series, spec, options and start.  A design holds O(T) values plus each
-    block's 2(N+1) x (N+2) factors.
+    knot interval), the factored spline block of each component, the
+    bandwidth ``h`` (data scale of u), and the running-moments smoother
+    ``obs`` evaluated at the observed u (:func:`core._moment_smoother`):
+    the sorted rows cut into bins, each component's Gram sums folded into
+    the weights of a response's moments, and the well-posed flags, with
+    its ``reliable`` flags and smoother ``traces``
+    (:func:`_observed_smoother`).  :func:`_solve_fit` fits one response
+    on it, so one design serves every response that shares the series,
+    spec, options and start.  A design holds O(T) values plus each block's 2(N+1) x (N+2)
+    factors.
     """
 
     spec: FcarSpec
@@ -714,7 +733,27 @@ class _FitDesign:
     rows: _FitRows
     B: _TentRows
     blocks: tuple[_SplineBlock, ...]
-    kernel: _KernelDesign
+    h: float
+    obs: _MomentSmoother
+    reliable: np.ndarray
+    traces: tuple[float, ...]
+
+    def levels(self, pseudos: np.ndarray) -> np.ndarray:
+        """Local levels of each component's pseudo-responses (one row per
+        component) at the observed u; NaN where the local system is
+        singular."""
+        return self.obs.levels(pseudos[:, None, :])[:, 0]
+
+
+def _observed_smoother(u: np.ndarray, cols: np.ndarray, h: float):
+    """The running-moments smoother at the observed u, its read-only flags
+    (a well-posed local system with at least ``MIN_LOCAL_OBS`` observations
+    within one bandwidth, one row per component) and each component's
+    smoother trace, for design columns ``cols`` and bandwidth ``h``."""
+    obs = _moment_smoother(u, cols, h, u)
+    reliable = _frozen_array(obs.ok & (obs.n_raw >= MIN_LOCAL_OBS), dtype=bool)
+    traces = tuple(float(t) for t in np.nansum(obs.diag(), axis=1))
+    return obs, reliable, traces
 
 
 def _fit_design(
@@ -736,81 +775,55 @@ def _fit_design(
     rows = _fit_rows(x, spec, t_start)
     B, blocks = _spline_design(rows, spec, basis)
     u = rows.u
-    h = opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T)
-    kernel = _kernel_design(u, rows.cols, spec.components, float(h))
-    return _FitDesign(spec, basis, rows, B, blocks, kernel)
+    h = float(opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T))
+    return _FitDesign(spec, basis, rows, B, blocks, h, *_observed_smoother(u, rows.cols, h))
 
 
-@dataclass(frozen=True)
-class _InSampleFit:
-    """One response's fit at the rows of a design.
-
-    ``y`` is the response at the rows, ``prefit`` its marginal spline
-    pre-fits, ``pseudos`` the pseudo-responses, ``obs_estimate`` their local
-    levels at the observed u (one row per component) and ``fitted`` the
-    fitted values.
-    """
-
-    y: np.ndarray
-    prefit: _SplinePrefit
-    pseudos: tuple[np.ndarray, ...]
-    obs_estimate: np.ndarray
-    fitted: np.ndarray
-
-
-def _fit_in_sample(design: _FitDesign, response: np.ndarray) -> _InSampleFit:
-    """Fit the length-T series ``response`` on ``design`` at its rows only.
+def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
+    """Fit the length-T series ``response`` on ``design``, read at its rows.
 
     The spline pre-fit, the pseudo-responses and their local levels at the
     observed u, read off the design's running-moments smoother in O(T)
-    (:meth:`_KernelDesign.levels`); no grid is built.
+    (:meth:`_FitDesign.levels`), and the fitted values.  No grid is built:
+    the curves are built when the fit's ``curves`` are read.
     """
-    rows, kernel = design.rows, design.kernel
+    rows = design.rows
     y = np.asarray(response, dtype=float)[rows.t]
     prefit = _spline_lstsq(design.B, design.blocks, rows.cols, y)
-    pseudos = tuple(pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols)))
-    obs_est = kernel.levels(pseudos)
+    pseudos = np.array([pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols))])
+    obs_est = design.levels(pseudos)
 
     # Rows where any component's local solve is unreliable fall back to the
     # first marginal pre-fit's prediction: each marginal fit predicts the
     # whole response on its own, so summing per-component spline fallbacks
     # would count the response more than once.
-    kernel_sum = np.zeros(rows.t.size)
-    row_ok = np.ones(rows.t.size, dtype=bool)
-    for c1, est, reliable in zip(rows.cols, obs_est, kernel.reliable):
-        kernel_sum += np.where(np.isfinite(est), est, 0.0) * c1
-        row_ok &= reliable & np.isfinite(est)
+    finite = np.isfinite(obs_est)
+    kernel_sum = np.add.reduce(np.where(finite, obs_est, 0.0) * rows.cols, axis=0, initial=0.0)
+    row_ok = np.logical_and.reduce(design.reliable & finite, axis=0)
     fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
-    return _InSampleFit(y, prefit, pseudos, obs_est, fitted)
-
-
-def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
-    """Fit the length-T series ``response`` on ``design``, read at its rows,
-    and refine its curves on the grid."""
-    fit = _fit_in_sample(design, response)
-    rows, prefit = design.rows, fit.prefit
-    u_grid = np.linspace(rows.u.min(), rows.u.max(), GRID_SIZE)
-    grid_B = basis_eval(design.basis, rows.umap.to_unit(u_grid))
-    # each component's spline pre-estimate variance on the grid:
-    # sigma^2 b(u)' G b(u)
-    prefit_variance = tuple(
-        s2 * ((grid_B @ g) * grid_B).sum(axis=1)
-        for s2, g in zip(prefit.sigma2s, prefit.gram_invs)
-    )
-    curves = sbk_estimate(
-        design.kernel, fit.pseudos, fit.obs_estimate, u_grid, prefit_variance
-    )
+    residuals = y - fitted
+    prefit_cov = np.array([s2 * band for s2, band in zip(prefit.sigma2s, prefit.bands)])
+    # nothing else refers to these: made read-only here, the fit keeps them
+    # uncopied (_kept)
+    for a in (prefit.coeffs, fitted, residuals, pseudos, prefit_cov):
+        a.flags.writeable = False
     return FcarFit(
         spec=design.spec,
         basis=design.basis,
         u_transform=rows.umap,
         spline_coeffs=prefit.coeffs,
-        curves=curves,
-        bandwidth=design.kernel.h,
+        bandwidth=design.h,
         t_start=int(rows.t[0]),
-        fitted=fit.fitted,
-        residuals=fit.y - fit.fitted,
+        fitted=fitted,
+        residuals=residuals,
         rank_deficient=prefit.deficient,
+        u=rows.u,
+        cols=rows.cols,
+        pseudos=pseudos,
+        obs_estimate=obs_est,
+        obs_reliable=design.reliable,
+        traces=design.traces,
+        prefit_cov=prefit_cov,
     )
 
 
@@ -827,11 +840,11 @@ def fit_fcar(
     ``t_start`` (never before ``spec.max_lag``).
 
     Returns a :class:`FcarFit` whose ``fitted + residuals`` reproduce the
-    series rows exactly.
+    series rows exactly; its curves are built when read.
     """
     return _solve_fit(_fit_design(x, spec, options, t_start), x)
 
 
 def effective_params(fit: FcarFit) -> float:
     """Sum over coefficient curves of the local-linear smoother trace."""
-    return float(sum(curve.smoother_trace for curve in fit.curves))
+    return float(sum(fit.traces))

@@ -11,13 +11,14 @@ start is fixed for a call and a sensor's backfit depends only on its
 series and its ordered neighbors' series: cross-validation shares one
 backfit per (sensor id, ordered neighbor ids) across its training
 subsets.  A sensor's fcar design (its spline factors and observed-u
-kernel sums) depends on its own series alone, so each temporal stage is a
-solve on it: the backfit reads only the fitted values of an in-sample
-solve, and only the final stage of ``fit_fcsar`` refines curves on a
-grid.  ``fit_fcsar`` builds one design per sensor, solves it for the
-backfit and the final stage, and drops it before the next sensor, so one
-design is alive at a time; cross-validation keeps one design per sensor id
-for the length of a call and builds no grid.  The module also provides
+kernel sums) depends on its own series alone, so each temporal stage is
+one solve on it (``fcar._solve_fit``): the backfit reads only its fitted
+values, and the final stage of ``fit_fcsar`` keeps its fit, whose curves
+are built when read.  ``fit_fcsar`` builds one design per sensor, solves
+it for the backfit and the final stage, and drops it before the next
+sensor, so one design is alive at a time; cross-validation keeps one
+design per sensor id for the length of a call.  No lattice fit builds a
+curve grid unless a caller reads a fit's curves.  The module also provides
 the two factored pipelines (spatial fit first or temporal fit first) and a
 diagnostic that compares all four models' in-sample RMSE on a common
 support.
@@ -38,7 +39,6 @@ from .fcar import (
     FcarSpec,
     _FitDesign,
     _fit_design,
-    _fit_in_sample,
     _solve_fit,
     effective_params,
     fit_fcar,
@@ -245,7 +245,7 @@ def _backfit_sensor(
     Each cycle fits the coefficients by least squares of the series net of
     the temporal fit (zero at first) on the lagged neighbor values; every
     cycle but the last then refits the temporal stage on the series net of
-    the spatial component (zero before index b): an in-sample solve on
+    the spatial component (zero before index b): a solve on
     ``fcar_design``, the sensor's design from ``spec.support_start``, whose
     fitted values are all the next cycle reads.  Only rows ``s`` and
     ``neighbors`` of ``z`` are read, so the result is a function of those
@@ -268,7 +268,7 @@ def _backfit_sensor(
         beta = coef.reshape(len(neighbors), b)
         spatial[b:] = _transfer_sum(z, neighbors, beta, b)
         if cycle + 1 < _BACKFIT_CYCLES:
-            temporal = _fit_in_sample(fcar_design, z[s] - spatial).fitted
+            temporal = _solve_fit(fcar_design, z[s] - spatial).fitted
     return beta, full_rank, spatial
 
 
@@ -359,8 +359,8 @@ def fit_fcsar(
     stage on the series net of the spatial component gives the fitted
     values.  Both temporal stages of a sensor are solves on one fcar
     design, built before its backfit and dropped after its final stage;
-    only the final stage refines the curves on a grid.
-    The schedule is fixed for determinism.
+    the final stage's fits are returned, and their curves are built when
+    read.  The schedule is fixed for determinism.
 
     Parameters
     ----------

@@ -816,6 +816,32 @@ def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
         assert runs[1][name] == data, name
 
 
+def test_fixture_commands_build_no_curve_grid(tmp_path, monkeypatch):
+    # no command writes a coefficient curve, and curves are built when
+    # read, so the fixture commands never refine one: no sbk_estimate call
+    # and no evaluation of the fcar smoother anywhere but at the observed u
+    from skylattice import fcar
+
+    counts = {"sbk_estimate": 0, "grid": 0}
+    sbk_estimate, moment_smoother = fcar.sbk_estimate, fcar._moment_smoother
+
+    def counting_sbk_estimate(*args):
+        counts["sbk_estimate"] += 1
+        return sbk_estimate(*args)
+
+    def counting_smoother(u, cols, h, points):
+        counts["grid"] += points is not u
+        return moment_smoother(u, cols, h, points)
+
+    monkeypatch.setattr(fcar, "sbk_estimate", counting_sbk_estimate)
+    monkeypatch.setattr(fcar, "_moment_smoother", counting_smoother)
+    tool = load_repo_script("tools/fixture_digests.py")
+    monkeypatch.chdir(tmp_path)
+    for argv in tool.COMMANDS:
+        assert main(list(argv)) == 0, argv
+    assert counts == {"sbk_estimate": 0, "grid": 0}
+
+
 def test_fixture_digests_against_names_each_moved_number(tmp_path):
     # --against runs the commands on two checkouts: on this one twice,
     # nothing moves and nothing is printed.  One perturbed cell is then

@@ -447,9 +447,14 @@ def _container_with_inputs(name):
         obj = SbkCurve(target_j=1, sigma2=1.0, smoother_trace=0.0, **arrays)
     elif name == "FcarFit":
         arrays = {"spline_coeffs": rng.standard_normal((3, 1)), "fitted": vec(),
-                  "residuals": vec()}
+                  "residuals": vec(), "u": vec(), "cols": rng.standard_normal((1, 5)),
+                  "pseudos": rng.standard_normal((1, 5)),
+                  "obs_estimate": rng.standard_normal((1, 5)),
+                  "obs_reliable": rng.standard_normal((1, 5)) > 0,
+                  "prefit_cov": rng.standard_normal((1, 2, 3))}
         obj = FcarFit(spec=spec, basis=SplineBasis(1), u_transform=UTransform(0.0, 1.0),
-                      curves=(), bandwidth=1.0, t_start=1, **arrays)
+                      bandwidth=1.0, t_start=1, rank_deficient=False, traces=(1.0,),
+                      **arrays)
     elif name == "FcsarFit":
         arrays = {"beta": rng.standard_normal((4, 1, 1)),
                   "fitted_values": rng.standard_normal((4, 5)),

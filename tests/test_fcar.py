@@ -1,5 +1,9 @@
 """Tests for the spline-backfitted kernel estimator of coefficient curves."""
 
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -330,7 +334,7 @@ class TestFitRows:
         # the block's stacked interval triangles (at most 2(N+1) rows)
         import scipy.linalg
 
-        calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_fit_in_sample": 0, "_solve_fit": 0}
+        calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_solve_fit": 0}
         svd_rows = []
 
         def counting(module, name):
@@ -349,34 +353,26 @@ class TestFitRows:
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         fit_fcar(x, spec)
         fcar._solve_fit(fcar._fit_design(x, spec, None, 4), np.sin(x))
-        assert calls == {
-            "_fit_rows": 2, "svd": 4, "_fit_design": 0, "_fit_in_sample": 0, "_solve_fit": 0
-        }
+        assert calls == {"_fit_rows": 2, "svd": 4, "_fit_design": 0, "_solve_fit": 0}
         # a lattice fit builds one design per sensor and solves it twice:
-        # in sample for the backfit's temporal stage, then in full (an
-        # in-sample solve and the curves) for the final one
+        # for the backfit's temporal stage, then for the final one
         from skylattice import fcsar
 
         counting(fcsar, "_fit_design")
         counting(fcsar, "_solve_fit")
-        counting(fcsar, "_fit_in_sample")
-        counting(fcar, "_fit_in_sample")
         layout = grid_layout(3, 3, spacing=90.0)
         field = simulate_field(FieldSimConfig(layout, 80, seed=2))
         graph = build_neighbor_graph(layout, 2)
         fit_fcsar(field, FcsarSpec.uniform(graph, 1, spec), FcarOptions(n_knots=4))
-        assert calls == {
-            "_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9,
-            "_fit_in_sample": 18, "_solve_fit": 9,
-        }
+        assert calls == {"_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9, "_solve_fit": 18}
         assert all(rows <= bound for rows, bound in svd_rows), svd_rows
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_one_smoother_evaluation_per_design_and_per_solve(self, monkeypatch, p):
+    def test_one_smoother_evaluation_per_design_and_per_curve_read(self, monkeypatch, p):
         # each running-moments evaluation serves every component, however
         # many there are: the design evaluates the smoother at the observed
-        # u, an in-sample solve reads its levels off the design, and a full
-        # solve adds one evaluation on the curve grid
+        # u, a solve reads its levels off the design, and the first read of
+        # a fit's curves adds one evaluation on the curve grid
         calls = []
         original = fcar._moment_smoother
 
@@ -388,17 +384,19 @@ class TestFitRows:
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         spec = FcarSpec.delay_absorbed(p, 1)
         design = fcar._fit_design(x, spec, None, None)
-        fcar._fit_in_sample(design, np.sin(x))
-        assert calls == ["obs"]
         fits = [fcar._solve_fit(design, r) for r in (x, np.sin(x))]
+        assert calls == ["obs"]
         assert all(len(fit.curves) == p for fit in fits)
         assert calls == ["obs"] + [fcar.GRID_SIZE] * 2
+        # a second read returns the same curves and evaluates nothing
+        assert all(fit.curves is fit.curves for fit in fits)
+        assert calls == ["obs"] + [fcar.GRID_SIZE] * 2
 
-    def test_grid_evaluations_only_in_fits_that_return_curves(self, monkeypatch):
-        # leave-one-out cross-validation reads only transfer coefficients,
-        # so its backfits evaluate the smoother at the observed u of each
-        # design and never on a grid; a lattice fit builds one design per
-        # sensor and refines the curves of its final stage once
+    def test_grid_evaluations_only_when_curves_are_read(self, monkeypatch):
+        # leave-one-out cross-validation reads only transfer coefficients
+        # and a lattice fit only fitted values, so both evaluate the
+        # smoother at the observed u of each design and never on a grid;
+        # reading the curves of each sensor's final fit refines them once
         calls = []
         original = fcar._moment_smoother
 
@@ -414,8 +412,11 @@ class TestFitRows:
         crossval(field, CrossvalPlan.all_subsets(16, 1), "fcsar", spec, options)
         assert calls and set(calls) == {"obs"}
         calls.clear()
-        fit_fcsar(field, spec, options)
-        assert sorted(calls, key=str) == [fcar.GRID_SIZE] * 16 + ["obs"] * 16
+        fit = fit_fcsar(field, spec, options)
+        assert calls == ["obs"] * 16
+        for _ in range(2):
+            assert all(len(f.curves) == 2 for f in fit.fcar_fits)
+        assert calls == ["obs"] * 16 + [fcar.GRID_SIZE] * 16
 
 
 class TestPseudoResponses:
@@ -458,14 +459,25 @@ class TestPseudoResponses:
         npt.assert_allclose(2.0 * x[t] - w1 - w2, full, atol=1e-10)
 
 
-def sbk(u, cols, pseudos, components, grid, h, prefit_variance):
-    """``sbk_estimate`` of ``pseudos`` on a kernel design built for them,
-    after their in-sample levels."""
-    design = fcar._kernel_design(u, cols, components, h)
-    obs_estimate = design.levels(pseudos)
-    return sbk_estimate(
-        design, pseudos, obs_estimate, np.asarray(grid, dtype=float), prefit_variance
+def kernel_stage(u, cols, pseudos, components, h):
+    """What ``sbk_estimate`` reads of a fit, for any points u, design columns
+    and pseudo-responses: the observed-u smoother's levels, flags and
+    traces from ``fcar._observed_smoother``, which ``fcar._fit_design``
+    calls."""
+    cols, pseudos = np.array(cols), np.array(pseudos)
+    obs, reliable, traces = fcar._observed_smoother(u, cols, h)
+    return SimpleNamespace(
+        u=u, cols=cols, pseudos=pseudos, bandwidth=h,
+        spec=SimpleNamespace(components=components),
+        obs_estimate=obs.levels(pseudos[:, None, :])[:, 0],
+        obs_reliable=reliable, traces=traces,
     )
+
+
+def sbk(u, cols, pseudos, components, grid, h, prefit_variance):
+    """``sbk_estimate`` of ``pseudos`` on a kernel stage built for them."""
+    fit = kernel_stage(u, cols, pseudos, components, h)
+    return sbk_estimate(fit, np.asarray(grid, dtype=float), prefit_variance)
 
 
 def sbk_one(u, c1, pseudo, grid, h):
@@ -1090,33 +1102,41 @@ def assert_fits_agree(got, want):
 @pytest.fixture
 def dense_kernel_stage(monkeypatch):
     """Run fits with the kernel stage built from the dense sums: the
-    in-sample level sweep, which every solve runs (a backfit runs nothing
-    else of the kernel stage), and the curves."""
+    observed-u level sweep, which every solve runs (a backfit reads nothing
+    else of the kernel stage), and the curves, built when read."""
 
     def dense_levels(design, pseudos):
+        u = design.rows.u
         return np.array([
-            dense_local_linear(design.u, c1, w, design.u, design.h)[0]
-            for c1, w in zip(design.cols, pseudos)
+            dense_local_linear(u, c1, w, u, design.h)[0]
+            for c1, w in zip(design.rows.cols, pseudos)
         ])
 
-    def dense(design, pseudos, obs_estimate, u_grid, prefit_variance):
+    def dense(fit, u_grid, prefit_variance):
         return dense_sbk_estimate(
-            design.u, design.cols, pseudos, design.components, u_grid, design.h,
+            fit.u, fit.cols, fit.pseudos, fit.spec.components, u_grid, fit.bandwidth,
             prefit_variance,
         )
 
     def use_dense():
-        monkeypatch.setattr(fcar._KernelDesign, "levels", dense_levels)
+        monkeypatch.setattr(fcar._FitDesign, "levels", dense_levels)
         monkeypatch.setattr(fcar, "sbk_estimate", dense)
 
     return use_dense
+
+
+def with_curves(fits):
+    """``fits`` after reading their curves, which are built when first read."""
+    for fit in fits:
+        assert fit.curves
+    return fits
 
 
 class TestWindowedFitOracle:
     def test_fit_fcar_matches_dense_fit(self, dense_kernel_stage):
         x = simulate_expar2(Expar2Config(n_times=500, seed=0))
         spec = FcarSpec.delay_absorbed(2, 1)
-        windowed = fit_fcar(x, spec)
+        (windowed,) = with_curves([fit_fcar(x, spec)])
         dense_kernel_stage()
         assert_fits_agree(windowed, fit_fcar(x, spec))
 
@@ -1129,6 +1149,7 @@ class TestWindowedFitOracle:
             build_neighbor_graph(layout, 2), 2, FcarSpec.delay_absorbed(2, 1)
         )
         windowed = fit_fcsar(field, spec)
+        with_curves(windowed.fcar_fits)
         dense_kernel_stage()
         dense = fit_fcsar(field, spec)
         npt.assert_allclose(windowed.beta, dense.beta, rtol=1e-10, atol=1e-10)
@@ -1158,7 +1179,7 @@ class TestWindowedFitOracle:
         x = simulate_expar2(Expar2Config(n_times=500, seed=0))
         spec = FcarSpec.delay_absorbed(2, 1)
         fit = fit_fcar(x, spec)
-        _, prefit = spline_rows(x, spec, fit.basis)
+        prefit = ref_spline_lstsq(ref_fit_rows(x, spec, None, None), spec, fit.basis)
         t = np.arange(2, x.size)
         u = x[t - 1]
         unit = (u - u.min()) / (u.max() - u.min())
@@ -1306,6 +1327,15 @@ def ref_block_solve(D, y, cap):
     return coef, sigma2, gram_inv, rank, cond
 
 
+def gram_band(G):
+    """The diagonal and superdiagonal of a dense symmetric G, laid out as
+    ``fcar._block_solve`` returns them."""
+    band = np.zeros((2, G.shape[0]))
+    band[0] = np.diag(G)
+    band[1, :-1] = np.diag(G, 1)
+    return band
+
+
 def ref_spline_lstsq(rows, spec, basis):
     n_funcs = basis.n_funcs
     if rows.t.size <= n_funcs + spec.max_lag:
@@ -1328,7 +1358,7 @@ def ref_spline_lstsq(rows, spec, basis):
         sigma2s.append(sigma2)
         gram_invs.append(gram_inv)
     coeffs = np.column_stack(coefs)
-    return fcar._SplinePrefit(
+    return SimpleNamespace(
         coeffs=coeffs,
         parts=tuple((B @ coeffs[:, c]) * reg for c, reg in enumerate(rows.cols)),
         sigma2s=tuple(sigma2s),
@@ -1461,7 +1491,7 @@ def ref_fit_fcar(x, spec, options=None, *, response=None, t_start=None):
     fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
     residuals = rows.y - fitted
 
-    return fcar.FcarFit(
+    return SimpleNamespace(
         spec=spec,
         basis=basis,
         u_transform=rows.umap,
@@ -1727,11 +1757,11 @@ class TestRunningMomentsOracle:
         # the pseudo-responses of a fit of the series itself, on its design
         x = simulate_expar2(Expar2Config(n_times=T, seed=T + spec.p))
         design = fcar._fit_design(x, spec, None, None)
-        kernel = design.kernel
-        pseudos = fcar._fit_in_sample(design, x).pseudos
-        assert_smoother_matches_windows(kernel.obs, kernel.u, kernel.cols, pseudos, kernel.h)
-        many = kernel.obs.n_raw >= fcar.MIN_LOCAL_OBS
-        npt.assert_array_equal(kernel.reliable, kernel.obs.ok & many)
+        pseudos = fcar._solve_fit(design, x).pseudos
+        rows = design.rows
+        assert_smoother_matches_windows(design.obs, rows.u, rows.cols, pseudos, design.h)
+        many = design.obs.n_raw >= fcar.MIN_LOCAL_OBS
+        npt.assert_array_equal(design.reliable, design.obs.ok & many)
 
     @pytest.mark.parametrize("spec", OBS_SPECS, ids=repr)
     @pytest.mark.parametrize("T", [72, 480, 2880])
@@ -1749,14 +1779,18 @@ class TestRunningMomentsOracle:
         monkeypatch.setattr(fcar, "sbk_estimate", recording)
         x = simulate_expar2(Expar2Config(n_times=T, seed=T + spec.p))
         fit = fit_fcar(x, spec)
-        ((design, pseudos, _, u_grid, prefit_variance),) = seen
+        assert not seen
+        curves = fit.curves
+        ((read, u_grid, prefit_variance),) = seen
+        assert read is fit
+        u, h = fit.u, fit.bandwidth
         want = dense_sbk_estimate(
-            design.u, design.cols, pseudos, design.components, u_grid, design.h, prefit_variance
+            u, fit.cols, fit.pseudos, spec.components, u_grid, h, prefit_variance
         )
         scale = float(np.abs(x).max())
-        grid_many = dense_counts(design.u, u_grid, design.h) >= fcar.MIN_LOCAL_OBS
-        obs_many = dense_counts(design.u, design.u, design.h) >= fcar.MIN_LOCAL_OBS
-        for mine, ref in zip(fit.curves, want):
+        grid_many = dense_counts(u, u_grid, h) >= fcar.MIN_LOCAL_OBS
+        obs_many = dense_counts(u, u, h) >= fcar.MIN_LOCAL_OBS
+        for mine, ref in zip(curves, want):
             npt.assert_array_equal(mine.reliable, ref.reliable)
             npt.assert_array_equal(mine.obs_reliable, ref.obs_reliable)
             for name, many in (("estimate", grid_many), ("lower", grid_many),
@@ -1795,6 +1829,28 @@ def invariance_sample(seed, ties):
 def smoother_levels(u, cols, ws, h):
     smoother = _moment_smoother(u, cols, h, u)
     return smoother, smoother.levels(ws[:, None])[:, 0]
+
+
+def assert_products_agree(moved, moved_est, base, est, cols, ws, where):
+    """Equal flags, and equal NaNs and close products est * c1 at the
+    points ``where`` that MIN_LOCAL_OBS observations back.
+
+    A fit reads a level only through est * c1.  Any move rounds the sums
+    of the local 2 x 2 system, and its solve magnifies that rounding by the
+    system's condition number, kappa = (g00 g11 + g01^2) / det: a window
+    whose c1 nearly vanishes, or whose u nearly tie, is ill conditioned.
+    So each product must agree to 1e-10 kappa of the response scale.  A
+    shift by 12345.678 also rounds u itself by up to 9e-13, at most 2e-11
+    of the smallest bandwidth drawn, which the bound covers."""
+    npt.assert_array_equal(moved.ok[:, where], base.ok[:, where])
+    where = where & (base.n_raw >= fcar.MIN_LOCAL_OBS)
+    got, want = (moved_est * cols)[:, where], (est * cols)[:, where]
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    g00, g01, g11 = base.gram
+    kappa = ((g00 * g11 + g01 * g01) * base.inv)[:, base.rank][:, where]
+    fin = np.isfinite(want)
+    bound = 1e-10 * kappa[fin] * np.abs(ws).max()
+    assert np.all(np.abs(got[fin] - want[fin]) <= bound)
 
 
 def invariance_grid(u, h):
@@ -1851,8 +1907,7 @@ class TestRunningMomentsInvariance:
         moved, moved_est = smoother_levels(u + 12345.678, cols, ws, h)
         same = moved.n_raw == base.n_raw
         assert same.mean() > 0.9
-        npt.assert_array_equal(moved.ok[:, same], base.ok[:, same])
-        assert_close_where_counted(moved_est[:, same], est[:, same], base.n_raw[same])
+        assert_products_agree(moved, moved_est, base, est, cols, ws, same)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -1866,8 +1921,7 @@ class TestRunningMomentsInvariance:
         moved, moved_est = smoother_levels(u * factor, cols, ws, h * factor)
         same = moved.n_raw == base.n_raw
         assert same.mean() > 0.9
-        npt.assert_array_equal(moved.ok[:, same], base.ok[:, same])
-        assert_close_where_counted(moved_est[:, same], est[:, same], base.n_raw[same])
+        assert_products_agree(moved, moved_est, base, est, cols, ws, same)
 
     # the same three moves at evaluation points that are not observations
 
@@ -1953,13 +2007,13 @@ def assert_compression_matches_dense(x, spec, basis, responses):
         y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
         for c, (block, D) in enumerate(zip(blocks, dense)):
             cap = 1e3 * y_scale / block.r_scale
-            coef, gram_inv, rank, cond = fcar._block_solve(block, y, cap)
+            coef, band, rank, cond = fcar._block_solve(block, y, cap)
             ref_coef, ref_sigma2, ref_gram, ref_rank, ref_cond = ref_block_solve(D, y, cap)
             assert (rank, cond) == (ref_rank, ref_cond)
             npt.assert_array_equal(prefit.coeffs[:, c], coef)
-            npt.assert_array_equal(prefit.gram_invs[c], gram_inv)
-            for got, want in ((coef, ref_coef), (gram_inv, ref_gram)):
-                npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            npt.assert_array_equal(prefit.bands[c], band)
+            npt.assert_allclose(coef, ref_coef, rtol=0, atol=1e-12 * np.abs(ref_coef).max())
+            npt.assert_allclose(band, gram_band(ref_gram), rtol=0, atol=1e-12 * np.abs(ref_gram).max())
             npt.assert_allclose(prefit.sigma2s[c], ref_sigma2, rtol=1e-12)
 
 
@@ -1999,3 +2053,146 @@ class TestIntervalCompression:
         x[-2:] = (1.0, 0.5)
         with pytest.raises(ValueError, match="degenerate spline design"):
             spline_preestimate(x, FcarSpec(p=2, d=1), SplineBasis(2))
+
+
+# ------------------------------------------------ pre-fit variance band oracle
+# A solve keeps only the band of each block's truncated inverse Gram matrix
+# G (``fcar._block_solve``), and the curves read the pre-estimate variance
+# sigma^2 b(u)' G b(u) off it at the grid's tent rows.  The dense form,
+# ``basis_eval(grid)`` around the dense SVD's G (``ref_block_solve``), is
+# its oracle.
+
+
+def assert_band_variance_matches_dense(x, spec, basis, y):
+    """Every block's band form of b(u)' G b(u) on the curve grid against
+    the dense form, to 1e-12 of its largest value; returns each block's
+    (rank, cutoff) and the basis size."""
+    rows = fcar._fit_rows(x, spec, None)
+    tent, blocks = fcar._spline_design(rows, spec, basis)
+    B = basis_eval(basis, rows.umap.to_unit(rows.u))
+    grid = rows.umap.to_unit(np.linspace(rows.u.min(), rows.u.max(), fcar.GRID_SIZE))
+    grid_B, grid_tent = basis_eval(basis, grid), fcar._tent_rows(basis, grid)
+    y_rows = y[rows.t]
+    y_scale = max(float(np.percentile(np.abs(y_rows), 95)), 1e-12)
+    prefit = fcar._spline_lstsq(tent, blocks, rows.cols, y_rows)
+    solved = []
+    for c, (block, reg) in enumerate(zip(blocks, rows.cols)):
+        cap = 1e3 * y_scale / block.r_scale
+        _, band, rank, cond = fcar._block_solve(block, y_rows, cap)
+        _, _, gram_inv, ref_rank, ref_cond = ref_block_solve(B * reg[:, None], y_rows, cap)
+        assert (rank, cond) == (ref_rank, ref_cond)
+        want = np.einsum("ij,jk,ik->i", grid_B, gram_inv, grid_B)
+        got = grid_tent.quadratic(band)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+        npt.assert_array_equal(grid_tent.quadratic(prefit.bands[c]), got)
+        solved.append((rank, cond))
+    return solved, basis.n_funcs
+
+
+class TestPrefitVarianceBand:
+    @pytest.mark.parametrize("T", [72, 480, 2880])
+    @pytest.mark.parametrize("spec", [FcarSpec(p=2, d=1), FcarSpec.delay_absorbed(3, 1)], ids=repr)
+    def test_matches_dense_quadratic_form(self, T, spec):
+        x = simulate_expar2(Expar2Config(n_times=T, seed=T + spec.p))
+        spike = np.zeros(T)
+        spike[[T // 3, T // 2]] = (50.0, -40.0)
+        for y in (x, np.sin(3.0 * x), spike):
+            assert_band_variance_matches_dense(x, spec, SplineBasis(default_knot_count(T)), y)
+
+    def test_rank_deficient_block(self):
+        # the lag-1 column is u itself, and every row on which the first
+        # tent is nonzero has u = 0, so the lag-1 block loses a rank
+        x = knot_series()
+        solved, n_funcs = assert_band_variance_matches_dense(
+            x, FcarSpec(p=2, d=1), SplineBasis(7), np.cos(x)
+        )
+        assert [rank < n_funcs for rank, _ in solved] == [True, False]
+
+    def test_cutoff_escalation(self):
+        # the lag-2 block of this design has a singular value at 3.5e-5 of
+        # its largest, and a spiky response moves its cutoff past it
+        # (``TestDesignSolveOracle.test_cutoff_escalation_stays_per_response``)
+        x = ar1_series(100, seed=0)
+        spike = np.zeros(x.size)
+        spike[[40, 77, 91]] = (3.0, -2.0, 1.5)
+        spec = FcarSpec(p=2, d=1)
+        solved, _ = assert_band_variance_matches_dense(
+            x, spec, SplineBasis(default_knot_count(x.size)), spike
+        )
+        assert solved[1][1] > fcar._SPLINE_COND
+
+    def test_fit_keeps_the_covariance_band(self):
+        # what a fit keeps per component: sigma^2 times the band, of
+        # (N+2)-long rows, and no (N+2)^2 matrix
+        x = simulate_expar2(Expar2Config(n_times=480, seed=4))
+        spec = FcarSpec.delay_absorbed(2, 1)
+        fit = fit_fcar(x, spec)
+        _, prefit = spline_rows(x, spec, fit.basis)
+        assert fit.prefit_cov.shape == (2, 2, fit.basis.n_funcs)
+        for cov, s2, band in zip(fit.prefit_cov, prefit.sigma2s, prefit.bands):
+            npt.assert_array_equal(cov, s2 * band)
+            assert cov[1, -1] == 0.0
+
+
+# ------------------------------------------------ design lifetime
+# A fit keeps O(T + N) values and no part of its design: the design, its
+# running-moments smoother and its spline blocks go when the call that
+# built them returns, so a lattice fit holds one design at a time.
+
+
+class TestDesignLifetime:
+    def test_no_design_outlives_its_fit(self, monkeypatch):
+        from skylattice import fcsar
+
+        refs = []
+        original = fcar._fit_design
+
+        def tracked(*args, **kwargs):
+            design = original(*args, **kwargs)
+            refs.extend(weakref.ref(obj) for obj in (design, design.obs, *design.blocks))
+            return design
+
+        monkeypatch.setattr(fcar, "_fit_design", tracked)
+        monkeypatch.setattr(fcsar, "_fit_design", tracked)
+        x = simulate_expar2(Expar2Config(n_times=200, seed=1))
+        spec = FcarSpec.delay_absorbed(2, 1)
+        fits = [fit_fcar(x, spec)]
+        layout = grid_layout(3, 3, spacing=90.0)
+        field = simulate_field(FieldSimConfig(layout, 80, seed=2))
+        lattice = FcsarSpec.uniform(build_neighbor_graph(layout, 2), 1, spec)
+        options = FcarOptions(n_knots=4)
+        for freeze in (False, True):
+            fits += fit_fcsar(field, lattice, options, freeze_beta_at_zero=freeze).fcar_fits
+        gc.collect()
+        # one design per fit_fcar call and per sensor of each lattice fit,
+        # each with a smoother and two blocks
+        assert len(refs) == (1 + 9 + 9) * 4
+        assert all(ref() is None for ref in refs)
+        # and every fit still builds its curves
+        assert all(len(fit.curves) == 2 for fit in fits)
+
+    def test_fit_shares_the_rows_it_was_solved_on(self):
+        # a solve copies nothing of its design into the fit: the rows' u,
+        # design columns and observed-u flags are read-only and shared
+        x = simulate_expar2(Expar2Config(n_times=200, seed=1))
+        design = fcar._fit_design(x, FcarSpec.delay_absorbed(2, 1), None, None)
+        fit = fcar._solve_fit(design, x)
+        assert fit.u is design.rows.u
+        assert fit.cols is design.rows.cols
+        assert fit.obs_reliable is design.reliable
+        for name in ("spline_coeffs", "fitted", "residuals", "pseudos", "obs_estimate",
+                     "prefit_cov", "u", "cols", "obs_reliable"):
+            assert not getattr(fit, name).flags.writeable, name
+
+    def test_frozen_owner_kept_and_anything_else_copied(self):
+        owner = fcar._kept(np.arange(6.0))
+        assert fcar._kept(owner) is owner
+        # a read-only view of writable values, a writable array, another
+        # dtype and a non-contiguous view are copied
+        base = np.arange(6.0)
+        view = base[:3]
+        view.flags.writeable = False
+        for x, dtype in ((view, float), (base, float), (owner, int), (owner[::2], float)):
+            out = fcar._kept(x, dtype=dtype)
+            assert not np.shares_memory(out, x)
+            assert not out.flags.writeable
