@@ -40,8 +40,8 @@ import numpy as np
 from . import __version__
 from .core import (
     SpatioTemporalField,
-    _field_rows,
     _write_csv_rows,
+    _write_field_csv,
     detrend,
     grid_layout,
     ingest_field,
@@ -545,15 +545,16 @@ def cmd_fit(cfg: dict) -> None:
     value_rmse, adj, adj_text = _score(field, fit)
 
     out_dir = _start_run(cfg, "fit")
-    _write_csv_rows(
+    _write_field_csv(
         out_dir / "fitted.csv",
         ["t", "sensor", "observed", "fitted"],
-        _field_rows(field, fit.support, field.values, fit.fitted),
+        field,
+        fit.support,
+        field.values,
+        fit.fitted,
     )
-    _write_csv_rows(
-        out_dir / "residuals.csv",
-        ["t", "sensor", "residual"],
-        _field_rows(field, fit.support, fit.residuals),
+    _write_field_csv(
+        out_dir / "residuals.csv", ["t", "sensor", "residual"], field, fit.support, fit.residuals
     )
     summary = {
         "model": model,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -228,83 +228,157 @@ def _parse_timestamp(tok: str) -> float:
     return ts
 
 
+def _rows_after_header(fh, header: list[str], path):
+    """A ``csv.reader`` over ``fh`` past its header, which must be ``header``."""
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first] != header:
+        raise ValueError(f"expected header {','.join(header)!r} in {path}")
+    return reader
+
+
 def _read_csv_rows(path, header: list[str], parse) -> list:
     """``parse(row)`` for each non-empty row under ``header``; errors name path:line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ValueError(f"expected header {','.join(header)!r} in {path}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _rows_after_header(fh, header, path)
         parsed = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
+        try:
+            for row in reader:
+                if not row:
+                    continue
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} columns, got {len(row)}")
                 parsed.append(parse(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return parsed
 
 
-def _parse_measurement(row: list[str]) -> tuple[float, str, Optional[float]]:
-    ts = _parse_timestamp(row[0])
-    vtok = row[2].strip()
-    value = None if vtok.lower() in _MISSING_TOKENS else float(vtok)
-    if value is not None and not math.isfinite(value):
-        raise ValueError(f"value {vtok!r} is not finite; write NA for a missing reading")
-    return ts, row[1].strip(), value
+@dataclass(frozen=True)
+class Measurements:
+    """The records of a measurement file, as columns.
 
-
-def read_measurements_csv(path) -> list[tuple[float, str, Optional[float]]]:
-    """Read ``timestamp,sensor_id,value`` rows; empty/NA values become None.
-
-    A non-finite timestamp or value (``inf``, ``-inf``) is an error that
-    names the file and line; ``nan`` is one of the NA tokens.
+    ``times`` and ``ids`` hold the distinct timestamps (epoch seconds) and
+    sensor ids in the order the file first names them.  Record k is the
+    reading ``values[k]`` (NaN for NA) of sensor ``ids[id_code[k]]`` at
+    ``times[time_code[k]]``.
     """
-    return _read_csv_rows(path, MEASUREMENT_HEADER, _parse_measurement)
+
+    times: np.ndarray
+    ids: tuple[str, ...]
+    time_code: np.ndarray
+    id_code: np.ndarray
+    values: np.ndarray
+
+
+class _Codes(dict):
+    """Token -> code of its parsed value, filled on lookup: a new token is
+    parsed once, and tokens that parse equal share a code.  ``distinct``
+    maps each parsed value to its code, in code order."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+        self.distinct = {}
+
+    def __missing__(self, token: str) -> int:
+        code = self[token] = self.distinct.setdefault(self.parse(token), len(self.distinct))
+        return code
+
+
+def _na_value(tok: str) -> float:
+    """NaN for an NA token; any other value that is not a finite float raises."""
+    tok = tok.strip()
+    if tok.lower() in _MISSING_TOKENS:
+        return math.nan
+    float(tok)
+    raise ValueError(f"value {tok!r} is not finite; write NA for a missing reading")
+
+
+def read_measurements_csv(path) -> Measurements:
+    """Read ``timestamp,sensor_id,value`` rows as columns; empty/NA values
+    become NaN.
+
+    Each distinct timestamp and id token is parsed once.  A non-finite
+    timestamp or value (``inf``, ``-inf``) is an error that names the file
+    and line; ``nan`` is one of the NA tokens.  A UTF-8 BOM is skipped.
+    """
+    times, ids = _Codes(_parse_timestamp), _Codes(str.strip)
+    time_code, id_code, values = array("q"), array("q"), array("d")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _rows_after_header(fh, MEASUREMENT_HEADER, path)
+        try:
+            for row in reader:
+                if len(row) != 3:
+                    if not row:
+                        continue
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                ttok, sid, vtok = row
+                time_code.append(times[ttok])
+                id_code.append(ids[sid])
+                try:
+                    v = float(vtok)
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    v = _na_value(vtok)
+                values.append(v)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return Measurements(
+        times=np.array(list(times.distinct), dtype=float),
+        ids=tuple(ids.distinct),
+        time_code=np.frombuffer(time_code, dtype=np.int64),
+        id_code=np.frombuffer(id_code, dtype=np.int64),
+        values=np.frombuffer(values, dtype=float),
+    )
 
 
 def ingest_field(
-    records: Iterable[tuple[float, str, Optional[float]]],
+    records: Measurements,
     layout: SensorLayout,
     kind: str = "raw",
 ) -> SpatioTemporalField:
-    """Assemble a field from (timestamp, sensor_id, value) records.
+    """Assemble a field from the columns of a measurement file.
 
-    The time axis is the sorted union of record timestamps.  A record with
-    value None, or a (sensor, time) pair with no record at all, becomes a
-    masked cell.  Records may arrive in any order.  A non-finite value is
-    not a gap: the field rejects it, naming the sensor and time index.
+    The time axis is the sorted union of record timestamps.  A NaN value
+    (an NA cell), or a (sensor, time) pair with no record at all, becomes a
+    masked cell.  Records may arrive in any order.  Any other non-finite
+    value is not a gap: the field rejects it, naming the sensor and time
+    index.
 
     Raises
     ------
     ValueError
-        On an empty record stream, an unknown sensor id, duplicate
-        (sensor, timestamp) records, or a non-finite timestamp or value.
+        On no records, an unknown sensor id, duplicate (sensor, timestamp)
+        records, or a non-finite timestamp or value.  Unknown ids are
+        checked before duplicates, whatever their order in the file; a
+        duplicate names the first record, in file order, that repeats an
+        earlier one, with its time index.
     """
-    records = list(records)
-    if not records:
+    n = records.values.size
+    if n == 0:
         raise ValueError("no records to ingest")
     id_to_row = {s: i for i, s in enumerate(layout.ids)}
-    times = sorted({float(t) for t, _, _ in records})
-    col_of = {t: j for j, t in enumerate(times)}
-    S, T = layout.n_sensors, len(times)
-    values = np.full((S, T), np.nan)
-    mask = np.ones((S, T), dtype=bool)
-    seen = np.zeros((S, T), dtype=bool)
-    for t, sid, v in records:
-        if sid not in id_to_row:
-            raise ValueError(f"record for unknown sensor id {sid!r}")
-        i, j = id_to_row[sid], col_of[float(t)]
-        if seen[i, j]:
-            raise ValueError(f"duplicate record for sensor {sid!r} at t={t}")
-        seen[i, j] = True
-        if v is not None:
-            values[i, j] = v
-            mask[i, j] = False
-    return SpatioTemporalField(layout, np.array(times), values, kind, mask)
+    unknown = [s for s in records.ids if s not in id_to_row]
+    if unknown:
+        raise ValueError(f"record for unknown sensor id {unknown[0]!r}")
+    times, col = np.unique(records.times, return_inverse=True)
+    S, T = layout.n_sensors, times.size
+    rows = np.array([id_to_row[s] for s in records.ids], dtype=np.int64)
+    cell = rows[records.id_code] * T + col[records.time_code]
+    if np.bincount(cell, minlength=S * T).max() > 1:
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(cell, return_index=True)[1]] = False
+        i, j = divmod(int(cell[np.argmax(repeat)]), T)
+        raise ValueError(
+            f"duplicate record for sensor {layout.ids[i]!r} at t={times[j]} (time index {j})"
+        )
+    values = np.full(S * T, np.nan)
+    values[cell] = records.values
+    mask = np.ones(S * T, dtype=bool)
+    mask[cell] = np.isnan(records.values)
+    return SpatioTemporalField(layout, times, values.reshape(S, T), kind, mask.reshape(S, T))
 
 
 def timestamp_strings(timestamps: np.ndarray) -> list[str]:
@@ -318,30 +392,62 @@ def timestamp_strings(timestamps: np.ndarray) -> list[str]:
     return [repr(float(t)) for t in timestamps]
 
 
-def _field_rows(field: SpatioTemporalField, support: int, *matrices: np.ndarray):
-    """Long-format rows (timestamp, sensor, *cells) of S x T matrices.
+# cells per write of an S x T file: the chunk's strings stay near a MiB
+_WRITE_CHUNK_CELLS = 4096
 
-    Rows run from time index ``support`` on, one ``repr`` cell per matrix;
-    cells the field masks are written as NA, so that reading a measurement
-    file back reproduces the field exactly, mask included.
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields of a row:
+    quoted, its quotes doubled, when it holds a comma, a quote or a line
+    break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_field_csv(
+    path, header: list[str], field: SpatioTemporalField, support: int, *matrices: np.ndarray
+) -> None:
+    """Write S x T matrices as long-format rows (timestamp, sensor, *cells).
+
+    Rows run time-major from time index ``support`` on, one ``repr`` cell
+    per matrix; cells the field masks are written as NA, so that reading a
+    measurement file back reproduces the field exactly, mask included.  The
+    bytes are those of ``csv.writer`` (``\\r\\n`` line ends, ids quoted by
+    :func:`_csv_field`), in UTF-8.  Each chunk of time steps is one
+    ``fh.write``: every stamp and id cell is formatted once and the lines
+    are spliced from them and one ``repr`` pass per matrix.
     """
-    stamps = timestamp_strings(field.timestamps)
-    # one tolist() per matrix and rows built by zip and map: per-cell numpy
-    # indexing would cost more than writing the rows
-    cols = [m.T.tolist() for m in matrices]
-    mask = np.zeros(field.values.shape, dtype=bool) if field.mask is None else field.mask
-    gappy = mask.any(axis=0)
-    for j in range(support, field.n_times):
-        cells = [map(repr, c[j]) for c in cols]
-        if gappy[j]:
-            cells = [["NA" if gap else cell for gap, cell in zip(mask[:, j], row)] for row in cells]
-        yield from zip(repeat(stamps[j]), field.layout.ids, *cells)
+    S, T = field.n_sensors, field.n_times
+    stamps = [s + "," for s in timestamp_strings(field.timestamps)]
+    ids = [_csv_field(s) + "," for s in field.layout.ids]
+    # each line's parts: stamp, id, then every cell with the separator after it
+    stride = 2 + 2 * len(matrices)
+    seps = [","] * (len(matrices) - 1) + ["\r\n"]
+    step = max(1, _WRITE_CHUNK_CELLS // S)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for j0 in range(support, T, step):
+            j1 = min(j0 + step, T)
+            n = (j1 - j0) * S
+            parts = [""] * (n * stride)
+            for i, sid in enumerate(ids):
+                parts[i * stride :: S * stride] = stamps[j0:j1]
+                parts[i * stride + 1 :: S * stride] = [sid] * (j1 - j0)
+            gaps = [] if field.mask is None else np.flatnonzero(field.mask[:, j0:j1].T).tolist()
+            for q, (m, sep) in enumerate(zip(matrices, seps)):
+                cells = list(map(repr, m[:, j0:j1].T.ravel().tolist()))
+                for k in gaps:
+                    cells[k] = "NA"
+                parts[2 + 2 * q :: stride] = cells
+                parts[3 + 2 * q :: stride] = [sep] * n
+            fh.write("".join(parts))
 
 
 def write_measurements_csv(field: SpatioTemporalField, path) -> None:
     """Write a field as long-form ``timestamp,sensor_id,value`` rows; masked
     cells are written as NA."""
-    _write_csv_rows(path, MEASUREMENT_HEADER, _field_rows(field, 0, field.values))
+    _write_field_csv(path, MEASUREMENT_HEADER, field, 0, field.values)
 
 
 def read_layout_csv(path) -> SensorLayout:
@@ -361,7 +467,7 @@ def write_layout_csv(layout: SensorLayout, path) -> None:
 
 def _write_csv_rows(path, header: list, rows: Iterable[tuple]) -> None:
     """Write a header and rows as given; callers format their own cells."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -648,19 +754,29 @@ def _moment_smoother(
     distinct u with nonzero c1, and the determinant of its local Gram
     matrix exceeds 1e-12 of |g00 g11| + g01^2.  Exact sums give a zero
     determinant wherever the first rule fails; prefix sums leave round-off
-    there, so the rule is explicit.
+    there, so the rule is explicit.  Passing u itself as ``points`` (the
+    same object) reuses its sort, bins and offset powers for the points.
     """
+    at_u = points is u
     u = np.asarray(u, dtype=float)
     cols = np.asarray(cols, dtype=float)
     points = np.asarray(points, dtype=float)
     n, m = u.size, points.size
     order = np.argsort(u, kind="stable")
-    at = np.argsort(points, kind="stable")
-    us, cs, xs = u[order], cols[:, order], points[at]
+    us, cs = u[order], cols[:, order]
     z = (us - us[0]) / h
     b = np.floor(z)
-    z0 = (xs - us[0]) / h
-    b0 = np.floor(z0)
+    vpow = _powers(z - b - 0.5)
+    if at_u:
+        # the points are the observations: their sort, bins and offsets
+        # are those of u, bit for bit
+        at, xs, b0, epow = order, us, b, vpow
+    else:
+        at = np.argsort(points, kind="stable")
+        xs = points[at]
+        z0 = (xs - us[0]) / h
+        b0 = np.floor(z0)
+        epow = _powers(z0 - b0 - 0.5)
     closed = _closed_windows(us, xs, h)
     lo, hi = closed
     # the open windows serve only the distinct-u rule; the kernel weight
@@ -682,7 +798,6 @@ def _moment_smoother(
         width=cuts[1:] - cuts[:-1],
         closed=closed,
     )
-    vpow, epow = _powers(z - b - 0.5), _powers(z0 - b0 - 0.5)
     weights = np.dot(_KERNEL_MOMENTS, epow[:5]).reshape(3, 5, 3, m)
 
     c2 = cs * cs

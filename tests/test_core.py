@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_oracle import ingest_records, measurements, read_records, write_field_rows
 from kernel_oracle import kernel_values
+from skylattice import core
 from skylattice.core import (
     SensorLayout,
     SpatioTemporalField,
+    _moment_smoother,
+    _write_field_csv,
     detrend,
     grid_layout,
     ingest_field,
@@ -141,7 +145,7 @@ class TestIngest:
             for t in (0.0, 1.0, 2.0)
             for i, sid in enumerate(lay.ids)
         ]
-        f = ingest_field(records, lay)
+        f = ingest_field(measurements(records), lay)
         assert f.kind == "raw"
         assert f.mask is None
         npt.assert_array_equal(f.timestamps, [0.0, 1.0, 2.0])
@@ -151,27 +155,34 @@ class TestIngest:
         lay = small_layout(3)
         records = [(2.0, "s0", 3.0), (0.0, "s0", 1.0), (1.0, "s0", 2.0)]
         records += [(t, s, 0.0) for t in (0.0, 1.0, 2.0) for s in ("s1", "s2")]
-        f = ingest_field(records, lay)
+        f = ingest_field(measurements(records), lay)
         npt.assert_array_equal(f.values[0], [1.0, 2.0, 3.0])
 
     def test_unknown_sensor_rejected(self):
         with pytest.raises(ValueError, match="unknown sensor"):
-            ingest_field([(0.0, "S99", 1.0)], small_layout(3))
+            ingest_field(measurements([(0.0, "S99", 1.0)]), small_layout(3))
 
     def test_duplicate_record_rejected(self):
         lay = small_layout(3)
-        with pytest.raises(ValueError, match="duplicate"):
-            ingest_field([(0.0, "s0", 1.0), (0.0, "s0", 2.0)], lay)
+        records = [(0.0, "s0", 1.0), (5.0, "s1", 1.0), (5.0, "s1", 2.0), (0.0, "s0", 2.0)]
+        message = "duplicate record for sensor 's1' at t=5.0 (time index 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_field(measurements(records), lay)
+
+    def test_unknown_sensor_checked_before_duplicates(self):
+        records = [(0.0, "s0", 1.0), (0.0, "s0", 2.0), (1.0, "S99", 1.0)]
+        with pytest.raises(ValueError, match="unknown sensor id 'S99'"):
+            ingest_field(measurements(records), small_layout(3))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no records"):
-            ingest_field([], small_layout(3))
+            ingest_field(measurements([]), small_layout(3))
 
     def test_absent_pairs_become_masked(self):
         lay = small_layout(3)
         records = [(0.0, "s0", 1.0), (1.0, "s0", 2.0), (0.0, "s1", 3.0)]
         records += [(0.0, "s2", 0.0), (1.0, "s2", 0.0)]
-        f = ingest_field(records, lay)
+        f = ingest_field(measurements(records), lay)
         assert f.mask is not None
         assert bool(f.mask[1, 1]) is True
         assert not f.mask[0].any()
@@ -180,8 +191,8 @@ class TestIngest:
         lay = small_layout(3)
         records = [(0.0, s, 0.0) for s in lay.ids] + [(1.0, s, 0.0) for s in lay.ids[1:]]
         with pytest.raises(ValueError, match="sensor 's0' has -inf at time index 1"):
-            ingest_field(records + [(1.0, "s0", -np.inf)], lay)
-        assert bool(ingest_field(records + [(1.0, "s0", None)], lay).mask[0, 1])
+            ingest_field(measurements(records + [(1.0, "s0", -np.inf)]), lay)
+        assert bool(ingest_field(measurements(records + [(1.0, "s0", None)]), lay).mask[0, 1])
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -201,7 +212,9 @@ class TestIngest:
     def test_na_tokens_stay_gaps(self, tmp_path):
         path = tmp_path / "meas.csv"
         path.write_text("timestamp,sensor_id,value\n0,s0,NaN\n1,s0,na\n2,s0,\n3,s0,2.5\n")
-        assert [v for _, _, v in read_measurements_csv(path)] == [None, None, None, 2.5]
+        recs = read_measurements_csv(path)
+        npt.assert_array_equal(np.isnan(recs.values), [True, True, True, False])
+        assert recs.values[3] == 2.5
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -235,7 +248,8 @@ class TestIngest:
             "2024-02-03T08:00:01+00:00,s0,101.0\n"
         )
         recs = read_measurements_csv(path)
-        assert recs[1][0] - recs[0][0] == 1.0
+        t = recs.times[recs.time_code]
+        assert t[1] - t[0] == 1.0
 
     def test_big_simulated_day_round_trips(self, tmp_path):
         # one simulated day at 1 s resolution, through CSV and back
@@ -256,6 +270,104 @@ class TestIngest:
         g = ingest_field(read_measurements_csv(path), f.layout, kind=f.kind)
         npt.assert_array_equal(g.timestamps, f.timestamps)
         npt.assert_array_equal(g.values, f.values)
+
+    def test_measurements_with_bom_read(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_bytes(b"\xef\xbb\xbftimestamp,sensor_id,value\r\n0,s0,1.5\r\n0,s1,NA\r\n")
+        recs = read_measurements_csv(path)
+        assert recs.ids == ("s0", "s1")
+        npt.assert_array_equal(recs.values, [1.5, np.nan])
+
+    def test_layout_with_bom_read(self, tmp_path):
+        path = tmp_path / "layout.csv"
+        path.write_bytes(b"\xef\xbb\xbfsensor_id,x_m,y_m\r\na,0,0\r\nb,1,0\r\nc,0,1\r\n")
+        assert read_layout_csv(path).ids == ("a", "b", "c")
+
+    def test_tokens_that_parse_equal_share_a_code(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("timestamp,sensor_id,value\n60,s0,1\n60.0,s1,2\n 60,s2 ,3\n")
+        recs = read_measurements_csv(path)
+        npt.assert_array_equal(recs.times, [60.0])
+        assert recs.ids == ("s0", "s1", "s2")
+        npt.assert_array_equal(recs.time_code, [0, 0, 0])
+
+
+# ids csv.writer must quote (comma, quote, line break), one with a space
+# and the empty id, which it writes as nothing among other fields
+ODD_IDS = ("a,b", 'say "hi"', "x y", "", "cr\rlf\nx", "s1")
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300)
+
+
+@st.composite
+def odd_fields(draw):
+    """A field over some of ``ODD_IDS`` with whole or fractional stamps,
+    special floats and masked cells, a support and one or two matrices."""
+    S = draw(st.integers(3, len(ODD_IDS)))
+    T = draw(st.integers(1, 6))
+    ids = draw(st.permutations(ODD_IDS))[:S]
+    layout = SensorLayout(tuple(ids), np.column_stack([np.arange(S, dtype=float), np.zeros(S)]))
+    ticks = sorted(draw(st.sets(st.integers(-10**6, 10**6), min_size=T, max_size=T)))
+    scale = draw(st.sampled_from([1.0, 0.25, 30.0]))
+    stamps = 1.7e9 * draw(st.integers(0, 1)) + np.array(ticks) * scale
+    cell = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    matrices = [
+        np.array(draw(st.lists(cell, min_size=S * T, max_size=S * T))).reshape(S, T)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    mask = np.array(draw(st.lists(st.booleans(), min_size=S * T, max_size=S * T))).reshape(S, T)
+    values = np.where(mask, np.nan, matrices[0])
+    field = SpatioTemporalField(layout, stamps, values, "raw", mask)
+    return field, draw(st.integers(0, T)), matrices
+
+
+class TestCsvOracle:
+    """The chunked writer and the columnar reader against the csv-module
+    writer and the per-record reader and ingest of ``csv_oracle``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=odd_fields(), chunk=st.sampled_from([1, 5, 4096]))
+    def test_writer_bytes_equal_oracle(self, tmp_path_factory, case, chunk):
+        field, support, matrices = case
+        header = ["t", "sensor"] + [f"m{q}" for q in range(len(matrices))]
+        d = tmp_path_factory.mktemp("w")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_WRITE_CHUNK_CELLS", chunk)
+            _write_field_csv(d / "new.csv", header, field, support, *matrices)
+        write_field_rows(d / "old.csv", header, field, support, *matrices)
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=odd_fields())
+    def test_reader_field_equals_oracle(self, tmp_path_factory, case):
+        field = case[0]
+        path = tmp_path_factory.mktemp("r") / "meas.csv"
+        write_measurements_csv(field, path)
+        got = ingest_field(read_measurements_csv(path), field.layout)
+        want = ingest_records(read_records(path), field.layout)
+        npt.assert_array_equal(got.timestamps, want.timestamps)
+        npt.assert_array_equal(got.values, want.values)
+        assert np.signbit(got.values).tolist() == np.signbit(want.values).tolist()
+        npt.assert_array_equal(np.asarray(got.mask), np.asarray(want.mask))
+        npt.assert_array_equal(np.asarray(got.mask), np.asarray(field.mask))
+
+
+class TestSmootherAtObservations:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_points_is_u_matches_a_copy_bitwise(self, ties):
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=200)
+        if ties:
+            u = np.round(u, 1)
+        cols = np.vstack([np.ones(200), rng.normal(size=200)])
+        shared = _moment_smoother(u, cols, 0.4, u)
+        apart = _moment_smoother(u, cols, 0.4, u.copy())
+        for name in ("ok", "n_raw", "order", "rank", "vpow", "epow", "gram", "inv", "fold"):
+            npt.assert_array_equal(getattr(shared, name), getattr(apart, name), err_msg=name)
+        for name in ("index", "width", "closed"):
+            npt.assert_array_equal(getattr(shared.segments, name), getattr(apart.segments, name))
+        ws = rng.normal(size=(2, 3, 200))
+        npt.assert_array_equal(shared.levels(ws), apart.levels(ws))
+        npt.assert_array_equal(shared.sandwich(), apart.sandwich())
 
 
 class TestTimeAverage:
