@@ -54,13 +54,16 @@ class SensorLayout:
             raise ValueError("ids and xy disagree on sensor count")
         if len(self.ids) < 3:
             raise ValueError("a layout needs at least 3 sensors")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("sensor ids must be unique")
-        if not np.all(np.isfinite(xy)):
-            raise ValueError("sensor coordinates must be finite")
-        seen = {}
-        for sid, (x, y) in zip(self.ids, xy):
-            key = (float(x), float(y))
+        seen_ids, seen = set(), {}
+        for sid, key in zip(self.ids, map(tuple, xy.tolist())):
+            # the CSV readers strip ids, so a padded id would not round trip
+            if sid != sid.strip():
+                raise ValueError(f"sensor id {sid!r} has leading or trailing whitespace")
+            if sid in seen_ids:
+                raise ValueError(f"sensor ids must be unique: {sid!r} repeats")
+            seen_ids.add(sid)
+            if not all(map(math.isfinite, key)):
+                raise ValueError(f"sensor {sid!r} coordinates must be finite, got {key}")
             if key in seen:
                 raise ValueError(
                     f"sensors {seen[key]!r} and {sid!r} share position {key}"
@@ -450,10 +453,15 @@ def write_measurements_csv(field: SpatioTemporalField, path) -> None:
     _write_field_csv(path, MEASUREMENT_HEADER, field, 0, field.values)
 
 
+def _layout_row(row: list[str]) -> tuple[str, float, float]:
+    sid, x, y = row[0].strip(), float(row[1]), float(row[2])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"sensor {sid!r} coordinates must be finite, got {(x, y)}")
+    return sid, x, y
+
+
 def read_layout_csv(path) -> SensorLayout:
-    rows = _read_csv_rows(
-        path, LAYOUT_HEADER, lambda row: (row[0].strip(), float(row[1]), float(row[2]))
-    )
+    rows = _read_csv_rows(path, LAYOUT_HEADER, _layout_row)
     return SensorLayout(tuple(r[0] for r in rows), np.array([r[1:] for r in rows]))
 
 

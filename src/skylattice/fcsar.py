@@ -20,8 +20,9 @@ sensor, so one design is alive at a time; cross-validation keeps one
 design per sensor id for the length of a call.  No lattice fit builds a
 curve grid unless a caller reads a fit's curves.  The module also provides
 the two factored pipelines (spatial fit first or temporal fit first) and a
-diagnostic that compares all four models' in-sample RMSE on a common
-support.
+diagnostic that returns all four models' in-sample RMSEs on a common
+support; what a report makes of them (the order ratio, the verdict, the
+parameter counts) is the command line's rule, not this module's.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .fcar import (
     _FitDesign,
     _fit_design,
     _solve_fit,
-    effective_params,
     fit_fcar,
 )
 from .spatial import (
@@ -130,13 +130,6 @@ class FcsarFit:
             raise ValueError(f"beta must have shape {shape}, got {beta.shape}")
         for name in ("beta", "fitted_values", "residuals"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @property
-    def total_params(self) -> float:
-        """Neighbor coefficient count plus summed temporal-stage traces."""
-        return float(self.beta.size) + float(
-            sum(effective_params(f) for f in self.fcar_fits)
-        )
 
     def rmse(self, from_t: Optional[int] = None) -> float:
         """In-sample RMSE from ``from_t`` (clamped to the support) onward."""
@@ -522,20 +515,12 @@ def _predict_with_beta(
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Four-model RMSE comparison on a common support.
+    """In-sample RMSEs of the four models on their common support."""
 
-    ``order_ratio`` is max over min of the two factored pipelines'
-    RMSEs; the verdict flags nonseparable structure when it exceeds the
-    threshold.
-    """
-
-    label: str
     st_rmse: float
     ts_rmse: float
     fcsar_b1_rmse: float
     fcsar_b2_rmse: float
-    order_ratio: float
-    verdict: str
 
 
 def separability_diagnostic(
@@ -543,17 +528,13 @@ def separability_diagnostic(
     sar_graph: NeighborGraph,
     fcar_spec: FcarSpec,
     options: Optional[FcarOptions] = None,
-    *,
-    label: str = "field",
-    threshold: float = 1.5,
 ) -> SeparabilityReport:
-    """Compare both factored pipelines against the coupled model.
+    """Fit both factored pipelines and the coupled model, and score them.
 
     Fits space-then-time, time-then-space, and the coupled lattice model
-    with neighbor lag depth 1 and 2, computes all four in-sample RMSEs on
-    the largest common support, and issues a verdict: when the factored
-    orders disagree by more than ``threshold`` (ratio of their RMSEs) the
-    field's space-time structure does not factor.
+    with neighbor lag depth 1 and 2, and returns all four in-sample RMSEs
+    on the largest common support.  The statistics only: ``diagnose``
+    turns them into its order ratio and verdict.
     """
     st = fit_separable(field, "space_then_time", sar_graph, fcar_spec, options)
     ts = fit_separable(field, "time_then_space", sar_graph, fcar_spec, options)
@@ -562,19 +543,9 @@ def separability_diagnostic(
     start = max(
         st.support_start, ts.support_start, f1.support_start, f2.support_start
     )
-    st_rmse = st.rmse(start)
-    ts_rmse = ts.rmse(start)
-    lo, hi = min(st_rmse, ts_rmse), max(st_rmse, ts_rmse)
-    ratio = float("inf") if lo == 0.0 and hi > 0.0 else (hi / lo if lo > 0 else 1.0)
-    verdict = (
-        "separability not supported" if ratio > threshold else "separability plausible"
-    )
     return SeparabilityReport(
-        label=label,
-        st_rmse=st_rmse,
-        ts_rmse=ts_rmse,
+        st_rmse=st.rmse(start),
+        ts_rmse=ts.rmse(start),
         fcsar_b1_rmse=f1.rmse(start),
         fcsar_b2_rmse=f2.rmse(start),
-        order_ratio=ratio,
-        verdict=verdict,
     )

@@ -284,30 +284,3 @@ def simulate_field(cfg: FieldSimConfig) -> SpatioTemporalField:
 
     return SpatioTemporalField(cfg.layout, timestamps, values, kind)
 
-
-def factorization_gap(field: SpatioTemporalField, max_lag: int = 5) -> float:
-    """Deviation of the empirical space-time correlation from a product form.
-
-    Estimates C(s, l, w) = corr(Z[s, t], Z[l, t+w]) for ordered off-diagonal
-    sensor pairs and lags w = 0..max_lag, fits the best product surrogate
-    Lambda(w) * Gamma(s, l) with Gamma the lag-0 correlation and Lambda(w)
-    the least-squares lag multiplier, and returns the largest absolute gap.
-    Separable fields score near 0; advected fields do not (the flow makes
-    C(s, l, w) direction-dependent while Gamma is symmetric).
-    """
-    field.require_complete("factorization_gap")
-    z = field.values - field.values.mean(axis=1, keepdims=True)
-    S, T = z.shape
-    if max_lag >= T:
-        raise ValueError("max_lag must be smaller than the series length")
-    cov = [z[:, : T - w] @ z[:, w:].T / (T - w) for w in range(max_lag + 1)]
-    sd = np.sqrt(np.diag(cov[0]))
-    corr = [c / np.outer(sd, sd) for c in cov]
-    off = ~np.eye(S, dtype=bool)
-    gamma = corr[0][off]
-    gap = 0.0
-    for w in range(1, max_lag + 1):
-        cw = corr[w][off]
-        lam = float(cw @ gamma) / float(gamma @ gamma)
-        gap = max(gap, float(np.max(np.abs(cw - lam * gamma))))
-    return gap

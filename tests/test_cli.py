@@ -245,7 +245,12 @@ def library_fit(field, model):
         return field.values - result.field.values, 0, 2.0 * result.trace.rho.size
     if model == "fcsar":
         fit = fit_fcsar(field, FcsarSpec.uniform(graph, 2, spec), options)
-        return fit.fitted_values, fit.support_start, fit.total_params
+        # the neighbor coefficients (S x knn x b) plus each sensor's smoother trace
+        assert fit.beta.size == 16 * 2 * 2
+        n_params = float(fit.beta.size) + float(
+            sum(effective_params(f) for f in fit.fcar_fits)
+        )
+        return fit.fitted_values, fit.support_start, n_params
     order = {"separable-st": "space_then_time", "separable-ts": "time_then_space"}
     fit = fit_separable(field, order[model], graph, spec, options)
     n_params = 2.0 * fit.sar_trace.rho.size + float(
@@ -372,6 +377,34 @@ def test_malformed_config_line_is_usage_error(tmp_path, capsys):
     cfg.write_text("just some words\n")
     assert run_cli("fit", "--config", cfg) == 2
     assert "key=value" in capsys.readouterr().err
+
+
+def test_config_file_with_bom_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 5\n")
+    assert run_cli("simulate", "--config", cfg, "--T", 20, "--out", tmp_path / "sim") == 0
+    assert json.loads((tmp_path / "sim" / "run.json").read_text())["config"]["seed"] == 5
+
+
+def test_config_file_is_utf8_whatever_the_locale(tmp_path):
+    # PYTHONUTF8=0 keeps the C locale's ASCII as the default encoding
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("label = café\n".encode("utf-8"))
+    out = tmp_path / "sim"
+    proc = run_child(
+        "-m", "skylattice", "simulate", "--config", str(cfg), "--T", "20", "--out", str(out),
+        LC_ALL="C", PYTHONUTF8="0",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "run.json").read_text())["config"]["label"] == "café"
+
+
+def test_undecodable_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("label = café\n".encode("latin-1"))
+    assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+    assert f"usage error: config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_run_json_echoes_resolved_config(tmp_path, sim_dir):
@@ -636,22 +669,29 @@ def test_crossval_repeated_k_is_usage_error(tmp_path, sim_dir, capsys):
 
 
 def test_diagnose_command(tmp_path, sim_dir, capsys):
-    out = tmp_path / "diag"
-    code = run_cli(
-        "diagnose",
-        "--measurements", sim_dir / "measurements.csv",
-        "--layout", sim_dir / "layout.csv",
-        "--out", out,
-        "--window", 0,
-        "--p", 1,
-        "--knots", 8,
-    )
-    assert code == 0
-    rows = list(csv.reader((out / "separability.csv").open()))
-    assert rows[0] == ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"]
-    assert len(rows) == 2
-    assert "verdict" not in rows[0]
-    assert "separability" in capsys.readouterr().out
+    # the summary line is pinned on both sides of the field's order ratio,
+    # 1.136: at the default --threshold 1.5 and at 1.01
+    rmses = "field: st=16.9163 ts=19.2202 b1=13.481 b2=13.2803 ratio=1.136"
+    for threshold, verdict in (("1.5", "plausible"), ("1.01", "not supported")):
+        out = tmp_path / threshold
+        code = run_cli(
+            "diagnose",
+            "--measurements", sim_dir / "measurements.csv",
+            "--layout", sim_dir / "layout.csv",
+            "--out", out,
+            "--window", 0,
+            "--p", 1,
+            "--knots", 8,
+            "--threshold", threshold,
+        )
+        assert code == 0
+        rows = list(csv.reader((out / "separability.csv").open()))
+        assert rows[0] == ["label", "st_rmse", "ts_rmse", "fcsar_b1_rmse", "fcsar_b2_rmse"]
+        assert len(rows) == 2
+        assert "verdict" not in rows[0]
+        assert capsys.readouterr().out == f"{rmses} -> separability {verdict}\n"
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"]["threshold"] == float(threshold)
 
 
 # ------------------------------------------------------------- report
@@ -714,15 +754,16 @@ def test_report_and_fit_share_the_adj_r2_rule(tmp_path):
 # ------------------------------------------------------------- entry points
 
 
-def run_child(*args):
-    """Run a fresh interpreter on the package this suite imported, installed or not."""
+def run_child(*args, **env):
+    """Run a fresh interpreter on the package this suite imported, installed or
+    not, with ``env`` added to the environment."""
     src = str(Path(skylattice.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -898,6 +939,19 @@ class A:
     # import, class, x = (2 lines), def, later string, return
     assert tool.code_lines(source) == 7
     assert tool.code_lines("") == 0
+
+
+def test_unreached_lists_functions_no_fixture_command_calls():
+    # sbk_estimate builds curves, which no command writes; _common_opts runs
+    # at import, which the tool profiles too
+    tool = Path(__file__).resolve().parents[1] / "tools" / "unreached.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"skylattice\.\w+:\d+ [\w.<>]+", line) for line in lines), lines
+    names = {line.split(" ", 1)[1] for line in lines}
+    assert "sbk_estimate" in names
+    assert not names & {"_common_opts", "main", "fit_fcsar"}
 
 
 def test_fixture_digests_do_not_depend_on_the_out_dir(tmp_path):

@@ -59,8 +59,15 @@ class TestSensorLayout:
             SensorLayout(("a", "b"), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            SensorLayout(("a", "a", "b"), np.zeros((3, 2)) + np.arange(3)[:, None])
+        with pytest.raises(ValueError, match="^sensor ids must be unique: 'a' repeats$"):
+            SensorLayout(("a", "b", "a"), np.zeros((3, 2)) + np.arange(3)[:, None])
+
+    @pytest.mark.parametrize("sid", ["s1 ", " s1", "s1\n", "\ts1"])
+    def test_padded_id_rejected(self, sid):
+        # the CSV readers strip ids, so a padded id would not round trip
+        message = f"^sensor id {re.escape(repr(sid))} has leading or trailing whitespace$"
+        with pytest.raises(ValueError, match=message):
+            SensorLayout((sid, "b", "c"), np.arange(6.0).reshape(3, 2))
 
     def test_duplicate_coordinates_rejected(self):
         xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
@@ -69,7 +76,9 @@ class TestSensorLayout:
 
     def test_nonfinite_coordinates_rejected(self):
         xy = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(
+            ValueError, match=r"^sensor 'c' coordinates must be finite, got \(nan, 1\.0\)$"
+        ):
             SensorLayout(("a", "b", "c"), xy)
 
     def test_subset_preserves_order(self):
@@ -282,6 +291,19 @@ class TestIngest:
         path = tmp_path / "layout.csv"
         path.write_bytes(b"\xef\xbb\xbfsensor_id,x_m,y_m\r\na,0,0\r\nb,1,0\r\nc,0,1\r\n")
         assert read_layout_csv(path).ids == ("a", "b", "c")
+
+    def test_layout_nonfinite_coordinate_names_path_and_line(self, tmp_path):
+        path = tmp_path / "layout.csv"
+        path.write_text("sensor_id,x_m,y_m\na,0,0\nb, inf,1\nc,0,1\n")
+        message = f"^{re.escape(str(path))}:3: sensor 'b' coordinates must be finite, got \\(inf, 1\\.0\\)$"
+        with pytest.raises(ValueError, match=message):
+            read_layout_csv(path)
+
+    def test_layout_repeated_id_names_the_sensor(self, tmp_path):
+        path = tmp_path / "layout.csv"
+        path.write_text("sensor_id,x_m,y_m\na,0,0\nb,1,0\n a ,0,1\n")
+        with pytest.raises(ValueError, match="^sensor ids must be unique: 'a' repeats$"):
+            read_layout_csv(path)
 
     def test_tokens_that_parse_equal_share_a_code(self, tmp_path):
         path = tmp_path / "meas.csv"

@@ -28,7 +28,7 @@ from skylattice.evaluation import (
     rmpe_ratio,
     rmse,
 )
-from skylattice.fcar import FcarOptions, FcarSpec
+from skylattice.fcar import FcarOptions, FcarSpec, effective_params
 from skylattice.fcsar import FcsarSpec, fit_fcsar, predict_missing_sensor
 from skylattice.simulation import FieldSimConfig, simulate_field
 from skylattice.spatial import build_neighbor_graph
@@ -654,7 +654,8 @@ def test_csv_writers_roundtrip(tmp_path):
     obs = averaged.values[:, fit.support_start :]
     fitted = fit.fitted_values[:, fit.support_start :]
     window_rmse = rmse(obs, fitted)
-    adj = adjusted_r2(obs, fitted, fit.total_params)
+    n_params = float(fit.beta.size) + float(sum(effective_params(f) for f in fit.fcar_fits))
+    adj = adjusted_r2(obs, fitted, n_params)
 
     rows = list(csv.reader((tmp_path / "cv" / "rmpe_ratio.csv").open()))
     assert rows == [["label", "k", "ratio"], ["day1", "1", f"{ratio:.10g}"]]

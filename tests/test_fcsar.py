@@ -21,7 +21,6 @@ from skylattice.fcar import (
     FcarSpec,
     _fit_design,
     _solve_fit,
-    effective_params,
     fit_fcar,
 )
 from skylattice.spatial import (
@@ -187,16 +186,6 @@ def test_zero_coupling_centers_beta_and_matches_standalone_variance():
     rv = np.mean([np.mean(f.residuals**2) for f in coupled.fcar_fits])
     rv0 = np.mean([np.mean(f.residuals**2) for f in standalone.fcar_fits])
     assert abs(rv / rv0 - 1.0) < 0.05
-
-
-def test_total_params_formula():
-    layout = small_layout()
-    graph = build_neighbor_graph(layout, k=2)
-    z = simulate_lattice(layout, graph, 200, seed=5)
-    fit = fit_fcsar(as_field(layout, z), FcsarSpec.uniform(graph, 2, AR1_SPEC), LIGHT)
-    expected = fit.beta.size + sum(effective_params(f) for f in fit.fcar_fits)
-    assert fit.beta.size == 16 * 2 * 2
-    assert fit.total_params == pytest.approx(expected, abs=1e-12)
 
 
 def test_identical_sensors_flagged_minimum_norm():
@@ -753,32 +742,72 @@ def test_predict_beats_interpolation_on_cloudy_field():
 def test_diagnostic_reports_common_support_rmses():
     field = advective_field(T=120, seed=5)
     graph = build_neighbor_graph(field.layout, k=2)
-    rep = separability_diagnostic(field, graph, AR1_SPEC, LIGHT, label="adv-5")
-    assert rep.label == "adv-5"
+    rep = separability_diagnostic(field, graph, AR1_SPEC, LIGHT)
     st = fit_separable(field, "space_then_time", graph, AR1_SPEC, LIGHT)
+    ts = fit_separable(field, "time_then_space", graph, AR1_SPEC, LIGHT)
+    f1 = fit_fcsar(field, FcsarSpec.uniform(graph, 1, AR1_SPEC), LIGHT)
     f2 = fit_fcsar(field, FcsarSpec.uniform(graph, 2, AR1_SPEC), LIGHT)
-    common = max(st.support_start, f2.support_start)
-    assert rep.st_rmse == pytest.approx(st.rmse(common), rel=1e-12)
-    assert rep.fcsar_b2_rmse == pytest.approx(f2.rmse(common), rel=1e-12)
-    assert rep.order_ratio == pytest.approx(
-        max(rep.st_rmse, rep.ts_rmse) / min(rep.st_rmse, rep.ts_rmse), rel=1e-12
+    common = max(st.support_start, ts.support_start, f1.support_start, f2.support_start)
+    assert rep.st_rmse == st.rmse(common)
+    assert rep.ts_rmse == ts.rmse(common)
+    assert rep.fcsar_b1_rmse == f1.rmse(common)
+    assert rep.fcsar_b2_rmse == f2.rmse(common)
+
+
+def diagnose_line(tmp_path, capsys, simulate_args, diagnose_args):
+    """``diagnose``'s stdout on a simulated field, and the field it read."""
+    sim = tmp_path / "sim"
+    assert cli_main(["simulate", "--out", str(sim), *simulate_args]) == 0
+    inputs = ["--measurements", str(sim / "measurements.csv"),
+              "--layout", str(sim / "layout.csv")]
+    capsys.readouterr()
+    argv = ["diagnose", *inputs, "--out", str(tmp_path / "diag"), "--window", "0"]
+    assert cli_main(argv + diagnose_args) == 0
+    field = ingest_field(
+        read_measurements_csv(sim / "measurements.csv"),
+        read_layout_csv(sim / "layout.csv"),
+        kind="detrended",
+    )
+    return capsys.readouterr().out, field
+
+
+@pytest.mark.parametrize(
+    "simulate_args, p, spec, verdict",
+    [
+        (["--spacing", "30", "--corr-length", "360", "--T", "120"], "2", AR2_SPEC,
+         "not supported"),
+        (["--mode", "separable", "--corr-length", "60", "--T", "144"], "1", AR1_SPEC,
+         "plausible"),
+    ],
+    ids=["advected", "factorizable"],
+)
+def test_diagnose_line_reports_order_ratio_and_verdict(
+    tmp_path, capsys, simulate_args, p, spec, verdict
+):
+    # the advected field's fit orders disagree by more than the default
+    # --threshold 1.5; the factorizable field's agree within it
+    out, field = diagnose_line(tmp_path, capsys, simulate_args, ["--p", p])
+    rep = separability_diagnostic(field, build_neighbor_graph(field.layout, k=2), spec)
+    ratio = max(rep.st_rmse, rep.ts_rmse) / min(rep.st_rmse, rep.ts_rmse)
+    assert (ratio > 1.5) == (verdict == "not supported")
+    assert out == (
+        f"field: st={rep.st_rmse:.6g} ts={rep.ts_rmse:.6g} b1={rep.fcsar_b1_rmse:.6g} "
+        f"b2={rep.fcsar_b2_rmse:.6g} ratio={ratio:.4g} -> separability {verdict}\n"
     )
 
 
-def test_diagnostic_flags_advected_field():
-    field = advective_field(T=120, spacing=30.0, corr_length=360.0, seed=0)
-    graph = build_neighbor_graph(field.layout, k=2)
-    rep = separability_diagnostic(field, graph, AR2_SPEC)
-    assert rep.order_ratio > 1.5
-    assert rep.verdict == "separability not supported"
-
-
-def test_diagnostic_accepts_factorizable_field():
-    field = separable_field(T=144, corr_length=60.0, seed=0)
-    graph = build_neighbor_graph(field.layout, k=2)
-    rep = separability_diagnostic(field, graph, AR1_SPEC)
-    assert rep.order_ratio < 1.5
-    assert rep.verdict == "separability plausible"
+def test_diagnose_threshold_boundary(tmp_path, capsys):
+    # a ratio equal to --threshold is plausible; above it, not supported
+    simulate_args = ["--mode", "separable", "--corr-length", "60", "--T", "100", "--seed", "1"]
+    model_args = ["--p", "1", "--knots", "8"]
+    _, field = diagnose_line(tmp_path, capsys, simulate_args, model_args)
+    rep = separability_diagnostic(field, build_neighbor_graph(field.layout, k=2), AR1_SPEC, LIGHT)
+    ratio = max(rep.st_rmse, rep.ts_rmse) / min(rep.st_rmse, rep.ts_rmse)
+    below = float(np.nextafter(ratio, 0.0))
+    for threshold, verdict in ((ratio, "plausible"), (below, "not supported")):
+        argv = model_args + ["--threshold", repr(threshold)]
+        out, _ = diagnose_line(tmp_path, capsys, simulate_args, argv)
+        assert out.endswith(f" ratio={ratio:.4g} -> separability {verdict}\n")
 
 
 def test_separability_csv_roundtrip(tmp_path):
@@ -797,7 +826,7 @@ def test_separability_csv_roundtrip(tmp_path):
         kind="detrended",
     )
     graph = build_neighbor_graph(field.layout, k=2)
-    rep = separability_diagnostic(field, graph, AR1_SPEC, LIGHT, label="sep-1")
+    rep = separability_diagnostic(field, graph, AR1_SPEC, LIGHT)
     with open(tmp_path / "diag" / "separability.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [

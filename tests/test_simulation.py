@@ -9,7 +9,6 @@ from skylattice.simulation import (
     Expar2Config,
     FieldSimConfig,
     expar2_true_curves,
-    factorization_gap,
     simulate_expar2,
     simulate_field,
 )
@@ -100,18 +99,6 @@ class TestFieldSimulator:
         ]
         expected = 200.0 / (10.0 * 2.0)
         assert abs(int(lags[np.argmax(cc)]) - expected) <= 1
-
-    def test_separable_covariance_factorizes(self, layout16):
-        cfg = FieldSimConfig(
-            layout=layout16, n_times=100_000, mode="separable", seed=7
-        )
-        assert factorization_gap(simulate_field(cfg), max_lag=5) < 0.05
-
-    def test_advective_covariance_does_not_factorize(self, layout16):
-        cfg = FieldSimConfig(
-            layout=layout16, n_times=20_000, mode="advective", seed=7
-        )
-        assert factorization_gap(simulate_field(cfg), max_lag=5) > 0.05
 
     def test_clear_regime_much_quieter_than_overcast(self, layout16):
         clear = simulate_field(
