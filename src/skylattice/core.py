@@ -453,15 +453,19 @@ def write_measurements_csv(field: SpatioTemporalField, path) -> None:
     _write_field_csv(path, MEASUREMENT_HEADER, field, 0, field.values)
 
 
-def _layout_row(row: list[str]) -> tuple[str, float, float]:
+def _layout_row(row: list[str], seen: set) -> tuple[str, float, float]:
     sid, x, y = row[0].strip(), float(row[1]), float(row[2])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"sensor {sid!r} coordinates must be finite, got {(x, y)}")
+    if sid in seen:
+        raise ValueError(f"sensor ids must be unique: {sid!r} repeats")
+    seen.add(sid)
     return sid, x, y
 
 
 def read_layout_csv(path) -> SensorLayout:
-    rows = _read_csv_rows(path, LAYOUT_HEADER, _layout_row)
+    seen: set = set()
+    rows = _read_csv_rows(path, LAYOUT_HEADER, lambda row: _layout_row(row, seen))
     return SensorLayout(tuple(r[0] for r in rows), np.array([r[1:] for r in rows]))
 
 

@@ -23,7 +23,8 @@ everything the response cannot change: the regression rows
 X_{t-j} or ones for m_0), the basis at the rows (``_TentRows``: each row's
 knot interval and its fraction of it), each spline block factored through
 its knot intervals (``_SplineBlock``: per interval a two-column QR, then
-the SVD of the stacked 2 x 2 triangles, O(T) work and no T-row factor),
+the SVD of the stacked 2 x 2 triangles through their bidiagonal, O(T)
+work and no T-row factor),
 the bandwidth, and the running-moments smoother (``core._moment_smoother``)
 evaluated at the observed u, which sorts the rows by u, cuts each window at
 bins of one bandwidth and folds the local Gram sums of every component into
@@ -263,8 +264,10 @@ class _SplineBlock:
     so the rows of interval k form a two-column matrix, and its thin QR
     factor ``[q0 q1]`` (the rows' two coefficients, in columns 2k and 2k+1
     of Q~) and 2 x 2 triangle stack to D = Q~ R~, with R~ of shape
-    2(N+1) x (N+2).  ``U * sing @ Vt`` is the thin SVD of R~, so ``sing``
-    and ``Vt`` are D's and D's left factor is Q~ U.  ``r_scale`` is the
+    2(N+1) x (N+2).  ``U * sing @ Vt`` is the thin SVD of R~, taken on
+    the bidiagonal that two Givens rotations per column reduce R~ to
+    (:func:`_stack_svd`), so ``sing`` (descending) and ``Vt`` are D's and
+    D's left factor is Q~ U.  ``r_scale`` is the
     95th percentile of |X_{t-j}| (1 for the intercept curve), which scales
     the coefficient cap.
     """
@@ -310,16 +313,11 @@ def _spline_block(
     """Factor the block D = B * ``reg`` through its knot intervals.
 
     Per interval, classical Gram-Schmidt on the rows' two columns with one
-    re-orthogonalization pass, in segment sums over the rows; then the SVD
-    of the stacked triangles.  An interval without rows, or whose columns
-    vanish or are exactly parallel, leaves a zero row in R~ and a zero
-    column in Q~.
+    re-orthogonalization pass, in segment sums over the rows; then the thin
+    SVD of the stacked triangles on their bidiagonal (:func:`_stack_svd`).
+    An interval without rows, or whose columns vanish or are exactly
+    parallel, leaves a zero row in R~ and a zero column in Q~.
     """
-    # imported here: scipy.linalg loads slower than the rest of the package,
-    # and simulate, detrend and SAR fits never get here.  Not numpy's svd:
-    # it links another LAPACK build, whose results differ in the last bits
-    from scipy.linalg import svd
-
     k, m = tent.k, n_funcs - 1
 
     def interval_sums(v):
@@ -336,15 +334,120 @@ def _spline_block(
     again = interval_sums(q0 * v)
     v -= again[k] * q0
     q1, r11 = normalize(v)
-    R = np.zeros((2 * m, n_funcs))
-    i = np.arange(m)
-    R[2 * i, i] = r00
-    R[2 * i, i + 1] = r01 + again
-    R[2 * i + 1, i + 1] = r11
-    U, sing, Vt = svd(R, full_matrices=False)
+    U, sing, Vt = _stack_svd(r00, r01 + again, r11)
     if sing[0] <= 0.0:
         raise ValueError("degenerate spline design (all-zero block)")
     return _SplineBlock(k, q0, q1, U, sing, Vt, r_scale)
+
+
+@functools.cache
+def _lapack(name: str, n_args: int):
+    """The LAPACK routine ``name`` of the LAPACK that scipy.linalg links,
+    taken from ``scipy.linalg.cython_lapack`` (which exports the bidiagonal
+    and banded routines that ``scipy.linalg.lapack`` does not) and called
+    through ctypes with ``n_args`` pointer arguments.  Not numpy's LAPACK:
+    numpy links another build, whose results differ in the last bits.
+    Loaded on first use: scipy.linalg loads slower than the rest of the
+    package, and simulate, detrend and SAR fits never get here."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[name]
+    capi = ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", capi)
+    )
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", capi)
+    )(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+
+
+def _stack_svd(r00: np.ndarray, r01: np.ndarray, r11: np.ndarray):
+    """Thin SVD ``U, sing, Vt`` of a block's stacked triangles R~.
+
+    R~ is 2m x (m+1): row 2j holds ``r00[j]`` in column j and ``r01[j]`` in
+    column j+1, and row 2j+1 holds ``r11[j]`` in column j+1.  Two Givens
+    rotations per column reduce it to an (m+1)-square upper bidiagonal B.
+    At column j, a pending row whose one entry pi_j sits in column j
+    (pi_0 = 0) meets row 2j.  The rotation (c_j, s_j) = (r00[j], pi_j) /
+    rho_j, with rho_j = hypot(pi_j, r00[j]), gives B's row j, (rho_j,
+    c_j r01[j]), and a complement whose one entry, -s_j r01[j], sits in
+    column j+1.  The rotation (alpha_j, beta_j) = (-s_j r01[j], r11[j]) /
+    pi_{j+1} merges that complement with row 2j+1 into the next pending
+    row, pi_{j+1} = hypot(s_j r01[j], r11[j]), and a zero row.  The last
+    pending row is B's last row, and a rotation with nothing to rotate is
+    the identity.  Each pending value depends on the one before, so one
+    scalar loop runs the chain and records every rotation.
+
+    LAPACK's ``dbdsdc('U', 'I')`` gives B = U_B S V'; S (descending, as
+    :func:`_block_solve` needs) and V' are R~'s.  R~'s left factor follows
+    from the rotations.  In B's rows, row 2j of R~ is c_j B_j - s_j alpha_j
+    P_{j+1} and row 2j+1 is beta_j P_{j+1}, where the pending rows unwind
+    as P_k = s_k B_k + gamma_k P_{k+1}, gamma_k = c_k alpha_k and P_m =
+    B_m.  So the rows P_k U_B solve one unit upper bidiagonal system with
+    m+1 right-hand sides, which LAPACK's ``dtbtrs`` solves in O(m^2).
+    """
+    m = r00.size
+    n = m + 1
+    nn = n * n
+    rotations = []
+    p = 0.0
+    for a, b, t in zip(r00.tolist(), r01.tolist(), r11.tolist()):
+        r = math.hypot(p, a)
+        if r:
+            c, s = a / r, p / r
+        else:
+            c, s = 1.0, 0.0
+        sb = s * b
+        p = math.hypot(sb, t)
+        if p:
+            rotations.extend((r, c, s, sb / p, t / p))
+        else:
+            rotations.extend((r, c, s, -1.0, 0.0))
+    # the last pending row is B's last row, and P_m = B_m
+    rotations.extend((p, 1.0, 1.0, -1.0, 0.0))
+    # One float workspace, by offset: per column rho, c, s, -alpha and
+    # beta | d | e | L's band | dbdsdc's work (3n^2 + 4n) | U_B' | V, where
+    # Fortran's column-major U_B and V' read as U_B' and V.  One int32
+    # workspace: n | dbdsdc's info | 1 | 2 | dtbtrs's info | dbdsdc's 8n.
+    D, E, L, W = 5 * n, 6 * n, 7 * n, 9 * n
+    UB = W + 3 * nn + 4 * n
+    work = np.empty(UB + 2 * nn)
+    iwork = np.empty(8 * n + 5, dtype=np.int32)
+    work[:D] = rotations
+    rho, c, s, neg_alpha, beta = work[:D].reshape(n, 5).T
+    c, neg_alpha, beta = c[:m], neg_alpha[:m], beta[:m]
+    work[D:E] = rho
+    np.multiply(c, r01, out=work[E : E + m])
+    iwork[:5] = (n, 0, 1, 2, 0)
+    fa, ia = work.ctypes.data, iwork.ctypes.data
+    _lapack("dbdsdc", 14)(
+        b"U", b"I", ia, fa + 8 * D, fa + 8 * E, fa + 8 * UB, ia, fa + 8 * (UB + nn), ia,
+        None, None, fa + 8 * W, ia + 20, ia + 4,
+    )
+    sing = work[D:E].copy()
+    UBt, V = work[UB:].reshape(2, n, n)
+    Vt = np.ascontiguousarray(V.T)
+    U = np.empty((2 * m, n))
+    np.multiply(UBt[:, :m].T, c[:, None], out=U[0::2])
+    # the rows P_k U_B solve L P = diag(s) U_B (s_m = 1), with L unit upper
+    # bidiagonal and -gamma above its diagonal, in place of U_B; in LAPACK's
+    # band storage, L's column k holds -gamma_{k-1} first
+    np.multiply(c, neg_alpha, out=work[L + 2 : W : 2])
+    UBt *= s
+    _lapack("dtbtrs", 11)(
+        b"U", b"N", b"U", ia, ia + 8, ia, fa + 8 * L, ia + 12, fa + 8 * UB, ia, ia + 16
+    )
+    if iwork[1] or iwork[4]:
+        raise ValueError(
+            f"LAPACK failed on a spline block (dbdsdc info {iwork[1]}, dtbtrs info {iwork[4]})"
+        )
+    P = UBt[:, 1:].T
+    U[0::2] += (s[:m] * neg_alpha)[:, None] * P
+    np.multiply(beta[:, None], P, out=U[1::2])
+    return U, sing, Vt
 
 
 def _gram_band(sing: np.ndarray, Vt: np.ndarray) -> np.ndarray:
@@ -470,6 +573,8 @@ def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.
     :func:`fit_fcar` reports such a design in ``FcarFit.rank_deficient``.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
     rows = _fit_rows(x, spec, None)
     B, blocks = _spline_design(rows, spec, basis)
     return _spline_lstsq(B, blocks, rows.cols, x[rows.t]).coeffs

@@ -784,6 +784,56 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+# ------------------------------------------------- BLAS thread count
+# A fresh process at each OpenBLAS thread count; the bytes a fit writes
+# must not depend on it.  Long records matter: at T=2880 the spline blocks
+# reach 388 x 195, where a dense SVD's left factor moved with the threads.
+
+FACTOR_T2880 = """
+import sys
+import numpy as np
+from skylattice import fcar
+from skylattice.simulation import Expar2Config, simulate_expar2
+x = simulate_expar2(Expar2Config(n_times=2880, seed=3))
+spec = fcar.FcarSpec(p=2, d=1)
+rows = fcar._fit_rows(x, spec, None)
+basis = fcar.SplineBasis(fcar.default_knot_count(2880))
+block = fcar._spline_design(rows, spec, basis)[1][1]
+np.savez(sys.argv[1], U=block.U, sing=block.sing, Vt=block.Vt)
+"""
+
+
+def test_spline_factor_bitwise_equal_across_blas_threads(tmp_path):
+    factors = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"block{threads}.npz"
+        proc = run_child("-c", FACTOR_T2880, str(out), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        factors.append(np.load(out))
+    one, two = factors
+    assert one["U"].shape == (388, 195)
+    for name in ("U", "sing", "Vt"):
+        np.testing.assert_array_equal(one[name], two[name], err_msg=name)
+
+
+def test_fit_bytes_equal_across_blas_threads(tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out", sim, "--seed", 1, "--T", 2880, "--verbosity", 0) == 0
+    data = ("--measurements", sim / "measurements.csv", "--layout", sim / "layout.csv")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fit{threads}"
+        args = ("fit", "--model", "fcsar", "--window", "0", *data, "--out", out)
+        proc = run_child(
+            "-m", "skylattice", *map(str, args), "--verbosity", "0",
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("fitted.csv", "residuals.csv", "fit.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def load_repo_script(rel: str):
     """Import a script of this repository by its path under the repo root."""
     path = Path(__file__).resolve().parents[1] / rel
@@ -819,18 +869,27 @@ def test_one_spline_svd_per_component_and_sensor(tmp_path, sim_dir, monkeypatch,
     # (p=2, d=1: two components) on 16 sensors: one fcar design per sensor
     # and command, so 32 SVDs whether a sensor's design is solved for two
     # responses (fit) or for every neighbor set it is backfit with (crossval).
-    # Each factors a block's stacked interval triangles, 2(N+1) x (N+2), and
-    # never the T-row block itself
+    # Each factors a block's stacked interval triangles, 2(N+1) x (N+2), on
+    # their bidiagonal, and never the T-row block itself; no dense SVD runs
     import scipy.linalg
 
-    shapes = []
-    svd = scipy.linalg.svd
+    from skylattice import fcar
+
+    shapes, dense = [], []
+    stack_svd, svd = fcar._stack_svd, scipy.linalg.svd
+
+    def counting(*args):
+        out = stack_svd(*args)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(fcar, "_stack_svd", counting)
     monkeypatch.setattr(
-        scipy.linalg, "svd", lambda a, *r, **kw: shapes.append(a.shape) or svd(a, *r, **kw)
+        scipy.linalg, "svd", lambda a, *r, **kw: dense.append(a.shape) or svd(a, *r, **kw)
     )
     data = ("--measurements", sim_dir / "measurements.csv", "--layout", sim_dir / "layout.csv")
     assert run_cli(*command, *data, "--out", tmp_path / "out") == 0
-    assert len(shapes) == 32
+    assert len(shapes) == 32 and not dense
     assert all(rows <= 2 * (cols - 1) for rows, cols in shapes), shapes
 
 
@@ -881,6 +940,18 @@ def test_fixture_commands_build_no_curve_grid(tmp_path, monkeypatch):
     for argv in tool.COMMANDS:
         assert main(list(argv)) == 0, argv
     assert counts == {"sbk_estimate": 0, "grid": 0}
+
+
+def test_fixture_digests_run_restores_cwd_and_path(tmp_path, monkeypatch, capsys):
+    # an in-process caller (tools/unreached.py) keeps its working directory
+    # and import path
+    tool = load_repo_script("tools/fixture_digests.py")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = list(sys.path)
+    assert tool.run_commands(tmp_path / "out", Path(__file__).resolve().parents[1]) == 0
+    assert Path.cwd() == tmp_path and sys.path == path
+    assert len(capsys.readouterr().out.splitlines()) == 39
 
 
 def test_fixture_digests_against_names_each_moved_number(tmp_path):

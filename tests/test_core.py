@@ -302,7 +302,9 @@ class TestIngest:
     def test_layout_repeated_id_names_the_sensor(self, tmp_path):
         path = tmp_path / "layout.csv"
         path.write_text("sensor_id,x_m,y_m\na,0,0\nb,1,0\n a ,0,1\n")
-        with pytest.raises(ValueError, match="^sensor ids must be unique: 'a' repeats$"):
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}:4: sensor ids must be unique: 'a' repeats$"
+        ):
             read_layout_csv(path)
 
     def test_tokens_that_parse_equal_share_a_code(self, tmp_path):

@@ -332,9 +332,7 @@ class TestFitRows:
     def test_one_row_build_per_fit(self, monkeypatch, spec):
         # a fit is one design: one row build and one SVD per component, of
         # the block's stacked interval triangles (at most 2(N+1) rows)
-        import scipy.linalg
-
-        calls = {"_fit_rows": 0, "svd": 0, "_fit_design": 0, "_solve_fit": 0}
+        calls = {"_fit_rows": 0, "_stack_svd": 0, "_fit_design": 0, "_solve_fit": 0}
         svd_rows = []
 
         def counting(module, name):
@@ -342,18 +340,19 @@ class TestFitRows:
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if name == "svd":
-                    svd_rows.append((args[0].shape[0], 2 * (args[0].shape[1] - 1)))
-                return original(*args, **kwargs)
+                out = original(*args, **kwargs)
+                if name == "_stack_svd":
+                    svd_rows.append((out[0].shape[0], 2 * (out[0].shape[1] - 1)))
+                return out
 
             monkeypatch.setattr(module, name, wrapper)
 
         counting(fcar, "_fit_rows")
-        counting(scipy.linalg, "svd")
+        counting(fcar, "_stack_svd")
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         fit_fcar(x, spec)
         fcar._solve_fit(fcar._fit_design(x, spec, None, 4), np.sin(x))
-        assert calls == {"_fit_rows": 2, "svd": 4, "_fit_design": 0, "_solve_fit": 0}
+        assert calls == {"_fit_rows": 2, "_stack_svd": 4, "_fit_design": 0, "_solve_fit": 0}
         # a lattice fit builds one design per sensor and solves it twice:
         # for the backfit's temporal stage, then for the final one
         from skylattice import fcsar
@@ -364,7 +363,12 @@ class TestFitRows:
         field = simulate_field(FieldSimConfig(layout, 80, seed=2))
         graph = build_neighbor_graph(layout, 2)
         fit_fcsar(field, FcsarSpec.uniform(graph, 1, spec), FcarOptions(n_knots=4))
-        assert calls == {"_fit_rows": 2 + 9, "svd": 4 + 9 * 2, "_fit_design": 9, "_solve_fit": 18}
+        assert calls == {
+            "_fit_rows": 2 + 9,
+            "_stack_svd": 4 + 9 * 2,
+            "_fit_design": 9,
+            "_solve_fit": 18,
+        }
         assert all(rows <= bound for rows, bound in svd_rows), svd_rows
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -686,6 +690,11 @@ class TestFitFcar:
         bad[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             fit_fcar(bad, spec)
+        # a value only the lag-2 column reads never reaches the spline factor
+        bad = ar1_series(100, seed=1)
+        bad[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            spline_preestimate(bad, FcarSpec(p=2, d=1), SplineBasis(5))
         with pytest.raises(ValueError, match="constant"):
             fit_fcar(np.ones(100), spec)
 
@@ -1979,42 +1988,79 @@ def knot_series():
     return np.concatenate([rng.permutation(pool), cluster, [4.5], rng.permutation(pool * 2)])
 
 
-def assert_compression_matches_dense(x, spec, basis, responses):
+def assert_block_matches_dense(block, D):
+    """One factored block against the dense SVD of its T-row block D."""
     from scipy.linalg import svd
 
+    n, n_funcs = D.shape
+    m = n_funcs - 1
+    sing = svd(D, compute_uv=False)
+    s0 = float(sing[0])
+    npt.assert_allclose(block.sing, sing, rtol=0, atol=1e-12 * s0)
+    # _block_solve keeps the first rank singular values
+    assert np.all(np.diff(block.sing) <= 0.0)
+    # R~'R~ = D'D, and Q~ R~ = D with orthonormal nonzero columns in Q~
+    R = (block.U * block.sing) @ block.Vt
+    assert R.shape == (2 * m, n_funcs)
+    npt.assert_allclose(R.T @ R, D.T @ D, rtol=0, atol=1e-12 * s0**2)
+    npt.assert_allclose(block.U.T @ block.U, np.eye(n_funcs), rtol=0, atol=1e-12)
+    npt.assert_allclose(block.Vt @ block.Vt.T, np.eye(n_funcs), rtol=0, atol=1e-12)
+    Q = np.zeros((n, 2 * m))
+    Q[np.arange(n), 2 * block.k] = block.q0
+    Q[np.arange(n), 2 * block.k + 1] = block.q1
+    npt.assert_allclose(Q @ R, D, rtol=0, atol=1e-12 * s0)
+    used = np.any(Q != 0.0, axis=0)
+    npt.assert_allclose(Q[:, used].T @ Q[:, used], np.eye(used.sum()), rtol=0, atol=1e-12)
+
+
+def assert_block_solve_matches_dense(block, D, y, cap):
+    """The truncated-SVD solve of ``y`` on a factored block against the
+    dense one, with the same rank and cutoff; returns the solve
+    (coefficients, band, rank, cutoff) and the dense residual variance."""
+    solved = fcar._block_solve(block, y, cap)
+    coef, band, rank, cond = solved
+    ref_coef, ref_sigma2, ref_gram, ref_rank, ref_cond = ref_block_solve(D, y, cap)
+    assert (rank, cond) == (ref_rank, ref_cond)
+    npt.assert_allclose(coef, ref_coef, rtol=0, atol=1e-12 * np.abs(ref_coef).max())
+    npt.assert_allclose(band, gram_band(ref_gram), rtol=0, atol=1e-12 * np.abs(ref_gram).max())
+    return solved, ref_sigma2
+
+
+def assert_compression_matches_dense(x, spec, basis, responses):
     rows = fcar._fit_rows(x, spec, None)
     tent, blocks = fcar._spline_design(rows, spec, basis)
     B = basis_eval(basis, rows.umap.to_unit(rows.u))
     dense = [B * reg[:, None] for reg in rows.cols]
-    m, n = basis.N + 1, rows.t.size
     for block, D in zip(blocks, dense):
-        sing = svd(D, compute_uv=False)
-        s0 = float(sing[0])
-        npt.assert_allclose(block.sing, sing, rtol=0, atol=1e-12 * s0)
-        # R~'R~ = D'D, and Q~ R~ = D with orthonormal nonzero columns in Q~
-        R = (block.U * block.sing) @ block.Vt
-        assert R.shape == (2 * m, basis.n_funcs)
-        npt.assert_allclose(R.T @ R, D.T @ D, rtol=0, atol=1e-12 * s0**2)
-        Q = np.zeros((n, 2 * m))
-        Q[np.arange(n), 2 * block.k] = block.q0
-        Q[np.arange(n), 2 * block.k + 1] = block.q1
-        npt.assert_allclose(Q @ R, D, rtol=0, atol=1e-12 * s0)
-        used = np.any(Q != 0.0, axis=0)
-        npt.assert_allclose(Q[:, used].T @ Q[:, used], np.eye(used.sum()), rtol=0, atol=1e-12)
+        assert_block_matches_dense(block, D)
     for response in responses:
         y = response[rows.t]
         prefit = fcar._spline_lstsq(tent, blocks, rows.cols, y)
         y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
         for c, (block, D) in enumerate(zip(blocks, dense)):
             cap = 1e3 * y_scale / block.r_scale
-            coef, band, rank, cond = fcar._block_solve(block, y, cap)
-            ref_coef, ref_sigma2, ref_gram, ref_rank, ref_cond = ref_block_solve(D, y, cap)
-            assert (rank, cond) == (ref_rank, ref_cond)
+            (coef, band, _, _), ref_sigma2 = assert_block_solve_matches_dense(block, D, y, cap)
             npt.assert_array_equal(prefit.coeffs[:, c], coef)
             npt.assert_array_equal(prefit.bands[c], band)
-            npt.assert_allclose(coef, ref_coef, rtol=0, atol=1e-12 * np.abs(ref_coef).max())
-            npt.assert_allclose(band, gram_band(ref_gram), rtol=0, atol=1e-12 * np.abs(ref_gram).max())
             npt.assert_allclose(prefit.sigma2s[c], ref_sigma2, rtol=1e-12)
+
+
+def occupancy_block(intervals, zero_reg, n_rows=60):
+    """A block of ``SplineBasis(7)`` on hand-laid tent rows: each row in
+    one of ``intervals`` (cycled), at a random fraction of it, with a
+    random regressor that is 0 on the share ``zero_reg`` of the rows.
+    Returns the factored block and its dense T-row block."""
+    rng = np.random.default_rng(0)
+    k = np.resize(np.asarray(intervals), n_rows)
+    f = rng.uniform(0.0, 1.0, n_rows)
+    reg = rng.standard_normal(n_rows)
+    reg[rng.permutation(n_rows)[: int(zero_reg * n_rows)]] = 0.0
+    n_funcs = SplineBasis(7).n_funcs
+    block = fcar._spline_block(fcar._TentRows(k, f), reg, n_funcs, 1.0)
+    D = np.zeros((n_rows, n_funcs))
+    D[np.arange(n_rows), k] = (1.0 - f) * reg
+    D[np.arange(n_rows), k + 1] = f * reg
+    return block, D
 
 
 COMPRESSION_SPECS = [FcarSpec(p=p, d=1) for p in (1, 2, 3)] + [
@@ -2047,6 +2093,44 @@ class TestIntervalCompression:
         assert_compression_matches_dense(
             x, spec, SplineBasis(7), (x, rng.standard_normal(x.size), np.cos(x))
         )
+
+    @pytest.mark.parametrize(
+        "intervals, zero_reg, rank",
+        [
+            ([1, 2, 3, 4, 5, 6], 0.0, 7),
+            ([0, 1, 2, 5, 6, 7], 0.0, 8),
+            ([0, 1, 4, 5, 6, 7], 0.0, 8),
+            ([4], 0.0, 2),
+            ([0], 0.0, 2),
+            ([7], 0.0, 2),
+            (range(8), 0.3, 9),
+            ([0, 3, 7], 0.5, 6),
+        ],
+        ids=[
+            "first-and-last-empty",
+            "two-empty-3-4",
+            "two-empty-2-3",
+            "only-interval-4",
+            "only-first",
+            "only-last",
+            "zero-regressor-rows",
+            "zero-rows-and-empty",
+        ],
+    )
+    def test_rotation_chain_edge_cases(self, intervals, zero_reg, rank):
+        # empty knot intervals leave zero rows in R~, so the rotation chain
+        # meets columns with nothing to rotate (identity rotations) and
+        # pending rows that vanish; two empty neighbours, or an empty end
+        # interval, leave a tent without rows and lose one rank each
+        block, D = occupancy_block(intervals, zero_reg)
+        assert_block_matches_dense(block, D)
+        rng = np.random.default_rng(3)
+        spike = np.zeros(D.shape[0])
+        spike[[5, 17]] = (4.0, -3.0)
+        for y in (rng.standard_normal(D.shape[0]), D @ rng.standard_normal(D.shape[1]), spike):
+            y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
+            (_, _, got_rank, _), _ = assert_block_solve_matches_dense(block, D, y, 1e3 * y_scale)
+            assert got_rank == rank
 
     def test_all_zero_block_raises(self):
         x = np.zeros(30)

@@ -89,20 +89,30 @@ def compare_trees(old: Path, new: Path) -> list[str]:
 
 
 def run_commands(out_dir: Path, src: Path) -> int:
-    sys.path.insert(0, str(src.resolve() / "src"))
-    from skylattice.cli import main as cli_main
-
+    """Run the commands inside ``out_dir`` on ``src``'s package and print
+    the digests; the working directory and ``sys.path`` are restored on
+    return.  A package already imported stays in ``sys.modules``, so a
+    second call in one process runs the first call's package, whatever
+    its ``src``: ``--against`` runs each side in a fresh interpreter."""
+    cwd, path = os.getcwd(), list(sys.path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    os.chdir(out_dir)
-    for argv in COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(list(argv))
-        if code != 0:
-            print(f"command failed with exit {code}: {' '.join(argv)}", file=sys.stderr)
-            return 1
-    for name in output_files(Path(".")):
-        print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
-    return 0
+    try:
+        sys.path.insert(0, str(src.resolve() / "src"))
+        from skylattice.cli import main as cli_main
+
+        os.chdir(out_dir)
+        for argv in COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(list(argv))
+            if code != 0:
+                print(f"command failed with exit {code}: {' '.join(argv)}", file=sys.stderr)
+                return 1
+        for name in output_files(Path(".")):
+            print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
+        return 0
+    finally:
+        os.chdir(cwd)
+        sys.path[:] = path
 
 
 def main() -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -58,12 +57,10 @@ def main() -> int:
     sys.path.insert(0, str(REPO / "tools"))
     import fixture_digests
 
-    cwd = os.getcwd()
     sys.setprofile(profile)
     try:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             code = fixture_digests.run_commands(Path(tmp), REPO)
-            os.chdir(cwd)
     finally:
         sys.setprofile(None)
     if code != 0:
