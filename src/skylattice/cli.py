@@ -152,24 +152,12 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
-        if self.is_flag:
-            parser.add_argument(
-                self.flag,
-                dest=self.name,
-                action="store_const",
-                const="true",
-                default=None,
-                help=f"{self.help} (default: {self.default})",
-            )
-        else:
-            parser.add_argument(
-                self.flag,
-                dest=self.name,
-                type=str,
-                default=None,
-                metavar="V",
-                help=f"{self.help} (default: {self.default})",
-            )
+        # no type: _resolve parses flag and config-file values alike (Opt.parse)
+        kind = dict(action="store_const", const="true") if self.is_flag else dict(metavar="V")
+        parser.add_argument(
+            self.flag, dest=self.name, default=None, help=f"{self.help} (default: {self.default})",
+            **kind,
+        )
 
 
 def _common_opts() -> list[Opt]:
@@ -329,17 +317,14 @@ def _say(cfg: dict, level: int, message: str) -> None:
         print(message)
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _start_run(cfg: dict, command: str) -> Path:
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": cfg,
-    }
-    (out_dir / "run.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out_dir / "run.json", {"command": command, "version": __version__, "config": cfg})
     return out_dir
 
 
@@ -562,9 +547,7 @@ def cmd_fit(cfg: dict) -> None:
         "n_times": field.n_times,
         **fit.extra,
     }
-    (out_dir / "fit.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out_dir / "fit.json", summary)
     _say(cfg, 1, f"{cfg['label']} model={model} rmse={value_rmse:.10g}{adj_text}")
 
 

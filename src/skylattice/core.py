@@ -201,14 +201,13 @@ class SpatioTemporalField:
 
 @dataclass(frozen=True)
 class TrendModel:
-    """Per-sensor smooth trend sampled on the field's own time axis."""
+    """Per-sensor smooth trend at the time points of the field it was fit
+    on, and the kernel bandwidth (seconds) of that fit."""
 
-    timestamps: np.ndarray  # (T,)
     trend: np.ndarray  # (S, T)
     bandwidth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", _frozen_array(self.timestamps))
         object.__setattr__(self, "trend", _frozen_array(self.trend))
 
 
@@ -238,23 +237,6 @@ def _rows_after_header(fh, header: list[str], path):
     if first is None or [h.strip() for h in first] != header:
         raise ValueError(f"expected header {','.join(header)!r} in {path}")
     return reader
-
-
-def _read_csv_rows(path, header: list[str], parse) -> list:
-    """``parse(row)`` for each non-empty row under ``header``; errors name path:line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _rows_after_header(fh, header, path)
-        parsed = []
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-                parsed.append(parse(row))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return parsed
 
 
 @dataclass(frozen=True)
@@ -304,7 +286,8 @@ def read_measurements_csv(path) -> Measurements:
 
     Each distinct timestamp and id token is parsed once.  A non-finite
     timestamp or value (``inf``, ``-inf``) is an error that names the file
-    and line; ``nan`` is one of the NA tokens.  A UTF-8 BOM is skipped.
+    and line; ``nan`` is one of the NA tokens.  A UTF-8 BOM is skipped.  A
+    file with no records is an error that names the file.
     """
     times, ids = _Codes(_parse_timestamp), _Codes(str.strip)
     time_code, id_code, values = array("q"), array("q"), array("d")
@@ -328,6 +311,8 @@ def read_measurements_csv(path) -> Measurements:
                 values.append(v)
         except ValueError as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not values:
+        raise ValueError(f"{path}: no records")
     return Measurements(
         times=np.array(list(times.distinct), dtype=float),
         ids=tuple(ids.distinct),
@@ -453,20 +438,31 @@ def write_measurements_csv(field: SpatioTemporalField, path) -> None:
     _write_field_csv(path, MEASUREMENT_HEADER, field, 0, field.values)
 
 
-def _layout_row(row: list[str], seen: set) -> tuple[str, float, float]:
-    sid, x, y = row[0].strip(), float(row[1]), float(row[2])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"sensor {sid!r} coordinates must be finite, got {(x, y)}")
-    if sid in seen:
-        raise ValueError(f"sensor ids must be unique: {sid!r} repeats")
-    seen.add(sid)
-    return sid, x, y
-
-
 def read_layout_csv(path) -> SensorLayout:
-    seen: set = set()
-    rows = _read_csv_rows(path, LAYOUT_HEADER, lambda row: _layout_row(row, seen))
-    return SensorLayout(tuple(r[0] for r in rows), np.array([r[1:] for r in rows]))
+    """Read ``sensor_id,x_m,y_m`` rows.  A bad cell, a non-finite
+    coordinate or a repeated id is an error that names the file and line,
+    and a file with no sensors one that names the file.  A UTF-8 BOM is
+    skipped."""
+    coords: dict[str, tuple[float, float]] = {}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _rows_after_header(fh, LAYOUT_HEADER, path)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                sid, x, y = row[0].strip(), float(row[1]), float(row[2])
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"sensor {sid!r} coordinates must be finite, got {(x, y)}")
+                if sid in coords:
+                    raise ValueError(f"sensor ids must be unique: {sid!r} repeats")
+                coords[sid] = (x, y)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not coords:
+        raise ValueError(f"{path}: no sensors")
+    return SensorLayout(tuple(coords), np.array(list(coords.values())))
 
 
 def write_layout_csv(layout: SensorLayout, path) -> None:
@@ -909,4 +905,4 @@ def detrend(
     detrended = SpatioTemporalField(
         field.layout, field.timestamps, field.values - trend, "detrended", None
     )
-    return detrended, TrendModel(field.timestamps, trend, float(bandwidth))
+    return detrended, TrendModel(trend, float(bandwidth))

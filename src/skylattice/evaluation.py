@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import SpatioTemporalField
 from .fcar import FcarOptions
-from .fcsar import FcsarSpec, _predict_with_beta, _transfer_stage
+from .fcsar import FcsarSpec, _check_length, _predict_with_beta, _transfer_stage
 # not called here: perfbench/selftest.py checks the tracer patches this binding
 from .fcsar import fit_fcsar  # noqa: F401
 from .spatial import build_neighbor_graph, natural_neighbor_predict
@@ -323,6 +323,9 @@ def crossval(
     if model == "fcsar":
         if spec is None:
             raise ValueError("fcsar cross-validation needs a template spec")
+        # every training subset shares the length, the lag depths and k, so
+        # the rule runs once, and its error blames no held-out sensor
+        _check_length(field.n_times, spec)
         start = spec.n_neighbor_lags if eval_start is None else eval_start
         if start < spec.n_neighbor_lags:
             raise ValueError(

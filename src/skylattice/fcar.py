@@ -12,7 +12,8 @@ one estimated component from X_t, and a local-linear kernel refinement of
 each curve against its pseudo-responses.  The kernel is Epanechnikov, and
 each curve is refined on a ``GRID_SIZE``-point grid spanning the observed
 u; points with fewer than ``MIN_LOCAL_OBS`` observations within one
-bandwidth fall back to the spline pre-estimate.  The refined curves carry
+bandwidth are flagged unreliable, and fitted values on such rows fall back
+to the spline pre-estimate.  The refined curves carry
 approximate 95% pointwise bands combining the local-linear sandwich
 variance with the sampling variance the pre-estimates carry into the
 pseudo-responses.
@@ -71,7 +72,8 @@ _SPLINE_COND_STEP = 100.0
 _SPLINE_COND_MAX = 1e-4
 
 # grid/observation points backed by fewer in-bandwidth samples than this are
-# flagged unreliable and fall back to the spline pre-estimate on evaluation
+# flagged unreliable; fitted values on such rows fall back to the spline
+# pre-estimate
 MIN_LOCAL_OBS = 5
 # points on each coefficient curve's refinement grid
 GRID_SIZE = 101
@@ -241,8 +243,14 @@ def _fit_rows(x: np.ndarray, spec: FcarSpec, t_start: Optional[int]) -> _FitRows
     """Rows t_start .. T-1 (none before ``spec.max_lag``), built once per design.
 
     u and the design columns come from ``x``; every stage of a fit reads
-    these rows, and the response is read at ``t``.
+    these rows, and the response is read at ``t``.  Every check of the
+    series itself runs here: 1-D, finite, at least two rows, and u not
+    constant.
     """
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-D series")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series contains non-finite values")
     T = x.size
     start = spec.max_lag if t_start is None else max(t_start, spec.max_lag)
     if T - start < 2:
@@ -573,8 +581,6 @@ def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.
     :func:`fit_fcar` reports such a design in ``FcarFit.rank_deficient``.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
     rows = _fit_rows(x, spec, None)
     B, blocks = _spline_design(rows, spec, basis)
     return _spline_lstsq(B, blocks, rows.cols, x[rows.t]).coeffs
@@ -739,8 +745,10 @@ def rule_of_thumb_bandwidth(u: np.ndarray, T: int) -> float:
 class FcarFit:
     """Fitted functional-coefficient autoregression.
 
-    ``spline_coeffs`` holds the (N+2) x n_components pre-estimate used for
-    fallback evaluation wherever the kernel stage is unreliable.
+    ``spline_coeffs`` holds the (N+2) x n_components spline pre-estimate,
+    the knot values of each component's curve in ``spec.components`` order
+    (``_tent_rows(basis, u_transform.to_unit(u)) @ spline_coeffs[:, c]``
+    evaluates curve c at data-scale u).
     ``fitted`` and ``residuals`` cover rows ``t_start`` .. T-1 of the input
     series.  ``rank_deficient`` is set when a spline block had rank below
     N+2 and took minimum-norm coefficients.
@@ -789,31 +797,6 @@ class FcarFit:
         u_grid = np.linspace(self.u.min(), self.u.max(), GRID_SIZE)
         tent = _tent_rows(self.basis, self.u_transform.to_unit(u_grid))
         return sbk_estimate(self, u_grid, tuple(tent.quadratic(cov) for cov in self.prefit_cov))
-
-    def _curve_for(self, j: int) -> SbkCurve:
-        for curve in self.curves:
-            if curve.target_j == j:
-                return curve
-        raise KeyError(f"no fitted component {j}")
-
-    def _grid_values(self, curve: SbkCurve) -> np.ndarray:
-        # kernel estimate where trustworthy, spline pre-estimate elsewhere
-        comp = self.spec.components.index(curve.target_j)
-        unit = np.clip(self.u_transform.to_unit(curve.u), 0.0, 1.0)
-        spline_vals = basis_eval(self.basis, unit) @ self.spline_coeffs[:, comp]
-        use = curve.reliable & np.isfinite(curve.estimate)
-        return np.where(use, curve.estimate, spline_vals)
-
-    def coefficient(self, j: int, u) -> np.ndarray:
-        """Evaluate coefficient curve j at data-scale u.
-
-        Linear interpolation on the refinement grid, with the spline
-        pre-estimate substituted at unreliable grid points; u outside the
-        grid clamps to the endpoints.
-        """
-        curve = self._curve_for(j)
-        vals = self._grid_values(curve)
-        return np.interp(np.asarray(u, dtype=float), curve.u, vals)
 
 
 @dataclass(frozen=True)
@@ -867,17 +850,14 @@ def _fit_design(
     options: Optional[FcarOptions],
     t_start: Optional[int],
 ) -> _FitDesign:
-    """The design of a :func:`fit_fcar` call; every input check runs here."""
+    """The design of a :func:`fit_fcar` call; the series is checked by
+    :func:`_fit_rows` before anything else is built."""
     opts = options or FcarOptions()
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-D series")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series contains non-finite values")
+    rows = _fit_rows(x, spec, t_start)
     T = x.size
     n_knots = opts.n_knots if opts.n_knots is not None else default_knot_count(T)
     basis = SplineBasis(n_knots)
-    rows = _fit_rows(x, spec, t_start)
     B, blocks = _spline_design(rows, spec, basis)
     u = rows.u
     h = float(opts.bandwidth if opts.bandwidth is not None else rule_of_thumb_bandwidth(u, T))

@@ -320,17 +320,24 @@ def nan_padded(block: np.ndarray, n_times: int) -> np.ndarray:
     return out
 
 
-def _fit_checks(field: SpatioTemporalField, spec: FcsarSpec) -> None:
-    """Check a field and spec for ``fit_fcsar``."""
-    _check_input(field, spec.graph, "fit_fcsar")
-    T = field.n_times
-    n_rows = T - spec.support_start
+def _check_length(n_times: int, spec: FcsarSpec) -> None:
+    """The length rule of a lattice fit on ``spec``: the rows from the
+    support start must exceed each sensor's neighbor coefficients by two.
+    It reads only the length, the lag depths and k, so it holds for every
+    sensor subset fit under one spec alike."""
+    n_rows = n_times - spec.support_start
     n_coef = spec.graph.k * spec.n_neighbor_lags
     if n_rows < n_coef + 2:
         raise ValueError(
-            f"series too short: {T} time points leave {n_rows} usable rows "
+            f"series too short: {n_times} time points leave {n_rows} usable rows "
             f"for {n_coef} neighbor coefficients per sensor"
         )
+
+
+def _fit_checks(field: SpatioTemporalField, spec: FcsarSpec) -> None:
+    """Check a field and spec for ``fit_fcsar``."""
+    _check_input(field, spec.graph, "fit_fcsar")
+    _check_length(field.n_times, spec)
 
 
 def fit_fcsar(

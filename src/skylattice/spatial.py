@@ -125,10 +125,10 @@ def build_neighbor_graph(layout: SensorLayout, k: int) -> NeighborGraph:
 
 @dataclass(frozen=True)
 class SarFit:
-    """Maximum-likelihood SAR fit for one cross-sectional slice."""
+    """Maximum-likelihood SAR fit for one cross-sectional slice, on the
+    weight matrix ``W`` of the graph it was fit on."""
 
     rho: float
-    W: np.ndarray
     sigma2: float
     residuals: np.ndarray
     loglik: float
@@ -257,7 +257,6 @@ def sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
     rho, sigma2, loglik, resid, interval = _sar_fit_columns(y[:, None], graph)
     return SarFit(
         rho=float(rho[0]),
-        W=graph.W,
         sigma2=float(sigma2[0]),
         residuals=resid[:, 0],
         loglik=float(loglik[0]),
@@ -322,7 +321,6 @@ class VoronoiWeights:
     takes all the weight.
     """
 
-    query: tuple[float, float]
     pairs: tuple[tuple[int, float], ...]
     hull_fallback: bool = False
 
@@ -386,14 +384,11 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
     d_to_sensors = np.hypot(xy[:, 0] - q[0], xy[:, 1] - q[1])
     hit = int(np.argmin(d_to_sensors))
     if d_to_sensors[hit] <= 1e-9 * span:
-        return VoronoiWeights(query=(q[0], q[1]), pairs=((hit, 1.0),))
+        return VoronoiWeights(pairs=((hit, 1.0),))
 
     if not _strictly_inside_hull(xy, q, span):
-        return VoronoiWeights(
-            query=(q[0], q[1]),
-            pairs=((_nearest_first(layout, q)[1][0], 1.0),),
-            hull_fallback=True,
-        )
+        nearest = _nearest_first(layout, q)[1][0]
+        return VoronoiWeights(pairs=((nearest, 1.0),), hull_fallback=True)
 
     center = xy.mean(axis=0)
     far = 100.0 * span
@@ -413,7 +408,7 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
         raise ValueError("natural-neighbor construction degenerated at this query")
     w = stolen / total
     pairs = tuple((int(i), float(w[i])) for i in np.nonzero(w > 1e-12)[0])
-    return VoronoiWeights(query=(q[0], q[1]), pairs=pairs)
+    return VoronoiWeights(pairs=pairs)
 
 
 @dataclass(frozen=True)

@@ -530,6 +530,16 @@ def test_bad_csv_cell_names_file_and_line(tmp_path, sim_dir, capsys, name, line,
 
 
 @pytest.mark.parametrize(
+    "name, message", [("layout.csv", "no sensors"), ("measurements.csv", "no records")]
+)
+def test_header_only_input_names_the_file(tmp_path, sim_dir, capsys, name, message):
+    edited = _edited_copy(sim_dir, tmp_path, name, 1, lambda header: header)
+    (edited / name).write_text((sim_dir / name).read_text().splitlines(keepends=True)[0])
+    assert run_cli(*fit_args(edited, tmp_path / "x", "--model", "sar")) == 1
+    assert capsys.readouterr().err == f"error: {edited / name}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command",
     [("fit", "--model", m) for m in FIT_MODELS] + [("crossval",), ("diagnose",)],
     ids=[f"fit-{m}" for m in FIT_MODELS] + ["crossval", "diagnose"],
@@ -656,6 +666,16 @@ def test_crossval_command(tmp_path, sim_dir, capsys):
     assert rows[1][1] == "1"
     assert float(rows[1][2]) > 0
     assert "16 subsets" in capsys.readouterr().out
+
+
+def test_crossval_too_short_series_names_no_held_out_sensor(tmp_path, capsys):
+    # simulate's default T=144 at 30 s leaves 7 steps at crossval's default
+    # 600 s window: too short for every training subset alike
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out", sim) == 0
+    data = ("--measurements", sim / "measurements.csv", "--layout", sim / "layout.csv")
+    assert run_cli("crossval", *data, "--out", tmp_path / "cv") == 1
+    assert capsys.readouterr().err.startswith("error: series too short:")
 
 
 def test_crossval_repeated_k_is_usage_error(tmp_path, sim_dir, capsys):
@@ -894,23 +914,22 @@ def test_one_spline_svd_per_component_and_sensor(tmp_path, sim_dir, monkeypatch,
 
 
 def test_fixture_commands_rerun_byte_identical(tmp_path, monkeypatch):
-    # the commands tools/fixture_digests.py runs, twice in one process and
-    # two directories: every file of the second run equals the first, byte
-    # for byte, so nothing a run leaves behind in the process (a cache, a
-    # random state) reaches the next one.  The digest test below runs each
-    # set in a fresh interpreter instead
+    # the commands tools/fixture_digests.py runs, with their stdout, twice in
+    # one process and two directories: every file of the second run equals
+    # the first, byte for byte, so nothing a run leaves behind in the process
+    # (a cache, a random state) reaches the next one.  The digest test below
+    # runs each set in a fresh interpreter instead
     tool = load_repo_script("tools/fixture_digests.py")
     runs = []
     for name in ("first", "second"):
         out = tmp_path / name
         out.mkdir()
         monkeypatch.chdir(out)
-        for argv in tool.COMMANDS:
-            assert main(list(argv)) == 0, argv
+        assert tool.run_in_cwd(main) == 0
         runs.append(
             {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         )
-    assert len(tool.COMMANDS) == 12 and len(runs[0]) == 39
+    assert len(tool.COMMANDS) == 12 and len(runs[0]) == 51
     assert sorted(runs[1]) == sorted(runs[0])
     for name, data in runs[0].items():
         assert runs[1][name] == data, name
@@ -951,7 +970,7 @@ def test_fixture_digests_run_restores_cwd_and_path(tmp_path, monkeypatch, capsys
     path = list(sys.path)
     assert tool.run_commands(tmp_path / "out", Path(__file__).resolve().parents[1]) == 0
     assert Path.cwd() == tmp_path and sys.path == path
-    assert len(capsys.readouterr().out.splitlines()) == 39
+    assert len(capsys.readouterr().out.splitlines()) == 51
 
 
 def test_fixture_digests_against_names_each_moved_number(tmp_path):
@@ -967,7 +986,7 @@ def test_fixture_digests_against_names_each_moved_number(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     tool = load_repo_script("tools/fixture_digests.py")
-    assert len(tool.output_files(tmp_path / "src")) == 39
+    assert len(tool.output_files(tmp_path / "src")) == 51
     fitted = tmp_path / "src" / "fit-fcar" / "fitted.csv"
     header, first, *rest = fitted.read_bytes().decode().splitlines(keepends=True)
     cells = first.rstrip("\r\n")
@@ -1038,6 +1057,6 @@ def test_fixture_digests_do_not_depend_on_the_out_dir(tmp_path):
         listings.append(proc.stdout)
     assert listings[0] == listings[1]
     paths = [line.split("  ", 1)[1] for line in listings[0].splitlines()]
-    assert len(paths) == 39
+    assert len(paths) == 51
     assert paths == sorted(paths)
     assert "fit-sar-raw/run.json" in paths

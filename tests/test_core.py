@@ -605,15 +605,14 @@ def _container_with_inputs(name):
                            support_start=1, first_stage_rmse=1.0, **arrays)
     elif name == "SarFit":
         arrays = {"residuals": vec(4)}
-        obj = SarFit(rho=0.1, W=graph.W, sigma2=1.0, loglik=0.0,
-                     rho_interval=(-1.0, 1.0), **arrays)
+        obj = SarFit(rho=0.1, sigma2=1.0, loglik=0.0, rho_interval=(-1.0, 1.0), **arrays)
     elif name == "SarTrace":
         arrays = {"timestamps": vec(), "rho": vec(), "sigma2": vec(), "loglik": vec()}
         obj = SarTrace(**arrays)
     elif name == "NaturalNeighborPrediction":
         arrays = {"values": vec()}
         obj = NaturalNeighborPrediction(
-            weights=VoronoiWeights(query=(0.5, 0.5), pairs=((0, 1.0),)), **arrays
+            weights=VoronoiWeights(pairs=((0, 1.0),)), **arrays
         )
     else:
         # eigenvalues passed in as complex, as a non-symmetric W can have

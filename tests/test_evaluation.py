@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,17 +377,16 @@ def test_crossval_validates_inputs():
 
 def test_crossval_names_the_failing_subset():
     field = advective_field(seed=2, n_times=30)
-    layout = field.layout
-    short = SpatioTemporalField(
-        layout=layout,
-        timestamps=field.timestamps[:3],
-        values=field.values[:, :3],
-        kind="detrended",
-    )
-    spec = fcsar_template(short)
+    values = field.values.copy()
+    values[5] = 0.25
+    flat = field.replace_values(values)
     plan = CrossvalPlan(k=1, combinations=((7,),))
-    with pytest.raises(RuntimeError, match="held out"):
-        crossval(short, plan, "fcsar", spec, LIGHT)
+    with pytest.raises(RuntimeError, match=re.escape("sensors ('s07',) held out: sensor 's05'")):
+        crossval(flat, plan, "fcsar", fcsar_template(flat), LIGHT)
+    # a series too short for every subset fails before any, naming none
+    short = SpatioTemporalField(field.layout, field.timestamps[:3], field.values[:, :3], "detrended")
+    with pytest.raises(ValueError, match="^series too short: 3 time points leave 2 usable rows"):
+        crossval(short, plan, "fcsar", fcsar_template(short), LIGHT)
 
 
 # ------------------------------------------- refit-everything oracle
@@ -515,9 +515,6 @@ def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
     )
     assert raw.kind == "raw"
     base = advective_field(seed=2, n_times=30)
-    short = SpatioTemporalField(
-        base.layout, base.timestamps[:3], base.values[:, :3], "detrended"
-    )
     # a sensor with a constant series fails while its fcar design is
     # built, and the error still names it
     values = base.values.copy()
@@ -525,7 +522,6 @@ def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
     flat = SpatioTemporalField(base.layout, base.timestamps, values, "detrended")
     cases = [
         (raw, "detrend"),
-        (short, "too short"),
         (flat, "sensor 's05', time indices 1..29: functional variable is constant"),
     ]
     for field, reason in cases:

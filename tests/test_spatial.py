@@ -186,7 +186,6 @@ def scalar_sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
     loglik = logdet - 0.5 * S * (math.log(2.0 * math.pi * sigma2) + 1.0)
     return SarFit(
         rho=float(rho_hat),
-        W=W,
         sigma2=float(sigma2),
         residuals=resid,
         loglik=loglik,

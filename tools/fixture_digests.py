@@ -7,12 +7,14 @@ Usage::
 The commands simulate one field (``--seed 3 --T 120``) and a raw copy
 with a diurnal trend, detrend the raw copy, fit all five models, fit SAR
 on the raw copy with ``--detrend``, and run ``crossval``, ``diagnose`` and
-``report`` on the field: 12 commands and 39 files.  They run in-process
-through ``skylattice.cli.main`` from inside OUT_DIR with relative
-``--out`` paths, so the ``run.json`` files do not depend on where OUT_DIR
-is.  Output is one ``<sha256>  <path>`` line per file, sorted by path;
-diff the output of two checkouts (``--src``, default the checkout holding
-this script) to see which files a change moved.
+``report`` on the field: 12 commands and 39 output files.  They run
+in-process through ``skylattice.cli.main`` from inside OUT_DIR with
+relative ``--out`` paths, so the ``run.json`` files do not depend on where
+OUT_DIR is.  Each command's stdout (its summary lines) is saved as
+``stdout/NN.txt``, NN its index in ``COMMANDS``, since some numbers reach
+only stdout: 51 files in all.  Output is one ``<sha256>  <path>`` line per
+file, sorted by path; diff the output of two checkouts (``--src``, default
+the checkout holding this script) to see which files a change moved.
 
 With ``--against DIR`` the commands run twice, each in a fresh interpreter:
 on DIR's ``src/`` into ``OUT_DIR/against`` and on ``--src`` into
@@ -88,6 +90,22 @@ def compare_trees(old: Path, new: Path) -> list[str]:
     return lines
 
 
+def run_in_cwd(cli_main) -> int:
+    """Run ``COMMANDS`` through ``cli_main`` in the working directory, saving
+    each one's stdout as ``stdout/NN.txt``; stop at the first that fails,
+    name it on stderr and return 1."""
+    Path("stdout").mkdir(exist_ok=True)
+    for index, argv in enumerate(COMMANDS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(list(argv))
+        if code != 0:
+            print(f"command failed with exit {code}: {' '.join(argv)}", file=sys.stderr)
+            return 1
+        Path("stdout", f"{index:02d}.txt").write_text(out.getvalue(), encoding="utf-8")
+    return 0
+
+
 def run_commands(out_dir: Path, src: Path) -> int:
     """Run the commands inside ``out_dir`` on ``src``'s package and print
     the digests; the working directory and ``sys.path`` are restored on
@@ -101,12 +119,8 @@ def run_commands(out_dir: Path, src: Path) -> int:
         from skylattice.cli import main as cli_main
 
         os.chdir(out_dir)
-        for argv in COMMANDS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(list(argv))
-            if code != 0:
-                print(f"command failed with exit {code}: {' '.join(argv)}", file=sys.stderr)
-                return 1
+        if run_in_cwd(cli_main) != 0:
+            return 1
         for name in output_files(Path(".")):
             print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
         return 0
