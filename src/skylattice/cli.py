@@ -31,7 +31,7 @@ import math
 import sys
 import traceback
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -689,9 +689,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and kept:
+    parsing reads it and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg: dict = {}
     try:
         _, opts, func = COMMANDS[args.command]

@@ -7,36 +7,47 @@ and report in this package uses this unrooted form, so the choice cancels
 wherever two models are compared under the same convention.
 
 Cross-validation predicts each held-out sensor from a model fitted
-without it: the neighbor graph is rebuilt on every training subset, and
-nothing estimated with a held-out sensor's data leaks into its
-prediction.  The lattice model's transfer coefficients are shared within
-one ``crossval`` call.  A sensor's backfit reads only its own series, its
-ordered neighbors' series and the fixed spec and options, and one
-temporal spec fixes the support start t0 for the call, so one training
-subset's coefficients for (sensor id, ordered neighbor ids) equal any
-other's, bit for bit.  Each distinct backfit therefore runs once per call,
-on a temporal-stage design built once per sensor and call, and the
-results equal a from-scratch refit of every subset.  Prediction reads only
-the coefficients, so the final temporal stage of a full fit is never run,
-and a backfit's temporal stage reads only its fitted values; curves are
-built when read, so no coefficient curve, grid or band is built.
+without it: every training subset gets the neighbor sets a graph built on
+its own layout has, and nothing estimated with a held-out sensor's data
+leaks into its prediction.  The lattice model's transfer coefficients are
+shared within one ``crossval`` call.  A sensor's backfit reads only its
+own series, its ordered neighbors' series and the fixed spec and options,
+and one temporal spec fixes the support start t0 for the call, so one
+training subset's coefficients for (sensor, ordered neighbors) equal any
+other's, bit for bit.  The call therefore plans first: every subset's
+neighbor sets come off one nearest-first order per sensor.  Then each
+sensor is backfit once, for all of its neighbor sets together, on one
+temporal-stage design that is dropped before the next sensor's is built,
+so one design is alive at a time, and the results equal a from-scratch
+refit of every subset.  Prediction reads only the coefficients, so the
+final temporal stage of a full fit is never run, and a backfit's temporal
+stage reads only its fitted values; curves are built when read, so no
+coefficient curve, grid or band is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import SpatioTemporalField
-from .fcar import FcarOptions
-from .fcsar import FcsarSpec, _check_length, _predict_with_beta, _transfer_stage
+from .fcar import FcarOptions, default_knot_count
+from .fcsar import (
+    FcsarSpec,
+    _backfit_sensor,
+    _check_field,
+    _check_length,
+    _predict_with_beta,
+    _sensor_design,
+)
 # not called here: perfbench/selftest.py checks the tracer patches this binding
 from .fcsar import fit_fcsar  # noqa: F401
-from .spatial import build_neighbor_graph, natural_neighbor_predict
+from .spatial import _check_neighbor_count, _nearest_first, natural_neighbor_predict
 
 # Above this many candidate subsets the plan samples instead of
 # enumerating; the seed is kept on the plan so runs are reproducible.
@@ -220,31 +231,85 @@ class MetricsReport:
             raise ValueError("metrics must be finite")
 
 
-def _fcsar_holdout_predictions(
-    field: SpatioTemporalField,
-    omega: tuple[int, ...],
-    spec: FcsarSpec,
-    options: Optional[FcarOptions],
-    backfits: dict,
-    designs: dict,
-) -> np.ndarray:
-    """Fit on the remaining sensors and predict each held-out one.
+class _SharedBackfits:
+    """The fcsar backfits of one ``crossval`` call, shared by its subsets.
 
-    ``_transfer_stage`` runs every check ``fit_fcsar`` runs on the training
-    field and backfits only the sensors ``backfits`` does not hold yet, on
-    the fcar designs ``designs`` holds by sensor id or builds into it.
-    Both dicts must belong to one ``field``, ``spec`` and ``options``:
-    their keys do not name them.
+    Built after the rules every subset's fit runs alike: the neighbor
+    count and the field's kind.  Planned first, from one neighbor order
+    per sensor: every other sensor of the full layout, nearest first, ties
+    broken by id (``spatial._nearest_first``).  A training subset's
+    neighbors of sensor s are the first k entries of s's order that are
+    not held out, the same distances and ids ``build_neighbor_graph``
+    sorts on the training layout, so the same sets.  Each sensor's distinct neighbor sets are
+    kept in the order the subsets first need them, and each subset's sets
+    as a tuple of (sensor, neighbor set) keys, in full-field indices.
+
+    ``predictions(omega)`` backfits every training sensor of ``omega`` that
+    no earlier subset needed: one fcar design, one ``fcsar._backfit_sensor``
+    for all of the sensor's neighbor sets at once, and the design dropped
+    before the next sensor's, so one design is alive at a time.  Only the
+    coefficient blocks are kept.  A backfit reads only its sensor's and
+    neighbors' rows (full-field and training-field rows hold the same
+    values), so each equals the one a from-scratch fit of the training
+    field runs, bit for bit.  A sensor fails only while its design is
+    built, which reads its own series alone, so a failure arises in the
+    first subset that needs the sensor, as it does in a from-scratch refit
+    of every subset in plan order.
     """
-    layout = field.layout
-    train_field = field.subset([sid for i, sid in enumerate(layout.ids) if i not in omega])
-    graph = build_neighbor_graph(train_field.layout, spec.graph.k)
-    sub_spec = FcsarSpec(graph, spec.n_neighbor_lags, spec.temporal)
-    beta, *_ = _transfer_stage(train_field, sub_spec, options, backfits, designs)
-    preds = np.empty((len(omega), field.n_times))
-    for row, i in enumerate(omega):
-        preds[row] = _predict_with_beta(beta, train_field, layout.xy[i])
-    return preds
+
+    def __init__(
+        self,
+        field: SpatioTemporalField,
+        plan: CrossvalPlan,
+        spec: FcsarSpec,
+        options: Optional[FcarOptions],
+    ):
+        # a training subset's fit checks its graph's k and the field's
+        # kind: every subset has S - k sensors and the field's kind
+        _check_neighbor_count(spec.graph.k, field.n_sensors - plan.k)
+        _check_field(field, "fit_fcsar")
+        self.field, self.spec, self.options = field, spec, options
+        layout = field.layout
+        orders = [
+            [j for j in _nearest_first(layout, layout.xy[i])[1] if j != i]
+            for i in range(layout.n_sensors)
+        ]
+        k = spec.graph.k
+        self.subsets: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        self.pending: dict[int, dict[tuple[int, ...], None]] = {}
+        for omega in plan.combinations:
+            held = set(omega)
+            keys = tuple(
+                (i, tuple(itertools.islice((j for j in order if j not in held), k)))
+                for i, order in enumerate(orders)
+                if i not in held
+            )
+            self.subsets[omega] = keys
+            for i, neighbors in keys:
+                self.pending.setdefault(i, {})[neighbors] = None
+        self.beta: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+
+    def _backfit(self, s: int) -> None:
+        z = self.field.values
+        neighbor_sets = tuple(self.pending.pop(s))
+        design = _sensor_design(z, s, self.field.layout.ids[s], self.spec, self.options)
+        beta, _, _ = _backfit_sensor(z, s, neighbor_sets, self.spec, design)
+        for neighbors, block in zip(neighbor_sets, beta):
+            self.beta[s, neighbors] = block
+
+    def predictions(self, omega: tuple[int, ...]) -> np.ndarray:
+        """Fit on the remaining sensors and predict each held-out one."""
+        keys = self.subsets[omega]
+        for s, _ in keys:
+            if s in self.pending:
+                self._backfit(s)
+        beta = np.array([self.beta[key] for key in keys])
+        layout = self.field.layout
+        train_field = self.field.subset(tuple(layout.ids[s] for s, _ in keys))
+        preds = np.empty((len(omega), self.field.n_times))
+        for row, i in enumerate(omega):
+            preds[row] = _predict_with_beta(beta, train_field, layout.xy[i])
+        return preds
 
 
 def _interp_holdout_predictions(
@@ -264,6 +329,16 @@ def _interp_holdout_predictions(
     return preds
 
 
+@contextmanager
+def _refit_errors(field: SpatioTemporalField, omega: tuple[int, ...]):
+    """Name the held-out sensors of the subset whose refit failed."""
+    try:
+        yield
+    except Exception as exc:
+        held_ids = tuple(field.layout.ids[i] for i in omega)
+        raise RuntimeError(f"refit failed with sensors {held_ids} held out: {exc}") from exc
+
+
 def crossval(
     field: SpatioTemporalField,
     plan: CrossvalPlan,
@@ -277,15 +352,19 @@ def crossval(
 
     For each subset the model is fitted on the remaining sensors and each
     held-out sensor is predicted one at a time from that fit.  For fcsar
-    the call shares backfitted transfer coefficients across its subsets
-    in one dict keyed by (sensor id, ordered neighbor ids), and each
-    sensor's fcar design (spline factors and observed-u kernel Gram sums)
-    in a second dict keyed by sensor id, so a sensor with several neighbor
-    sets builds its design once.  The field, spec and options are fixed
-    within the call, so a key pins the backfit's and the design's data and
-    the values equal a from-scratch refit of every subset, bit for bit.
-    Both dicts live for this call only: at most one design per sensor is
-    held, and all of them go when the call returns or raises.
+    the call plans first: each subset's neighbor sets are read off one
+    nearest-first order per sensor of the full layout, the sets a graph
+    built on the subset's layout has.  The length, knot-count, neighbor
+    count and field rules hold for every subset alike, so they run once,
+    before any subset.  Each sensor is then backfit once, when the first
+    subset needs it, for all of its neighbor sets in one batch on one fcar
+    design (spline factors and observed-u kernel Gram sums) that is
+    dropped before the next sensor's is built: one design is alive at a
+    time.  The field, spec and options are fixed within the call, so a
+    (sensor, neighbor set) pins the backfit's data, and every value equals
+    a from-scratch refit of each subset, bit for bit; past the length and
+    knot-count rules, so does the message of the first failure in plan
+    order.  The coefficients live for this call only.
 
     Parameters
     ----------
@@ -296,8 +375,8 @@ def crossval(
     model : {"fcsar", "natural_neighbor"}
         fcsar fits the lattice autoregression's transfer coefficients
         (``spec`` required, used as the template for neighbor count, lag
-        depth, and temporal spec; the graph is rebuilt per training
-        subset).
+        depth, and temporal spec; each training subset gets the
+        neighbor sets of a graph built on its own layout).
         natural_neighbor interpolates from the training layout.
     eval_start : int, optional
         First time index scored.  Defaults to the neighbor-lag depth for
@@ -323,9 +402,12 @@ def crossval(
     if model == "fcsar":
         if spec is None:
             raise ValueError("fcsar cross-validation needs a template spec")
-        # every training subset shares the length, the lag depths and k, so
-        # the rule runs once, and its error blames no held-out sensor
+        # every training subset shares the length, the lag depths, k and
+        # the options, so these rules run once, and their errors blame no
+        # held-out sensor
         _check_length(field.n_times, spec)
+        if options is None or options.n_knots is None:
+            default_knot_count(field.n_times)
         start = spec.n_neighbor_lags if eval_start is None else eval_start
         if start < spec.n_neighbor_lags:
             raise ValueError(
@@ -337,23 +419,20 @@ def crossval(
     if not 0 <= start < field.n_times:
         raise ValueError(f"eval_start {start} outside the series")
 
+    if model == "fcsar":
+        # the plan checks what every subset's fit checks alike, so a
+        # failure there is the first subset's
+        with _refit_errors(field, plan.combinations[0]):
+            predict = _SharedBackfits(field, plan, spec, options).predictions
+    else:
+        def predict(omega):
+            return _interp_holdout_predictions(field, omega)
+
     values = []
     obs = field.values[:, start:]
-    backfits: dict = {}
-    designs: dict = {}
     for omega in plan.combinations:
-        try:
-            if model == "fcsar":
-                preds = _fcsar_holdout_predictions(
-                    field, omega, spec, options, backfits, designs
-                )
-            else:
-                preds = _interp_holdout_predictions(field, omega)
-        except Exception as exc:
-            held_ids = tuple(field.layout.ids[i] for i in omega)
-            raise RuntimeError(
-                f"refit failed with sensors {held_ids} held out: {exc}"
-            ) from exc
+        with _refit_errors(field, omega):
+            preds = predict(omega)
         pred_matrix = np.full((S, field.n_times), np.nan)
         pred_matrix[list(omega)] = preds
         values.append(rmpe(obs, pred_matrix[:, start:], omega))

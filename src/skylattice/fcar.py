@@ -30,19 +30,22 @@ the bandwidth, and the running-moments smoother (``core._moment_smoother``)
 evaluated at the observed u, which sorts the rows by u, cuts each window at
 bins of one bandwidth and folds the local Gram sums of every component into
 the weights of a response's moments, with the reliability flags and the
-smoother traces, in O(T log T).  The solve (``_solve_fit``) fits one
-response on a design: the spline coefficients with their per-response
-cutoff escalation and the band of each pre-estimate's covariance, the
+smoother traces, in O(T log T).  The solve (``_solve``) fits a block of
+R responses on a design, each as it would be fitted alone: the spline
+coefficients with their per-response cutoff escalation, the
 pseudo-responses, their local levels at the observed u from one pass of
-prefix sums (O(T)), and the fitted values.  The fit keeps those O(T + N)
-values and no part of the design, and its curves are built when read
+prefix sums (O(T) per response), and the fitted values.  ``_solve_fit``
+is its one-response form, which adds the band of each pre-estimate's
+covariance and returns the fit.  The fit keeps those O(T + N) values and
+no part of the design, and its curves are built when read
 (``FcarFit.curves``, ``sbk_estimate``): the noise variance, then the same
 smoother evaluated on the grid for its levels, flags, sandwich variances
 and band multipliers.  So a rule about which rows a fit uses lives in one
 place, a series fitted against several responses (the lattice model's
-backfit and final stage, cross-validation's neighbor sets) builds its
-design once, a grid is built only for a fit whose curves are read, and
-every kernel sum of the package comes from one smoother.  A design holds
+backfit and final stage, cross-validation's neighbor sets, solved in one
+block) builds its design once, a grid is built only for a fit whose
+curves are read, and every kernel sum of the package comes from one
+smoother.  A design holds
 O(T) values (the interval factors and the smoother's segment bounds and
 weights) plus the small SVD of each block's stacked triangles.
 
@@ -59,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -288,12 +291,18 @@ class _SplineBlock:
     Vt: np.ndarray
     r_scale: float
 
-    def qt(self, y: np.ndarray) -> np.ndarray:
-        """Q~' y: per interval, the sums of q0 * y and q1 * y, interleaved."""
+    def qt(self, ys: np.ndarray) -> np.ndarray:
+        """Q~' y of each response row of ``ys`` (R x n): per interval, the
+        sums of q0 * y and q1 * y, interleaved, one row per response.  Each
+        sum is one ``bincount`` over every row, keyed by interval plus m
+        times the row, and a bin adds its terms in row order, so a row's
+        sums are the ones it would get alone."""
+        R = ys.shape[0]
         m = self.U.shape[0] // 2
-        out = np.empty(2 * m)
-        out[0::2] = np.bincount(self.k, self.q0 * y, minlength=m)
-        out[1::2] = np.bincount(self.k, self.q1 * y, minlength=m)
+        keys = (self.k + m * np.arange(R)[:, None]).ravel()
+        out = np.empty((R, 2 * m))
+        out[:, 0::2] = np.bincount(keys, (self.q0 * ys).ravel(), minlength=R * m).reshape(R, m)
+        out[:, 1::2] = np.bincount(keys, (self.q1 * ys).ravel(), minlength=R * m).reshape(R, m)
         return out
 
 
@@ -304,7 +313,7 @@ class _SplinePrefit:
     ``coeffs`` is (N+2) x n_components; per component, ``parts`` holds the
     term m~_j(u_t) X_{t-j} at each fit row and ``sigma2s``/``bands`` the
     marginal fit's residual variance and the band of its truncated inverse
-    Gram matrix (see :func:`_block_solve`), which give the pre-estimate's
+    Gram matrix (see :func:`_prefit_summary`), which give the pre-estimate's
     pointwise sampling variance that the kernel stage folds into its bands.
     """
 
@@ -390,7 +399,7 @@ def _stack_svd(r00: np.ndarray, r01: np.ndarray, r11: np.ndarray):
     scalar loop runs the chain and records every rotation.
 
     LAPACK's ``dbdsdc('U', 'I')`` gives B = U_B S V'; S (descending, as
-    :func:`_block_solve` needs) and V' are R~'s.  R~'s left factor follows
+    :func:`_truncated_solve` needs) and V' are R~'s.  R~'s left factor follows
     from the rotations.  In B's rows, row 2j of R~ is c_j B_j - s_j alpha_j
     P_{j+1} and row 2j+1 is beta_j P_{j+1}, where the pending rows unwind
     as P_k = s_k B_k + gamma_k P_{k+1}, gamma_k = c_k alpha_k and P_m =
@@ -510,20 +519,19 @@ def _spline_design(
     return tent, tuple(blocks)
 
 
-def _block_solve(block: _SplineBlock, y: np.ndarray, cap: float):
-    """Truncated-SVD least squares of ``y`` on one factored block.
+def _truncated_solve(block: _SplineBlock, qty: np.ndarray, cap: float):
+    """Truncated-SVD least squares on one factored block, from one
+    response's Q~' y.
 
     Coefficient values equal curve values at the knots, so a sane solution
     stays within a few multiples of the response/regressor scale; grossly
     larger ones mean nearly-dependent columns from knot intervals holding
     too few points, and the cutoff rises until those directions are gone.
-    Returns the coefficients, the band of the inverse Gram matrix
-    truncated where the solution was kept (:func:`_gram_band`), the rank
-    kept and the cutoff it was kept at; D's left factor is applied as
-    U' (Q~' y), so no T-row factor is formed.
+    Returns the coefficients, the rank kept and the cutoff it was kept at;
+    D's left factor is applied as U' (Q~' y), so no T-row factor is formed.
     """
     sing, Vt = block.sing, block.Vt
-    uty = block.U.T @ block.qt(y)
+    uty = block.U.T @ qty
     cond = _SPLINE_COND
     while True:
         keep = sing > cond * sing[0]
@@ -532,31 +540,54 @@ def _block_solve(block: _SplineBlock, y: np.ndarray, cap: float):
             break
         cond *= _SPLINE_COND_STEP
     # sing descends, so the kept directions are its first rank
-    rank = int(np.count_nonzero(keep))
-    return coef, _gram_band(sing[:rank], Vt[:rank]), rank, cond
+    return coef, int(np.count_nonzero(keep)), cond
 
 
-def _spline_lstsq(
+def _spline_fits(
     B: _TentRows,
     blocks: tuple[_SplineBlock, ...],
     cols: np.ndarray,
+    ys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginal spline pre-fits of each response row of ``ys`` (R x n).
+
+    Returns the coefficients (R x n_components x (N+2)), the terms
+    m~_j(u_t) X_{t-j} at the rows (n_components x R x n) and the ranks
+    kept (R x n_components).  Each response keeps its own coefficient cap
+    and cutoff escalation, and its solve runs alone but for Q~' y, so
+    every row is what it would be in a batch of one.
+    """
+    R, n = ys.shape
+    caps = [1e3 * max(_abs_p95(y), 1e-12) for y in ys]
+    coefs = np.empty((R, len(blocks), blocks[0].Vt.shape[1]))
+    parts = np.empty((len(blocks), R, n))
+    ranks = np.empty((R, len(blocks)), dtype=int)
+    for c, (block, reg) in enumerate(zip(blocks, cols)):
+        qty = block.qt(ys)
+        for r in range(R):
+            coef, ranks[r, c], _ = _truncated_solve(block, qty[r], caps[r] / block.r_scale)
+            coefs[r, c] = coef
+            parts[c, r] = (B @ coef) * reg
+    return coefs, parts, ranks
+
+
+def _prefit_summary(
+    blocks: tuple[_SplineBlock, ...],
     y: np.ndarray,
+    coefs: np.ndarray,
+    parts: np.ndarray,
+    ranks: np.ndarray,
 ) -> _SplinePrefit:
-    """Marginal spline pre-fits of the response rows ``y`` on factored blocks."""
-    y_scale = max(_abs_p95(y), 1e-12)
-    coefs, parts, sigma2s, bands = [], [], [], []
-    deficient = False
-    for block, reg in zip(blocks, cols):
-        coef, band, rank, _ = _block_solve(block, y, 1e3 * y_scale / block.r_scale)
-        deficient |= rank < block.sing.size
-        part = (B @ coef) * reg
+    """One response's pre-fit from its row of :func:`_spline_fits`, with
+    each block's residual variance and inverse Gram band."""
+    sigma2s, bands, deficient = [], [], False
+    for block, part, rank in zip(blocks, parts, ranks.tolist()):
         resid = y - part
-        coefs.append(coef)
-        parts.append(part)
         sigma2s.append(float(resid @ resid / max(y.size - rank, 1)))
-        bands.append(band)
+        bands.append(_gram_band(block.sing[:rank], block.Vt[:rank]))
+        deficient |= rank < block.sing.size
     return _SplinePrefit(
-        coeffs=np.column_stack(coefs),
+        coeffs=coefs.T.copy(),
         parts=tuple(parts),
         sigma2s=tuple(sigma2s),
         bands=tuple(bands),
@@ -583,7 +614,8 @@ def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.
     x = np.asarray(x, dtype=float)
     rows = _fit_rows(x, spec, None)
     B, blocks = _spline_design(rows, spec, basis)
-    return _spline_lstsq(B, blocks, rows.cols, x[rows.t]).coeffs
+    coefs, _, _ = _spline_fits(B, blocks, rows.cols, x[rows.t][None])
+    return coefs[0].T.copy()
 
 
 def pseudo_responses(
@@ -592,8 +624,9 @@ def pseudo_responses(
     """Response with every pre-estimated component except the c-th removed.
 
     W_{t,j'} = X_t - sum_{j != j'} m~_j(u_t) X_{t-j}, one value per fit row:
-    ``y`` is the response at the rows and ``parts`` the pre-estimated terms
-    m~_j(u_t) X_{t-j} in ``spec.components`` order, subtracted in that order.
+    ``y`` is the response at the rows (or a block of responses, one per
+    row) and ``parts`` the pre-estimated terms m~_j(u_t) X_{t-j} in
+    ``spec.components`` order, of ``y``'s shape, subtracted in that order.
     """
     w = y.copy()
     for oc, part in enumerate(parts):
@@ -810,10 +843,10 @@ class _FitDesign:
     the sorted rows cut into bins, each component's Gram sums folded into
     the weights of a response's moments, and the well-posed flags, with
     its ``reliable`` flags and smoother ``traces``
-    (:func:`_observed_smoother`).  :func:`_solve_fit` fits one response
-    on it, so one design serves every response that shares the series,
-    spec, options and start.  A design holds O(T) values plus each block's 2(N+1) x (N+2)
-    factors.
+    (:func:`_observed_smoother`).  :func:`_solve` fits a block of
+    responses on it, so one design serves every response that shares the
+    series, spec, options and start.  A design holds O(T) values plus
+    each block's 2(N+1) x (N+2) factors.
     """
 
     spec: FcarSpec
@@ -827,10 +860,10 @@ class _FitDesign:
     traces: tuple[float, ...]
 
     def levels(self, pseudos: np.ndarray) -> np.ndarray:
-        """Local levels of each component's pseudo-responses (one row per
-        component) at the observed u; NaN where the local system is
-        singular."""
-        return self.obs.levels(pseudos[:, None, :])[:, 0]
+        """Local levels at the observed u of pseudo-responses ``pseudos``
+        (components x R x n: R responses per component); NaN where the
+        local system is singular."""
+        return self.obs.levels(pseudos)
 
 
 def _observed_smoother(u: np.ndarray, cols: np.ndarray, h: float):
@@ -864,18 +897,37 @@ def _fit_design(
     return _FitDesign(spec, basis, rows, B, blocks, h, *_observed_smoother(u, rows.cols, h))
 
 
-def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
-    """Fit the length-T series ``response`` on ``design``, read at its rows.
+class _Solved(NamedTuple):
+    """The solve of R responses on one design, one row per response: the
+    responses at the fit rows ``ys`` (R x n), the spline pre-fits'
+    ``coefs``, ``parts`` and ``ranks`` (:func:`_spline_fits`), the
+    ``pseudos`` and their local levels ``obs_estimate`` at the observed u
+    (n_components x R x n) and the ``fitted`` values (R x n)."""
 
-    The spline pre-fit, the pseudo-responses and their local levels at the
-    observed u, read off the design's running-moments smoother in O(T)
-    (:meth:`_FitDesign.levels`), and the fitted values.  No grid is built:
-    the curves are built when the fit's ``curves`` are read.
+    ys: np.ndarray
+    coefs: np.ndarray
+    parts: np.ndarray
+    ranks: np.ndarray
+    pseudos: np.ndarray
+    obs_estimate: np.ndarray
+    fitted: np.ndarray
+
+
+def _solve(design: _FitDesign, responses: np.ndarray) -> _Solved:
+    """Fit each length-T row of ``responses`` on ``design``, read at its rows.
+
+    The spline pre-fits, the pseudo-responses and their local levels at
+    the observed u, read off the design's running-moments smoother in O(T)
+    per response, and the fitted values.  A row's values equal those of a
+    solve of that row alone, bit for bit: the pre-fits run response by
+    response (:func:`_spline_fits`), the smoother takes one response per
+    component at a time (``core._MomentSmoother.levels``), and the rest is
+    elementwise or sums over the components in their order.
     """
     rows = design.rows
-    y = np.asarray(response, dtype=float)[rows.t]
-    prefit = _spline_lstsq(design.B, design.blocks, rows.cols, y)
-    pseudos = np.array([pseudo_responses(y, prefit.parts, c) for c in range(len(rows.cols))])
+    ys = responses[:, rows.t]
+    coefs, parts, ranks = _spline_fits(design.B, design.blocks, rows.cols, ys)
+    pseudos = np.array([pseudo_responses(ys, parts, c) for c in range(len(rows.cols))])
     obs_est = design.levels(pseudos)
 
     # Rows where any component's local solve is unreliable fall back to the
@@ -883,14 +935,29 @@ def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
     # whole response on its own, so summing per-component spline fallbacks
     # would count the response more than once.
     finite = np.isfinite(obs_est)
-    kernel_sum = np.add.reduce(np.where(finite, obs_est, 0.0) * rows.cols, axis=0, initial=0.0)
-    row_ok = np.logical_and.reduce(design.reliable & finite, axis=0)
-    fitted = np.where(row_ok, kernel_sum, prefit.parts[0])
+    kernel_sum = np.add.reduce(
+        np.where(finite, obs_est, 0.0) * rows.cols[:, None, :], axis=0, initial=0.0
+    )
+    row_ok = np.logical_and.reduce(design.reliable[:, None, :] & finite, axis=0)
+    fitted = np.where(row_ok, kernel_sum, parts[0])
+    return _Solved(ys, coefs, parts, ranks, pseudos, obs_est, fitted)
+
+
+def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
+    """The fit of the length-T series ``response`` on ``design``: a
+    :func:`_solve` of one response, with each pre-fit's residual variance
+    and inverse Gram band.  No grid is built: the curves are built when
+    the fit's ``curves`` are read.
+    """
+    rows = design.rows
+    solved = _solve(design, np.asarray(response, dtype=float)[None])
+    y, fitted = solved.ys[0], solved.fitted[0]
+    prefit = _prefit_summary(design.blocks, y, solved.coefs[0], solved.parts[:, 0], solved.ranks[0])
     residuals = y - fitted
     prefit_cov = np.array([s2 * band for s2, band in zip(prefit.sigma2s, prefit.bands)])
     # nothing else refers to these: made read-only here, the fit keeps them
     # uncopied (_kept)
-    for a in (prefit.coeffs, fitted, residuals, pseudos, prefit_cov):
+    for a in (prefit.coeffs, residuals, prefit_cov):
         a.flags.writeable = False
     return FcarFit(
         spec=design.spec,
@@ -904,8 +971,8 @@ def _solve_fit(design: _FitDesign, response: np.ndarray) -> FcarFit:
         rank_deficient=prefit.deficient,
         u=rows.u,
         cols=rows.cols,
-        pseudos=pseudos,
-        obs_estimate=obs_est,
+        pseudos=solved.pseudos[:, 0],
+        obs_estimate=solved.obs_estimate[:, 0],
         obs_reliable=design.reliable,
         traces=design.traces,
         prefit_cov=prefit_cov,

@@ -8,21 +8,22 @@ on a fixed two-cycle schedule: neighbor coefficients by per-sensor least
 squares, coefficient curves on the spatially-adjusted response, then one
 refinement of each.  Every sensor uses one temporal spec, so the support
 start is fixed for a call and a sensor's backfit depends only on its
-series and its ordered neighbors' series: cross-validation shares one
-backfit per (sensor id, ordered neighbor ids) across its training
-subsets.  A sensor's fcar design (its spline factors and observed-u
-kernel sums) depends on its own series alone, so each temporal stage is
-one solve on it (``fcar._solve_fit``): the backfit reads only its fitted
-values, and the final stage of ``fit_fcsar`` keeps its fit, whose curves
-are built when read.  ``fit_fcsar`` builds one design per sensor, solves
-it for the backfit and the final stage, and drops it before the next
-sensor, so one design is alive at a time; cross-validation keeps one
-design per sensor id for the length of a call.  No lattice fit builds a
-curve grid unless a caller reads a fit's curves.  The module also provides
-the two factored pipelines (spatial fit first or temporal fit first) and a
-diagnostic that returns all four models' in-sample RMSEs on a common
-support; what a report makes of them (the order ratio, the verdict, the
-parameter counts) is the command line's rule, not this module's.
+series and its ordered neighbors' series.  A sensor's fcar design (its
+spline factors and observed-u kernel sums) depends on its own series
+alone, so each temporal stage is one solve on it: the backfit solves the
+responses of all the neighbor sets it is given at once
+(``fcar._solve``) and reads only their fitted values, and the final stage
+of ``fit_fcsar`` keeps its fit (``fcar._solve_fit``), whose curves are
+built when read.  ``fit_fcsar`` backfits each sensor with its one
+neighbor set; cross-validation backfits each sensor once with every
+neighbor set its training subsets give it.  Both build one design per
+sensor and drop it before the next sensor's, so one design is alive at a
+time.  No lattice fit builds a curve grid unless a caller reads a fit's
+curves.  The module also provides the two factored pipelines (spatial fit
+first or temporal fit first) and a diagnostic that returns all four
+models' in-sample RMSEs on a common support; what a report makes of them
+(the order ratio, the verdict, the parameter counts) is the command
+line's rule, not this module's.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .fcar import (
     FcarSpec,
     _FitDesign,
     _fit_design,
+    _solve,
     _solve_fit,
     fit_fcar,
 )
@@ -57,11 +59,16 @@ SEPARABLE_ORDERS = ("space_then_time", "time_then_space")
 _BACKFIT_CYCLES = 2
 
 
-def _check_input(field: SpatioTemporalField, graph: NeighborGraph, what: str) -> None:
-    """Checks every lattice fit runs: complete, detrended, on the graph's layout."""
+def _check_field(field: SpatioTemporalField, what: str) -> None:
+    """The field checks of every lattice fit: complete and detrended."""
     field.require_complete(what)
     if field.kind == "raw":
         raise ValueError(f"{what} expects a detrended field; detrend the input first")
+
+
+def _check_input(field: SpatioTemporalField, graph: NeighborGraph, what: str) -> None:
+    """Checks every lattice fit runs: complete, detrended, on the graph's layout."""
+    _check_field(field, what)
     _check_same_layout(field.layout, graph.layout, what)
 
 
@@ -226,90 +233,88 @@ def _fit_sensors(
     return tuple(fits)
 
 
+def _sensor_design(
+    z: np.ndarray, s: int, sensor_id: str, spec: FcsarSpec, options: Optional[FcarOptions]
+) -> _FitDesign:
+    """The fcar design of row ``s`` of ``z`` from the support start, with
+    a failure naming the sensor (:func:`_sensor_errors`)."""
+    t0 = spec.support_start
+    with _sensor_errors(sensor_id, z[s], spec.temporal, t0):
+        return _fit_design(z[s], spec.temporal, options, t0)
+
+
 def _backfit_sensor(
     z: np.ndarray,
     s: int,
-    neighbors: Sequence[int],
+    neighbor_sets: Sequence[Sequence[int]],
     spec: FcsarSpec,
     fcar_design: _FitDesign,
-) -> tuple[np.ndarray, bool, np.ndarray]:
-    """Two-cycle backfit of one sensor's neighbor-transfer coefficients.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-cycle backfit of one sensor's neighbor-transfer coefficients,
+    for each of its neighbor sets (rows of ``z``, nearest first).
 
-    Each cycle fits the coefficients by least squares of the series net of
-    the temporal fit (zero at first) on the lagged neighbor values; every
-    cycle but the last then refits the temporal stage on the series net of
-    the spatial component (zero before index b): a solve on
-    ``fcar_design``, the sensor's design from ``spec.support_start``, whose
-    fitted values are all the next cycle reads.  Only rows ``s`` and
-    ``neighbors`` of ``z`` are read, so the result is a function of those
-    rows, the lag depth, the temporal spec and the options.
+    Each cycle fits a set's coefficients by least squares of the series net
+    of that set's temporal fit (zero at first) on its lagged neighbor
+    values; every cycle but the last then refits the temporal stage on the
+    series net of each set's spatial component (zero before index b): one
+    solve of all the sets' responses on ``fcar_design``, the sensor's
+    design from ``spec.support_start``, whose fitted values are all the
+    next cycle reads.  A set's results are those of a backfit of that set
+    alone, bit for bit (:func:`.fcar._solve`).  Only rows ``s`` and the
+    sets' neighbors of ``z`` are read, so a set's result is a function of
+    those rows, the lag depth, the temporal spec and the options.
 
-    Returns the (k, b) coefficient block, whether the neighbor design has
-    full rank, and the length-T spatial row.  A rank-deficient design
-    (duplicated sensors, constant fields) takes the minimum-norm solution,
-    and the caller reports the sensor.  The design never changes between
-    cycles, so neither does its rank.
+    Returns, one row per set, the (k, b) coefficient blocks, whether the
+    neighbor design has full rank, and the length-T spatial rows.  A
+    rank-deficient design (duplicated sensors, constant fields) takes the
+    minimum-norm solution, and the caller reports the sensor.  A design
+    never changes between cycles, so neither does its rank.
     """
     T = z.shape[1]
     b, t0 = spec.n_neighbor_lags, spec.support_start
-    design = _neighbor_design(z, neighbors, b, t0)
-    temporal = np.zeros(T - t0)
-    spatial = np.zeros(T)
+    designs = [_neighbor_design(z, neighbors, b, t0) for neighbors in neighbor_sets]
+    beta = np.empty((len(neighbor_sets), spec.graph.k, b))
+    full_rank = np.empty(len(neighbor_sets), dtype=bool)
+    temporal = np.zeros((len(neighbor_sets), T - t0))
+    spatial = np.zeros((len(neighbor_sets), T))
     for cycle in range(_BACKFIT_CYCLES):
-        coef, _, rank, _ = np.linalg.lstsq(design, z[s, t0:] - temporal, rcond=None)
-        full_rank = bool(rank == design.shape[1])
-        beta = coef.reshape(len(neighbors), b)
-        spatial[b:] = _transfer_sum(z, neighbors, beta, b)
+        for r, (neighbors, design) in enumerate(zip(neighbor_sets, designs)):
+            coef, _, rank, _ = np.linalg.lstsq(design, z[s, t0:] - temporal[r], rcond=None)
+            full_rank[r] = rank == design.shape[1]
+            beta[r] = coef.reshape(len(neighbors), b)
+            spatial[r, b:] = _transfer_sum(z, neighbors, beta[r], b)
         if cycle + 1 < _BACKFIT_CYCLES:
-            temporal = _solve_fit(fcar_design, z[s] - spatial).fitted
+            temporal = _solve(fcar_design, z[s] - spatial).fitted
     return beta, full_rank, spatial
 
 
 def _transfer_stage(
-    field: SpatioTemporalField,
-    spec: FcsarSpec,
-    options: Optional[FcarOptions],
-    backfits: dict,
-    designs: dict,
-    final: bool = False,
+    field: SpatioTemporalField, spec: FcsarSpec, options: Optional[FcarOptions]
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], tuple[FcarFit, ...]]:
-    """Check the inputs, then backfit every sensor of ``field``.
+    """Check the inputs, then backfit every sensor of ``field`` and fit its
+    final temporal stage.
 
     Returns the (S, k, b) coefficients, the S x T spatial component, the
-    sensors with a rank-deficient neighbor design and, with ``final``, each
-    sensor's final temporal stage on its series net of its spatial row
-    (else an empty tuple).  ``backfits`` maps (sensor id, ordered neighbor
-    ids) to a ``_backfit_sensor`` result and ``designs`` sensor ids to fcar
-    designs; a sensor whose key ``backfits`` holds is not backfit again,
-    and the others are added, on the sensor's design from ``designs`` or
-    on one built into it.  A backfit reads only its sensor's and neighbors'
-    series, the lag depth, the temporal spec and the options (t0 follows
-    from the last two), and a design only the sensor's series and the
-    same settings, so the dicts may serve any sensor subsets of one field
-    under one lag depth, temporal spec and options (cross-validation keeps
-    them for one call).  With ``final`` (``fit_fcsar``, on empty dicts) a
-    sensor's design serves its backfit and its final stage and leaves
-    ``designs`` before the next sensor, so one design is alive at a time.
+    sensors with a rank-deficient neighbor design and each sensor's final
+    temporal stage on its series net of its spatial row.  A sensor's
+    design serves its backfit and its final stage and is dropped before
+    the next sensor, so one design is alive at a time.
     """
     _fit_checks(field, spec)
     z = field.values
     ids = field.layout.ids
-    t0 = spec.support_start
     beta = np.empty((len(ids), spec.graph.k, spec.n_neighbor_lags))
     spatial = np.empty(z.shape)
     deficient, finals = [], []
     for s, neighbors in enumerate(spec.graph.neighbors):
-        key = (ids[s], tuple(ids[n] for n in neighbors))
-        if key not in backfits:
-            if ids[s] not in designs:
-                with _sensor_errors(ids[s], z[s], spec.temporal, t0):
-                    designs[ids[s]] = _fit_design(z[s], spec.temporal, options, t0)
-            backfits[key] = _backfit_sensor(z, s, neighbors, spec, designs[ids[s]])
-        beta[s], full_rank, spatial[s] = backfits[key]
-        if not full_rank:
+        design = _sensor_design(z, s, ids[s], spec, options)
+        sensor_beta, full_rank, sensor_spatial = _backfit_sensor(z, s, (neighbors,), spec, design)
+        beta[s], spatial[s] = sensor_beta[0], sensor_spatial[0]
+        if not full_rank[0]:
             deficient.append(ids[s])
-        if final:
-            finals.append(_solve_fit(designs.pop(ids[s]), z[s] - spatial[s]))
+        finals.append(_solve_fit(design, z[s] - spatial[s]))
+        # dropped before the next sensor's design is built
+        del design
     return beta, spatial, tuple(deficient), tuple(finals)
 
 
@@ -390,9 +395,7 @@ def fit_fcsar(
         spatial, deficient = np.zeros((S, T)), ()
         fcar_fits = _fit_sensors(field.layout.ids, z, spec.temporal, options, t0)
     else:
-        beta, spatial, deficient, fcar_fits = _transfer_stage(
-            field, spec, options, {}, {}, final=True
-        )
+        beta, spatial, deficient, fcar_fits = _transfer_stage(field, spec, options)
 
     temporal = np.stack([f.fitted for f in fcar_fits])
     fitted = nan_padded(spatial[:, t0:] + temporal, T)

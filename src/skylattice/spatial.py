@@ -101,6 +101,14 @@ def _check_same_layout(a: SensorLayout, b: SensorLayout, what: str) -> None:
         raise ValueError(f"{what}: field layout does not match the graph layout")
 
 
+def _check_neighbor_count(k: int, n_sensors: int) -> None:
+    """The rule on a graph's k: at least 1, and below the sensor count."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= n_sensors:
+        raise ValueError(f"k={k} needs at least k+1={k + 1} sensors, have {n_sensors}")
+
+
 def build_neighbor_graph(layout: SensorLayout, k: int) -> NeighborGraph:
     """k nearest neighbors per sensor by Euclidean distance.
 
@@ -109,10 +117,7 @@ def build_neighbor_graph(layout: SensorLayout, k: int) -> NeighborGraph:
     weight 1/k, so every row of W sums to 1.
     """
     S = layout.n_sensors
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k >= S:
-        raise ValueError(f"k={k} needs at least k+1={k + 1} sensors, have {S}")
+    _check_neighbor_count(k, S)
     neighbors = []
     W = np.zeros((S, S))
     for i in range(S):

@@ -678,6 +678,20 @@ def test_crossval_too_short_series_names_no_held_out_sensor(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: series too short:")
 
 
+@pytest.mark.parametrize("n_times", [180, 199])
+def test_crossval_default_knot_count_names_no_held_out_sensor(tmp_path, capsys, n_times):
+    # 8 or 9 steps at crossval's default 600 s window pass the length rule
+    # but are too few to choose a knot count: true of every training subset
+    # alike, so the rule runs once, before any subset
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out", sim, "--T", n_times) == 0
+    data = ("--measurements", sim / "measurements.csv", "--layout", sim / "layout.csv")
+    assert run_cli("crossval", *data, "--out", tmp_path / "cv") == 1
+    err = capsys.readouterr().err
+    assert err == "error: need T >= 10 to choose a knot count\n"
+    assert "held out" not in err and not (tmp_path / "cv").exists()
+
+
 def test_crossval_repeated_k_is_usage_error(tmp_path, sim_dir, capsys):
     args = fit_args(sim_dir, tmp_path / "cv")[1:]
     assert run_cli("crossval", *args, "--k", "1,2,1") == 2
@@ -785,6 +799,73 @@ def run_child(*args, **env):
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+# Runs ``main`` on each argv of a JSON list in one interpreter, from the
+# directory given first, and prints each call's exit code, stdout and stderr
+RUN_MAINS = """
+import contextlib, io, json, os, sys
+from skylattice.cli import main
+os.chdir(sys.argv[1])
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_main_calls_in_one_process_match_separate_processes(tmp_path):
+    # the parser is built on the first main call and kept: a good command,
+    # a usage error, a parse error and both help texts give, one after
+    # another in one process, the exit codes, messages and output bytes
+    # that each gives in a process of its own
+    commands = [
+        ["simulate", "--nx", "3", "--ny", "3", "--T", "40", "--out", "sim"],
+        ["simulate", "--T", "1", "--out", "bad"],
+        ["simulate", "--no-such-flag", "1"],
+        ["crossval", "--help"],
+        ["--help"],
+    ]
+
+    def run(directory, batch):
+        directory.mkdir()
+        proc = run_child("-c", RUN_MAINS, str(directory), json.dumps(batch))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    together = run(tmp_path / "one", commands)
+    apart = [run(tmp_path / f"apart{i}", [argv])[0] for i, argv in enumerate(commands)]
+    assert together == apart
+    assert [code for code, _, _ in together] == [0, 2, 2, 0, 0]
+    assert together[1][2].startswith("usage error: --T ")
+    assert "unrecognized arguments: --no-such-flag" in together[2][2]
+    help_hashes = [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in together[3:]]
+    assert help_hashes == [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in apart[3:]]
+    assert file_hashes(tmp_path / "one" / "sim") == file_hashes(tmp_path / "apart0" / "sim")
+    assert not (tmp_path / "one" / "bad").exists()
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    from skylattice import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["simulate", "--T", "1", "--out", str(tmp_path / "sim")]) == 2
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
 
 
 def test_module_entry_point_reports_version():

@@ -391,7 +391,8 @@ def test_crossval_names_the_failing_subset():
 
 # ------------------------------------------- refit-everything oracle
 # The per-subset refit that fcsar cross-validation ran before it shared
-# backfits within a call, kept verbatim as the reference.
+# backfits within a call, kept verbatim as the reference, in the scoring
+# loop of ``crossval``.
 
 
 def _fcsar_holdout_predictions(
@@ -421,22 +422,30 @@ def _fcsar_holdout_predictions(
     return preds
 
 
-def oracle_crossval(monkeypatch, field, plan, spec, options, **kwargs):
-    """``crossval`` with every subset refit from scratch."""
-    with monkeypatch.context() as m:
-        m.setattr(
-            evaluation,
-            "_fcsar_holdout_predictions",
-            lambda f, omega, s, opts, backfits, designs: _fcsar_holdout_predictions(
-                f, omega, s, opts
-            ),
-        )
-        return crossval(field, plan, "fcsar", spec, options, **kwargs)
+def oracle_crossval(field, plan, spec, options, eval_start=None):
+    """``crossval``'s fcsar scores with every subset refit from scratch."""
+    S = field.n_sensors
+    start = spec.n_neighbor_lags if eval_start is None else eval_start
+    values = []
+    for omega in plan.combinations:
+        try:
+            preds = _fcsar_holdout_predictions(field, omega, spec, options)
+        except Exception as exc:
+            held_ids = tuple(field.layout.ids[i] for i in omega)
+            raise RuntimeError(
+                f"refit failed with sensors {held_ids} held out: {exc}"
+            ) from exc
+        pred_matrix = np.full((S, field.n_times), np.nan)
+        pred_matrix[list(omega)] = preds
+        values.append(rmpe(field.values[:, start:], pred_matrix[:, start:], omega))
+    return MetricsReport(
+        model="fcsar", plan=plan, rmpe_values=tuple(values), mean_rmpe=float(np.mean(values))
+    )
 
 
-def assert_matches_oracle(monkeypatch, field, plan, spec, options=LIGHT, **kwargs):
+def assert_matches_oracle(field, plan, spec, options=LIGHT, **kwargs):
     shared = crossval(field, plan, "fcsar", spec, options, **kwargs)
-    oracle = oracle_crossval(monkeypatch, field, plan, spec, options, **kwargs)
+    oracle = oracle_crossval(field, plan, spec, options, **kwargs)
     assert shared.rmpe_values == oracle.rmpe_values
     assert shared.mean_rmpe == oracle.mean_rmpe
 
@@ -452,40 +461,38 @@ def jittered_field(seed, n_times=60):
 
 
 @pytest.mark.parametrize("b", [1, 2])
-def test_shared_backfits_match_refit_oracle_on_regular_grid(monkeypatch, b):
+def test_shared_backfits_match_refit_oracle_on_regular_grid(b):
     # every held-out grid sensor has tied nearest training sensors, so the
     # prediction uses the mean of all training coefficient blocks
     field = advective_field(seed=3, n_times=60)
     plan = CrossvalPlan.all_subsets(16, 1)
-    assert_matches_oracle(monkeypatch, field, plan, fcsar_template(field, b))
+    assert_matches_oracle(field, plan, fcsar_template(field, b))
 
 
 @pytest.mark.parametrize("b", [1, 2])
-def test_shared_backfits_match_refit_oracle_on_jittered_layout(monkeypatch, b):
+def test_shared_backfits_match_refit_oracle_on_jittered_layout(b):
     # no ties: the prediction borrows a single donor's coefficients
     field = jittered_field(seed=4)
     plan = CrossvalPlan.all_subsets(16, 1)
-    assert_matches_oracle(monkeypatch, field, plan, fcsar_template(field, b))
+    assert_matches_oracle(field, plan, fcsar_template(field, b))
 
 
-def test_shared_backfits_match_refit_oracle_for_pairs(monkeypatch):
+def test_shared_backfits_match_refit_oracle_for_pairs():
     field = jittered_field(seed=5)
     plan = CrossvalPlan(
         k=2, combinations=((0, 1), (0, 5), (5, 6), (6, 10), (9, 10), (14, 15))
     )
-    assert_matches_oracle(monkeypatch, field, plan, fcsar_template(field, 2))
+    assert_matches_oracle(field, plan, fcsar_template(field, 2))
 
 
-def test_shared_backfits_match_refit_oracle_on_sampled_plan(monkeypatch):
+def test_shared_backfits_match_refit_oracle_on_sampled_plan():
     field = advective_field(seed=6, n_times=60)
     plan = CrossvalPlan.all_subsets(16, 3, cap=8, seed=2)
     assert plan.sampled
-    assert_matches_oracle(
-        monkeypatch, field, plan, fcsar_template(field), eval_start=2
-    )
+    assert_matches_oracle(field, plan, fcsar_template(field), eval_start=2)
 
 
-def test_shared_backfits_do_not_outlive_the_call(monkeypatch):
+def test_shared_backfits_do_not_outlive_the_call():
     # two fields on one layout, back to back: same keys, different data
     first = advective_field(seed=8, n_times=60)
     second = advective_field(seed=9, n_times=60)
@@ -494,12 +501,8 @@ def test_shared_backfits_do_not_outlive_the_call(monkeypatch):
     a = crossval(first, plan, "fcsar", spec, LIGHT)
     b = crossval(second, plan, "fcsar", spec, LIGHT)
     assert a.rmpe_values != b.rmpe_values
-    assert a.rmpe_values == oracle_crossval(
-        monkeypatch, first, plan, spec, LIGHT
-    ).rmpe_values
-    assert b.rmpe_values == oracle_crossval(
-        monkeypatch, second, plan, spec, LIGHT
-    ).rmpe_values
+    assert a.rmpe_values == oracle_crossval(first, plan, spec, LIGHT).rmpe_values
+    assert b.rmpe_values == oracle_crossval(second, plan, spec, LIGHT).rmpe_values
 
 
 def failure_message(run):
@@ -508,7 +511,7 @@ def failure_message(run):
     return str(exc.value)
 
 
-def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
+def test_shared_backfits_fail_like_the_refit_oracle():
     plan = CrossvalPlan(k=1, combinations=((3,), (7,)))
     raw = simulate_field(
         FieldSimConfig(grid_layout(4, 4, 90.0), 60, diurnal_amplitude=50.0, seed=0)
@@ -520,34 +523,90 @@ def test_shared_backfits_fail_like_the_refit_oracle(monkeypatch):
     values = base.values.copy()
     values[5] = 0.25
     flat = SpatioTemporalField(base.layout, base.timestamps, values, "detrended")
+    # a neighbor count the training subsets cannot hold
+    crowded = FcsarSpec.uniform(
+        build_neighbor_graph(base.layout, 15), 1, FcarSpec.delay_absorbed(1, 1)
+    )
+    long = advective_field(seed=2, n_times=60)
     cases = [
-        (raw, "detrend"),
-        (flat, "sensor 's05', time indices 1..29: functional variable is constant"),
+        (raw, fcsar_template(raw), "detrend"),
+        (flat, fcsar_template(flat), "sensor 's05', time indices 1..29: functional variable is constant"),
+        (long, crowded, "k=15 needs at least k+1=16 sensors, have 15"),
     ]
-    for field, reason in cases:
-        spec = fcsar_template(field)
+    for field, spec, reason in cases:
         shared = failure_message(
             lambda: crossval(field, plan, "fcsar", spec, LIGHT)
         )
         oracle = failure_message(
-            lambda: oracle_crossval(monkeypatch, field, plan, spec, LIGHT)
+            lambda: oracle_crossval(field, plan, spec, LIGHT)
         )
         assert shared == oracle
         assert "('s03',) held out" in shared and reason in shared
+    # the first failure in plan order: a constant sensor that the second
+    # subset is the first to need (sensor 3, held out by the first)
+    values = base.values.copy()
+    values[3] = 0.25
+    flat3 = SpatioTemporalField(base.layout, base.timestamps, values, "detrended")
+    spec = fcsar_template(flat3)
+    shared = failure_message(lambda: crossval(flat3, plan, "fcsar", spec, LIGHT))
+    assert shared == failure_message(lambda: oracle_crossval(flat3, plan, spec, LIGHT))
+    assert "('s07',) held out: sensor 's03'" in shared
 
 
-def test_crossval_builds_one_design_per_sensor_for_the_call(monkeypatch):
+def test_neighbor_sets_equal_the_training_graphs():
+    # each subset's neighbor sets, read off one nearest-first order per
+    # sensor of the full layout, against the graph built on the training
+    # layout: ties (the regular grid), none (jittered), and coordinates
+    # far from the origin, where the distances round differently
+    grid = grid_layout(4, 4, 90.0)
+    jittered = jittered_field(seed=4).layout
+    layouts = [
+        grid,
+        jittered,
+        SensorLayout(grid.ids, grid.xy + (12345.678, 0.1)),
+        SensorLayout(jittered.ids, jittered.xy + (12345.678, 0.1)),
+    ]
+    plans = [CrossvalPlan.all_subsets(16, 1), CrossvalPlan.all_subsets(16, 2)]
+    base = advective_field(seed=3, n_times=30)
+    for layout in layouts:
+        field = SpatioTemporalField(layout, base.timestamps, base.values, base.kind)
+        for k in (1, 2, 3):
+            spec = FcsarSpec.uniform(
+                build_neighbor_graph(layout, k), 1, FcarSpec.delay_absorbed(1, 1)
+            )
+            for plan in plans:
+                shared = evaluation._SharedBackfits(field, plan, spec, LIGHT)
+                for omega in plan.combinations:
+                    train_ids = tuple(
+                        sid for i, sid in enumerate(layout.ids) if i not in omega
+                    )
+                    train = layout.subset(train_ids)
+                    graph = build_neighbor_graph(train, k)
+                    got = tuple(
+                        tuple(train.index_of(layout.ids[j]) for j in neighbors)
+                        for _, neighbors in shared.subsets[omega]
+                    )
+                    assert got == graph.neighbors
+                    assert [layout.ids[s] for s, _ in shared.subsets[omega]] == list(train_ids)
+
+
+def test_crossval_backfits_each_sensor_once_with_one_design_alive(monkeypatch):
     # leave-one-out on 16 sensors backfits 48 distinct (sensor, neighbor
-    # set) keys, on 16 fcar designs: one spline SVD per component each
+    # set) keys: one batched backfit per sensor, covering all of its sets,
+    # on one fcar design each (one spline SVD per component), and no
+    # design is alive when the next is built or after the call
     import gc
     import weakref
 
     from skylattice import fcar, fcsar
 
-    built, svds = [], []
+    built, svds, batches = [], [], []
     fit_design, stack_svd = fcsar._fit_design, fcar._stack_svd
+    backfit = evaluation._backfit_sensor
 
     def counting_design(*args):
+        gc.collect()
+        assert all(ref() is None for ref in built)
         design = fit_design(*args)
         built.append(weakref.ref(design))
         return design
@@ -556,19 +615,19 @@ def test_crossval_builds_one_design_per_sensor_for_the_call(monkeypatch):
         svds.append(1)
         return stack_svd(*args)
 
+    def counting_backfit(z, s, neighbor_sets, *args):
+        batches.append(len(neighbor_sets))
+        return backfit(z, s, neighbor_sets, *args)
+
     monkeypatch.setattr(fcsar, "_fit_design", counting_design)
     monkeypatch.setattr(fcar, "_stack_svd", counting_svd)
-    backfits = []
-    backfit = fcsar._backfit_sensor
-    monkeypatch.setattr(
-        fcsar, "_backfit_sensor", lambda *args: backfits.append(1) or backfit(*args)
-    )
+    monkeypatch.setattr(evaluation, "_backfit_sensor", counting_backfit)
     field = advective_field(seed=3, n_times=60)
     spec = FcsarSpec.uniform(
         build_neighbor_graph(field.layout, 2), 2, FcarSpec.delay_absorbed(2, 1)
     )
     crossval(field, CrossvalPlan.all_subsets(16, 1), "fcsar", spec, LIGHT)
-    assert (len(built), len(svds), len(backfits)) == (16, 32, 48)
+    assert (len(built), len(svds), len(batches), sum(batches)) == (16, 32, 16, 48)
     gc.collect()
     assert all(ref() is None for ref in built)
 

@@ -272,13 +272,20 @@ class TestSplinePreestimate:
             assert float(np.max(np.abs(corr))) < 1e-6
 
 
+def spline_lstsq(B, blocks, cols, y):
+    """The marginal spline pre-fit of the response rows ``y``, with its
+    variance bookkeeping, as a fit's solve keeps it."""
+    coefs, parts, ranks = fcar._spline_fits(B, blocks, cols, y[None])
+    return fcar._prefit_summary(blocks, y, coefs[0], parts[:, 0], ranks[0])
+
+
 def spline_rows(x, spec, basis, response=None):
     """The fit rows of ``x`` and the marginal spline pre-fit of ``response``
     (default ``x``) at those rows."""
     rows = fcar._fit_rows(x, spec, None)
     B, blocks = fcar._spline_design(rows, spec, basis)
     y = (x if response is None else response)[rows.t]
-    return rows, fcar._spline_lstsq(B, blocks, rows.cols, y)
+    return rows, spline_lstsq(B, blocks, rows.cols, y)
 
 
 class TestAbsPercentile:
@@ -332,7 +339,7 @@ class TestFitRows:
     def test_one_row_build_per_fit(self, monkeypatch, spec):
         # a fit is one design: one row build and one SVD per component, of
         # the block's stacked interval triangles (at most 2(N+1) rows)
-        calls = {"_fit_rows": 0, "_stack_svd": 0, "_fit_design": 0, "_solve_fit": 0}
+        calls = {"_fit_rows": 0, "_stack_svd": 0, "_fit_design": 0, "_solve_fit": 0, "_solve": 0}
         svd_rows = []
 
         def counting(module, name):
@@ -352,13 +359,17 @@ class TestFitRows:
         x = simulate_expar2(Expar2Config(n_times=200, seed=1))
         fit_fcar(x, spec)
         fcar._solve_fit(fcar._fit_design(x, spec, None, 4), np.sin(x))
-        assert calls == {"_fit_rows": 2, "_stack_svd": 4, "_fit_design": 0, "_solve_fit": 0}
+        assert calls == {
+            "_fit_rows": 2, "_stack_svd": 4, "_fit_design": 0, "_solve_fit": 0, "_solve": 0
+        }
         # a lattice fit builds one design per sensor and solves it twice:
-        # for the backfit's temporal stage, then for the final one
+        # for the backfit's temporal stage (one response per neighbor set,
+        # one set here), then for the final one, which keeps its fit
         from skylattice import fcsar
 
         counting(fcsar, "_fit_design")
         counting(fcsar, "_solve_fit")
+        counting(fcsar, "_solve")
         layout = grid_layout(3, 3, spacing=90.0)
         field = simulate_field(FieldSimConfig(layout, 80, seed=2))
         graph = build_neighbor_graph(layout, 2)
@@ -367,7 +378,8 @@ class TestFitRows:
             "_fit_rows": 2 + 9,
             "_stack_svd": 4 + 9 * 2,
             "_fit_design": 9,
-            "_solve_fit": 18,
+            "_solve_fit": 9,
+            "_solve": 9,
         }
         assert all(rows <= bound for rows, bound in svd_rows), svd_rows
 
@@ -1109,8 +1121,8 @@ def dense_kernel_stage(monkeypatch):
     def dense_levels(design, pseudos):
         u = design.rows.u
         return np.array([
-            dense_local_linear(u, c1, w, u, design.h)[0]
-            for c1, w in zip(design.rows.cols, pseudos)
+            [dense_local_linear(u, c1, w, u, design.h)[0] for w in ws]
+            for c1, ws in zip(design.rows.cols, pseudos)
         ])
 
     def dense(fit, u_grid, prefit_variance):
@@ -1330,7 +1342,7 @@ def ref_block_solve(D, y, cap):
 
 def gram_band(G):
     """The diagonal and superdiagonal of a dense symmetric G, laid out as
-    ``fcar._block_solve`` returns them."""
+    ``fcar._gram_band`` returns them."""
     band = np.zeros((2, G.shape[0]))
     band[0] = np.diag(G)
     band[1, :-1] = np.diag(G, 1)
@@ -1608,6 +1620,45 @@ def assert_shared_design_matches(x, spec, options, t_start, responses, rtols=Non
     return fits
 
 
+def escalation_case():
+    """A design whose lag-2 block has one singular value at 3.5e-5 of its
+    largest, a response in the span of the block's larger singular
+    directions (from the dense SVD of D), which stays at the first cutoff,
+    and a spike response, which raises it: the series, spec, design and
+    the two responses."""
+    from scipy.linalg import svd
+
+    x = ar1_series(100, seed=0)
+    spec = FcarSpec(p=2, d=1)
+    design = fcar._fit_design(x, spec, None, None)
+    block = design.blocks[1]
+    good = block.sing > 1e-3 * block.sing[0]
+    assert np.count_nonzero((block.sing > fcar._SPLINE_COND * block.sing[0]) & ~good) == 1
+    rows = design.rows
+    D = basis_eval(design.basis, rows.umap.to_unit(rows.u)) * rows.cols[1][:, None]
+    U = svd(D, full_matrices=False)[0]
+    in_span = np.zeros(x.size)
+    in_span[rows.t] = U[:, good] @ np.random.default_rng(1).standard_normal(
+        np.count_nonzero(good)
+    )
+    spike = np.zeros(x.size)
+    spike[[40, 77, 91]] = (3.0, -2.0, 1.5)
+    return x, spec, design, in_span, spike
+
+
+def assert_batch_equals_each_solve(design, responses):
+    """A solve of the stacked responses against a solve of each alone:
+    every row of the batch equals the lone solve's fit, bit for bit."""
+    batch = fcar._solve(design, np.array(responses))
+    for r, response in enumerate(responses):
+        fit = fcar._solve_fit(design, response)
+        assert batch.fitted[r].tobytes() == fit.fitted.tobytes()
+        assert batch.pseudos[:, r].tobytes() == fit.pseudos.tobytes()
+        assert batch.obs_estimate[:, r].tobytes() == fit.obs_estimate.tobytes()
+        assert batch.coefs[r].T.tobytes() == fit.spline_coeffs.tobytes()
+    return batch
+
+
 class TestDesignSolveOracle:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
     @pytest.mark.parametrize("t_start", [None, 9])
@@ -1626,25 +1677,9 @@ class TestDesignSolveOracle:
         # keeps the small singular value, so two stable factorizations of
         # the block agree only to eps times the kept condition number
         # (2.9e4), not to 1e-12
-        from scipy.linalg import svd
-
-        x = ar1_series(100, seed=0)
-        spec = FcarSpec(p=2, d=1)
-        design = fcar._fit_design(x, spec, None, None)
+        x, spec, design, in_span, spike = escalation_case()
         block = design.blocks[1]
         good = block.sing > 1e-3 * block.sing[0]
-        assert np.count_nonzero(
-            (block.sing > fcar._SPLINE_COND * block.sing[0]) & ~good
-        ) == 1
-        rows = design.rows
-        D = basis_eval(design.basis, rows.umap.to_unit(rows.u)) * rows.cols[1][:, None]
-        U = svd(D, full_matrices=False)[0]
-        in_span = np.zeros(x.size)
-        in_span[rows.t] = U[:, good] @ np.random.default_rng(1).standard_normal(
-            np.count_nonzero(good)
-        )
-        spike = np.zeros(x.size)
-        spike[[40, 77, 91]] = (3.0, -2.0, 1.5)
         responses = (in_span, None, spike)
         kept_cond = block.sing[0] / block.sing[~good][0]
         rtols = [np.finfo(float).eps * kept_cond, 1e-12, 1e-12]
@@ -1653,6 +1688,29 @@ class TestDesignSolveOracle:
         fixed = solve_on_one_design(x, spec, None, None, responses)
         moved = [not np.array_equal(a.spline_coeffs, b.spline_coeffs) for a, b in zip(fits, fixed)]
         assert moved == [False, True, True]
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
+    @pytest.mark.parametrize("t_start", [None, 9])
+    def test_batched_solve_equals_each_solve(self, spec, t_start):
+        x = simulate_expar2(Expar2Config(n_times=240, seed=spec.p + 7 * spec.d))
+        design = fcar._fit_design(x, spec, None, t_start)
+        responses = [x if r is None else r for r in oracle_responses(x)]
+        for batch in (responses, responses[::-1], responses[1:2], responses * 3):
+            assert_batch_equals_each_solve(design, batch)
+
+    def test_batched_solve_escalates_each_response_alone(self):
+        # in a batch where only the spike raises the lag-2 block's cutoff,
+        # the responses around it keep the first cutoff and their lone bits
+        x, spec, design, in_span, spike = escalation_case()
+        block = design.blocks[1]
+        responses = (in_span, spike, 0.5 * in_span)
+        batch = assert_batch_equals_each_solve(design, responses)
+        conds = []
+        for y in batch.ys:
+            cap = 1e3 * max(fcar._abs_p95(y), 1e-12) / block.r_scale
+            conds.append(fcar._truncated_solve(block, block.qt(y[None])[0], cap)[2])
+        assert conds[0] == conds[2] == fcar._SPLINE_COND < conds[1]
+        assert batch.ranks[0, 1] == batch.ranks[2, 1] > batch.ranks[1, 1]
 
     def test_singular_local_systems_match_reference(self):
         # a bandwidth far below the spacing of the sample leaves grid points
@@ -1989,7 +2047,7 @@ def assert_block_matches_dense(block, D):
     sing = svd(D, compute_uv=False)
     s0 = float(sing[0])
     npt.assert_allclose(block.sing, sing, rtol=0, atol=1e-12 * s0)
-    # _block_solve keeps the first rank singular values
+    # _truncated_solve keeps the first rank singular values
     assert np.all(np.diff(block.sing) <= 0.0)
     # R~'R~ = D'D, and Q~ R~ = D with orthonormal nonzero columns in Q~
     R = (block.U * block.sing) @ block.Vt
@@ -2005,11 +2063,19 @@ def assert_block_matches_dense(block, D):
     npt.assert_allclose(Q[:, used].T @ Q[:, used], np.eye(used.sum()), rtol=0, atol=1e-12)
 
 
+def block_solve(block, y, cap):
+    """The truncated-SVD solve of the response rows ``y`` on one factored
+    block and the band of its truncated inverse Gram matrix, as a pre-fit
+    keeps it: the coefficients, the band, the rank and the cutoff."""
+    coef, rank, cond = fcar._truncated_solve(block, block.qt(y[None])[0], cap)
+    return coef, fcar._gram_band(block.sing[:rank], block.Vt[:rank]), rank, cond
+
+
 def assert_block_solve_matches_dense(block, D, y, cap):
     """The truncated-SVD solve of ``y`` on a factored block against the
     dense one, with the same rank and cutoff; returns the solve
     (coefficients, band, rank, cutoff) and the dense residual variance."""
-    solved = fcar._block_solve(block, y, cap)
+    solved = block_solve(block, y, cap)
     coef, band, rank, cond = solved
     ref_coef, ref_sigma2, ref_gram, ref_rank, ref_cond = ref_block_solve(D, y, cap)
     assert (rank, cond) == (ref_rank, ref_cond)
@@ -2027,7 +2093,7 @@ def assert_compression_matches_dense(x, spec, basis, responses):
         assert_block_matches_dense(block, D)
     for response in responses:
         y = response[rows.t]
-        prefit = fcar._spline_lstsq(tent, blocks, rows.cols, y)
+        prefit = spline_lstsq(tent, blocks, rows.cols, y)
         y_scale = max(float(np.percentile(np.abs(y), 95)), 1e-12)
         for c, (block, D) in enumerate(zip(blocks, dense)):
             cap = 1e3 * y_scale / block.r_scale
@@ -2133,7 +2199,7 @@ class TestIntervalCompression:
 
 # ------------------------------------------------ pre-fit variance band oracle
 # A solve keeps only the band of each block's truncated inverse Gram matrix
-# G (``fcar._block_solve``), and the curves read the pre-estimate variance
+# G (``fcar._gram_band``), and the curves read the pre-estimate variance
 # sigma^2 b(u)' G b(u) off it at the grid's tent rows.  The dense form,
 # ``basis_eval(grid)`` around the dense SVD's G (``ref_block_solve``), is
 # its oracle.
@@ -2150,11 +2216,11 @@ def assert_band_variance_matches_dense(x, spec, basis, y):
     grid_B, grid_tent = basis_eval(basis, grid), fcar._tent_rows(basis, grid)
     y_rows = y[rows.t]
     y_scale = max(float(np.percentile(np.abs(y_rows), 95)), 1e-12)
-    prefit = fcar._spline_lstsq(tent, blocks, rows.cols, y_rows)
+    prefit = spline_lstsq(tent, blocks, rows.cols, y_rows)
     solved = []
     for c, (block, reg) in enumerate(zip(blocks, rows.cols)):
         cap = 1e3 * y_scale / block.r_scale
-        _, band, rank, cond = fcar._block_solve(block, y_rows, cap)
+        _, band, rank, cond = block_solve(block, y_rows, cap)
         _, _, gram_inv, ref_rank, ref_cond = ref_block_solve(B * reg[:, None], y_rows, cap)
         assert (rank, cond) == (ref_rank, ref_cond)
         want = np.einsum("ij,jk,ik->i", grid_B, gram_inv, grid_B)

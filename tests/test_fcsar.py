@@ -31,6 +31,7 @@ from skylattice.spatial import (
 )
 from skylattice.fcsar import (
     _BACKFIT_CYCLES,
+    _backfit_sensor,
     FcsarFit,
     FcsarSpec,
     _check_input,
@@ -362,6 +363,47 @@ def test_per_sensor_backfit_matches_oracle_on_deficient_designs():
     new = fit_fcsar(as_field(layout, z), spec, LIGHT)
     assert new.deficient_sensors == ("s00", "s01", "s05")
     assert_same_fit(new, oracle_fit_fcsar(as_field(layout, z), spec, LIGHT))
+
+
+def per_key_backfit(z, s, neighbors, spec, fcar_design):
+    """The two-cycle backfit of one sensor for one neighbor set, one
+    single-response solve per temporal stage, as the lattice fit ran it
+    before the backfit took every neighbor set of a sensor at once."""
+    T = z.shape[1]
+    b, t0 = spec.n_neighbor_lags, spec.support_start
+    design = _neighbor_design(z, neighbors, b, t0)
+    temporal = np.zeros(T - t0)
+    spatial = np.zeros(T)
+    for cycle in range(_BACKFIT_CYCLES):
+        coef, _, rank, _ = np.linalg.lstsq(design, z[s, t0:] - temporal, rcond=None)
+        full_rank = bool(rank == design.shape[1])
+        beta = coef.reshape(len(neighbors), b)
+        spatial[b:] = _transfer_sum(z, neighbors, beta, b)
+        if cycle + 1 < _BACKFIT_CYCLES:
+            temporal = _solve_fit(fcar_design, z[s] - spatial).fitted
+    return beta, full_rank, spatial
+
+
+@pytest.mark.parametrize("b", [1, 2])
+def test_batched_backfit_matches_per_key_oracle(b):
+    # every neighbor set of a sensor in one backfit, in any order and with
+    # repeats, a collinear set among them (sensor 4 duplicates sensor 2),
+    # against one backfit per set, bit for bit
+    field = advective_field(T=100, seed=7)
+    z = field.values.copy()
+    z[4] = z[2]
+    spec = FcsarSpec.uniform(build_neighbor_graph(field.layout, k=2), b, AR2_SPEC)
+    s = 5
+    design = _fit_design(z[s], spec.temporal, LIGHT, spec.support_start)
+    sets = [(1, 4), (4, 6), (9, 1), (2, 4), (6, 9), (1, 4)]
+    beta, full_rank, spatial = _backfit_sensor(z, s, sets, spec, design)
+    assert beta.shape == (len(sets), 2, b) and spatial.shape == (len(sets), z.shape[1])
+    for r, neighbors in enumerate(sets):
+        want_beta, want_rank, want_spatial = per_key_backfit(z, s, neighbors, spec, design)
+        assert beta[r].tobytes() == want_beta.tobytes()
+        assert full_rank[r] == want_rank
+        assert spatial[r].tobytes() == want_spatial.tobytes()
+    assert full_rank.tolist() == [True, True, True, False, True, True]
 
 
 def test_fit_holds_one_fcar_design_at_a_time(monkeypatch):
