@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import SensorLayout, SpatioTemporalField, _frozen_array
 
-# admissible-interval scan points that bracket the maximum, and the
-# bisection steps that narrow the bracket to the spacing of doubles
+# admissible-interval scan points that bracket the maximum, and the most
+# points the root search visits in a column before it stops where it is
 _RHO_SCAN = 201
 _RHO_STEPS = 60
 # why a column cannot be fit, indexed by the code of its first failed
@@ -73,10 +73,25 @@ class NeighborGraph:
         """Open interval of rho keeping I - rho*W invertible.
 
         Bounds are the reciprocals of the extreme real eigenvalues of W;
-        complex pairs never make det(I - rho*W) vanish for real rho.
+        complex pairs never make det(I - rho*W) vanish for real rho.  LAPACK
+        returns a defective real eigenvalue (an m-fold Jordan block of W) as
+        a conjugate pair split by about eps**(1/m), far above the 1e-9
+        cutoff of a real one.  Such a pair still makes Re(lambda) I - W
+        singular, which a true complex pair does not, so a pair whose real
+        part lies beyond the real extremes counts as real when the smallest
+        singular value of that matrix is below sqrt(eps) ||W||.
         """
-        eig = self.eigenvalues
-        real = eig.real[np.abs(eig.imag) <= 1e-9 * np.maximum(1.0, np.abs(eig))]
+        eig, W = self.eigenvalues, self.W
+        is_real = np.abs(eig.imag) <= 1e-9 * np.maximum(1.0, np.abs(eig))
+        real = eig.real[is_real]
+        beyond = (eig.real < real.min(initial=np.inf)) | (eig.real > real.max(initial=-np.inf))
+        tol = math.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(W, np.inf))
+        split = [
+            lam.real
+            for lam in eig[~is_real & beyond]
+            if np.linalg.svd(lam.real * np.eye(len(W)) - W, compute_uv=False)[-1] <= tol
+        ]
+        real = np.append(real, split)
         lam_min = float(real.min()) if real.size else -1.0
         lam_max = float(real.max()) if real.size else 1.0
         lo = 1.0 / lam_min if lam_min < 0 else -10.0
@@ -156,11 +171,64 @@ def _logdet(rho: np.ndarray, eig: np.ndarray) -> np.ndarray:
     return np.sum(np.log(np.abs(1.0 - rho[:, None] * eig)), axis=1)
 
 
-def _score(rho, eig, rho_star, qc, rss, S: int) -> np.ndarray:
-    """Derivative in rho of the profile log-likelihood, per column."""
-    dlogdet = np.sum((eig / (1.0 - rho[:, None] * eig)).real, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return S * qc * (rho_star - rho) / rss - dlogdet
+def _score(rho, eig, rho_star, qc, rss, S: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative in rho of the profile log-likelihood, per column, and the
+    derivative of that score."""
+    g = eig / (1.0 - rho[:, None] * eig)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        score = S * qc * (rho_star - rho) / rss - np.sum(g.real, axis=1)
+        # qc / rss is free of the scale of y, so the slope cannot overflow
+        u = qc / rss
+        slope = S * u * (2.0 * u * (rho - rho_star) ** 2 - 1.0) - np.sum((g * g).real, axis=1)
+    return score, slope
+
+
+def _close_brackets(a, b, cols, score) -> None:
+    """Narrow the score-root brackets [a, b] of columns ``cols`` in place,
+    until their ends are adjacent doubles.
+
+    ``score(x, cols)`` returns the score and its slope at ``x`` for those
+    columns.  Every point visited replaces an end by its score's sign, as
+    bisection would: a positive score moves ``a``, any other moves ``b``.
+    The next point is a Newton step from the last one (Brent 1973, a root
+    bracketed throughout).  The computed score is flat below the spacing
+    of the doubles 1 - rho*lambda, where the analytic slope overstates its
+    change and Newton creeps up on the root from one side; when two points
+    in a row share a sign and the score fell by less than a factor 4, the
+    secant through them sets the slope instead.  A step that leaves the
+    open bracket or is not finite falls back to the midpoint, as does one
+    taken after points on both sides of the root without the bracket
+    halving over the last two; a step too small to move the point moves
+    it one double toward the other end.  The columns run in lockstep, each
+    on its own numbers, and leave the loop once closed; after
+    ``_RHO_STEPS`` points the rest stop where they are.
+    """
+    x = 0.5 * (a[cols] + b[cols])
+    x_prev = f_prev = np.full(cols.size, np.nan)
+    width_prev = width_prev2 = b[cols] - a[cols]
+    for _ in range(_RHO_STEPS):
+        if not cols.size:
+            break
+        f, slope = score(x, cols)
+        up = f > 0.0
+        ca, cb = np.where(up, x, a[cols]), np.where(up, b[cols], x)
+        a[cols], b[cols] = ca, cb
+        same = up == (f_prev > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = (f - f_prev) / (x - x_prev)
+            linear = same & (secant * slope > 0.0) & (4.0 * np.abs(f) > np.abs(f_prev))
+            nxt = x - f / np.where(linear, secant, slope)
+        stall = nxt == x
+        nxt = np.where(stall, np.nextafter(x, np.where(up, cb, ca)), nxt)
+        width = cb - ca
+        ok = stall | ((ca < nxt) & (nxt < cb) & (same | (width <= 0.5 * width_prev2)))
+        x_prev, f_prev, x = x, f, np.where(ok, nxt, 0.5 * (ca + cb))
+        width_prev2, width_prev = width_prev, width
+        still_open = np.nextafter(ca, np.inf) < cb
+        if not still_open.all():
+            cols, x, x_prev, f_prev, width_prev, width_prev2 = (
+                v[still_open] for v in (cols, x, x_prev, f_prev, width_prev, width_prev2)
+            )
 
 
 def _sar_fit_columns(Y: np.ndarray, graph: NeighborGraph):
@@ -204,11 +272,14 @@ def _sar_fit_columns(Y: np.ndarray, graph: NeighborGraph):
     rho_star = np.divide(qb, qc, out=np.zeros(T), where=qc > 0.0)
     rss_min = sum((Y - rho_star * WY) ** 2)
 
-    def rss(rho):
-        return rss_min + qc * (rho - rho_star) ** 2
+    def rss(rho, cols=slice(None)):
+        return rss_min[cols] + qc[cols] * (rho - rho_star[cols]) ** 2
+
+    def score(rho, cols=slice(None)):
+        return _score(rho, eig, rho_star[cols], qc[cols], rss(rho, cols), S)
 
     def rising(rho):
-        return _score(rho, eig, rho_star, qc, rss(rho), S) > 0.0
+        return score(rho)[0] > 0.0
 
     # the first grid maximum brackets the root of the score
     grid = np.linspace(lo, hi, _RHO_SCAN)
@@ -223,10 +294,8 @@ def _sar_fit_columns(Y: np.ndarray, graph: NeighborGraph):
     # it, has no sign change: that end is the estimate
     b[(i_best == 0) & ~rising(np.full(T, lo))] = lo
     a[(i_best == _RHO_SCAN - 1) & rising(np.full(T, hi))] = hi
-    for _ in range(_RHO_STEPS):
-        mid = 0.5 * (a + b)
-        up = rising(mid)
-        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    # a column that already failed a check is not searched
+    _close_brackets(a, b, np.flatnonzero((err == 0) & (np.nextafter(a, np.inf) < b)), score)
     rho = 0.5 * (a + b)
 
     resid = Y - rho * WY
@@ -250,9 +319,12 @@ def sar_fit_ml(y: np.ndarray, graph: NeighborGraph) -> SarFit:
     with qc = ||W y||^2 and rho* = y'W y / qc.  The first maximum of a
     201-point scan of the admissible interval (trimmed by 1e-9 of its
     length at each end) brackets the score's root between its grid
-    neighbors, and bisection narrows the bracket to the spacing of doubles.
-    A maximum at an end, where the score points outward (or is 0, as for
-    W = 0, at the lower end), has no root: that end is rho.
+    neighbors.  Safeguarded Newton steps close the bracket until its ends
+    are adjacent doubles, each visited point moving an end by the sign of
+    the score as bisection would, and rho is the rounded midpoint of those
+    ends (``_close_brackets``).  A maximum at an end, where the score points
+    outward (or is 0, as for W = 0, at the lower end), has no root: that
+    end is rho.
     ``sar_residuals_field`` returns the same numbers for this column.
     """
     y = np.asarray(y, dtype=float)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skylattice import spatial
 from skylattice.cli import main as cli_main
 from skylattice.core import (
     SensorLayout,
@@ -246,6 +247,111 @@ def mixed_columns(graph, rng, T=24):
     return np.column_stack(cols)
 
 
+def small_rho_columns(graph, rng, T):
+    """White-noise columns with y'W y = delta y'y for |delta| in [1e-14, 1e-5].
+
+    Their score root lies near delta, where 60 halvings of a scan bracket
+    stop short of the spacing of doubles.  Each column is u + t v for
+    standard normal u, v, with t a root of the quadratic that condition
+    makes in t.
+    """
+    M = 0.5 * (graph.W + graph.W.T)
+    cols = []
+    while len(cols) < T:
+        u, v = rng.standard_normal((2, graph.n_sensors))
+        delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -5.0)
+        A = u @ M @ u - delta * (u @ u)
+        B = u @ M @ v - delta * (u @ v)
+        C = v @ M @ v - delta * (v @ v)
+        if B * B > A * C and C != 0.0:
+            cols.append(u + (-B + math.sqrt(B * B - A * C)) / C * v)
+    return np.column_stack(cols)
+
+
+def near_constant_columns(graph, rng, T):
+    """Constant columns with relative noise of 1e-9 to 1e-3: their score
+    roots lie close below the upper end of the admissible interval."""
+    level = rng.uniform(-20.0, 20.0, T)
+    noise = 10.0 ** rng.uniform(-9.0, -3.0, T) * rng.standard_normal((graph.n_sensors, T))
+    return level * (1.0 + noise)
+
+
+def detrended_diurnal_field(seed):
+    """A simulated 4 x 4 field, T=360 at 30 s with a 600 W/m^2 diurnal
+    trend, detrended: the inputs of ``fit --model sar --detrend``."""
+    raw = simulate_field(
+        FieldSimConfig(
+            layout=grid_layout(4, 4, 90.0),
+            n_times=360,
+            dt_seconds=30.0,
+            diurnal_amplitude=600.0,
+            seed=seed,
+        )
+    )
+    return detrend(raw)[0]
+
+
+def separable_ts_stage1(out_dir):
+    """Layout, graph and time-first stage-1 residual field of the separable
+    pipeline on ``simulate --seed 3 --T 120``, with that pipeline's fit."""
+    assert cli_main(["simulate", "--seed", "3", "--T", "120", "--verbosity", "0",
+                     "--out", str(out_dir)]) == 0
+    layout = read_layout_csv(out_dir / "layout.csv")
+    field = ingest_field(
+        read_measurements_csv(out_dir / "measurements.csv"), layout, kind="detrended"
+    )
+    g = build_neighbor_graph(layout, 2)
+    fit = fit_separable(field, "time_then_space", g, FcarSpec.delay_absorbed(2, 1), FcarOptions())
+    return layout, g, np.stack([f.residuals for f in fit.fcar_fits]), fit
+
+
+def score_signs(y, graph, rho, n=8):
+    """Whether the score is positive at the 2n+1 doubles centred on ``rho``.
+
+    The column's sums run in sensor order, as the lockstep fit forms them,
+    so these are the signs its root search sees.
+    """
+    S = graph.n_sensors
+    wy = sum(graph.W[:, i] * y[i] for i in range(S))
+    qc = sum(wy * wy)
+    rho_star = sum(y * wy) / qc if qc > 0.0 else 0.0
+    rss_min = sum((y - rho_star * wy) ** 2)
+    xs = [rho]
+    for _ in range(n):
+        xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
+    xs = np.array(xs)
+    score, _ = _score(xs, graph.eigenvalues, rho_star, qc, rss_min + qc * (xs - rho_star) ** 2, S)
+    return score > 0.0
+
+
+def assert_matches_bisection(values, graph):
+    """Each column's rho against the bisection oracle ``scalar_sar_fit_ml``.
+
+    Where 60 halvings of the widest scan bracket end below the spacing of
+    doubles at the oracle's rho, bisection ends at adjacent doubles; there
+    rho is bit-equal to it whenever the score's sign flips at most once
+    within 8 doubles of it.  Everywhere else rho lies within the oracle's
+    final bracket widened by 8 ulps.  Returns how many columns were held
+    to bit-equality.
+    """
+    rho = sar_residuals_field(make_field(graph.layout, values), graph).trace.rho
+    lo, hi = _trimmed_interval(graph)
+    halved = 2.0 * (hi - lo) / (_RHO_SCAN - 1) * 2.0**-_RHO_STEPS
+    exact = 0
+    for j in range(values.shape[1]):
+        y = values[:, j]
+        oracle = scalar_sar_fit_ml(y, graph).rho
+        ulp = np.spacing(abs(oracle))
+        adjacent = halved < ulp
+        up = score_signs(y, graph, oracle)
+        if adjacent and np.count_nonzero(up[1:] != up[:-1]) <= 1:
+            assert rho[j] == oracle, j
+            exact += 1
+        else:
+            assert abs(rho[j] - oracle) <= (ulp if adjacent else 0.5 * halved) + 8 * ulp, j
+    return exact
+
+
 def assert_rel_close(got, expect, rel=1e-12):
     """Agreement within ``rel`` of the largest magnitude in ``expect``."""
     got, expect = np.asarray(got), np.asarray(expect)
@@ -320,6 +426,25 @@ class TestBuildNeighborGraph:
         lo, hi = g.rho_interval
         assert lo < 0.0 < hi
         assert hi == pytest.approx(1.0, abs=1e-9)
+
+    def test_defective_eigenvalue_bounds_the_interval(self):
+        """On this layout W has a double eigenvalue -1/2 in one Jordan block,
+        which eigvals returns as the pair -1/2 +- 5.7e-9i: it still bounds
+        the interval at rho = -2, and fits near its eigenvector stay above
+        that singular point instead of reaching -2.93."""
+        xy = [[-32.6, 3.5], [83.8, -14.2], [187.9, 25.1], [-0.3, 58.1], [101.1, 77.6],
+              [206.9, 80.9], [19.0, 148.6], [136.2, 158.3], [164.5, 189.5]]
+        lay = SensorLayout(tuple(f"s{i:02d}" for i in range(9)), np.array(xy))
+        g = build_neighbor_graph(lay, 2)
+        lo, hi = g.rho_interval
+        assert lo == pytest.approx(-2.0, rel=1e-12)
+        assert hi == pytest.approx(1.0, rel=1e-12)
+        lam, vec = np.linalg.eig(g.W)
+        v = vec[:, np.argmin(np.abs(lam + 0.5))].real
+        rng = np.random.default_rng(0)
+        vals = v[:, None] / np.linalg.norm(v) + 1e-3 * rng.standard_normal((9, 6))
+        rho = sar_residuals_field(make_field(lay, vals), g).trace.rho
+        assert np.all(rho > -2.0)
 
     def test_invalid_k_raises(self):
         lay = square_layout()
@@ -478,7 +603,8 @@ class TestLockstepMatchesScalarOracle:
         assert np.all(res.trace.rho == lo)
 
     def test_score_is_the_profile_derivative(self):
-        """The analytic score against central differences of the slogdet profile."""
+        """The analytic score against central differences of the slogdet
+        profile, and its slope against central differences of the score."""
         for side, k in [(3, 1), (4, 2), (5, 3)]:
             g = build_neighbor_graph(grid_layout(side, side, 1.0), k)
             S = g.n_sensors
@@ -495,8 +621,15 @@ class TestLockstepMatchesScalarOracle:
                 / (2.0 * h)
                 for r in rho
             ]
-            score = _score(rho, g.eigenvalues, rho_star, qc, np.array(rss), S)
+            score, slope = _score(rho, g.eigenvalues, rho_star, qc, np.array(rss), S)
             npt.assert_allclose(score, numeric, rtol=1e-6, atol=1e-6)
+
+            def score_at(r):
+                rss_r = ((y[:, None] - r * wy[:, None]) ** 2).sum(axis=0)
+                return _score(r, g.eigenvalues, rho_star, qc, rss_r, S)[0]
+
+            numeric = (score_at(rho + h) - score_at(rho - h)) / (2.0 * h)
+            npt.assert_allclose(slope, numeric, rtol=1e-6, atol=1e-6)
 
     def test_single_column(self):
         g = build_neighbor_graph(grid_layout(3, 3, 1.0), 2)
@@ -506,18 +639,49 @@ class TestLockstepMatchesScalarOracle:
 
     @pytest.mark.parametrize("seed, k", [(0, 2), (5, 3)])
     def test_detrended_diurnal_field(self, seed, k):
-        raw = simulate_field(
-            FieldSimConfig(
-                layout=grid_layout(4, 4, 90.0),
-                n_times=360,
-                dt_seconds=30.0,
-                diurnal_amplitude=600.0,
-                seed=seed,
-            )
-        )
-        field, _ = detrend(raw)
+        field = detrended_diurnal_field(seed)
         g = build_neighbor_graph(field.layout, k)
         assert_matches_scalar_oracle(field.values, g)
+
+
+class TestNewtonMatchesBisectionOracle:
+    """The bracketed Newton search ends where the bisection it replaced ends."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_mixed_columns(self, k):
+        g = build_neighbor_graph(grid_layout(4, 4, 1.0), k)
+        vals = mixed_columns(g, np.random.default_rng(40 + k), T=60)
+        assert assert_matches_bisection(vals, g) == 60
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_white_noise_with_rho_below_1e_4(self, k):
+        g = build_neighbor_graph(grid_layout(4, 4, 1.0), k)
+        vals = small_rho_columns(g, np.random.default_rng(k), 80)
+        rho = sar_residuals_field(make_field(g.layout, vals), g).trace.rho
+        assert np.all(np.abs(rho) < 1e-4)
+        assert_matches_bisection(vals, g)
+
+    def test_near_constant_columns(self):
+        g = build_neighbor_graph(grid_layout(4, 4, 1.0), 2)
+        vals = near_constant_columns(g, np.random.default_rng(8), 60)
+        assert assert_matches_bisection(vals, g) == 60
+
+    @pytest.mark.parametrize("which", ["lo", "hi"])
+    def test_edge_columns(self, which):
+        g = build_neighbor_graph(grid_layout(4, 4, 1.0), 2)
+        rng = np.random.default_rng(9)
+        vals = np.column_stack([edge_column(g, which, rng) for _ in range(8)])
+        assert assert_matches_bisection(vals, g) == 8
+
+    def test_zero_weight_graph(self):
+        flat = zero_weight_graph(grid_layout(3, 3, 1.0))
+        assert assert_matches_bisection(np.random.default_rng(10).standard_normal((9, 8)), flat) == 8
+
+    def test_separable_ts_first_stage(self, tmp_path):
+        # one of its 118 columns has a sign test that flips three times
+        # within 2 ulps of the root: bisection and Newton end at different flips
+        _, g, stage1, _ = separable_ts_stage1(tmp_path)
+        assert assert_matches_bisection(stage1, g) >= 117
 
 
 class TestSarEdgeMaximum:
@@ -570,15 +734,7 @@ class TestSarPerturbation:
     def test_separable_ts_first_stage_under_ulp_changes(self, tmp_path):
         """The time-first separable pipeline's SAR stage on ``simulate --seed 3
         --T 120``: changes of up to 8 ulps per value move no rho beyond 1e-12."""
-        assert cli_main(["simulate", "--seed", "3", "--T", "120", "--verbosity", "0",
-                         "--out", str(tmp_path)]) == 0
-        layout = read_layout_csv(tmp_path / "layout.csv")
-        field = ingest_field(
-            read_measurements_csv(tmp_path / "measurements.csv"), layout, kind="detrended"
-        )
-        g = build_neighbor_graph(layout, 2)
-        fit = fit_separable(field, "time_then_space", g, FcarSpec.delay_absorbed(2, 1), FcarOptions())
-        stage1 = np.stack([f.residuals for f in fit.fcar_fits])
+        layout, g, stage1, fit = separable_ts_stage1(tmp_path)
         base = sar_residuals_field(make_field(layout, stage1), g)
         npt.assert_array_equal(base.trace.rho, fit.sar_trace.rho)
         rng = np.random.default_rng(0)
@@ -595,16 +751,7 @@ class TestSarSensorPermutation:
     def test_reordering_sensors_reorders_the_fit(self, k, perm_seed):
         """Layout and graph built from the permuted sensors give the same rho
         and the permuted residuals, to rounding."""
-        raw = simulate_field(
-            FieldSimConfig(
-                layout=grid_layout(4, 4, 90.0),
-                n_times=360,
-                dt_seconds=30.0,
-                diurnal_amplitude=600.0,
-                seed=perm_seed,
-            )
-        )
-        field, _ = detrend(raw)
+        field = detrended_diurnal_field(perm_seed)
         perm = np.random.default_rng(perm_seed).permutation(16)
         lay = field.layout
         moved_lay = SensorLayout(tuple(lay.ids[i] for i in perm), lay.xy[perm])
@@ -635,6 +782,20 @@ class TestSarTimePermutation:
                 getattr(moved.trace, name), getattr(base.trace, name)[perm]
             )
         assert np.array_equal(moved.field.values, base.field.values[:, perm])
+
+
+class TestSarValueScaling:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_power_of_two_scaling(self, seed):
+        """Scaling a detrended field by 2**k scales every sum the fit forms by
+        an exact power of two, so rho keeps its bits and residuals scale exactly."""
+        field = detrended_diurnal_field(seed)
+        g = build_neighbor_graph(field.layout, 2)
+        base = sar_residuals_field(field, g)
+        for k in (-30, -3, 5, 40):
+            scaled = sar_residuals_field(make_field(field.layout, field.values * 2.0**k), g)
+            assert np.array_equal(scaled.trace.rho, base.trace.rho)
+            assert np.array_equal(scaled.field.values, base.field.values * 2.0**k)
 
 
 class TestSarResidualsField:
@@ -691,7 +852,27 @@ class TestSarResidualsField:
         field = make_field(lay, vals)
         t0 = time.monotonic()
         sar_residuals_field(field, g)
-        assert time.monotonic() - t0 < 0.5
+        assert time.monotonic() - t0 < 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_score_evaluations_per_pass(self, seed, tmp_path, monkeypatch):
+        """``simulate --T 360 --diurnal 600`` detrended: the end-point rules
+        and the root search evaluate the score at most 14 times in all, where
+        60 bisection halvings took 62."""
+        assert cli_main(["simulate", "--T", "360", "--diurnal", "600", "--seed", str(seed),
+                         "--verbosity", "0", "--out", str(tmp_path)]) == 0
+        layout = read_layout_csv(tmp_path / "layout.csv")
+        field, _ = detrend(ingest_field(read_measurements_csv(tmp_path / "measurements.csv"), layout))
+        calls = []
+
+        def counting(rho, *args):
+            calls.append(rho.size)
+            return _score(rho, *args)
+
+        monkeypatch.setattr(spatial, "_score", counting)
+        sar_residuals_field(field, build_neighbor_graph(layout, 2))
+        assert calls[0] == field.n_times
+        assert len(calls) <= 14
 
     def test_failing_column_names_time_index(self):
         lay = grid_layout(4, 4, 1.0)
