@@ -19,10 +19,12 @@ neighbor sets come off one nearest-first order per sensor.  Then each
 sensor is backfit once, for all of its neighbor sets together, on one
 temporal-stage design that is dropped before the next sensor's is built,
 so one design is alive at a time, and the results equal a from-scratch
-refit of every subset.  Prediction reads only the coefficients, so the
-final temporal stage of a full fit is never run, and a backfit's temporal
-stage reads only its fitted values; curves are built when read, so no
-coefficient curve, grid or band is built.
+refit of every subset.  Prediction reads only the coefficients and the
+full field's rows at the subset's training indices, in the planned
+order, so no training field is built; the final temporal stage of a full
+fit is never run, and a backfit's temporal stage reads only its fitted
+values; curves are built when read, so no coefficient curve, grid or
+band is built.
 """
 
 from __future__ import annotations
@@ -270,9 +272,10 @@ class _SharedBackfits:
         _check_field(field, "fit_fcsar")
         self.field, self.spec, self.options = field, spec, options
         layout = field.layout
-        orders = [
-            [j for j in _nearest_first(layout, layout.xy[i])[1] if j != i]
-            for i in range(layout.n_sensors)
+        nearest = [_nearest_first(layout, layout.xy[i]) for i in range(layout.n_sensors)]
+        self.dist = [dist for dist, _ in nearest]
+        self.orders = orders = [
+            [j for j in order if j != i] for i, (_, order) in enumerate(nearest)
         ]
         k = spec.graph.k
         self.subsets: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]] = {}
@@ -298,17 +301,26 @@ class _SharedBackfits:
             self.beta[s, neighbors] = block
 
     def predictions(self, omega: tuple[int, ...]) -> np.ndarray:
-        """Fit on the remaining sensors and predict each held-out one."""
+        """Fit on the remaining sensors and predict each held-out one.
+
+        Each prediction reads the full field's rows at the subset's
+        training indices, and its nearest-first order is the held-out
+        sensor's planned order with the other held-out sensors dropped:
+        the distances and ids a training layout sorts on, so the same
+        order, and no training field is built.
+        """
         keys = self.subsets[omega]
         for s, _ in keys:
             if s in self.pending:
                 self._backfit(s)
         beta = np.array([self.beta[key] for key in keys])
-        layout = self.field.layout
-        train_field = self.field.subset(tuple(layout.ids[s] for s, _ in keys))
+        rows = [s for s, _ in keys]
+        position = {s: r for r, s in enumerate(rows)}
         preds = np.empty((len(omega), self.field.n_times))
         for row, i in enumerate(omega):
-            preds[row] = _predict_with_beta(beta, train_field, layout.xy[i])
+            order = [position[j] for j in self.orders[i] if j in position]
+            dist = self.dist[i][rows]
+            preds[row] = _predict_with_beta(beta, self.field.values, rows, dist, order)
         return preds
 
 
@@ -330,13 +342,13 @@ def _interp_holdout_predictions(
 
 
 @contextmanager
-def _refit_errors(field: SpatioTemporalField, omega: tuple[int, ...]):
-    """Name the held-out sensors of the subset whose refit failed."""
+def _subset_errors(field: SpatioTemporalField, omega: tuple[int, ...], step: str):
+    """Name the step that failed and the held-out sensors of its subset."""
     try:
         yield
     except Exception as exc:
         held_ids = tuple(field.layout.ids[i] for i in omega)
-        raise RuntimeError(f"refit failed with sensors {held_ids} held out: {exc}") from exc
+        raise RuntimeError(f"{step} failed with sensors {held_ids} held out: {exc}") from exc
 
 
 def crossval(
@@ -420,18 +432,21 @@ def crossval(
         raise ValueError(f"eval_start {start} outside the series")
 
     if model == "fcsar":
+        step = "refit"
         # the plan checks what every subset's fit checks alike, so a
         # failure there is the first subset's
-        with _refit_errors(field, plan.combinations[0]):
+        with _subset_errors(field, plan.combinations[0], step):
             predict = _SharedBackfits(field, plan, spec, options).predictions
     else:
+        step = "interpolation"
+
         def predict(omega):
             return _interp_holdout_predictions(field, omega)
 
     values = []
     obs = field.values[:, start:]
     for omega in plan.combinations:
-        with _refit_errors(field, omega):
+        with _subset_errors(field, omega, step):
             preds = predict(omega)
         pred_matrix = np.full((S, field.n_times), np.nan)
         pred_matrix[list(omega)] = preds

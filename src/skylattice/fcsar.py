@@ -498,28 +498,35 @@ def predict_missing_sensor(
     _check_same_layout(field_train.layout, fit.spec.graph.layout, "predict_missing_sensor")
     if target_id in field_train.layout.ids:
         raise ValueError(f"target sensor {target_id!r} is part of the training layout")
-    return _predict_with_beta(fit.beta, field_train, target_xy)
+    d, order = _nearest_first(field_train.layout, np.asarray(target_xy, dtype=float).reshape(2))
+    return _predict_with_beta(fit.beta, field_train.values, range(field_train.n_sensors), d, order)
 
 
 def _predict_with_beta(
-    beta: np.ndarray, field_train: SpatioTemporalField, target_xy: Sequence[float]
+    beta: np.ndarray, z: np.ndarray, rows: Sequence[int], dist: np.ndarray, order: Sequence[int]
 ) -> np.ndarray:
-    """``predict_missing_sensor`` from a (S, k, b) coefficient array."""
-    layout = field_train.layout
-    xy = np.asarray(target_xy, dtype=float).reshape(2)
-    d, order = _nearest_first(layout, xy)
-    scale = max(float(d.max()), 1.0)
-    if float(d.min()) <= 1e-9 * scale:
+    """``predict_missing_sensor``'s rule on the training rows of a value matrix.
+
+    Training sensor r is row ``rows[r]`` of ``z``, with coefficient block
+    ``beta[r]`` (an (R, k, b) array) and distance ``dist[r]`` to the
+    target; ``order`` lists r nearest first, distance ties broken by
+    sensor id.  A fit on the training field passes its own values and
+    every row; cross-validation passes the full field's values, the
+    subset's training rows and the order it planned, so neither builds a
+    training field.
+    """
+    scale = max(float(dist.max()), 1.0)
+    if float(dist.min()) <= 1e-9 * scale:
         raise ValueError("target coincides with a training sensor")
 
     _, k, b = beta.shape
-    nn = order[:k]
+    nn = [rows[r] for r in order[:k]]
     donor = order[0]
-    tied = len(order) > 1 and abs(d[order[1]] - d[donor]) <= 1e-9 * scale
+    tied = len(order) > 1 and abs(dist[order[1]] - dist[donor]) <= 1e-9 * scale
     beta_bar = beta.mean(axis=0) if tied else beta[donor]
 
-    pred = np.full(field_train.n_times, np.nan)
-    pred[b:] = _transfer_sum(field_train.values, nn, beta_bar, b)
+    pred = np.full(z.shape[1], np.nan)
+    pred[b:] = _transfer_sum(z, nn, beta_bar, b)
     return pred
 
 

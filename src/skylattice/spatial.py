@@ -408,22 +408,28 @@ class VoronoiWeights:
         return w
 
 
-def _polygon_area(vertices: np.ndarray) -> float:
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 def _cell_areas(points: np.ndarray, n_real: int) -> np.ndarray:
+    """Voronoi cell areas of the first ``n_real`` points, NaN where unbounded.
+
+    One shoelace pass over the whole diagram: the bounded regions' vertex
+    indices are laid end to end, each vertex is paired with its successor
+    within its own region, and the cross products are summed per region.
+    """
     # imported here for the reason _strictly_inside_hull gives
     from scipy.spatial import Voronoi
 
     vor = Voronoi(points)
+    regions = [vor.regions[r] for r in vor.point_region[:n_real]]
+    cells = np.array([bool(region) and -1 not in region for region in regions])
+    kept = [region for region, bounded in zip(regions, cells) if bounded]
+    lengths = np.array([len(region) for region in kept], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    successor = np.arange(1, int(lengths.sum()) + 1)
+    successor[starts + lengths - 1] = starts
+    v = vor.vertices[[vertex for region in kept for vertex in region]]
+    cross = v[:, 0] * v[successor, 1] - v[:, 1] * v[successor, 0]
     areas = np.full(n_real, np.nan)
-    for i in range(n_real):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region or not region:
-            continue
-        areas[i] = _polygon_area(vor.vertices[region])
+    areas[cells] = 0.5 * np.abs(np.add.reduceat(cross, starts))
     return areas
 
 
@@ -434,8 +440,12 @@ def _strictly_inside_hull(xy: np.ndarray, q: np.ndarray, scale: float) -> bool:
 
     try:
         hull = ConvexHull(xy)
-    except QhullError as exc:
-        raise ValueError(f"degenerate layout geometry: {exc}") from exc
+    except QhullError:
+        # Qhull's own report runs to dozens of lines; the cause is one fact
+        raise ValueError(
+            f"degenerate layout geometry: the convex hull of {len(xy)} sensors "
+            "has no interior"
+        ) from None
     # hull equations give outward normals: inside means all of them negative
     vals = hull.equations[:, :2] @ q + hull.equations[:, 2]
     return bool(np.all(vals < -1e-9 * scale))
@@ -450,7 +460,11 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
     every relevant cell is bounded; they are far enough that interior cell
     boundaries are unaffected.  Queries on or outside the convex hull fall
     back to the nearest sensor with ``hull_fallback`` set; a query sitting
-    exactly on a sensor returns weight 1 on that sensor.
+    exactly on a sensor returns weight 1 on that sensor.  Each of the two
+    diagrams, without and with the query, has all of its cell areas taken
+    in one vectorised shoelace pass (``_cell_areas``).  A layout whose
+    convex hull has no interior (collinear or coincident sensors) raises a
+    one-line ``ValueError`` naming ``degenerate layout geometry``.
     """
     xy = layout.xy
     q = np.asarray(query, dtype=float)

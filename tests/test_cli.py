@@ -692,6 +692,23 @@ def test_crossval_default_knot_count_names_no_held_out_sensor(tmp_path, capsys, 
     assert "held out" not in err and not (tmp_path / "cv").exists()
 
 
+def test_crossval_collinear_layout_is_one_line_error(tmp_path, capsys):
+    # four sensors in a row: the fcsar refits run, and the interpolation
+    # baseline finds no hull interior to take Voronoi areas in
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out", sim, "--nx", 4, "--ny", 1, "--T", 240) == 0
+    data = ("--measurements", sim / "measurements.csv", "--layout", sim / "layout.csv")
+    capsys.readouterr()
+    assert run_cli("crossval", *data, "--window", 0, "--out", tmp_path / "cv") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err == (
+        "error: interpolation failed with sensors ('s0',) held out: degenerate layout "
+        "geometry: the convex hull of 3 sensors has no interior\n"
+    )
+    assert "QH" not in err and "Qhull" not in err
+
+
 def test_crossval_repeated_k_is_usage_error(tmp_path, sim_dir, capsys):
     args = fit_args(sim_dir, tmp_path / "cv")[1:]
     assert run_cli("crossval", *args, "--k", "1,2,1") == 2

@@ -632,6 +632,45 @@ def test_crossval_backfits_each_sensor_once_with_one_design_alive(monkeypatch):
     assert all(ref() is None for ref in built)
 
 
+def test_crossval_command_builds_no_training_field(tmp_path, monkeypatch):
+    # one leave-one-out command on the 4x4 grid: a layout is validated once
+    # when read and once per interpolation subset; fcsar predictions read
+    # the full field's rows and the planned orders, so no training field
+    # is built and no nearest-first order is sorted per prediction; each
+    # of the 4 interior held-out sensors takes two Voronoi diagrams, and
+    # the 12 on the hull none
+    from skylattice import fcsar, spatial
+
+    sim = tmp_path / "sim"
+    assert cli_main(["simulate", "--out", str(sim), "--T", "60", "--seed", "3"]) == 0
+    calls = {}
+    targets = {
+        "layouts": (SensorLayout, "__post_init__"),
+        "subsets": (SpatioTemporalField, "subset"),
+        "predict_orders": (fcsar, "_nearest_first"),
+        "plan_orders": (evaluation, "_nearest_first"),
+        "areas": (spatial, "_cell_areas"),
+    }
+    for key, (owner, name) in targets.items():
+        calls[key] = 0
+
+        def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    argv = [
+        "crossval",
+        "--measurements", str(sim / "measurements.csv"),
+        "--layout", str(sim / "layout.csv"),
+        "--out", str(tmp_path / "cv"),
+        "--window", "0", "--b", "1", "--p", "1", "--knots", "8", "--k", "1",
+    ]
+    assert cli_main(argv) == 0
+    assert calls.pop("layouts") <= 1 + 16
+    assert calls == {"subsets": 0, "predict_orders": 0, "plan_orders": 16, "areas": 8}
+
+
 # ---------------------------------------------------------------- ratio
 
 

@@ -1064,8 +1064,114 @@ class TestVoronoiWeights:
         lay = SensorLayout(
             ("a", "b", "c"), np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         )
-        with pytest.raises(ValueError, match="degenerate"):
+        # one line naming the sensor count, none of Qhull's report
+        one_line = "^degenerate layout geometry: the convex hull of 3 sensors has no interior$"
+        with pytest.raises(ValueError, match=one_line):
             voronoi_weights(lay, (0.5, 0.0))
+
+
+# ------------------------------------------- per-region shoelace oracle
+# The cell areas as ``spatial._cell_areas`` took them before it summed
+# every region in one pass: a loop over the regions, one shoelace each,
+# kept as the reference.
+
+
+def oracle_cell_areas(points, n_real):
+    from scipy.spatial import Voronoi
+
+    vor = Voronoi(points)
+    areas = np.full(n_real, np.nan)
+    for i in range(n_real):
+        region = vor.regions[vor.point_region[i]]
+        if -1 in region or not region:
+            continue
+        x, y = vor.vertices[region][:, 0], vor.vertices[region][:, 1]
+        areas[i] = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return areas
+
+
+def far_corners(xy):
+    """The four bounding points ``voronoi_weights`` appends to a layout."""
+    span = max(float(np.ptp(xy[:, 0])), float(np.ptp(xy[:, 1])), 1.0)
+    signs = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    return xy.mean(axis=0) + 100.0 * span * signs
+
+
+class TestCellAreas:
+    @staticmethod
+    def layouts():
+        grid = grid_layout(4, 4, 90.0).xy
+        rng = np.random.default_rng(31)
+        yield "grid", grid
+        yield "jittered", grid + rng.uniform(-20.0, 20.0, grid.shape)
+        for n in (4, 7, 12, 20):
+            yield f"random{n}", rng.uniform(0.0, 300.0, (n, 2))
+        yield "translated", grid + (12345.678, 0.1)
+
+    def test_matches_per_region_oracle(self):
+        # bare layouts leave their hull cells unbounded (NaN); with the far
+        # corners every sensor's cell is bounded; a query inside is the
+        # diagram voronoi_weights takes after inserting it
+        rng = np.random.default_rng(32)
+        for name, xy in self.layouts():
+            lo, hi = xy.min(axis=0), xy.max(axis=0)
+            queries = [rng.uniform(lo, hi) for _ in range(3)]
+            diagrams = [xy, np.vstack([xy, far_corners(xy)])]
+            diagrams += [np.vstack([diagrams[1], q]) for q in queries]
+            for points in diagrams:
+                got = spatial._cell_areas(points, len(xy))
+                want = oracle_cell_areas(points, len(xy))
+                npt.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+                ok = ~np.isnan(want)
+                assert ok.any() and np.isnan(want).any() == (points is xy)
+                npt.assert_allclose(got[ok], want[ok], rtol=1e-12, atol=0, err_msg=name)
+
+    def test_no_bounded_region(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert np.all(np.isnan(spatial._cell_areas(points, 4)))
+
+
+def corners_are_natural_neighbors(xy, q):
+    """Whether the query's cell borders a far corner's cell."""
+    from scipy.spatial import Voronoi
+
+    points = np.vstack([xy, far_corners(xy), q])
+    nq = len(points) - 1
+    pairs = Voronoi(points).ridge_points
+    touching = pairs[np.any(pairs == nq, axis=1)].ravel()
+    return bool(np.any((touching >= len(xy)) & (touching < nq)))
+
+
+@st.composite
+def layout_and_inside_query(draw):
+    n = draw(st.integers(4, 20))
+    coord = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+    xy = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    mix = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return xy, (mix / mix.sum()) @ xy
+
+
+class TestSibsonLinearPrecision:
+    # Sibson weights reproduce any linear function, so they sum to 1 and
+    # their weighted sensor coordinates are the query.  A query whose new
+    # cell borders a far corner's cell gives that corner weight the pairs
+    # drop, so those queries are not drawn here.
+    @settings(max_examples=150, deadline=None)
+    @given(layout_and_inside_query())
+    def test_weights_reproduce_the_query(self, case):
+        xy, q = case
+        span = max(float(np.ptp(xy[:, 0])), float(np.ptp(xy[:, 1])), 1.0)
+        gaps = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+        assume(gaps[np.triu_indices(len(xy), 1)].min() > 1e-3 * span)
+        # spread in every direction: neither collinear nor nearly so
+        assume(np.linalg.svd(xy - xy.mean(axis=0), compute_uv=False)[-1] > 1e-2 * span)
+        assume(not corners_are_natural_neighbors(xy, q))
+        lay = SensorLayout(tuple(f"s{i:02d}" for i in range(len(xy))), xy)
+        w = voronoi_weights(lay, tuple(q))
+        assert not w.hull_fallback
+        v = w.as_vector(len(xy))
+        assert abs(v.sum() - 1.0) <= 1e-9
+        assert np.max(np.abs(v @ xy - q)) <= 1e-9 * span
 
 
 class TestNaturalNeighborPredict:
