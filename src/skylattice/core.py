@@ -14,10 +14,13 @@ on each curve grid.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -239,6 +242,45 @@ def _rows_after_header(fh, header: list[str], path):
     return reader
 
 
+def _not_utf8(path) -> ValueError:
+    """The error for a file that is not UTF-8 text: it names the line of
+    the first bad byte, 1 plus the ``\\n`` before it."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x}: {exc.reason})"
+        )
+    # the file changed since it failed to decode
+    return ValueError(f"{path}: not UTF-8 text")
+
+
+def _each_row(path, header: list[str], on_row) -> None:
+    """Call ``on_row`` on each non-blank row of a CSV file past its header,
+    which must be ``header``, as ``csv.reader`` reads them.
+
+    A row of other than 3 cells, or one ``on_row`` rejects with a
+    ``ValueError``, is an error naming ``path:line``, the row's last
+    physical line; so is a byte that is not UTF-8 (:func:`_not_utf8`).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = _rows_after_header(fh, header, path)
+            for row in reader:
+                try:
+                    if len(row) != 3:
+                        if not row:
+                            continue
+                        raise ValueError(f"expected 3 columns, got {len(row)}")
+                    on_row(row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 @dataclass(frozen=True)
 class Measurements:
     """The records of a measurement file, as columns.
@@ -256,23 +298,15 @@ class Measurements:
     values: np.ndarray
 
 
-class _Codes(dict):
-    """Token -> code of its parsed value, filled on lookup: a new token is
-    parsed once, and tokens that parse equal share a code.  ``distinct``
-    maps each parsed value to its code, in code order."""
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-        self.distinct = {}
-
-    def __missing__(self, token: str) -> int:
-        code = self[token] = self.distinct.setdefault(self.parse(token), len(self.distinct))
-        return code
-
-
-def _na_value(tok: str) -> float:
-    """NaN for an NA token; any other value that is not a finite float raises."""
+def _value(tok: str) -> float:
+    """A value cell's float: NaN for an NA token; any other cell that is
+    not a finite float raises."""
+    try:
+        v = float(tok)
+        if math.isfinite(v):
+            return v
+    except ValueError:
+        pass
     tok = tok.strip()
     if tok.lower() in _MISSING_TOKENS:
         return math.nan
@@ -280,46 +314,123 @@ def _na_value(tok: str) -> float:
     raise ValueError(f"value {tok!r} is not finite; write NA for a missing reading")
 
 
+def _check_measurement(row: list[str]) -> None:
+    """Raise the error of a bad measurement row, as the reader parses it."""
+    _parse_timestamp(row[0])
+    _value(row[2])
+
+
+def _values(cells) -> list[float]:
+    """:func:`_value` of each cell: one ``float`` pass, and a cell by cell
+    pass only when a cell is NA or not finite."""
+    try:
+        values = list(map(float, cells))
+        # a sum is finite only if every term is
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    return list(map(_value, cells))
+
+
+def _codes(tokens, distinct: dict, parse):
+    """The code of each token: the place in ``distinct`` (parsed value ->
+    code, in code order) of its parsed value, added if new.  Each distinct
+    token is parsed once, and tokens that parse equal share a code."""
+    code = {tok: distinct.setdefault(parse(tok), len(distinct)) for tok in dict.fromkeys(tokens)}
+    return list(map(code.__getitem__, tokens))
+
+
+# characters per read of a measurement file (bytes, for ASCII text), plus
+# the rest of the line the read ends in: a chunk's cells are a few hundred
+# short-lived strings, and larger chunks leave the process a larger heap
+_READ_CHUNK_CHARS = 1 << 13
+
+# a quote, which csv.reader reads as quoting, and the line breaks that
+# str.splitlines splits at besides \r and \n, which csv.reader keeps in a cell
+_CSV_ONLY_CHARS = '"\v\f\x1c\x1d\x1e\x85\u2028\u2029'
+
+
+def _cell_chunks(fh):
+    """The timestamp, id and value cells of the rows left in ``fh``, one
+    chunk of lines at a time, as ``csv.reader`` splits them.
+
+    A chunk is split with str methods: its lines (``str.splitlines``)
+    are joined by ``,\\n,`` and its cells are the parts between commas.
+    From the first chunk that holds one of ``_CSV_ONLY_CHARS``, or is
+    longer than the csv module's field size limit (so a cell might be), on,
+    ``csv.reader`` splits the rest (:func:`_csv_cell_chunks`).  Blank lines
+    are skipped, and a row of other than 3 cells raises ``ValueError``.
+    """
+    limit = csv.field_size_limit()
+    while chunk := fh.read(_READ_CHUNK_CHARS):
+        if chunk[-1] != "\n":
+            chunk += fh.readline()
+        if len(chunk) > limit or any(c in chunk for c in _CSV_ONLY_CHARS):
+            yield from _csv_cell_chunks(chain(io.StringIO(chunk, newline=""), fh))
+            return
+        body = ",\n,".join(filter(None, chunk.splitlines()))
+        if not body:
+            continue
+        cells = body.split(",")
+        # every line holds 3 cells when the line breaks fall on every fourth
+        if len(cells) % 4 != 3 or cells[3::4].count("\n") != len(cells) // 4:
+            raise ValueError("a row does not have 3 cells")
+        yield cells[0::4], cells[1::4], cells[2::4]
+
+
+def _csv_cell_chunks(lines):
+    """:func:`_cell_chunks` by ``csv.reader`` over ``lines``, in batches of
+    ``_READ_CHUNK_CHARS // 32`` rows."""
+    rows = csv.reader(lines)
+    while batch := list(islice(rows, max(1, _READ_CHUNK_CHARS // 32))):
+        batch = list(filter(None, batch))
+        if batch:
+            if set(map(len, batch)) != {3}:
+                raise ValueError("a row does not have 3 cells")
+            yield zip(*batch)
+
+
 def read_measurements_csv(path) -> Measurements:
     """Read ``timestamp,sensor_id,value`` rows as columns; empty/NA values
     become NaN.
 
-    Each distinct timestamp and id token is parsed once.  A non-finite
-    timestamp or value (``inf``, ``-inf``) is an error that names the file
-    and line; ``nan`` is one of the NA tokens.  A UTF-8 BOM is skipped.  A
-    file with no records is an error that names the file.
+    The file is read a chunk of lines at a time (:func:`_cell_chunks`):
+    each chunk's value cells are parsed in one ``float`` pass, and its
+    timestamp and id cells are coded through its distinct tokens, each
+    parsed once.  The columns grow in ``array`` buffers that the result
+    wraps without a copy.  When a chunk fails, the file is read again row
+    by row (:func:`_each_row`) to name its first bad line: a non-finite
+    timestamp or value (``inf``, ``-inf``, ``-nan``, ``1e999``), a row of
+    other than 3 cells, or a byte that is not UTF-8 is an error that names
+    the file and line; ``nan`` is one of the NA tokens.  Blank lines are
+    skipped, quoted cells are read as the ``csv`` module reads them, and a
+    UTF-8 BOM is skipped.  A file with no records is an error that names
+    the file.
     """
-    times, ids = _Codes(_parse_timestamp), _Codes(str.strip)
+    times, ids = {}, {}
     time_code, id_code, values = array("q"), array("q"), array("d")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _rows_after_header(fh, MEASUREMENT_HEADER, path)
-        try:
-            for row in reader:
-                if len(row) != 3:
-                    if not row:
-                        continue
-                    raise ValueError(f"expected 3 columns, got {len(row)}")
-                ttok, sid, vtok = row
-                time_code.append(times[ttok])
-                id_code.append(ids[sid])
-                try:
-                    v = float(vtok)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    v = _na_value(vtok)
-                values.append(v)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    if not values:
-        raise ValueError(f"{path}: no records")
-    return Measurements(
-        times=np.array(list(times.distinct), dtype=float),
-        ids=tuple(ids.distinct),
-        time_code=np.frombuffer(time_code, dtype=np.int64),
-        id_code=np.frombuffer(id_code, dtype=np.int64),
-        values=np.frombuffer(values, dtype=float),
-    )
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            _rows_after_header(fh, MEASUREMENT_HEADER, path)
+            for stamps, sids, cells in _cell_chunks(fh):
+                time_code.fromlist(_codes(stamps, times, _parse_timestamp))
+                id_code.fromlist(_codes(sids, ids, str.strip))
+                values.fromlist(_values(cells))
+    except (ValueError, csv.Error) as exc:
+        failure = exc
+    else:
+        if not values:
+            raise ValueError(f"{path}: no records")
+        return Measurements(
+            times=np.array(list(times), dtype=float),
+            ids=tuple(ids),
+            time_code=np.frombuffer(time_code, dtype=np.int64),
+            id_code=np.frombuffer(id_code, dtype=np.int64),
+            values=np.frombuffer(values, dtype=float),
+        )
+    _each_row(path, MEASUREMENT_HEADER, _check_measurement)
+    raise failure
 
 
 def ingest_field(
@@ -440,26 +551,20 @@ def write_measurements_csv(field: SpatioTemporalField, path) -> None:
 
 def read_layout_csv(path) -> SensorLayout:
     """Read ``sensor_id,x_m,y_m`` rows.  A bad cell, a non-finite
-    coordinate or a repeated id is an error that names the file and line,
-    and a file with no sensors one that names the file.  A UTF-8 BOM is
-    skipped."""
+    coordinate, a repeated id or a byte that is not UTF-8 is an error that
+    names the file and line, and a file with no sensors one that names the
+    file.  A UTF-8 BOM is skipped."""
     coords: dict[str, tuple[float, float]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _rows_after_header(fh, LAYOUT_HEADER, path)
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"expected 3 columns, got {len(row)}")
-                sid, x, y = row[0].strip(), float(row[1]), float(row[2])
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"sensor {sid!r} coordinates must be finite, got {(x, y)}")
-                if sid in coords:
-                    raise ValueError(f"sensor ids must be unique: {sid!r} repeats")
-                coords[sid] = (x, y)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+    def add(row: list[str]) -> None:
+        sid, x, y = row[0].strip(), float(row[1]), float(row[2])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"sensor {sid!r} coordinates must be finite, got {(x, y)}")
+        if sid in coords:
+            raise ValueError(f"sensor ids must be unique: {sid!r} repeats")
+        coords[sid] = (x, y)
+
+    _each_row(path, LAYOUT_HEADER, add)
     if not coords:
         raise ValueError(f"{path}: no sensors")
     return SensorLayout(tuple(coords), np.array(list(coords.values())))
