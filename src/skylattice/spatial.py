@@ -394,8 +394,8 @@ class VoronoiWeights:
 
     ``pairs`` holds (sensor index, weight) with weights summing to 1.
     ``hull_fallback`` marks queries on or outside the layout's convex
-    hull, where the area construction is undefined and the nearest sensor
-    takes all the weight.
+    hull, where the query's Voronoi cell is unbounded, so the area
+    construction is undefined and the nearest sensor takes all the weight.
     """
 
     pairs: tuple[tuple[int, float], ...]
@@ -408,29 +408,25 @@ class VoronoiWeights:
         return w
 
 
-def _cell_areas(points: np.ndarray, n_real: int) -> np.ndarray:
-    """Voronoi cell areas of the first ``n_real`` points, NaN where unbounded.
+def _nearer(poly: list, p: list, r: list):
+    """Yield the vertices of the part of a convex polygon nearer point
+    ``p`` than point ``r``.
 
-    One shoelace pass over the whole diagram: the bounded regions' vertex
-    indices are laid end to end, each vertex is paired with its successor
-    within its own region, and the cross products are summed per region.
+    ``poly`` lists (x, y) vertices in order around the polygon; it is cut
+    at the bisector of p and r (Sutherland-Hodgman), each edge that
+    crosses the bisector ending where it crosses.
     """
-    # imported here for the reason _strictly_inside_hull gives
-    from scipy.spatial import Voronoi
-
-    vor = Voronoi(points)
-    regions = [vor.regions[r] for r in vor.point_region[:n_real]]
-    cells = np.array([bool(region) and -1 not in region for region in regions])
-    kept = [region for region, bounded in zip(regions, cells) if bounded]
-    lengths = np.array([len(region) for region in kept], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    successor = np.arange(1, int(lengths.sum()) + 1)
-    successor[starts + lengths - 1] = starts
-    v = vor.vertices[[vertex for region in kept for vertex in region]]
-    cross = v[:, 0] * v[successor, 1] - v[:, 1] * v[successor, 0]
-    areas = np.full(n_real, np.nan)
-    areas[cells] = 0.5 * np.abs(np.add.reduceat(cross, starts))
-    return areas
+    # the near side: a*x + b*y <= c, with (a, b) = r - p and c its product
+    # with the midpoint
+    a, b = r[0] - p[0], r[1] - p[1]
+    c = 0.5 * (a * (r[0] + p[0]) + b * (r[1] + p[1]))
+    for (x0, y0), (x1, y1) in zip(poly[-1:] + poly[:-1], poly):
+        f0, f1 = a * x0 + b * y0 - c, a * x1 + b * y1 - c
+        if (f1 <= 0.0) != (f0 <= 0.0):
+            t = f0 / (f0 - f1)
+            yield x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        if f1 <= 0.0:
+            yield x1, y1
 
 
 def _strictly_inside_hull(xy: np.ndarray, q: np.ndarray, scale: float) -> bool:
@@ -456,15 +452,20 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
 
     Inserting the query into the Voronoi diagram of the sensors creates a
     new cell; the weight of sensor i is the fraction of that cell's area
-    stolen from sensor i's old cell.  Distant corner points are appended so
-    every relevant cell is bounded; they are far enough that interior cell
-    boundaries are unaffected.  Queries on or outside the convex hull fall
-    back to the nearest sensor with ``hull_fallback`` set; a query sitting
-    exactly on a sensor returns weight 1 on that sensor.  Each of the two
-    diagrams, without and with the query, has all of its cell areas taken
-    in one vectorised shoelace pass (``_cell_areas``).  A layout whose
-    convex hull has no interior (collinear or coincident sensors) raises a
-    one-line ``ValueError`` naming ``degenerate layout geometry``.
+    stolen from sensor i's old cell.  One diagram of the sensors and the
+    query is built in coordinates centred on the query; the region of the
+    query's own point sizes a square about it, which the query's bisector
+    with each sensor cuts down to the query's cell (``_nearer``).  Sensor
+    i's stolen area is the part of that cell nearer i than any other
+    sensor, cut out the same way and measured by one shoelace, so no area
+    is a difference of two larger ones.  Only the natural neighbors of the
+    query, whose cells border the new one, steal a positive area.
+    Queries on or outside the convex hull, where the query's cell is
+    unbounded, fall back to the nearest sensor with ``hull_fallback`` set;
+    a query sitting exactly on a sensor returns weight 1 on that sensor.
+    A layout whose convex hull has no interior (collinear or coincident
+    sensors) raises a one-line ``ValueError`` naming ``degenerate layout
+    geometry``.
     """
     xy = layout.xy
     q = np.asarray(query, dtype=float)
@@ -481,19 +482,34 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
         nearest = _nearest_first(layout, q)[1][0]
         return VoronoiWeights(pairs=((nearest, 1.0),), hull_fallback=True)
 
-    center = xy.mean(axis=0)
-    far = 100.0 * span
-    corners = center + far * np.array(
-        [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
-    )
-    base = np.vstack([xy, corners])
-    n = xy.shape[0]
-    before = _cell_areas(base, n)
-    after = _cell_areas(np.vstack([base, q[None, :]]), n)
-    stolen = np.where(
-        np.isfinite(before) & np.isfinite(after), before - after, 0.0
-    )
-    stolen = np.maximum(stolen, 0.0)
+    # imported here for the reason _strictly_inside_hull gives
+    from scipy.spatial import Voronoi
+
+    # one diagram of the sensors and the query, centred on the query; the
+    # query's region is bounded, since it is strictly inside the hull
+    sites = (xy - q).tolist()
+    vor = Voronoi(sites + [[0.0, 0.0]])
+    region = vor.regions[vor.point_region[-1]]
+    if not region or -1 in region:
+        raise ValueError("natural-neighbor construction degenerated at this query")
+    # a query a hair from a sensor is below Qhull's resolution: it places
+    # that cell's vertices roughly and may miss a natural neighbor.  So its
+    # cell only sizes a square about the query, and the bisectors of the
+    # query with every sensor cut the square down to the cell
+    r = 2.0 * float(np.abs(vor.vertices[region]).max())
+    cell = [(-r, -r), (r, -r), (r, r), (-r, r)]
+    for site in sites:
+        cell = list(_nearer(cell, [0.0, 0.0], site))
+    # sensor i's stolen area: the part of the cell nearer i than any other
+    # sensor, one shoelace over its vertices
+    stolen = np.zeros(len(sites))
+    for i, p in enumerate(sites):
+        piece = cell
+        for other in sites:
+            if other is not p and piece:
+                piece = list(_nearer(piece, p, other))
+        edges = zip(piece, piece[1:] + piece[:1])
+        stolen[i] = 0.5 * abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
     total = float(stolen.sum())
     if total <= 0.0:
         raise ValueError("natural-neighbor construction degenerated at this query")

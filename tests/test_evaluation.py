@@ -637,9 +637,11 @@ def test_crossval_command_builds_no_training_field(tmp_path, monkeypatch):
     # when read and once per interpolation subset; fcsar predictions read
     # the full field's rows and the planned orders, so no training field
     # is built and no nearest-first order is sorted per prediction; each
-    # of the 4 interior held-out sensors takes two Voronoi diagrams, and
+    # of the 4 interior held-out sensors takes one Voronoi diagram, and
     # the 12 on the hull none
-    from skylattice import fcsar, spatial
+    import scipy.spatial
+
+    from skylattice import fcsar
 
     sim = tmp_path / "sim"
     assert cli_main(["simulate", "--out", str(sim), "--T", "60", "--seed", "3"]) == 0
@@ -649,7 +651,7 @@ def test_crossval_command_builds_no_training_field(tmp_path, monkeypatch):
         "subsets": (SpatioTemporalField, "subset"),
         "predict_orders": (fcsar, "_nearest_first"),
         "plan_orders": (evaluation, "_nearest_first"),
-        "areas": (spatial, "_cell_areas"),
+        "diagrams": (scipy.spatial, "Voronoi"),
     }
     for key, (owner, name) in targets.items():
         calls[key] = 0
@@ -668,7 +670,7 @@ def test_crossval_command_builds_no_training_field(tmp_path, monkeypatch):
     ]
     assert cli_main(argv) == 0
     assert calls.pop("layouts") <= 1 + 16
-    assert calls == {"subsets": 0, "predict_orders": 0, "plan_orders": 16, "areas": 8}
+    assert calls == {"subsets": 0, "predict_orders": 0, "plan_orders": 16, "diagrams": 4}
 
 
 # ---------------------------------------------------------------- ratio
