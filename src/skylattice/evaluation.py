@@ -448,9 +448,8 @@ def crossval(
     for omega in plan.combinations:
         with _subset_errors(field, omega, step):
             preds = predict(omega)
-        pred_matrix = np.full((S, field.n_times), np.nan)
-        pred_matrix[list(omega)] = preds
-        values.append(rmpe(obs, pred_matrix[:, start:], omega))
+        # preds holds omega's rows in omega's order
+        values.append(rmpe(obs[list(omega)], preds[:, start:], range(len(omega))))
     return MetricsReport(
         model=model,
         plan=plan,

@@ -68,11 +68,9 @@ import numpy as np
 
 from .core import _frozen_array, _MomentSmoother, _moment_smoother
 
-# relative singular-value cutoff for the spline pre-estimate, and the factor
-# by which it is raised while the solution stays numerically unidentified
-_SPLINE_COND = 1e-8
-_SPLINE_COND_STEP = 100.0
-_SPLINE_COND_MAX = 1e-4
+# relative singular-value cutoffs of the spline pre-estimate, tried in turn
+# while the solution stays numerically unidentified; the last one is kept
+_SPLINE_CUTOFFS = (1e-8, 1e-6, 1e-4, 1e-2)
 
 # grid/observation points backed by fewer in-bandwidth samples than this are
 # flagged unreliable; fitted values on such rows fall back to the spline
@@ -526,21 +524,21 @@ def _truncated_solve(block: _SplineBlock, qty: np.ndarray, cap: float):
     Coefficient values equal curve values at the knots, so a sane solution
     stays within a few multiples of the response/regressor scale; grossly
     larger ones mean nearly-dependent columns from knot intervals holding
-    too few points, and the cutoff rises until those directions are gone.
-    Returns the coefficients, the rank kept and the cutoff it was kept at;
-    D's left factor is applied as U' (Q~' y), so no T-row factor is formed.
+    too few points.  The cutoff relative to the largest singular value runs
+    through 1e-8, 1e-6, 1e-4 and 1e-2 (``_SPLINE_CUTOFFS``) and stops at the
+    first whose coefficients stay within ``cap``, or at 1e-2.  Returns the
+    coefficients, the rank kept and the cutoff it was kept at; D's left
+    factor is applied as U' (Q~' y), so no T-row factor is formed.
     """
     sing, Vt = block.sing, block.Vt
     uty = block.U.T @ qty
-    cond = _SPLINE_COND
-    while True:
-        keep = sing > cond * sing[0]
+    for cutoff in _SPLINE_CUTOFFS:
+        keep = sing > cutoff * sing[0]
         coef = Vt[keep].T @ (uty[keep] / sing[keep])
-        if not np.any(np.abs(coef) > cap) or cond >= _SPLINE_COND_MAX:
+        if not np.any(np.abs(coef) > cap):
             break
-        cond *= _SPLINE_COND_STEP
     # sing descends, so the kept directions are its first rank
-    return coef, int(np.count_nonzero(keep)), cond
+    return coef, int(np.count_nonzero(keep)), cutoff
 
 
 def _spline_fits(
@@ -607,8 +605,9 @@ def spline_preestimate(x: np.ndarray, spec: FcarSpec, basis: SplineBasis) -> np.
     singular values and right factor are the block's), with singular values
     below 1e-8 of the largest treated as zero; with the default knot count,
     knot intervals holding too few points leave directions unidentified,
-    and those take the minimum-norm value 0 (the cutoff rises automatically
-    while the solution scale shows near-dependent directions survived it).
+    and those take the minimum-norm value 0 (while the solution scale shows
+    near-dependent directions survived it, the cutoff rises to 1e-6, 1e-4
+    and at most 1e-2 of the largest, as :func:`_truncated_solve` says).
     :func:`fit_fcar` reports such a design in ``FcarFit.rank_deficient``.
     """
     x = np.asarray(x, dtype=float)

@@ -457,9 +457,10 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
     query's own point sizes a square about it, which the query's bisector
     with each sensor cuts down to the query's cell (``_nearer``).  Sensor
     i's stolen area is the part of that cell nearer i than any other
-    sensor, cut out the same way and measured by one shoelace, so no area
-    is a difference of two larger ones.  Only the natural neighbors of the
-    query, whose cells border the new one, steal a positive area.
+    natural neighbor of the query (a sensor whose cell borders the new one,
+    so whose bisector cut it), cut out the same way and measured by one
+    shoelace, so no area is a difference of two larger ones.  Only the
+    natural neighbors steal a positive area.
     Queries on or outside the convex hull, where the query's cell is
     unbounded, fall back to the nearest sensor with ``hull_fallback`` set;
     a query sitting exactly on a sensor returns weight 1 on that sensor.
@@ -498,16 +499,21 @@ def voronoi_weights(layout: SensorLayout, query: tuple[float, float]) -> Voronoi
     # query with every sensor cut the square down to the cell
     r = 2.0 * float(np.abs(vor.vertices[region]).max())
     cell = [(-r, -r), (r, -r), (r, r), (-r, r)]
-    for site in sites:
-        cell = list(_nearer(cell, [0.0, 0.0], site))
+    # the natural neighbors are among the sensors whose bisector cut it
+    near = []
+    for i, site in enumerate(sites):
+        cut = list(_nearer(cell, [0.0, 0.0], site))
+        if cut != cell:
+            near.append(i)
+        cell = cut
     # sensor i's stolen area: the part of the cell nearer i than any other
-    # sensor, one shoelace over its vertices
+    # natural neighbor, one shoelace over its vertices
     stolen = np.zeros(len(sites))
-    for i, p in enumerate(sites):
+    for i in near:
         piece = cell
-        for other in sites:
-            if other is not p and piece:
-                piece = list(_nearer(piece, p, other))
+        for j in near:
+            if j != i and piece:
+                piece = list(_nearer(piece, sites[i], sites[j]))
         edges = zip(piece, piece[1:] + piece[:1])
         stolen[i] = 0.5 * abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
     total = float(stolen.sum())

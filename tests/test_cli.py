@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -1158,3 +1159,24 @@ def test_fixture_digests_do_not_depend_on_the_out_dir(tmp_path):
     assert len(paths) == 51
     assert paths == sorted(paths)
     assert "fit-sar-raw/run.json" in paths
+
+
+def test_bench_answers_lists_every_answer_and_writes_nothing_to_perfbench():
+    # two sizes, 16 input sets and five fields per set (one each for
+    # fit_long and sar_long, three for crossval_loo): 160 answers, and no
+    # check fails against the recorded reference
+    repo = Path(__file__).resolve().parents[1]
+    before = sorted(p.name for p in (repo / "perfbench").iterdir())
+    proc = subprocess.run(
+        [sys.executable, str(repo / "tools" / "bench_answers.py"), "--list"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 160
+    for line in lines:
+        size, workload, iset, field, answer = line.split(" ")
+        assert size in ("full", "tiny") and 0 <= int(iset) < 16
+        assert math.isfinite(float(answer)) and float(answer) > 0, line
+    assert sorted(p.name for p in (repo / "perfbench").iterdir()) == before

@@ -1326,13 +1326,12 @@ def ref_block_solve(D, y, cap):
     if sing[0] <= 0.0:
         raise ValueError("degenerate spline design (all-zero block)")
     uty = U.T @ y
-    cond = fcar._SPLINE_COND
-    while True:
+    # the cutoff schedule written out again, not read from fcar
+    for cond in (1e-8, 1e-6, 1e-4, 1e-2):
         keep = sing > cond * sing[0]
         coef = Vt[keep].T @ (uty[keep] / sing[keep])
-        if not np.any(np.abs(coef) > cap) or cond >= fcar._SPLINE_COND_MAX:
+        if not np.any(np.abs(coef) > cap):
             break
-        cond *= fcar._SPLINE_COND_STEP
     rank = int(np.count_nonzero(keep))
     gram_inv = (Vt[keep].T / sing[keep] ** 2) @ Vt[keep]
     resid = y - D @ coef
@@ -1633,7 +1632,7 @@ def escalation_case():
     design = fcar._fit_design(x, spec, None, None)
     block = design.blocks[1]
     good = block.sing > 1e-3 * block.sing[0]
-    assert np.count_nonzero((block.sing > fcar._SPLINE_COND * block.sing[0]) & ~good) == 1
+    assert np.count_nonzero((block.sing > fcar._SPLINE_CUTOFFS[0] * block.sing[0]) & ~good) == 1
     rows = design.rows
     D = basis_eval(design.basis, rows.umap.to_unit(rows.u)) * rows.cols[1][:, None]
     U = svd(D, full_matrices=False)[0]
@@ -1684,7 +1683,7 @@ class TestDesignSolveOracle:
         kept_cond = block.sing[0] / block.sing[~good][0]
         rtols = [np.finfo(float).eps * kept_cond, 1e-12, 1e-12]
         fits = assert_shared_design_matches(x, spec, None, None, responses, rtols)
-        monkeypatch.setattr(fcar, "_SPLINE_COND_MAX", fcar._SPLINE_COND)
+        monkeypatch.setattr(fcar, "_SPLINE_CUTOFFS", fcar._SPLINE_CUTOFFS[:1])
         fixed = solve_on_one_design(x, spec, None, None, responses)
         moved = [not np.array_equal(a.spline_coeffs, b.spline_coeffs) for a, b in zip(fits, fixed)]
         assert moved == [False, True, True]
@@ -1709,7 +1708,7 @@ class TestDesignSolveOracle:
         for y in batch.ys:
             cap = 1e3 * max(fcar._abs_p95(y), 1e-12) / block.r_scale
             conds.append(fcar._truncated_solve(block, block.qt(y[None])[0], cap)[2])
-        assert conds[0] == conds[2] == fcar._SPLINE_COND < conds[1]
+        assert conds[0] == conds[2] == fcar._SPLINE_CUTOFFS[0] < conds[1]
         assert batch.ranks[0, 1] == batch.ranks[2, 1] > batch.ranks[1, 1]
 
     def test_singular_local_systems_match_reference(self):
@@ -2261,7 +2260,20 @@ class TestPrefitVarianceBand:
         solved, _ = assert_band_variance_matches_dense(
             x, spec, SplineBasis(default_knot_count(x.size)), spike
         )
-        assert solved[1][1] > fcar._SPLINE_COND
+        assert solved[1][1] > fcar._SPLINE_CUTOFFS[0]
+
+    def test_cutoff_schedule_ends_at_1e_2(self):
+        # a zero cap fails every cutoff, so the solve keeps the last one,
+        # 1e-2 itself and not a product of steps (1e-8·100·100·100 rounds
+        # to 0.009999999999999998)
+        x, spec = ar1_series(300, seed=0), FcarSpec(p=2, d=1)
+        rows = fcar._fit_rows(x, spec, None)
+        _, blocks = fcar._spline_design(rows, spec, SplineBasis(7))
+        y = x[rows.t]
+        for block in blocks:
+            _, rank, cutoff = fcar._truncated_solve(block, block.qt(y[None])[0], 0.0)
+            assert cutoff == 1e-2
+            assert rank == np.count_nonzero(block.sing > 1e-2 * block.sing[0])
 
     def test_fit_keeps_the_covariance_band(self):
         # what a fit keeps per component: sigma^2 times the band, of

@@ -1218,6 +1218,57 @@ def cell_reach(xy, q):
     return float(np.max(np.hypot(*vor.vertices[vor.regions[vor.point_region[-1]]].T)))
 
 
+def all_pairs_weights(xy, q):
+    """Sibson pairs of an interior query with each sensor's piece of the
+    query's cell cut against every other sensor, natural neighbor or not:
+    n(n-1) cuts where ``voronoi_weights`` makes them among the natural
+    neighbors only."""
+    from scipy.spatial import Voronoi
+
+    sites = (xy - q).tolist()
+    vor = Voronoi(sites + [[0.0, 0.0]])
+    r = 2.0 * float(np.abs(vor.vertices[vor.regions[vor.point_region[-1]]]).max())
+    cell = [(-r, -r), (r, -r), (r, r), (-r, r)]
+    for site in sites:
+        cell = list(spatial._nearer(cell, [0.0, 0.0], site))
+    stolen = np.zeros(len(sites))
+    for i, p in enumerate(sites):
+        piece = cell
+        for other in sites:
+            if other is not p and piece:
+                piece = list(spatial._nearer(piece, p, other))
+        edges = zip(piece, piece[1:] + piece[:1])
+        stolen[i] = 0.5 * abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
+    w = stolen / stolen.sum()
+    return tuple((int(i), float(w[i])) for i in np.nonzero(w > 1e-12)[0])
+
+
+class TestAllPairsOracle:
+    # a sensor whose bisector with the query misses the query's cell has
+    # no part of it nearer itself than the natural neighbors, so cutting
+    # the pieces among those alone gives the all-pairs weights bit for bit
+    @settings(max_examples=300, deadline=None)
+    @given(layout_and_inside_query())
+    def test_matches_all_pairs(self, case):
+        xy, q = case
+        w = voronoi_weights(SensorLayout(ids_for(xy), xy), tuple(q))
+        assert w.pairs == all_pairs_weights(xy, q)
+
+    def test_grid_leave_one_out(self):
+        # the 16 held-out queries of crossval on the 90 m grid: the 12 on
+        # the hull fall back, the 4 inside match the oracle bit for bit
+        lay = grid_layout(4, 4, 90.0)
+        fallbacks = 0
+        for held, sid in enumerate(lay.ids):
+            train = lay.subset([s for s in lay.ids if s != sid])
+            w = voronoi_weights(train, tuple(lay.xy[held]))
+            if w.hull_fallback:
+                fallbacks += 1
+            else:
+                assert w.pairs == all_pairs_weights(train.xy, lay.xy[held])
+        assert fallbacks == 12
+
+
 class TestSibsonLinearPrecision:
     # Sibson weights reproduce any linear function, so they sum to 1 and
     # their weighted sensor coordinates are the query: also for queries
